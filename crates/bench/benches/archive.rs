@@ -7,7 +7,7 @@
 //! the M-Lab group census and Venezuela's median series — so the numbers
 //! compare equal worlds, not a fast-but-wrong parser.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, Criterion};
 use lacnet_bench::bench_world;
 use lacnet_core::{datasets, ArchiveWorld, DumpOptions};
 use lacnet_crisis::World;
@@ -16,9 +16,19 @@ use lacnet_types::{country, MonthStamp};
 use std::hint::black_box;
 use std::path::PathBuf;
 
+/// Where the shared bench world's text-shard tree is dumped.
+fn dump_path() -> PathBuf {
+    std::env::temp_dir().join(format!("lacnet-bench-archive-{}", std::process::id()))
+}
+
+/// Where the identical world with columnar NDT shards is dumped.
+fn columnar_dump_path() -> PathBuf {
+    std::env::temp_dir().join(format!("lacnet-bench-ndtc-{}", std::process::id()))
+}
+
 /// Dump the shared bench world once; every sample reloads the same tree.
 fn dump_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lacnet-bench-archive-{}", std::process::id()));
+    let dir = dump_path();
     if !dir.join("MANIFEST.txt").exists() {
         datasets::dump(bench_world(), &dir).expect("dump succeeds");
     }
@@ -27,7 +37,7 @@ fn dump_dir() -> PathBuf {
 
 /// A second tree holding the identical world with columnar NDT shards.
 fn columnar_dump_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lacnet-bench-ndtc-{}", std::process::id()));
+    let dir = columnar_dump_path();
     if !dir.join("MANIFEST.txt").exists() {
         let options = DumpOptions {
             shard_format: ShardFormat::Columnar,
@@ -36,6 +46,17 @@ fn columnar_dump_dir() -> PathBuf {
         datasets::dump_with(bench_world(), &dir, options).expect("columnar dump succeeds");
     }
     dir
+}
+
+/// Removes both dump trees when the run ends, a failed equivalence
+/// assertion included.
+struct RemoveDumps;
+
+impl Drop for RemoveDumps {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(dump_path());
+        let _ = std::fs::remove_dir_all(columnar_dump_path());
+    }
 }
 
 fn assert_equivalent(world: &World, reloaded: &ArchiveWorld) {
@@ -359,4 +380,9 @@ criterion_group!(
     config = Criterion::default();
     targets = bench_archive_load, bench_cold_load, bench_cold_query, bench_range_query
 );
-criterion_main!(archive);
+
+fn main() {
+    let _cleanup = RemoveDumps;
+    archive();
+    criterion::flush_json_report();
+}

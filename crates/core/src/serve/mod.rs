@@ -59,7 +59,7 @@ impl Default for ServeOptions {
 struct CachedBody {
     status: u16,
     content_type: &'static str,
-    bytes: Arc<Vec<u8>>,
+    bytes: Arc<[u8]>,
 }
 
 /// Everything the worker threads share: the resident data source, the
@@ -448,7 +448,7 @@ fn route_data(
                 CachedBody {
                     status: 200,
                     content_type,
-                    bytes: Arc::new(bytes),
+                    bytes: Arc::from(bytes),
                 }
             });
             state.metrics.record(
@@ -456,11 +456,7 @@ fn route_data(
                 if hit { Outcome::Hit } else { Outcome::Miss },
                 t0.elapsed().as_secs_f64(),
             );
-            Response::new(
-                cached.status,
-                cached.content_type,
-                cached.bytes.as_ref().clone(),
-            )
+            Response::shared(cached.status, cached.content_type, cached.bytes)
         }
         None => {
             state
@@ -534,11 +530,7 @@ fn ndt_query(
         state
             .metrics
             .record("ndt", Outcome::Hit, t0.elapsed().as_secs_f64());
-        return Response::new(
-            cached.status,
-            cached.content_type,
-            cached.bytes.as_ref().clone(),
-        );
+        return Response::shared(cached.status, cached.content_type, cached.bytes);
     }
     let response = match source.ndt_month_stats(cc, month) {
         Err(e) => {
@@ -569,7 +561,7 @@ fn ndt_query(
         CachedBody {
             status: response.status,
             content_type: response.content_type,
-            bytes: Arc::new(response.body.clone()),
+            bytes: Arc::clone(&response.body),
         },
     );
     state
@@ -635,11 +627,7 @@ fn ndt_range_query(
         state
             .metrics
             .record("ndt-range", Outcome::Hit, t0.elapsed().as_secs_f64());
-        return Response::new(
-            cached.status,
-            cached.content_type,
-            cached.bytes.as_ref().clone(),
-        );
+        return Response::shared(cached.status, cached.content_type, cached.bytes);
     }
     let response = match source.ndt_range_stats(cc, from, to) {
         Err(e) => {
@@ -696,7 +684,7 @@ fn ndt_range_query(
         CachedBody {
             status: response.status,
             content_type: response.content_type,
-            bytes: Arc::new(response.body.clone()),
+            bytes: Arc::clone(&response.body),
         },
     );
     state
@@ -714,7 +702,10 @@ fn handle_connection(
     limits: &Limits,
     read_timeout: Duration,
 ) {
-    if stream.set_read_timeout(Some(read_timeout)).is_err() {
+    // Nagle off: every response leaves in one write (`Response::write_to`),
+    // so there is nothing to coalesce, and holding a response's last
+    // segment until the client's delayed ACK costs ~40 ms per request.
+    if stream.set_read_timeout(Some(read_timeout)).is_err() || stream.set_nodelay(true).is_err() {
         return;
     }
     let Ok(mut writer) = stream.try_clone() else {
@@ -923,13 +914,17 @@ mod tests {
         assert!(tsv.content_type.starts_with("text/tab-separated-values"));
         let again = get(state, "/tab01?format=tsv");
         assert_eq!(tsv.body, again.body, "cached body is byte-identical");
+        assert!(
+            Arc::ptr_eq(&tsv.body, &again.body),
+            "a hit shares the cached body instead of copying it"
+        );
         let json = get(state, "/tab01");
         assert!(json.content_type.starts_with("application/json"));
         let parsed = Json::parse(std::str::from_utf8(&json.body).unwrap()).unwrap();
         assert_eq!(parsed.get("id").and_then(|v| v.as_str()), Some("tab01"));
         // The TSV body is exactly the canonical render of the result.
         let direct = canonical_tsv(&(registry::find("tab01").unwrap().run)(&state.source));
-        assert_eq!(tsv.body, direct.into_bytes());
+        assert_eq!(*tsv.body, *direct.as_bytes());
         // Metrics saw one miss and one hit for the TSV key.
         let text = state.metrics().render();
         assert!(text.contains("lacnet_cache_hits_total{endpoint=\"tab01\"} 1"));
@@ -968,9 +963,7 @@ mod tests {
         // A malformed escape is a typed 400, not a mangled cache key.
         let bad = get(&state, "/fig/01?format=%zzv");
         assert_eq!(bad.status, 400);
-        assert!(String::from_utf8(bad.body)
-            .unwrap()
-            .contains("percent-escape"));
+        assert!(String::from_utf8_lossy(&bad.body).contains("percent-escape"));
     }
 
     #[test]
@@ -1003,6 +996,10 @@ mod tests {
         // The repeat is a cache hit serving identical bytes.
         let again = get(&state, &format!("/ndt/VE/{month}"));
         assert_eq!(ok.body, again.body);
+        assert!(
+            Arc::ptr_eq(&ok.body, &again.body),
+            "the miss and the hit share one body allocation"
+        );
         let text = state.metrics().render();
         assert!(
             text.contains("lacnet_cache_hits_total{endpoint=\"ndt\"} 1"),

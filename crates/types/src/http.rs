@@ -9,7 +9,8 @@
 //! a read timeout on the socket, never a hang.
 
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, IoSlice, Write};
+use std::sync::Arc;
 
 /// Hard limits applied while reading one request.
 #[derive(Debug, Clone, Copy)]
@@ -412,23 +413,33 @@ pub struct Response {
     pub content_type: &'static str,
     /// Extra headers beyond the framing set.
     pub headers: Vec<(String, String)>,
-    /// The body bytes.
-    pub body: Vec<u8>,
+    /// The body bytes, shareable with a response cache without a copy.
+    pub body: Arc<[u8]>,
 }
 
 impl Response {
     /// A response with the given status, content type and body.
     pub fn new(status: u16, content_type: &'static str, body: impl Into<Vec<u8>>) -> Self {
+        Response::shared(status, content_type, Arc::from(body.into()))
+    }
+
+    /// A response over an already shared body (a cache hit): no copy.
+    pub fn shared(status: u16, content_type: &'static str, body: Arc<[u8]>) -> Self {
         Response {
             status,
             content_type,
             headers: Vec::new(),
-            body: body.into(),
+            body,
         }
     }
 
     /// Serialise status line, headers and body to `w`. `close` adds
     /// `Connection: close`; otherwise the connection is keep-alive.
+    ///
+    /// Head and body leave in one vectored write (the body is never
+    /// copied next to the head), so on a socket they go out together
+    /// instead of as a head segment followed by a body segment that
+    /// Nagle's algorithm would hold until the peer's delayed ACK.
     pub fn write_to(&self, w: &mut impl Write, close: bool) -> std::io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
@@ -447,10 +458,34 @@ impl Response {
             head.push_str("connection: close\r\n");
         }
         head.push_str("\r\n");
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        write_all_vectored(
+            w,
+            &mut [IoSlice::new(head.as_bytes()), IoSlice::new(&self.body)],
+        )?;
         w.flush()
     }
+}
+
+/// Write every byte of `bufs`, in order, through `write_vectored`:
+/// short writes advance past what was taken, `Interrupted` retries, and
+/// a writer that accepts nothing is a `WriteZero` error rather than a
+/// spin.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    IoSlice::advance_slices(&mut bufs, 0);
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write the whole response",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -726,6 +761,102 @@ mod tests {
         assert!(String::from_utf8(closed)
             .unwrap()
             .contains("connection: close\r\n"));
+    }
+
+    /// A socket stand-in: records what it accepts and how many write
+    /// calls it took, accepts at most `cap` bytes per call, and fails
+    /// the first `interrupts` calls with `Interrupted`.
+    struct Wire {
+        bytes: Vec<u8>,
+        calls: usize,
+        cap: usize,
+        interrupts: usize,
+    }
+
+    impl Wire {
+        fn new(cap: usize, interrupts: usize) -> Self {
+            Wire {
+                bytes: Vec::new(),
+                calls: 0,
+                cap,
+                interrupts,
+            }
+        }
+    }
+
+    impl Write for Wire {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.interrupts > 0 {
+                self.interrupts -= 1;
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.cap - taken);
+                self.bytes.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A response with an extra header, and the exact head-then-body
+    /// bytes it has always been framed as.
+    fn framed() -> (Response, Vec<u8>) {
+        let mut response = Response::new(200, "application/json", b"{\"ok\":true}".to_vec());
+        response.headers.push(("x-extra".into(), "1".into()));
+        let wire = b"HTTP/1.1 200 OK\r\ncontent-type: application/json\r\n\
+                     content-length: 11\r\nx-extra: 1\r\nconnection: close\r\n\r\n\
+                     {\"ok\":true}"
+            .to_vec();
+        (response, wire)
+    }
+
+    #[test]
+    fn head_and_body_leave_in_one_write_call() {
+        let (response, wire) = framed();
+        let mut sink = Wire::new(usize::MAX, 0);
+        response.write_to(&mut sink, true).unwrap();
+        assert_eq!(sink.calls, 1, "head and body must share one write");
+        assert_eq!(sink.bytes, wire);
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_keep_the_wire_bytes() {
+        let (response, wire) = framed();
+        let mut trickle = Wire::new(7, 0);
+        response.write_to(&mut trickle, true).unwrap();
+        assert_eq!(trickle.bytes, wire);
+        assert_eq!(trickle.calls, wire.len().div_ceil(7));
+        let mut interrupted = Wire::new(usize::MAX, 1);
+        response.write_to(&mut interrupted, true).unwrap();
+        assert_eq!(interrupted.bytes, wire);
+        assert_eq!(interrupted.calls, 2);
+        // An empty body frames as a bare head.
+        let mut empty = Wire::new(7, 0);
+        Response::new(200, "text/plain", Vec::new())
+            .write_to(&mut empty, false)
+            .unwrap();
+        assert_eq!(
+            empty.bytes,
+            b"HTTP/1.1 200 OK\r\ncontent-type: text/plain\r\ncontent-length: 0\r\n\r\n"
+        );
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_an_error_not_a_hang() {
+        let (response, _) = framed();
+        let err = response.write_to(&mut Wire::new(0, 0), false).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
     }
 
     proptest! {

@@ -17,18 +17,38 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Dump the fixed-seed test world once and keep the archive-backed
-/// source for every server instance in the binary.
+/// source for every server instance in the binary. The dumped tree is
+/// removed when the test process exits.
 fn archive_source() -> Arc<DataSource<'static>> {
     static SOURCE: OnceLock<Arc<DataSource<'static>>> = OnceLock::new();
     Arc::clone(SOURCE.get_or_init(|| {
+        // SAFETY: `atexit` takes any valid function pointer and only
+        // records it; the callback uses nothing but `std::fs` and
+        // `std::env`, which stay usable while the process exits.
+        unsafe { atexit(remove_archive_dir) };
         let world = World::generate(WorldConfig::test());
-        let dir = std::env::temp_dir().join(format!("lacnet-serve-{}", std::process::id()));
+        let dir = archive_dir();
         datasets::dump(&world, &dir).expect("dump succeeds");
         Arc::new(DataSource::from_archive(&dir).expect("archive loads"))
     }))
+}
+
+fn archive_dir() -> PathBuf {
+    std::env::temp_dir().join(format!("lacnet-serve-{}", std::process::id()))
+}
+
+extern "C" {
+    /// The C runtime's exit hook. The source lives in a static and the
+    /// shared server never stops, so no destructor runs when the test
+    /// binary ends; an exit hook is where the dumped tree can go.
+    fn atexit(callback: extern "C" fn()) -> std::os::raw::c_int;
+}
+
+extern "C" fn remove_archive_dir() {
+    let _ = std::fs::remove_dir_all(archive_dir());
 }
 
 /// Boot a server on an ephemeral port; the accept loop runs on its own
@@ -355,6 +375,39 @@ fn keep_alive_connection_serves_pipelined_requests() {
     let mut rest = Vec::new();
     reader.read_to_end(&mut rest).expect("eof");
     assert!(rest.is_empty());
+}
+
+#[test]
+fn keep_alive_round_trips_do_not_wait_for_delayed_acks() {
+    // A dedicated server, so no other test's traffic queues ahead of
+    // this connection.
+    let (addr, handle) = boot(ServeOptions::default());
+    let stream = TcpStream::connect(addr).expect("connect");
+    // Nagle off on the client too: only the server's writes are timed.
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    const REQUESTS: u32 = 50;
+    let started = Instant::now();
+    for _ in 0..REQUESTS {
+        writer
+            .write_all(b"GET /healthz HTTP/1.1\r\nhost: t\r\n\r\n")
+            .expect("request");
+        let (status, _, body) = read_response(&mut reader);
+        assert_eq!(status, 200);
+        assert_eq!(body, b"{\"status\":\"ok\"}");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "{REQUESTS} keep-alive round trips took {elapsed:?} ({:?} each): responses \
+         are stalling on the Nagle/delayed-ACK interaction (~40 ms per response)",
+        elapsed / REQUESTS
+    );
+    handle.shutdown();
 }
 
 #[test]
