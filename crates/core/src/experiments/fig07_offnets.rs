@@ -27,19 +27,21 @@ pub fn run(src: &DataSource) -> ExperimentResult {
     let mut panels = Vec::new();
     let mut findings = Vec::new();
 
+    let countries = fig7_countries();
     for name in FIG7_PROVIDERS {
         let hg = by_name(name).expect("catalogued hypergiant");
-        let mut lines = Vec::new();
-        for cc in fig7_countries() {
-            let series = detect::coverage_series(
-                src.cert_scans(),
-                hg,
-                cc,
-                src.operators().populations(),
-                src.operators().as2org(),
-            );
-            lines.push(Line::new(cc.as_str(), series));
-        }
+        let table = detect::coverage_table(
+            src.cert_scans(),
+            hg,
+            &countries,
+            src.operators().populations(),
+            src.operators().as2org(),
+        );
+        let lines = countries
+            .iter()
+            .zip(table)
+            .map(|(cc, series)| Line::new(cc.as_str(), series))
+            .collect();
         panels.push(Panel::new(name, lines));
     }
 

@@ -10,42 +10,40 @@ use lacnet_types::country;
 /// Run the experiment.
 pub fn run(src: &DataSource) -> ExperimentResult {
     let countries: Vec<_> = country::lacnic_codes().collect();
+    let ve = countries
+        .iter()
+        .position(|&cc| cc == country::VE)
+        .expect("Venezuela is a LACNIC country");
     let mut panels = Vec::new();
     let mut findings = Vec::new();
 
-    for hg in HYPERGIANTS {
-        let mut lines = Vec::new();
-        for &cc in &countries {
-            let series = detect::coverage_series(
-                src.cert_scans(),
-                hg,
-                cc,
-                src.operators().populations(),
-                src.operators().as2org(),
-            );
-            if series.max_value().unwrap_or(0.0) > 0.0 {
-                lines.push(Line::new(cc.as_str(), series));
-            }
-        }
-        panels.push(Panel::new(hg.name, lines));
-    }
-
-    // The minor six must have zero Venezuelan presence throughout.
-    for hg in HYPERGIANTS.iter().skip(4) {
-        let ve = detect::coverage_series(
+    for (i, hg) in HYPERGIANTS.iter().enumerate() {
+        let table = detect::coverage_table(
             src.cert_scans(),
             hg,
-            country::VE,
+            &countries,
             src.operators().populations(),
             src.operators().as2org(),
         );
-        findings.push(Finding::claim(
-            format!("{} has no Venezuelan off-nets", hg.name),
-            "0%",
-            format!("max {:.2}%", ve.max_value().unwrap_or(0.0)),
-            ve.max_value().unwrap_or(0.0) == 0.0,
-        ));
+        // The minor six must have zero Venezuelan presence throughout.
+        if i >= 4 {
+            let ve_max = table[ve].max_value().unwrap_or(0.0);
+            findings.push(Finding::claim(
+                format!("{} has no Venezuelan off-nets", hg.name),
+                "0%",
+                format!("max {ve_max:.2}%"),
+                ve_max == 0.0,
+            ));
+        }
+        let lines = countries
+            .iter()
+            .zip(table)
+            .filter(|(_, series)| series.max_value().unwrap_or(0.0) > 0.0)
+            .map(|(cc, series)| Line::new(cc.as_str(), series))
+            .collect();
+        panels.push(Panel::new(hg.name, lines));
     }
+
     // And only minimal regional presence (a handful of countries).
     let minor_countries: usize = panels
         .iter()

@@ -285,6 +285,34 @@ mod tests {
     }
 
     #[test]
+    fn coverage_table_is_bit_identical_to_per_country_detection() {
+        let (ops, scans) = world();
+        let countries: Vec<_> = country::lacnic_codes().collect();
+        for hg in lacnet_offnets::HYPERGIANTS {
+            let table =
+                detect::coverage_table(&scans, hg, &countries, ops.populations(), ops.as2org());
+            assert_eq!(table.len(), countries.len());
+            for (series, &cc) in table.iter().zip(&countries) {
+                let expected: Vec<_> = scans
+                    .iter()
+                    .map(|scan| {
+                        let hosts = detect_offnets(scan, hg);
+                        let cov = detect::population_coverage(
+                            &hosts,
+                            cc,
+                            ops.populations(),
+                            ops.as2org(),
+                        );
+                        (scan.month, cov.to_bits())
+                    })
+                    .collect();
+                let got: Vec<_> = series.iter().map(|(m, v)| (m, v.to_bits())).collect();
+                assert_eq!(got, expected, "{} / {cc}", hg.name);
+            }
+        }
+    }
+
+    #[test]
     fn own_networks_never_detected() {
         let (_, scans) = world();
         for hg in lacnet_offnets::HYPERGIANTS {

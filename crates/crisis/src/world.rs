@@ -338,24 +338,29 @@ mod tests {
 
     #[test]
     fn pfx2as_cache_computes_each_month_at_most_once() {
+        // The shared world's counter also counts the months other tests
+        // derive concurrently, so the eight threads race on a cache of
+        // their own and leave the world's counters alone. (The world's
+        // accessor against the uncached derivation is covered by
+        // tests/parallel_equivalence.rs.)
         let world = test_world();
+        let cache = SnapshotCache::new();
         let m = MonthStamp::new(2019, 3);
         let fresh = world.pfx2as_uncached(m);
-        let before = world.pfx2as_computations();
         std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|| world.pfx2as_at(m));
+                s.spawn(|| cache.get_or_compute(m, || world.pfx2as_uncached(m)));
             }
         });
         assert_eq!(
-            world.pfx2as_computations() - before,
+            cache.computations(),
             1,
             "eight concurrent requests must share one computation"
         );
-        assert_eq!(world.pfx2as_at(m).to_text(), fresh.to_text());
-        // Served again: still no further computation.
-        world.pfx2as_at(m);
-        assert_eq!(world.pfx2as_computations() - before, 1);
+        // Served again from the cache: no further computation.
+        let cached = cache.get_or_compute(m, || unreachable!("served from cache"));
+        assert_eq!(cached.to_text(), fresh.to_text());
+        assert_eq!(cache.computations(), 1);
     }
 
     #[test]
@@ -379,24 +384,28 @@ mod tests {
 
     #[test]
     fn cone_cache_computes_each_key_at_most_once() {
+        // As above: a cache of its own, since the prewarm test walks the
+        // focal AS's cones on the shared world concurrently.
         let world = test_world();
+        let cache = ConeCache::new();
         let m = MonthStamp::new(2012, 5);
         let fresh = world.customer_cone_uncached(m, FOCAL_AS);
-        let before = world.cone_computations();
         std::thread::scope(|s| {
             for _ in 0..8 {
-                s.spawn(|| world.customer_cone_at(m, FOCAL_AS));
+                s.spawn(|| {
+                    cache.get_or_compute(m, FOCAL_AS, || world.customer_cone_uncached(m, FOCAL_AS))
+                });
             }
         });
         assert_eq!(
-            world.cone_computations() - before,
+            cache.computations(),
             1,
             "eight concurrent requests must share one cone walk"
         );
-        assert_eq!(*world.customer_cone_at(m, FOCAL_AS), fresh);
-        // Served again: still no further computation.
-        world.customer_cone_at(m, FOCAL_AS);
-        assert_eq!(world.cone_computations() - before, 1);
+        // Served again from the cache: no further computation.
+        let cached = cache.get_or_compute(m, FOCAL_AS, || unreachable!("served from cache"));
+        assert_eq!(*cached, fresh);
+        assert_eq!(cache.computations(), 1);
         // Outside the archive: the singleton, like an unknown AS.
         let outside = MonthStamp::new(1901, 1);
         assert_eq!(

@@ -51,6 +51,30 @@ pub fn population_coverage(
     populations.org_share_of(country, &orgs, as2org) * 100.0
 }
 
+/// Coverage time series for one hypergiant across scans, one per
+/// country in `countries` order. Detection does not depend on the
+/// country, so each scan is matched once and its host set folded into
+/// every country's coverage.
+pub fn coverage_table(
+    scans: &[CertScan],
+    hg: &Hypergiant,
+    countries: &[CountryCode],
+    populations: &PopulationEstimates,
+    as2org: &AsOrgMap,
+) -> Vec<TimeSeries> {
+    let mut table = vec![TimeSeries::new(); countries.len()];
+    for scan in scans {
+        let hosts = detect_offnets(scan, hg);
+        for (series, &cc) in table.iter_mut().zip(countries) {
+            series.insert(
+                scan.month,
+                population_coverage(&hosts, cc, populations, as2org),
+            );
+        }
+    }
+    table
+}
+
 /// Coverage time series for one hypergiant and country across scans.
 pub fn coverage_series(
     scans: &[CertScan],
@@ -59,16 +83,9 @@ pub fn coverage_series(
     populations: &PopulationEstimates,
     as2org: &AsOrgMap,
 ) -> TimeSeries {
-    scans
-        .iter()
-        .map(|scan| {
-            let hosts = detect_offnets(scan, hg);
-            (
-                scan.month,
-                population_coverage(&hosts, country, populations, as2org),
-            )
-        })
-        .collect()
+    coverage_table(scans, hg, &[country], populations, as2org)
+        .pop()
+        .expect("one country, one series")
 }
 
 /// Mean coverage per country over a scan set, used for the paper's
@@ -80,12 +97,11 @@ pub fn mean_coverage_ranking(
     populations: &PopulationEstimates,
     as2org: &AsOrgMap,
 ) -> Vec<(CountryCode, f64)> {
+    let table = coverage_table(scans, hg, countries, populations, as2org);
     let mut means: Vec<(CountryCode, f64)> = countries
         .iter()
-        .map(|&cc| {
-            let s = coverage_series(scans, hg, cc, populations, as2org);
-            (cc, s.mean().unwrap_or(0.0))
-        })
+        .zip(&table)
+        .map(|(&cc, s)| (cc, s.mean().unwrap_or(0.0)))
         .collect();
     means.sort_by(|a, b| {
         b.1.partial_cmp(&a.1)
@@ -206,6 +222,10 @@ mod tests {
         let google = by_name("Google").unwrap();
         let series = coverage_series(&scans, google, country::VE, &p, &map);
         assert_eq!(series.len(), 1);
+        let table = coverage_table(&scans, google, &[country::BR, country::VE], &p, &map);
+        assert_eq!(table.len(), 2, "one series per country, in input order");
+        assert_eq!(table[0].get(MonthStamp::new(2019, 1)), Some(0.0));
+        assert_eq!(table[1], series);
         let ranking = mean_coverage_ranking(&scans, google, &[country::VE, country::BR], &p, &map);
         assert_eq!(ranking[0].0, country::VE);
         assert_eq!(rank_of(&ranking, country::BR), Some(2));

@@ -16,14 +16,23 @@ pub struct Hypergiant {
 }
 
 impl Hypergiant {
-    /// Whether a certificate name belongs to this hypergiant.
+    /// Whether a certificate name belongs to this hypergiant. ASCII
+    /// case-insensitive; compares bytes in place, so the detection's
+    /// inner loop allocates nothing.
     pub fn matches_name(&self, name: &str) -> bool {
-        let name = name.to_ascii_lowercase();
+        let name = name.as_bytes();
         self.cert_patterns
             .iter()
             .any(|pat| match pat.strip_prefix("*.") {
-                Some(suffix) => name == suffix || name.ends_with(&format!(".{suffix}")),
-                None => name == *pat,
+                Some(suffix) => {
+                    let Some(cut) = name.len().checked_sub(suffix.len()) else {
+                        return false;
+                    };
+                    let (head, tail) = name.split_at(cut);
+                    tail.eq_ignore_ascii_case(suffix.as_bytes())
+                        && (head.is_empty() || head.ends_with(b"."))
+                }
+                None => name.eq_ignore_ascii_case(pat.as_bytes()),
             })
     }
 
@@ -113,6 +122,7 @@ pub fn by_name(name: &str) -> Option<&'static Hypergiant> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn catalogue_is_the_appendix_g_ten() {
@@ -147,6 +157,112 @@ mod tests {
         assert!(!google.matches_name("notgoogle.com"));
         assert!(!google.matches_name("google.com.evil.example"));
         assert!(!google.matches_name("fbcdn.net"));
+        assert!(google.matches_name("*.google.com"), "wildcard cert names");
+        assert!(google.matches_name(".google.com"));
+        assert!(!google.matches_name("google.com."), "trailing dot");
+        assert!(!google.matches_name("éGOOGLE.com"), "no dot boundary");
+        assert!(!google.matches_name(""));
+    }
+
+    #[test]
+    fn catalogue_patterns_are_lowercase_ascii() {
+        // `matches_name` folds the case of both sides; the reference below
+        // folds only the name's. They agree only while every pattern is
+        // lower-case ASCII (certificate names are punycode).
+        for hg in HYPERGIANTS {
+            for pat in hg.cert_patterns {
+                assert!(
+                    pat.bytes().all(|b| b.is_ascii() && !b.is_ascii_uppercase()),
+                    "{pat}"
+                );
+            }
+        }
+    }
+
+    /// The allocating matcher `matches_name` replaced: lower-case a copy
+    /// of the name and test each suffix with a formatted `.suffix`.
+    fn matches_name_reference(hg: &Hypergiant, name: &str) -> bool {
+        let name = name.to_ascii_lowercase();
+        hg.cert_patterns
+            .iter()
+            .any(|pat| match pat.strip_prefix("*.") {
+                Some(suffix) => name == suffix || name.ends_with(&format!(".{suffix}")),
+                None => name == *pat,
+            })
+    }
+
+    /// Name fragments: every catalogue suffix plus near misses, wildcard
+    /// and dot debris, and non-ASCII letters (`ſ` and the Kelvin sign
+    /// fold to ASCII only under Unicode rules, never under ASCII ones).
+    fn fragments() -> Vec<&'static str> {
+        let mut v: Vec<&'static str> = vec![
+            "",
+            ".",
+            "..",
+            "*",
+            "*.",
+            "www",
+            "cache",
+            "not",
+            "com",
+            "net",
+            "evil.example",
+            "r3---sn-abc",
+            "é",
+            "ſ",
+            "\u{212A}",
+            "ß",
+            "-",
+        ];
+        v.extend(
+            HYPERGIANTS
+                .iter()
+                .flat_map(|h| h.cert_patterns.iter())
+                .map(|p| p.trim_start_matches("*.")),
+        );
+        v
+    }
+
+    /// Join fragments (each optionally preceded by a dot) and flip the
+    /// case of the characters `case_mask` selects.
+    fn build_name(parts: &[(usize, bool)], case_mask: u64) -> String {
+        let vocab = fragments();
+        let mut name = String::new();
+        for &(i, dot) in parts {
+            if dot {
+                name.push('.');
+            }
+            name.push_str(vocab[i % vocab.len()]);
+        }
+        name.chars()
+            .enumerate()
+            .map(|(i, c)| {
+                if case_mask >> (i % 64) & 1 == 1 {
+                    c.to_ascii_uppercase()
+                } else {
+                    c
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn matches_name_equals_the_allocating_reference(
+            parts in collection::vec((0usize..1024, any::<bool>()), 0..5),
+            case_mask in any::<u64>(),
+        ) {
+            let name = build_name(&parts, case_mask);
+            for hg in HYPERGIANTS {
+                prop_assert_eq!(
+                    hg.matches_name(&name),
+                    matches_name_reference(hg, &name),
+                    "{} on {:?}", hg.name, name
+                );
+            }
+        }
     }
 
     #[test]

@@ -16,11 +16,44 @@ use lacnet::core::{datasets, experiments, extensions, DataSource, DumpOptions};
 use lacnet::crisis::{World, WorldConfig};
 use lacnet::mlab::ShardFormat;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Once, OnceLock};
 
 fn world() -> &'static World {
     static WORLD: OnceLock<World> = OnceLock::new();
     WORLD.get_or_init(|| World::generate(WorldConfig::test()))
+}
+
+/// The labels of the dump trees this suite writes.
+const TREES: [&str; 4] = ["text", "columnar", "v1", "mixed"];
+
+/// Where the `label` dump tree lives. The first call registers an exit
+/// hook that removes every tree in [`TREES`] when the test binary ends.
+fn roundtrip_dir(label: &str) -> PathBuf {
+    static CLEANUP: Once = Once::new();
+    // SAFETY: `atexit` takes any valid function pointer and only records
+    // it; the callback uses nothing but `std::fs` and `std::env`, which
+    // stay usable while the process exits.
+    CLEANUP.call_once(|| unsafe {
+        atexit(remove_roundtrip_dirs);
+    });
+    tree_path(label)
+}
+
+fn tree_path(label: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("lacnet-roundtrip-{label}-{}", std::process::id()))
+}
+
+extern "C" {
+    /// The C runtime's exit hook. The archive sources live in statics and
+    /// read shards lazily, so no destructor runs when the test binary
+    /// ends; an exit hook is where the dumped trees can go.
+    fn atexit(callback: extern "C" fn()) -> std::os::raw::c_int;
+}
+
+extern "C" fn remove_roundtrip_dirs() {
+    for label in TREES {
+        let _ = std::fs::remove_dir_all(tree_path(label));
+    }
 }
 
 /// Dump the test world once per shard format and keep the archive-backed
@@ -34,8 +67,7 @@ fn archive_source_for(format: ShardFormat) -> &'static DataSource<'static> {
         ShardFormat::Columnar => &COLUMNAR,
     };
     cell.get_or_init(|| {
-        let dir =
-            std::env::temp_dir().join(format!("lacnet-roundtrip-{format}-{}", std::process::id()));
+        let dir = roundtrip_dir(&format.to_string());
         let options = DumpOptions {
             shard_format: format,
             ..DumpOptions::default()
@@ -51,7 +83,7 @@ fn archive_source_for(format: ShardFormat) -> &'static DataSource<'static> {
 fn v1_archive_source() -> &'static DataSource<'static> {
     static V1: OnceLock<DataSource<'static>> = OnceLock::new();
     V1.get_or_init(|| {
-        let dir = std::env::temp_dir().join(format!("lacnet-roundtrip-v1-{}", std::process::id()));
+        let dir = roundtrip_dir("v1");
         let options = DumpOptions {
             shard_format: ShardFormat::Columnar,
             columnar_v1: true,
@@ -68,8 +100,7 @@ fn v1_archive_source() -> &'static DataSource<'static> {
 fn mixed_archive_source() -> &'static DataSource<'static> {
     static MIXED: OnceLock<DataSource<'static>> = OnceLock::new();
     MIXED.get_or_init(|| {
-        let dir =
-            std::env::temp_dir().join(format!("lacnet-roundtrip-mixed-{}", std::process::id()));
+        let dir = roundtrip_dir("mixed");
         let options = DumpOptions {
             shard_format: ShardFormat::Columnar,
             ..DumpOptions::default()
