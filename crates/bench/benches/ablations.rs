@@ -2,16 +2,20 @@
 //!
 //! 1. prefix trie vs linear scan for pfx2as longest-prefix lookups;
 //! 2. streaming P² quantiles vs exact sort for month-country medians;
-//! 3. valley-free propagation vs naive "connected component" visibility;
+//! 3. valley-free propagation vs naive "connected component" visibility,
+//!    and the pfx2as collector check as one reverse closure vs one
+//!    propagation per origin;
 //! 4. anycast catchment with vs without egress-detour awareness.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lacnet_atlas::{AnycastFleet, AnycastSite, SiteScope};
 use lacnet_bench::bench_world;
 use lacnet_bgp::propagation::RouteSim;
+use lacnet_crisis::topology::TopologyBuilder;
 use lacnet_types::rng::Rng;
 use lacnet_types::stats::{self, P2Quantile};
 use lacnet_types::{geo, Asn, GeoPoint, MonthStamp};
+use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
 
@@ -78,13 +82,14 @@ fn ablation_median(c: &mut Criterion) {
 
 /// Ablation 3 — visibility: valley-free propagation vs a naive
 /// reachability flood that ignores export policy (the naive model
-/// overstates visibility and is barely cheaper).
+/// overstates visibility and is barely cheaper). Third arm: which of a
+/// month's announcing origins the tier-1 collectors hear, as one
+/// `heard_by` pass vs one `propagate` per origin (the sets are asserted
+/// equal before timing).
 fn ablation_visibility(c: &mut Criterion) {
     let world = bench_world();
-    let graph = world
-        .topology
-        .get(MonthStamp::new(2020, 6))
-        .expect("snapshot");
+    let month = MonthStamp::new(2020, 6);
+    let graph = world.topology.get(month).expect("snapshot");
     let origins: Vec<Asn> = world
         .operators
         .eyeballs(lacnet_types::country::VE)
@@ -92,6 +97,32 @@ fn ablation_visibility(c: &mut Criterion) {
         .map(|o| o.asn)
         .filter(|a| graph.contains(*a))
         .collect();
+
+    let collectors = TopologyBuilder::collectors();
+    let announcing: BTreeSet<Asn> = world
+        .addressing
+        .announced_prefixes(month)
+        .into_iter()
+        .map(|(_, o)| o)
+        .filter(|a| graph.contains(*a))
+        .collect();
+    let per_origin = || -> BTreeSet<Asn> {
+        let sim = RouteSim::new(graph);
+        announcing
+            .iter()
+            .copied()
+            .filter(|&o| sim.propagate(o).visibility(&collectors) > 0.0)
+            .collect()
+    };
+    let closure = || -> BTreeSet<Asn> {
+        let heard = RouteSim::new(graph).heard_by(&collectors);
+        announcing.intersection(&heard).copied().collect()
+    };
+    assert_eq!(
+        closure(),
+        per_origin(),
+        "one reverse closure must hear exactly the per-origin set"
+    );
 
     let mut group = c.benchmark_group("ablation_visibility");
     group.bench_function("valley_free", |b| {
@@ -122,6 +153,10 @@ fn ablation_visibility(c: &mut Criterion) {
             }
         })
     });
+    group.bench_function("collectors_per_origin", |b| {
+        b.iter(|| black_box(per_origin()))
+    });
+    group.bench_function("collectors_heard_by", |b| b.iter(|| black_box(closure())));
     group.finish();
 }
 

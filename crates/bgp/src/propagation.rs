@@ -10,15 +10,18 @@
 //!   customers;
 //! * preference is customer > peer > provider, then shorter AS path.
 //!
-//! We compute the all-AS outcome for one origin with the classic
-//! three-phase BFS (up the customer→provider edges, one hop across peer
-//! edges, down the provider→customer edges), which is `O(V + E)` per
-//! origin.
+//! [`RouteSim::propagate`] computes the all-AS outcome for one origin
+//! with the classic three-phase BFS (up the customer→provider edges, one
+//! hop across peer edges, down the provider→customer edges), which is
+//! `O(V + E)` per origin. When only the yes/no question "does some
+//! collector hear this origin?" matters, [`RouteSim::heard_by`] answers
+//! it for every origin at once by running the same three phases in
+//! reverse from the collectors: one `O(V + E)` pass per snapshot.
 
-use crate::graph::AsGraph;
+use crate::graph::{Adjacency, AsGraph};
 use lacnet_types::Asn;
-use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How an AS learned its best route to the origin.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -177,6 +180,50 @@ impl<'g> RouteSim<'g> {
         }
 
         PropagationOutcome { origin, routes }
+    }
+
+    /// Every AS whose announcement reaches at least one of `collectors`:
+    /// exactly the origins `o` in the graph with
+    /// `self.propagate(o).visibility(collectors) > 0`.
+    ///
+    /// [`Self::propagate`] routes `o` to `down*(U ∪ peers(U))` with
+    /// `U = up*(o)`, where `up*` / `down*` close a set over provider /
+    /// customer edges. So a collector `c` hears `o` exactly when some AS
+    /// in `up*(c)` lies in `U` or peers with an AS in `U`. Peer edges are
+    /// symmetric and `x ∈ up*(y)` iff `y ∈ down*(x)`, so with
+    /// `A = up*(collectors)` (the collectors and all their transitive
+    /// providers) the heard origins are `down*(A ∪ peers(A))`: one
+    /// provider walk, one peer hop and one customer walk. Collectors
+    /// absent from the graph hear nothing.
+    pub fn heard_by(&self, collectors: &[Asn]) -> BTreeSet<Asn> {
+        let present = collectors
+            .iter()
+            .copied()
+            .filter(|&c| self.graph.contains(c));
+        let above = self.closure(present, |adj| &adj.providers);
+        let peers = above
+            .iter()
+            .filter_map(|&a| self.graph.adjacency(a))
+            .flat_map(|adj| adj.peers.iter().copied());
+        self.closure(above.iter().copied().chain(peers), |adj| &adj.customers)
+    }
+
+    /// `seeds` plus everything reachable from them along `step` edges.
+    fn closure(
+        &self,
+        seeds: impl IntoIterator<Item = Asn>,
+        step: impl Fn(&Adjacency) -> &BTreeSet<Asn>,
+    ) -> BTreeSet<Asn> {
+        let mut seen = BTreeSet::new();
+        let mut stack: Vec<Asn> = seeds.into_iter().collect();
+        while let Some(u) = stack.pop() {
+            if seen.insert(u) {
+                if let Some(adj) = self.graph.adjacency(u) {
+                    stack.extend(step(adj).iter().copied());
+                }
+            }
+        }
+        seen
     }
 }
 

@@ -66,6 +66,67 @@ fn tangled_strategy() -> impl Strategy<Value = AsGraph> {
     })
 }
 
+/// Strategy: a [`hierarchy_strategy`] core plus the shapes a connected
+/// hierarchy never produces, and a collector set to test visibility
+/// against. Each case adds:
+///
+/// * a detached island (a small transit chain with a peer at its top);
+/// * a peer-only pair, one of which may peer into the core;
+/// * a mid-tier AS with customers but no providers, peering into the
+///   core, so its customers can only climb to it;
+/// * a transit cycle, hung below a core AS or left floating;
+///
+/// then draws 0–4 collectors from the node set, sometimes adding an ASN
+/// the graph lacks (so the set may be empty or name only absent ASes).
+fn ragged_strategy() -> impl Strategy<Value = (AsGraph, Vec<Asn>)> {
+    (hierarchy_strategy(), any::<u64>()).prop_map(|(core, seed)| {
+        let mut rng = lacnet_types::rng::Rng::seeded(seed);
+        let core_asns: Vec<Asn> = core.asns().collect();
+        let pick = |rng: &mut lacnet_types::rng::Rng| {
+            core_asns[rng.below(core_asns.len() as u64) as usize]
+        };
+        let mut edges = core.edges();
+        // Island: 50000 ─> 50001 ─> … with a peer 59999 of its top.
+        let island = 2 + rng.below(3) as u32;
+        for i in 0..island {
+            edges.push(RelEdge::transit(Asn(50_000 + i), Asn(50_001 + i)));
+        }
+        edges.push(RelEdge::peering(Asn(50_000), Asn(59_999)));
+        // Peer-only pair.
+        edges.push(RelEdge::peering(Asn(60_000), Asn(60_001)));
+        if rng.below(2) == 0 {
+            edges.push(RelEdge::peering(Asn(60_001), pick(&mut rng)));
+        }
+        // Provider-less mid-tier AS with customers, peering into the core.
+        for c in 0..1 + rng.below(3) as u32 {
+            edges.push(RelEdge::transit(Asn(70_000), Asn(70_001 + c)));
+        }
+        edges.push(RelEdge::peering(Asn(70_000), pick(&mut rng)));
+        // Transit cycle 80000 → 80001 → … → 80000.
+        let cycle = 2 + rng.below(3) as u32;
+        for i in 0..cycle {
+            edges.push(RelEdge::transit(
+                Asn(80_000 + i),
+                Asn(80_000 + (i + 1) % cycle),
+            ));
+        }
+        match rng.below(3) {
+            0 => edges.push(RelEdge::transit(pick(&mut rng), Asn(80_000))),
+            1 => edges.push(RelEdge::transit(Asn(80_001), pick(&mut rng))),
+            _ => {}
+        }
+        let g = AsGraph::from_edges(edges);
+        let asns: Vec<Asn> = g.asns().collect();
+        let mut collectors: Vec<Asn> = (0..rng.below(5))
+            .map(|_| asns[rng.below(asns.len() as u64) as usize])
+            .collect();
+        if rng.below(3) == 0 {
+            collectors.push(Asn(99_999));
+        }
+        (g, collectors)
+    })
+}
+
 /// Walk a path origin-outward and assert the valley-free pattern.
 fn assert_valley_free(g: &AsGraph, path: &[Asn]) {
     // Forward direction: origin → vantage.
@@ -178,6 +239,18 @@ proptest! {
             let r = out.route(asn).expect("ancestor routed");
             prop_assert_eq!(r.hops, d, "{}", asn);
         }
+    }
+
+    #[test]
+    fn heard_by_equals_per_origin_visibility((g, collectors) in ragged_strategy()) {
+        // The one-pass reverse closure names exactly the origins whose
+        // own propagation reaches some collector.
+        let sim = RouteSim::new(&g);
+        let reference: std::collections::BTreeSet<Asn> = g
+            .asns()
+            .filter(|&o| sim.propagate(o).visibility(&collectors) > 0.0)
+            .collect();
+        prop_assert_eq!(sim.heard_by(&collectors), reference, "collectors {:?}", collectors);
     }
 
     #[test]

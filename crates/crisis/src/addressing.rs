@@ -261,17 +261,15 @@ impl Addressing {
     }
 
     /// The pfx2as snapshot for `month`: announced prefixes whose origin
-    /// reaches at least one tier-1 collector over `graph`.
+    /// reaches at least one tier-1 collector over `graph` under
+    /// valley-free export. The heard origins come from one
+    /// [`RouteSim::heard_by`] pass over the snapshot, which equals
+    /// propagating each origin and checking the collectors.
     pub fn pfx2as_at(&self, month: MonthStamp, graph: &AsGraph) -> PfxToAs {
-        let collectors = TopologyBuilder::collectors();
-        let sim = RouteSim::new(graph);
-        let mut visible: BTreeMap<Asn, bool> = BTreeMap::new();
+        let heard = RouteSim::new(graph).heard_by(&TopologyBuilder::collectors());
         let mut table = PfxToAs::new();
         for (prefix, origin) in self.announced_prefixes(month) {
-            let seen = *visible.entry(origin).or_insert_with(|| {
-                graph.contains(origin) && sim.propagate(origin).visibility(&collectors) > 0.0
-            });
-            if seen {
+            if heard.contains(&origin) {
                 table.insert(prefix, OriginSet::single(origin));
             }
         }

@@ -24,14 +24,13 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 /// Memoises the per-month announced-prefix tables.
 ///
-/// Deriving a month's [`PfxToAs`] runs valley-free propagation over that
-/// month's topology — by far the most expensive per-month computation in
-/// the battery — and Fig. 2, Fig. 14 and the dataset export all walk the
-/// same window. The cache guarantees each month is computed at most once
-/// per process, even when sweeps race from several threads: each month
-/// owns a [`OnceLock`] slot, so two threads asking for the *same* month
-/// serialise on its initialiser while *different* months still compute
-/// concurrently.
+/// Deriving a month's [`PfxToAs`] runs a valley-free visibility pass over
+/// that month's topology, and Fig. 2, Fig. 14 and the dataset export all
+/// walk the same window. The cache guarantees each month is computed at
+/// most once per process, even when sweeps race from several threads:
+/// each month owns a [`OnceLock`] slot, so two threads asking for the
+/// *same* month serialise on its initialiser while *different* months
+/// still compute concurrently.
 #[derive(Default)]
 pub struct SnapshotCache {
     slots: RwLock<BTreeMap<MonthStamp, Arc<OnceLock<Arc<PfxToAs>>>>>,
@@ -334,6 +333,70 @@ mod tests {
         assert!(world.mlab.test_count_for(country::VE) > 0);
         let table = world.pfx2as_at(m);
         assert!(!table.prefixes_of(lacnet_types::Asn(8048)).is_empty());
+    }
+
+    #[test]
+    fn pfx2as_matches_per_origin_propagation_every_month() {
+        // The reference keeps a prefix when its origin's own valley-free
+        // propagation reaches a tier-1 collector. The tier-1s top a full
+        // peering mesh, so they alone never exercise the provider walk or
+        // the peer hop of `heard_by`; Venezuela's eyeball ASes, as a
+        // second vantage set, do.
+        use lacnet_bgp::propagation::RouteSim;
+        use lacnet_bgp::OriginSet;
+        use lacnet_types::Asn;
+        use std::collections::BTreeSet;
+        let world = test_world();
+        let collectors = TopologyBuilder::collectors();
+        let domestic: Vec<Asn> = world
+            .operators
+            .eyeballs(country::VE)
+            .iter()
+            .map(|o| o.asn)
+            .collect();
+        let months: Vec<MonthStamp> = world.topology.iter().map(|(m, _)| m).collect();
+        let mismatched = sweep::months_sweep(&months, |m| {
+            let graph = world.topology.get(m).expect("snapshot");
+            let sim = RouteSim::new(graph);
+            let announced = world.addressing.announced_prefixes(m);
+            let origins: BTreeSet<Asn> = announced
+                .iter()
+                .map(|&(_, o)| o)
+                .filter(|&o| graph.contains(o))
+                .collect();
+            let outcomes: BTreeMap<Asn, _> =
+                origins.iter().map(|&o| (o, sim.propagate(o))).collect();
+            let heard_at = |vantage: &[Asn]| -> BTreeSet<Asn> {
+                origins
+                    .iter()
+                    .copied()
+                    .filter(|o| outcomes[o].visibility(vantage) > 0.0)
+                    .collect()
+            };
+            let mut reference = PfxToAs::new();
+            let tier1 = heard_at(&collectors);
+            for (prefix, origin) in announced {
+                if tier1.contains(&origin) {
+                    reference.insert(prefix, OriginSet::single(origin));
+                }
+            }
+            let domestic_heard: BTreeSet<Asn> = sim
+                .heard_by(&domestic)
+                .intersection(&origins)
+                .copied()
+                .collect();
+            world.addressing.pfx2as_at(m, graph).to_text() != reference.to_text()
+                || domestic_heard != heard_at(&domestic)
+        });
+        let bad: Vec<String> = mismatched
+            .into_iter()
+            .filter(|(_, b)| *b)
+            .map(|(m, _)| m.to_string())
+            .collect();
+        assert!(
+            bad.is_empty(),
+            "months differing from the reference: {bad:?}"
+        );
     }
 
     #[test]
