@@ -12,16 +12,16 @@ use lacnet_bench::bench_world;
 use lacnet_core::{datasets, ArchiveWorld, DumpOptions};
 use lacnet_crisis::World;
 use lacnet_mlab::ShardFormat;
-use lacnet_types::{country, MonthStamp};
+use lacnet_types::{country, CountryCode, MonthStamp};
 use std::hint::black_box;
 use std::path::PathBuf;
 
-/// Where the shared bench world's text-shard tree is dumped.
+/// Where the shared bench world's text tree is dumped.
 fn dump_path() -> PathBuf {
     std::env::temp_dir().join(format!("lacnet-bench-archive-{}", std::process::id()))
 }
 
-/// Where the identical world with columnar NDT shards is dumped.
+/// Where the identical world with columnar NDT containers is dumped.
 fn columnar_dump_path() -> PathBuf {
     std::env::temp_dir().join(format!("lacnet-bench-ndtc-{}", std::process::id()))
 }
@@ -35,7 +35,8 @@ fn dump_dir() -> PathBuf {
     dir
 }
 
-/// A second tree holding the identical world with columnar NDT shards.
+/// A second tree holding the identical world with columnar NDT
+/// containers.
 fn columnar_dump_dir() -> PathBuf {
     let dir = columnar_dump_path();
     if !dir.join("MANIFEST.txt").exists() {
@@ -80,7 +81,7 @@ fn assert_equivalent(world: &World, reloaded: &ArchiveWorld) {
 }
 
 /// Cold archive parse (serial-1 + pfx2as + delegations + JSON dumps +
-/// streamed NDT shards) vs `World::generate` from the same config.
+/// NDT containers) vs `World::generate` from the same config.
 fn bench_archive_load(c: &mut Criterion) {
     let world = bench_world();
     let dir = dump_dir();
@@ -96,11 +97,30 @@ fn bench_archive_load(c: &mut Criterion) {
     group.finish();
 }
 
-/// Cold NDT ingestion, text vs columnar: the full shard-set load into a
-/// fresh `MonthlyAggregator` through each on-disk format. Before timing,
-/// both archives are asserted to produce the same monthly medians (and
-/// the same group census) — the formats must be two encodings of one
-/// dataset, not two datasets.
+/// The countries whose containers an archive holds, plan order.
+fn countries() -> Vec<CountryCode> {
+    country::lacnic_codes().collect()
+}
+
+/// Decode every columnar container fully and aggregate it — the no-index
+/// baseline the selective queries are measured against.
+fn aggregate_whole_archive(ndtc_dir: &std::path::Path) -> lacnet_mlab::MonthlyAggregator {
+    let mut agg =
+        lacnet_mlab::aggregate::MonthlyAggregator::new(lacnet_mlab::aggregate::Mode::Streaming);
+    for cc in countries() {
+        let rel = datasets::mlab_container_path(cc, ShardFormat::Columnar);
+        let bytes = std::fs::read(ndtc_dir.join(rel)).expect("columnar container");
+        let batch = lacnet_mlab::columnar::decode(&bytes).expect("columnar container decodes");
+        agg.observe_columns(&batch);
+    }
+    agg
+}
+
+/// Cold NDT ingestion, text vs columnar: the full container set loaded
+/// into a fresh `MonthlyAggregator` through each on-disk format. Before
+/// timing, both archives are asserted to produce the same monthly
+/// medians (and the same group census) — the formats must be two
+/// encodings of one dataset, not two datasets.
 fn bench_cold_load(c: &mut Criterion) {
     let text_dir = dump_dir();
     let ndtc_dir = columnar_dump_dir();
@@ -117,39 +137,50 @@ fn bench_cold_load(c: &mut Criterion) {
         ndtc.mlab.median_series(country::BR)
     );
     // NDT-only ingestion through each format, mirroring the archive
-    // loader's paths: text shards streamed through `observe_reader`,
-    // columnar shards decoded on sweep workers and merged through
-    // `observe_columns`. The whole-archive loads below include every
-    // other dataset's parse cost, which dilutes the format difference.
-    let plan = lacnet_crisis::bandwidth::shard_plan(
-        lacnet_crisis::config::windows::mlab_start(),
-        bench_world().config.end,
-    );
+    // loader's paths: text containers streamed through
+    // `observe_reader`, columnar containers read once each and scanned
+    // into per-country partial aggregates on sweep workers, merged in
+    // plan order. The whole-archive loads below include every other
+    // dataset's parse cost, which dilutes the format difference.
+    let countries = countries();
     let ingest_text = || {
         let mut agg =
             lacnet_mlab::aggregate::MonthlyAggregator::new(lacnet_mlab::aggregate::Mode::Streaming);
-        for &shard in &plan {
-            let rel = datasets::mlab_shard_path_with(shard, ShardFormat::Text);
-            let file = std::fs::File::open(text_dir.join(rel)).expect("text shard");
+        for &cc in &countries {
+            let rel = datasets::mlab_container_path(cc, ShardFormat::Text);
+            let file = std::fs::File::open(text_dir.join(rel)).expect("text container");
             agg.observe_reader(std::io::BufReader::new(file))
-                .expect("text shard parses");
+                .expect("text container parses");
         }
         agg
     };
     let ingest_columnar = || {
-        let batches = lacnet_types::sweep::parallel_map_with(
-            lacnet_types::sweep::worker_count(plan.len()),
-            &plan,
-            |&shard| {
-                let rel = datasets::mlab_shard_path_with(shard, ShardFormat::Columnar);
-                let bytes = std::fs::read(ndtc_dir.join(rel)).expect("columnar shard");
-                lacnet_mlab::columnar::decode(&bytes).expect("columnar shard decodes")
+        let selection =
+            lacnet_mlab::ColumnSelection::columns(lacnet_mlab::MonthlyAggregator::REQUIRED_COLUMNS);
+        let parts = lacnet_types::sweep::parallel_map_with(
+            lacnet_types::sweep::worker_count(countries.len()),
+            &countries,
+            |&cc| {
+                let rel = datasets::mlab_container_path(cc, ShardFormat::Columnar);
+                let bytes = std::fs::read(ndtc_dir.join(rel)).expect("columnar container");
+                let reader = lacnet_mlab::ColumnReader::open(&bytes).expect("container opens");
+                let mut part = lacnet_mlab::aggregate::MonthlyAggregator::new(
+                    lacnet_mlab::aggregate::Mode::Streaming,
+                );
+                let mut scratch = lacnet_mlab::DecodeScratch::new();
+                reader
+                    .scan_counted(&selection, &mut scratch, |view| {
+                        part.observe_block(view);
+                        Ok(())
+                    })
+                    .expect("columnar container decodes");
+                part
             },
         );
         let mut agg =
             lacnet_mlab::aggregate::MonthlyAggregator::new(lacnet_mlab::aggregate::Mode::Streaming);
-        for batch in &batches {
-            agg.observe_columns(batch);
+        for part in parts {
+            agg.merge(part).expect("countries are disjoint");
         }
         agg
     };
@@ -179,12 +210,12 @@ fn bench_cold_load(c: &mut Criterion) {
     group.finish();
 }
 
-/// One `(country, month)` query, two strategies on the same v2 tree:
-/// the footer-index route (`ndt_month_stats` — one shard file, matching
-/// blocks, download column only) against the no-index baseline (decode
-/// every container fully, aggregate, read one group). Both must agree
-/// with the resident aggregate's group state — same count, bit-identical
-/// P² median — before any timing starts.
+/// One `(country, month)` query, two strategies on the same columnar
+/// tree: the resident-table route (`ndt_month_stats` — one read of the
+/// month's blocks, download column only) against the no-index baseline
+/// (decode every container fully, aggregate, read one group). Both must
+/// agree with the resident aggregate's group state — same count,
+/// bit-identical P² median — before any timing starts.
 fn bench_cold_query(c: &mut Criterion) {
     let ndtc_dir = columnar_dump_dir();
     let ndtc =
@@ -199,21 +230,10 @@ fn bench_cold_query(c: &mut Criterion) {
     let selective = || {
         ndtc.ndt_month_stats(country::VE, month)
             .expect("query succeeds")
-            .expect("shard exists")
+            .expect("month exists")
     };
-    let plan = lacnet_crisis::bandwidth::shard_plan(
-        lacnet_crisis::config::windows::mlab_start(),
-        bench_world().config.end,
-    );
     let whole_archive = || {
-        let mut agg =
-            lacnet_mlab::aggregate::MonthlyAggregator::new(lacnet_mlab::aggregate::Mode::Streaming);
-        for &shard in &plan {
-            let rel = datasets::mlab_shard_path_with(shard, ShardFormat::Columnar);
-            let bytes = std::fs::read(ndtc_dir.join(rel)).expect("columnar shard");
-            let batch = lacnet_mlab::columnar::decode(&bytes).expect("columnar shard decodes");
-            agg.observe_columns(&batch);
-        }
+        let agg = aggregate_whole_archive(&ndtc_dir);
         let g = agg.group(country::VE, month).expect("group exists").clone();
         (g.count(), g.median())
     };
@@ -230,17 +250,17 @@ fn bench_cold_query(c: &mut Criterion) {
     group.finish();
 }
 
-/// Two comparisons in one group. `fanout` vs `whole_archive` times the
-/// product range path (`ndt_range_stats` — index walk, day-span
-/// pruning, file reads, sweep fan-out, plan-order merge) against the
-/// no-index whole-archive decode on the bench tree; both must land on
-/// the identical row total and bit-identical mean-of-monthly-medians
-/// before any timing starts — the P² estimator is order-sensitive, so
-/// agreement pins the fan-out's visit order. `borrowed` vs `owned`
-/// isolates the zero-copy decode claim on a single production-scale
-/// in-memory container where the two paths differ only in
-/// materialization; they must agree on row count, download sum, and
-/// the bit-exact P² median before timing.
+/// Two comparisons in one group. `window` vs `whole_archive` times the
+/// product range path (`ndt_range_stats` — resident month plan, day-span
+/// pruning, one contiguous read of the window, month-by-month decode)
+/// against the no-index whole-archive decode on the bench tree; both
+/// must land on the identical row total and bit-identical
+/// mean-of-monthly-medians before any timing starts — the P² estimator
+/// is order-sensitive, so agreement pins the window's visit order.
+/// `borrowed` vs `owned` isolates the zero-copy decode claim on a
+/// single production-scale in-memory container where the two paths
+/// differ only in materialization; they must agree on row count,
+/// download sum, and the bit-exact P² median before timing.
 fn bench_range_query(c: &mut Criterion) {
     let ndtc_dir = columnar_dump_dir();
     let ndtc =
@@ -250,7 +270,7 @@ fn bench_range_query(c: &mut Criterion) {
     let (from, _) = series[series.len() - 6];
     let (to, _) = *series.last().unwrap();
 
-    let fanout = || {
+    let window = || {
         ndtc.ndt_range_stats(country::VE, from, to)
             .expect("range query succeeds")
     };
@@ -300,19 +320,8 @@ fn bench_range_query(c: &mut Criterion) {
         }
         (batch.len(), sum)
     };
-    let plan = lacnet_crisis::bandwidth::shard_plan(
-        lacnet_crisis::config::windows::mlab_start(),
-        bench_world().config.end,
-    );
     let whole_archive = || {
-        let mut agg =
-            lacnet_mlab::aggregate::MonthlyAggregator::new(lacnet_mlab::aggregate::Mode::Streaming);
-        for &shard in &plan {
-            let rel = datasets::mlab_shard_path_with(shard, ShardFormat::Columnar);
-            let bytes = std::fs::read(ndtc_dir.join(rel)).expect("columnar shard");
-            let batch = lacnet_mlab::columnar::decode(&bytes).expect("columnar shard decodes");
-            agg.observe_columns(&batch);
-        }
+        let agg = aggregate_whole_archive(&ndtc_dir);
         let mut rows_total = 0usize;
         let mut median_sum = 0.0f64;
         let mut medians = 0usize;
@@ -330,9 +339,13 @@ fn bench_range_query(c: &mut Criterion) {
         (rows_total, mean)
     };
 
-    let fanned = fanout();
-    assert_eq!(fanned.months.len(), 6, "every window month has a shard");
-    assert_eq!((fanned.rows, fanned.mean_monthly_median), whole_archive());
+    let windowed = window();
+    assert_eq!(windowed.months.len(), 6, "every window month is held");
+    assert_eq!(
+        (windowed.rows, windowed.mean_monthly_median),
+        whole_archive()
+    );
+    assert_eq!(windowed.io.files_opened, 1, "one file per range query");
     let (b_rows, b_sum) = borrowed();
     assert_eq!((b_rows, b_sum), owned(), "borrowed and owned scans agree");
     assert!(b_rows > 80_000, "country filter keeps the VE majority");
@@ -362,15 +375,15 @@ fn bench_range_query(c: &mut Criterion) {
         p2.value()
     };
     assert_eq!(borrowed_median, owned_median, "medians bit-identical");
-    // Selectivity: the fan-out decoded one column of each shard's
-    // matching blocks, never the whole tree.
-    assert_eq!(fanned.read.columns_decoded, fanned.read.blocks_decoded);
+    // Selectivity: the window decoded one column of each month's
+    // blocks, never the whole tree.
+    assert_eq!(windowed.read.columns_decoded, windowed.read.blocks_decoded);
 
     let mut group = c.benchmark_group("range_query");
     group.sample_size(10);
     group.bench_function("borrowed", |b| b.iter(|| black_box(borrowed())));
     group.bench_function("owned", |b| b.iter(|| black_box(owned())));
-    group.bench_function("fanout", |b| b.iter(|| black_box(fanout())));
+    group.bench_function("window", |b| b.iter(|| black_box(window())));
     group.bench_function("whole_archive", |b| b.iter(|| black_box(whole_archive())));
     group.finish();
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! lacnet-gen --out DIR [--seed N] [--test-world] [--scenario NAME|FILE]
-//!            [--shard-format text|columnar] [--ndtc-v1] [--force] [--verify]
+//!            [--shard-format text|columnar] [--force] [--verify]
 //! lacnet-gen --list-scenarios
 //! ```
 //!
@@ -11,25 +11,24 @@
 //! prints the inventory) or loads a `.toml` sidecar from a path. The
 //! default is the paper's Venezuela storyline, whose tree is
 //! byte-identical to a no-flag dump; non-default scenarios stamp their
-//! fingerprint into every `mlab/manifest.tsv` shard record and write a
-//! `world/scenario.toml` sidecar the loader reapplies.
+//! fingerprint into every `mlab/manifest.tsv` container record and write
+//! a `world/scenario.toml` sidecar the loader reapplies.
 //!
-//! `--ndtc-v1` writes columnar shards in the frozen v1 single-block
-//! container instead of the footer-indexed v2 layout — for producing
-//! legacy trees that exercise the version-dispatch read path.
+//! NDT data lands in one container per country — `mlab/{CC}.tsv`, or
+//! the footer-indexed `mlab/{CC}.ndtc` under `--shard-format columnar` —
+//! holding every month of the window in order.
 //!
 //! `--test-world` dumps the reduced fixed-seed world the test suites
 //! run on — a mini archive that generates and parses in seconds (the CI
 //! serve job's fixture). Flags compose left to right, so a `--seed`
 //! after `--test-world` overrides the test seed.
 //!
-//! Re-running over an existing tree refreshes incrementally: NDT shards
-//! whose inputs (seed, per-country volume scale, scenario, format) are
-//! unchanged per `mlab/manifest.tsv` are left untouched unless `--force`
-//! is given. `mlab/index.tsv` records each shard's row/block census plus
-//! its min/max day span, which the serve layer's range queries use to
-//! prune shards without opening them; re-running upgrades older
-//! four-column index records to the day-span form in place.
+//! Re-running over an existing tree refreshes incrementally: NDT
+//! containers whose inputs (seed, per-country volume scale, scenario,
+//! format, month window) are unchanged per `mlab/manifest.tsv` are left
+//! untouched unless `--force` is given. `mlab/index.tsv` records each
+//! `(country, month)`'s container, row/block census and min/max day
+//! span.
 
 use lacnet_core::datasets::{self, DumpOptions};
 use lacnet_crisis::{Scenario, World, WorldConfig};
@@ -84,12 +83,11 @@ fn main() {
                     .unwrap_or_else(|| die("--shard-format needs `text` or `columnar`"));
             }
             "--test-world" => config = WorldConfig::test(),
-            "--ndtc-v1" => options.columnar_v1 = true,
             "--force" => options.force = true,
             "--verify" => verify = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: lacnet-gen --out DIR [--seed N] [--test-world] [--scenario NAME|FILE] [--shard-format text|columnar] [--ndtc-v1] [--force] [--verify]\n       lacnet-gen --list-scenarios"
+                    "usage: lacnet-gen --out DIR [--seed N] [--test-world] [--scenario NAME|FILE] [--shard-format text|columnar] [--force] [--verify]\n       lacnet-gen --list-scenarios"
                 );
                 return;
             }
@@ -107,12 +105,12 @@ fn main() {
     let summary = datasets::dump_with(&world, &out, options)
         .unwrap_or_else(|e| die(&format!("dump failed: {e}")));
     println!(
-        "wrote {} files, {:.1} MiB, under {} ({} NDT shards written, {} up to date)",
+        "wrote {} files, {:.1} MiB, under {} ({} NDT containers written, {} up to date)",
         summary.files.len(),
         summary.bytes as f64 / (1024.0 * 1024.0),
         out.display(),
-        summary.shards_written,
-        summary.shards_skipped,
+        summary.containers_written,
+        summary.containers_skipped,
     );
     if verify {
         let checked =

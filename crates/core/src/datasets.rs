@@ -18,31 +18,38 @@
 //!   cables/cable-map.json                Telegeography-style export
 //!   offnets/scan-2013.json …             yearly TLS scans
 //!   topsites/VE.json …                   per-country scrapes
-//!   mlab/VE/ndt-2007-07.tsv …            per-(country, month) NDT shards
-//!                                        (`.ndtc` under `--shard-format
+//!   mlab/VE.tsv …                        one NDT container per country,
+//!                                        every month of the window in
+//!                                        plan order (`mlab/VE.ndtc`
+//!                                        under `--shard-format
 //!                                        columnar`)
-//!   mlab/manifest.tsv                    per-shard (label, fingerprint,
-//!                                        content hash) — incremental
-//!                                        refresh skips unchanged shards
-//!   mlab/index.tsv                       archive-level shard index:
-//!                                        (country, month) → shard path,
-//!                                        row count, block count
+//!   mlab/manifest.tsv                    per-container (country,
+//!                                        fingerprint, content hash,
+//!                                        path) — incremental refresh
+//!                                        skips unchanged countries
+//!   mlab/index.tsv                       per-(country, month) census:
+//!                                        container path, rows, blocks,
+//!                                        day span
 //!   atlas/reachability-VE-2019.tsv …     daily connected probes, per country
 //!   MANIFEST.txt
 //! ```
 //!
-//! NDT shards are the bulk of the tree, so they get two optimisations:
-//! a binary columnar encoding ([`lacnet_mlab::columnar`]) selected via
-//! [`DumpOptions::shard_format`], and *incremental refresh* — each dump
-//! records every shard's input fingerprint (seed, effective per-country
-//! volume scale, format) in `mlab/manifest.tsv`, and a re-dump over the
-//! same tree regenerates only the shards whose fingerprints changed.
+//! NDT rows are the bulk of the tree, so they get three optimisations:
+//! one container per country instead of one file per (country, month),
+//! so a dump creates ~30 NDT files rather than thousands; a binary
+//! columnar encoding ([`lacnet_mlab::columnar`]) selected via
+//! [`DumpOptions::shard_format`]; and *incremental refresh* — each dump
+//! records every container's input fingerprint (seed, effective
+//! per-country volume scale, format, month window) in
+//! `mlab/manifest.tsv`, and a re-dump over the same tree regenerates
+//! only the countries whose fingerprints changed.
 
 use lacnet_crisis::config::windows;
 use lacnet_crisis::{bandwidth, blackouts, World, WorldConfig};
 use lacnet_mlab::columnar::{self, ShardFormat};
+use lacnet_mlab::BlockRun;
 use lacnet_types::rng::Rng;
-use lacnet_types::{codec, country, sweep, Date, MonthStamp, Result};
+use lacnet_types::{codec, country, sweep, CountryCode, Date, MonthStamp, Result};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -53,43 +60,26 @@ use std::path::Path;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DumpSummary {
     /// Files in the tree, with their archive-relative paths (skipped
-    /// shards included — they are part of the tree even when untouched).
+    /// containers included — they are part of the tree even when
+    /// untouched).
     pub files: Vec<String>,
-    /// Total bytes written (skipped shards excluded).
+    /// Total bytes written (skipped containers excluded).
     pub bytes: u64,
-    /// NDT shard files (re)written this dump.
-    pub shards_written: usize,
-    /// NDT shard files skipped because the manifest proved their inputs
+    /// NDT containers (re)written this dump.
+    pub containers_written: usize,
+    /// NDT containers skipped because the manifest proved their inputs
     /// unchanged.
-    pub shards_skipped: usize,
+    pub containers_skipped: usize,
 }
 
 /// Options for one export.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DumpOptions {
-    /// On-disk NDT shard encoding (`text` `.tsv` rows by default).
+    /// On-disk NDT encoding (`text` `.tsv` rows by default).
     pub shard_format: ShardFormat,
-    /// Rewrite every shard even when the manifest says its inputs are
-    /// unchanged.
+    /// Rewrite every container even when the manifest says its inputs
+    /// are unchanged.
     pub force: bool,
-    /// Write columnar shards in the legacy v1 container instead of the
-    /// indexed v2 one (`lacnet-gen --ndtc-v1`). Exists so compatibility
-    /// trees for the version matrix can be produced on purpose; ignored
-    /// for text dumps.
-    pub columnar_v1: bool,
-}
-
-impl DumpOptions {
-    /// The codec tag folded into shard fingerprints: distinguishes the
-    /// two columnar container versions, so flipping `--ndtc-v1` rewrites
-    /// shards like any other generator-input change.
-    fn codec_tag(self) -> &'static str {
-        match (self.shard_format, self.columnar_v1) {
-            (ShardFormat::Text, _) => "text",
-            (ShardFormat::Columnar, false) => "columnar",
-            (ShardFormat::Columnar, true) => "columnar-v1",
-        }
-    }
 }
 
 fn write_bytes(
@@ -112,50 +102,44 @@ fn write(root: &Path, rel: &str, contents: &str, summary: &mut DumpSummary) -> i
     write_bytes(root, rel, contents.as_bytes(), summary)
 }
 
-/// The archive-relative path of one NDT shard in the (default) text
-/// format.
-pub fn mlab_shard_path(shard: bandwidth::NdtShard) -> String {
-    mlab_shard_path_with(shard, ShardFormat::Text)
+/// The archive-relative path of one country's NDT container in `format`.
+pub fn mlab_container_path(cc: CountryCode, format: ShardFormat) -> String {
+    format!("mlab/{cc}.{}", format.extension())
 }
 
-/// The archive-relative path of one NDT shard in `format`.
+/// The archive-relative path of the container holding one NDT shard's
+/// rows in `format` — every month of a country shares one file.
 pub fn mlab_shard_path_with(shard: bandwidth::NdtShard, format: ShardFormat) -> String {
-    let (cc, month) = shard;
-    format!("mlab/{cc}/ndt-{month}.{}", format.extension())
+    mlab_container_path(shard.0, format)
 }
 
-/// The archive-relative path of the NDT shard manifest.
+/// The archive-relative path of the NDT container manifest.
 pub const MLAB_MANIFEST: &str = "mlab/manifest.tsv";
 
-/// The archive-relative path of the archive-level NDT shard index:
-/// one record per `(country, month)` shard with its path, row count and
-/// decodable-block count, derived from the manifest at dump time. The
-/// serve layer resolves single-shard queries through it without probing
-/// the filesystem or decoding anything.
+/// The archive-relative path of the NDT shard index: one record per
+/// `(country, month)` with its container path, row count, block count
+/// and day span, written at dump time. It is a census for tools and
+/// incremental refresh; the archive loader derives the same table from
+/// the containers themselves.
 pub const MLAB_INDEX: &str = "mlab/index.tsv";
 
 /// One `mlab/index.tsv` record.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardIndexRecord {
-    /// Archive-relative shard path.
+    /// Archive-relative path of the container holding the shard.
     pub path: String,
     /// Rows in the shard.
     pub rows: u64,
-    /// Independently decodable blocks (1 for text and v1 containers).
+    /// Independently decodable blocks of the shard (1 for text).
     pub blocks: u64,
-    /// Min/max test day (days since epoch) across the shard's rows —
-    /// the range-query pruning summary. `None` for empty shards, for v1
-    /// columnar containers (no footer index to consult cheaply) and for
-    /// records read back from a pre-PR-10 four-column index; a `None`
-    /// shard is never pruned, only ever decoded.
+    /// Min/max test day (days since epoch) across the shard's rows;
+    /// `None` for a month without rows.
     pub days: Option<(i64, i64)>,
 }
 
 /// Parse the shard index of a dumped tree, keyed by `CC/YYYY-MM` label.
-/// A missing or malformed index yields an empty map — it is an
-/// accelerator derived from the tree, never a source of truth, so
-/// consumers must fall back to probing shard files. Four-column records
-/// from older dumps parse fine with an unknown day span.
+/// A missing index, or a malformed record, yields no entry — the index
+/// is a census derived from the tree, never a source of truth.
 pub fn read_shard_index(root: &Path) -> BTreeMap<String, ShardIndexRecord> {
     let mut map = BTreeMap::new();
     let Ok(text) = fs::read_to_string(root.join(MLAB_INDEX)) else {
@@ -165,21 +149,19 @@ pub fn read_shard_index(root: &Path) -> BTreeMap<String, ShardIndexRecord> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let mut cols = line.split('\t');
-        let (Some(label), Some(path), Some(rows), Some(blocks)) =
-            (cols.next(), cols.next(), cols.next(), cols.next())
-        else {
+        let cols: Vec<&str> = line.split('\t').collect();
+        let [label, path, rows, blocks, min, max] = cols[..] else {
             continue;
         };
         let (Ok(rows), Ok(blocks)) = (rows.parse(), blocks.parse()) else {
             continue;
         };
-        let days = match (cols.next(), cols.next()) {
-            (Some(min), Some(max)) => match (min.parse(), max.parse()) {
+        let days = match (min, max) {
+            ("-", "-") => None,
+            _ => match (min.parse(), max.parse()) {
                 (Ok(min), Ok(max)) if min <= max => Some((min, max)),
-                _ => None,
+                _ => continue,
             },
-            _ => None,
         };
         map.insert(
             label.to_owned(),
@@ -194,70 +176,27 @@ pub fn read_shard_index(root: &Path) -> BTreeMap<String, ShardIndexRecord> {
     map
 }
 
-/// One shard's index record payload: rows, blocks, and the
-/// `(min_day, max_day)` span when the encoding can state it.
-type ShardCensus = (u64, u64, Option<(i64, i64)>);
+/// Version tag folded into every container fingerprint. Bump it whenever
+/// the NDT *writer* changes behaviour, so stale trees refresh fully
+/// instead of trusting fingerprints computed for the old writer.
+/// ("v3": one container per country instead of one file per month.)
+const SHARD_GEN_VERSION: &str = "v3";
 
-/// Row/block/day-span census of one encoded shard, for the shard index.
-/// Text shards scan the date field per row; v2 containers answer from
-/// the footer index alone; v1 containers report an unknown span.
-fn shard_census(bytes: &[u8], format: ShardFormat) -> io::Result<ShardCensus> {
-    match format {
-        ShardFormat::Text => {
-            let mut rows = 0u64;
-            let mut days: Option<(i64, i64)> = None;
-            for line in bytes
-                .split(|&b| b == b'\n')
-                .filter(|l| !l.is_empty() && l[0] != b'#')
-            {
-                rows += 1;
-                let date_field = line.split(|&b| b == b'\t').next().unwrap_or(&[]);
-                let d = std::str::from_utf8(date_field)
-                    .ok()
-                    .and_then(|s| s.parse::<lacnet_types::Date>().ok())
-                    .ok_or_else(|| {
-                        io::Error::new(io::ErrorKind::InvalidData, "ndt text shard date field")
-                    })?
-                    .days_since_epoch();
-                days = Some(match days {
-                    None => (d, d),
-                    Some((lo, hi)) => (lo.min(d), hi.max(d)),
-                });
-            }
-            Ok((rows, 1, days))
-        }
-        ShardFormat::Columnar => {
-            let (rows, blocks) = columnar::container_stats(bytes)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            let days = columnar::container_day_span(bytes)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-            Ok((rows, blocks, days))
-        }
-    }
-}
-
-/// Version tag folded into every shard fingerprint. Bump it whenever the
-/// shard *generator* changes behaviour, so stale trees refresh fully
-/// instead of trusting fingerprints computed for the old generator.
-/// ("v2": the columnar writer switched to the indexed v2 container.)
-const SHARD_GEN_VERSION: &str = "v2";
-
-/// The fingerprint of everything a shard's bytes depend on: generator
-/// version, on-disk codec (text / columnar v2 / columnar v1), seed, the
-/// country's effective volume scale (plus the shard label itself), and —
-/// for non-default scenarios only — the scenario fingerprint. The default
-/// (Venezuela) scenario adds nothing, so trees dumped before the scenario
-/// layer existed stay fresh under it; switching scenarios changes every
-/// shard's fingerprint and forces a full rewrite.
-fn shard_fingerprint(
+/// The fingerprint of everything a country's container depends on:
+/// writer version, on-disk format, seed, the country's effective volume
+/// scale, the month window, and — for non-default scenarios only — the
+/// scenario fingerprint. The default (Venezuela) scenario adds nothing;
+/// switching scenarios changes every container's fingerprint and forces
+/// a full rewrite.
+fn container_fingerprint(
     config: &WorldConfig,
     scenario: &lacnet_crisis::Scenario,
-    codec_tag: &str,
-    shard: bandwidth::NdtShard,
+    format: ShardFormat,
+    cc: CountryCode,
+    (start, end): (MonthStamp, MonthStamp),
 ) -> u64 {
-    let (cc, month) = shard;
     let mut key = format!(
-        "ndt-shard/{SHARD_GEN_VERSION}/{codec_tag}/{}/{}/{cc}/{month}",
+        "ndt-container/{SHARD_GEN_VERSION}/{format}/{}/{}/{cc}/{start}/{end}",
         config.seed,
         config.mlab_scale_for(cc),
     );
@@ -268,16 +207,16 @@ fn shard_fingerprint(
 }
 
 /// One `mlab/manifest.tsv` record.
-struct ShardRecord {
+struct ContainerRecord {
     fingerprint: u64,
     content_hash: u64,
     path: String,
 }
 
-/// Parse a shard manifest written by a previous dump. Unreadable or
-/// malformed manifests yield an empty map — the dump then rewrites
-/// everything, which is always safe.
-fn read_shard_manifest(root: &Path) -> BTreeMap<String, ShardRecord> {
+/// Parse a container manifest written by a previous dump, keyed by
+/// country code. Unreadable or malformed manifests yield an empty map —
+/// the dump then rewrites everything, which is always safe.
+fn read_container_manifest(root: &Path) -> BTreeMap<String, ContainerRecord> {
     let mut map = BTreeMap::new();
     let Ok(text) = fs::read_to_string(root.join(MLAB_MANIFEST)) else {
         return map;
@@ -287,7 +226,7 @@ fn read_shard_manifest(root: &Path) -> BTreeMap<String, ShardRecord> {
             continue;
         }
         let mut cols = line.split('\t');
-        let (Some(label), Some(fp), Some(hash), Some(path)) =
+        let (Some(cc), Some(fp), Some(hash), Some(path)) =
             (cols.next(), cols.next(), cols.next(), cols.next())
         else {
             continue;
@@ -298,8 +237,8 @@ fn read_shard_manifest(root: &Path) -> BTreeMap<String, ShardRecord> {
             continue;
         };
         map.insert(
-            label.to_owned(),
-            ShardRecord {
+            cc.to_owned(),
+            ContainerRecord {
                 fingerprint,
                 content_hash,
                 path: path.to_owned(),
@@ -307,6 +246,90 @@ fn read_shard_manifest(root: &Path) -> BTreeMap<String, ShardRecord> {
         );
     }
     map
+}
+
+/// One month's index census: rows, blocks, and day span (`None` without
+/// rows).
+pub type MonthCensus = (u64, u64, Option<(i64, i64)>);
+
+/// One country's encoded NDT container and the index census of each of
+/// its months, plan order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedContainer {
+    /// The container's bytes.
+    pub bytes: Vec<u8>,
+    /// Per month, plan order.
+    pub months: Vec<MonthCensus>,
+}
+
+/// One `(country, month)` encoded for its container: text rows or
+/// columnar blocks, plus the month's index census.
+struct EncodedMonth {
+    text: Vec<u8>,
+    run: BlockRun,
+    census: MonthCensus,
+}
+
+/// Generate and encode one shard's rows — one sweep job of a dump.
+fn encode_month(world: &World, format: ShardFormat, shard: bandwidth::NdtShard) -> EncodedMonth {
+    let (cc, month) = shard;
+    let scale = world.config.mlab_scale_for(cc) * world.scenario.mlab_factor(cc, month);
+    let rows = bandwidth::generate_shard(&world.operators, world.config.seed, scale, shard);
+    match format {
+        ShardFormat::Text => {
+            let mut text = String::new();
+            let mut days: Option<(i64, i64)> = None;
+            for test in &rows {
+                text.push_str(&test.to_row());
+                text.push('\n');
+                let d = test.date.days_since_epoch();
+                days = Some(days.map_or((d, d), |(lo, hi)| (lo.min(d), hi.max(d))));
+            }
+            EncodedMonth {
+                text: text.into_bytes(),
+                run: BlockRun::default(),
+                census: (rows.len() as u64, 1, days),
+            }
+        }
+        ShardFormat::Columnar => {
+            let run = BlockRun::encode(&rows);
+            EncodedMonth {
+                text: Vec::new(),
+                census: (run.rows() as u64, run.blocks().len() as u64, run.day_span()),
+                run,
+            }
+        }
+    }
+}
+
+/// Encode the NDT containers of `countries` over the world's month
+/// window on `workers` sweep workers. Every `(country, month)` is its own
+/// job — so a country as large as BR does not idle the other workers —
+/// and each container is then assembled from its months in plan order,
+/// so the bytes do not depend on `workers`.
+pub fn encode_ndt_containers(
+    world: &World,
+    format: ShardFormat,
+    countries: &[CountryCode],
+    workers: usize,
+) -> Vec<EncodedContainer> {
+    let months: Vec<MonthStamp> = windows::mlab_start().through(world.config.end).collect();
+    let jobs: Vec<bandwidth::NdtShard> = countries
+        .iter()
+        .flat_map(|&cc| months.iter().map(move |&m| (cc, m)))
+        .collect();
+    let encoded =
+        sweep::parallel_map_with(workers, &jobs, |&shard| encode_month(world, format, shard));
+    encoded
+        .chunks(months.len().max(1))
+        .map(|parts| EncodedContainer {
+            bytes: match format {
+                ShardFormat::Text => parts.iter().flat_map(|p| p.text.iter().copied()).collect(),
+                ShardFormat::Columnar => columnar::assemble(parts.iter().map(|p| &p.run)),
+            },
+            months: parts.iter().map(|p| p.census).collect(),
+        })
+        .collect()
 }
 
 /// Export the world's datasets under `root` with default options (text
@@ -317,257 +340,35 @@ pub fn dump(world: &World, root: &Path) -> io::Result<DumpSummary> {
 
 /// Export the world's datasets under `root`. Monthly resolution for every
 /// archive the battery reads monthly (serial-1, pfx2as, PeeringDB, NDT
-/// shards), so an [`crate::source::ArchiveWorld`] reload reproduces the
+/// months), so an [`crate::source::ArchiveWorld`] reload reproduces the
 /// in-memory battery byte for byte.
 ///
-/// NDT shards refresh incrementally: shards whose `mlab/manifest.tsv`
-/// fingerprint matches the current configuration (and whose file still
-/// exists) are neither regenerated nor rewritten unless
-/// [`DumpOptions::force`] is set.
+/// NDT containers refresh incrementally: countries whose
+/// `mlab/manifest.tsv` fingerprint matches the current configuration
+/// (and whose container and index records still exist) are neither
+/// regenerated nor rewritten unless [`DumpOptions::force`] is set.
 pub fn dump_with(world: &World, root: &Path, options: DumpOptions) -> io::Result<DumpSummary> {
     let mut summary = DumpSummary {
         files: Vec::new(),
         bytes: 0,
-        shards_written: 0,
-        shards_skipped: 0,
+        containers_written: 0,
+        containers_skipped: 0,
     };
     let end = world.config.end;
 
-    // The config sidecar: the loader regenerates the model roots
-    // (economy, operators, DNS world) from exactly this configuration.
-    write(
-        root,
-        "world/config.tsv",
-        &world.config.to_text(),
-        &mut summary,
-    )?;
-
-    // The scenario sidecar — written only for non-default scenarios, so
-    // default trees keep their historical file set byte for byte. The
-    // loader applies the sidecar's overlays when regenerating; a missing
-    // sidecar means the default (Venezuela) scenario. A stale sidecar
-    // from a previous non-default dump is removed.
-    if world.scenario.is_default() {
-        let _ = fs::remove_file(root.join("world/scenario.toml"));
-    } else {
-        write(
-            root,
-            "world/scenario.toml",
-            &world.scenario.to_toml(),
-            &mut summary,
-        )?;
-    }
-
-    // Derive the monthly pfx2as tables across workers before the
-    // sequential write loop below reads them one by one.
-    world.prewarm(windows::pfx2as_start(), end);
-
-    // serial-1, one file per month of the archive.
-    for (m, graph) in world.topology.iter() {
-        let rel = format!("serial1/{}{:02}01.as-rel.txt", m.year(), m.month());
-        let text = lacnet_bgp::serial1::to_text(&graph.edges(), &format!("lacnet world {m}"));
-        write(root, &rel, &text, &mut summary)?;
-    }
-
-    // pfx2as, one file per month since 2008.
-    for m in windows::pfx2as_start().through(end) {
-        let table = world.pfx2as_at(m);
-        write(
-            root,
-            &format!(
-                "pfx2as/routeviews-rv2-{}{:02}01.pfx2as",
-                m.year(),
-                m.month()
-            ),
-            &table.to_text(),
-            &mut summary,
-        )?;
-    }
-
-    // Delegations: yearly snapshots as the registry publishes them, plus
-    // one full-history file at the archive's end date — the snapshot the
-    // loader rebuilds the allocation ledger from (it reads the *last*
-    // delegations entry in the manifest).
-    for year in 2008..=end.year() {
-        let m = MonthStamp::new(year, 1);
-        if m > end {
-            break;
-        }
-        let file = world.addressing.delegation_file(Date::ymd(year, 1, 1));
-        write(
-            root,
-            &format!("delegations/delegated-lacnic-{year}0101"),
-            &file.to_text(Date::ymd(year, 1, 1)),
-            &mut summary,
-        )?;
-    }
-    let last_day = end.last_day();
-    let file = world.addressing.delegation_file(last_day);
-    write(
-        root,
-        &format!(
-            "delegations/delegated-lacnic-{:04}{:02}{:02}",
-            last_day.year(),
-            last_day.month(),
-            last_day.day()
-        ),
-        &file.to_text(last_day),
-        &mut summary,
-    )?;
-
-    // PeeringDB dumps, one per month of the schema-v2 era.
-    for (m, snap) in world.peeringdb.iter() {
-        write(
-            root,
-            &format!(
-                "peeringdb/peeringdb_2_dump_{}_{:02}_01.json",
-                m.year(),
-                m.month()
-            ),
-            &snap.to_json(),
-            &mut summary,
-        )?;
-    }
-
-    // Cable map.
-    write(
-        root,
-        "cables/cable-map.json",
-        &world.cables.to_json(),
-        &mut summary,
-    )?;
-
-    // Off-net scans.
-    for scan in &world.cert_scans {
-        write(
-            root,
-            &format!("offnets/scan-{}.json", scan.month.year()),
-            &scan.to_json(),
-            &mut summary,
-        )?;
-    }
-
-    // Top sites.
-    for list in &world.top_sites {
-        write(
-            root,
-            &format!("topsites/{}.json", list.country),
-            &list.to_json(),
-            &mut summary,
-        )?;
-    }
-
-    // The full per-(country, month) NDT shard set — the same substreams
-    // `world.mlab` aggregated, encoded on sweep workers and written in
-    // plan order. Reading the files back in this order replays the exact
-    // observation sequence into the P² estimators. Only shards whose
-    // manifest fingerprint changed (or whose file is gone) are rebuilt.
-    let plan = bandwidth::shard_plan(windows::mlab_start(), end);
-    let previous = read_shard_manifest(root);
-    let previous_index = read_shard_index(root);
-    let fmt = options.shard_format;
-    let codec_tag = options.codec_tag();
-    let jobs: Vec<(bandwidth::NdtShard, bool)> = plan
-        .iter()
-        .map(|&shard| {
-            let (cc, month) = shard;
-            let fingerprint = shard_fingerprint(&world.config, &world.scenario, codec_tag, shard);
-            let rel = mlab_shard_path_with(shard, fmt);
-            let fresh = !options.force
-                && previous.get(&format!("{cc}/{month}")).is_some_and(|rec| {
-                    rec.fingerprint == fingerprint && rec.path == rel && root.join(&rel).exists()
-                });
-            (shard, !fresh)
-        })
-        .collect();
-    let encoded = sweep::parallel_map_with(
-        sweep::worker_count(plan.len()),
-        &jobs,
-        |&(shard, rebuild)| -> Option<Vec<u8>> {
-            if !rebuild {
-                return None;
-            }
-            let (cc, month) = shard;
-            let scale = world.config.mlab_scale_for(cc) * world.scenario.mlab_factor(cc, month);
-            let rows = bandwidth::generate_shard(&world.operators, world.config.seed, scale, shard);
-            Some(match fmt {
-                ShardFormat::Text => {
-                    let mut text = String::new();
-                    for test in &rows {
-                        text.push_str(&test.to_row());
-                        text.push('\n');
-                    }
-                    text.into_bytes()
-                }
-                ShardFormat::Columnar => {
-                    if options.columnar_v1 {
-                        columnar::encode_rows(&rows)
-                    } else {
-                        columnar::encode_rows_v2(&rows)
-                    }
-                }
-            })
-        },
-    );
-    let mut shard_manifest = format!("# lacnet NDT shard manifest ({SHARD_GEN_VERSION})\n");
-    let mut shard_index = format!(
-        "# lacnet NDT shard index ({SHARD_GEN_VERSION}): \
-         label\tpath\trows\tblocks\tmin_day\tmax_day\n"
-    );
-    for (&(shard, _), bytes) in jobs.iter().zip(&encoded) {
-        let (cc, month) = shard;
-        let label = format!("{cc}/{month}");
-        let rel = mlab_shard_path_with(shard, fmt);
-        let (content_hash, rows, blocks, days) = match bytes {
-            Some(bytes) => {
-                write_bytes(root, &rel, bytes, &mut summary)?;
-                // Drop a stale sibling left by a dump in the other format
-                // so the tree never holds two encodings of one shard.
-                let stale = mlab_shard_path_with(
-                    shard,
-                    match fmt {
-                        ShardFormat::Text => ShardFormat::Columnar,
-                        ShardFormat::Columnar => ShardFormat::Text,
-                    },
-                );
-                let _ = fs::remove_file(root.join(stale));
-                summary.shards_written += 1;
-                let (rows, blocks, days) = shard_census(bytes, fmt)?;
-                (codec::fnv1a64(bytes), rows, blocks, days)
-            }
-            None => {
-                summary.files.push(rel.clone());
-                summary.shards_skipped += 1;
-                // Reuse the previous index record for untouched shards;
-                // a pre-index tree (no index.tsv yet) — or a pre-day-span
-                // index whose non-empty record can't say what it covers —
-                // is censused from the file it proved exists during the
-                // freshness check.
-                let (rows, blocks, days) = match previous_index.get(&label) {
-                    Some(rec) if rec.path == rel && (rec.days.is_some() || rec.rows == 0) => {
-                        (rec.rows, rec.blocks, rec.days)
-                    }
-                    _ => shard_census(&fs::read(root.join(&rel))?, fmt)?,
-                };
-                (previous[&label].content_hash, rows, blocks, days)
-            }
-        };
-        let _ = writeln!(
-            shard_manifest,
-            "{label}\t{:016x}\t{content_hash:016x}\t{rel}",
-            shard_fingerprint(&world.config, &world.scenario, codec_tag, shard),
-        );
-        let (min_day, max_day) = match days {
-            Some((lo, hi)) => (lo.to_string(), hi.to_string()),
-            None => ("-".to_owned(), "-".to_owned()),
-        };
-        let _ = writeln!(
-            shard_index,
-            "{label}\t{rel}\t{rows}\t{blocks}\t{min_day}\t{max_day}"
-        );
-    }
-    write(root, MLAB_MANIFEST, &shard_manifest, &mut summary)?;
-    write(root, MLAB_INDEX, &shard_index, &mut summary)?;
+    // Decide which NDT containers are stale, then build them — encode on
+    // sweep workers, write — beside this thread, which writes the
+    // datasets that precede them in the tree: those hundreds of small
+    // files cost system time here, the encoding costs user time there.
+    let ndt = NdtRefresh::plan(world, root, options);
+    let (leading, built) = std::thread::scope(|scope| {
+        let building = scope.spawn(|| ndt.build(world, root));
+        let leading = write_leading_datasets(world, root, &mut summary);
+        (leading, building.join())
+    });
+    leading?;
+    let built = built.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+    ndt.finish(world, root, built, &mut summary)?;
 
     // A traceroute archive sample: every Venezuelan probe's path to
     // GPDNS at the final month (the raw form of MSM 1591146).
@@ -642,15 +443,320 @@ pub fn dump_with(world: &World, root: &Path, options: DumpOptions) -> io::Result
     Ok(summary)
 }
 
+/// Write every dataset that precedes the NDT containers in the tree:
+/// the config and scenario sidecars, serial-1, pfx2as, delegations,
+/// PeeringDB, the cable map, off-net scans and top sites.
+fn write_leading_datasets(world: &World, root: &Path, summary: &mut DumpSummary) -> io::Result<()> {
+    let end = world.config.end;
+
+    // The config sidecar: the loader regenerates the model roots
+    // (economy, operators, DNS world) from exactly this configuration.
+    write(root, "world/config.tsv", &world.config.to_text(), summary)?;
+
+    // The scenario sidecar — written only for non-default scenarios, so
+    // default trees keep their historical file set byte for byte. The
+    // loader applies the sidecar's overlays when regenerating; a missing
+    // sidecar means the default (Venezuela) scenario. A stale sidecar
+    // from a previous non-default dump is removed.
+    if world.scenario.is_default() {
+        let _ = fs::remove_file(root.join("world/scenario.toml"));
+    } else {
+        write(
+            root,
+            "world/scenario.toml",
+            &world.scenario.to_toml(),
+            summary,
+        )?;
+    }
+
+    // Derive the monthly pfx2as tables across workers before the
+    // sequential write loop below reads them one by one.
+    world.prewarm(windows::pfx2as_start(), end);
+
+    // serial-1, one file per month of the archive.
+    for (m, graph) in world.topology.iter() {
+        let rel = format!("serial1/{}{:02}01.as-rel.txt", m.year(), m.month());
+        let text = lacnet_bgp::serial1::to_text(&graph.edges(), &format!("lacnet world {m}"));
+        write(root, &rel, &text, summary)?;
+    }
+
+    // pfx2as, one file per month since 2008.
+    for m in windows::pfx2as_start().through(end) {
+        let table = world.pfx2as_at(m);
+        write(
+            root,
+            &format!(
+                "pfx2as/routeviews-rv2-{}{:02}01.pfx2as",
+                m.year(),
+                m.month()
+            ),
+            &table.to_text(),
+            summary,
+        )?;
+    }
+
+    // Delegations: yearly snapshots as the registry publishes them, plus
+    // one full-history file at the archive's end date — the snapshot the
+    // loader rebuilds the allocation ledger from (it reads the *last*
+    // delegations entry in the manifest).
+    for year in 2008..=end.year() {
+        let m = MonthStamp::new(year, 1);
+        if m > end {
+            break;
+        }
+        let file = world.addressing.delegation_file(Date::ymd(year, 1, 1));
+        write(
+            root,
+            &format!("delegations/delegated-lacnic-{year}0101"),
+            &file.to_text(Date::ymd(year, 1, 1)),
+            summary,
+        )?;
+    }
+    let last_day = end.last_day();
+    let file = world.addressing.delegation_file(last_day);
+    write(
+        root,
+        &format!(
+            "delegations/delegated-lacnic-{:04}{:02}{:02}",
+            last_day.year(),
+            last_day.month(),
+            last_day.day()
+        ),
+        &file.to_text(last_day),
+        summary,
+    )?;
+
+    // PeeringDB dumps, one per month of the schema-v2 era.
+    for (m, snap) in world.peeringdb.iter() {
+        write(
+            root,
+            &format!(
+                "peeringdb/peeringdb_2_dump_{}_{:02}_01.json",
+                m.year(),
+                m.month()
+            ),
+            &snap.to_json(),
+            summary,
+        )?;
+    }
+
+    // Cable map.
+    write(
+        root,
+        "cables/cable-map.json",
+        &world.cables.to_json(),
+        summary,
+    )?;
+
+    // Off-net scans.
+    for scan in &world.cert_scans {
+        write(
+            root,
+            &format!("offnets/scan-{}.json", scan.month.year()),
+            &scan.to_json(),
+            summary,
+        )?;
+    }
+
+    // Top sites.
+    for list in &world.top_sites {
+        write(
+            root,
+            &format!("topsites/{}.json", list.country),
+            &list.to_json(),
+            summary,
+        )?;
+    }
+    Ok(())
+}
+
+/// One container [`NdtRefresh::build`] wrote.
+struct BuiltContainer {
+    len: u64,
+    content_hash: u64,
+    months: Vec<MonthCensus>,
+}
+
+/// The NDT part of a dump: the same per-(country, month) substreams
+/// `world.mlab` aggregated, one container per country holding every
+/// month in plan order — reading the containers back in country order
+/// replays the exact observation sequence into the P² estimators. Which
+/// containers are rebuilt is decided from the previous dump's manifest
+/// and shard index before anything is written.
+struct NdtRefresh {
+    format: ShardFormat,
+    window: (MonthStamp, MonthStamp),
+    /// Months per country in the window.
+    months: usize,
+    /// The shard plan: countries in registry order, months ascending.
+    plan: Vec<bandwidth::NdtShard>,
+    countries: Vec<CountryCode>,
+    /// Per country, whether its container is rebuilt.
+    rebuild: Vec<bool>,
+    previous: BTreeMap<String, ContainerRecord>,
+    previous_index: BTreeMap<String, ShardIndexRecord>,
+}
+
+fn shard_label((cc, month): bandwidth::NdtShard) -> String {
+    format!("{cc}/{month}")
+}
+
+impl NdtRefresh {
+    /// A country is rebuilt unless its manifest fingerprint matches, its
+    /// container exists and every one of its months has an index record
+    /// — or always, under [`DumpOptions::force`].
+    fn plan(world: &World, root: &Path, options: DumpOptions) -> NdtRefresh {
+        let format = options.shard_format;
+        let window = (windows::mlab_start(), world.config.end);
+        let plan = bandwidth::shard_plan(window.0, window.1);
+        let months = window.0.months_until(window.1) as usize + 1;
+        let previous = read_container_manifest(root);
+        let previous_index = read_shard_index(root);
+        let countries: Vec<CountryCode> = country::lacnic_codes().collect();
+        let rebuild = countries
+            .iter()
+            .zip(plan.chunks(months))
+            .map(|(&cc, shards)| {
+                let rel = mlab_container_path(cc, format);
+                let fingerprint =
+                    container_fingerprint(&world.config, &world.scenario, format, cc, window);
+                let fresh = !options.force
+                    && previous.get(cc.as_str()).is_some_and(|rec| {
+                        rec.fingerprint == fingerprint
+                            && rec.path == rel
+                            && root.join(&rel).exists()
+                    })
+                    && shards.iter().all(|&shard| {
+                        previous_index
+                            .get(&shard_label(shard))
+                            .is_some_and(|r| r.path == rel)
+                    });
+                !fresh
+            })
+            .collect();
+        NdtRefresh {
+            format,
+            window,
+            months,
+            plan,
+            countries,
+            rebuild,
+            previous,
+            previous_index,
+        }
+    }
+
+    /// Encode the rebuilt countries' containers and write them into the
+    /// tree — the part of a dump that runs beside the leading datasets.
+    /// Returns, per rebuilt country in registry order, the container's
+    /// size, content hash and month census.
+    fn build(&self, world: &World, root: &Path) -> io::Result<Vec<BuiltContainer>> {
+        let stale: Vec<CountryCode> = self
+            .countries
+            .iter()
+            .zip(&self.rebuild)
+            .filter_map(|(&cc, &rebuild)| rebuild.then_some(cc))
+            .collect();
+        let workers = sweep::worker_count(stale.len() * self.months);
+        let containers = encode_ndt_containers(world, self.format, &stale, workers);
+        fs::create_dir_all(root.join("mlab"))?;
+        let other = match self.format {
+            ShardFormat::Text => ShardFormat::Columnar,
+            ShardFormat::Columnar => ShardFormat::Text,
+        };
+        stale
+            .iter()
+            .zip(containers)
+            .map(|(&cc, container)| {
+                fs::write(
+                    root.join(mlab_container_path(cc, self.format)),
+                    &container.bytes,
+                )?;
+                // Drop a stale sibling left by a dump in the other format
+                // so the tree never holds two encodings of one country.
+                let _ = fs::remove_file(root.join(mlab_container_path(cc, other)));
+                Ok(BuiltContainer {
+                    len: container.bytes.len() as u64,
+                    content_hash: codec::fnv1a64(&container.bytes),
+                    months: container.months,
+                })
+            })
+            .collect()
+    }
+
+    /// Account for the rebuilt containers (`built`, from
+    /// [`NdtRefresh::build`]) and the fresh ones, then write the container
+    /// manifest and the shard index over all of them.
+    fn finish(
+        &self,
+        world: &World,
+        root: &Path,
+        built: Vec<BuiltContainer>,
+        summary: &mut DumpSummary,
+    ) -> io::Result<()> {
+        let fmt = self.format;
+        let mut built = built.into_iter();
+        let mut container_manifest =
+            format!("# lacnet NDT container manifest ({SHARD_GEN_VERSION})\n");
+        let mut shard_index = format!(
+            "# lacnet NDT shard index ({SHARD_GEN_VERSION}): \
+             label\tpath\trows\tblocks\tmin_day\tmax_day\n"
+        );
+        let per_country = self
+            .countries
+            .iter()
+            .zip(self.plan.chunks(self.months))
+            .zip(&self.rebuild);
+        for ((&cc, shards), &rebuild) in per_country {
+            let rel = mlab_container_path(cc, fmt);
+            summary.files.push(rel.clone());
+            let (content_hash, census) = if rebuild {
+                let container = built.next().expect("one container per rebuilt country");
+                summary.bytes += container.len;
+                summary.containers_written += 1;
+                (container.content_hash, container.months)
+            } else {
+                summary.containers_skipped += 1;
+                let census = shards
+                    .iter()
+                    .map(|&shard| {
+                        let rec = &self.previous_index[&shard_label(shard)];
+                        (rec.rows, rec.blocks, rec.days)
+                    })
+                    .collect();
+                (self.previous[cc.as_str()].content_hash, census)
+            };
+            let _ = writeln!(
+                container_manifest,
+                "{cc}\t{:016x}\t{content_hash:016x}\t{rel}",
+                container_fingerprint(&world.config, &world.scenario, fmt, cc, self.window),
+            );
+            for (&shard, (rows, blocks, days)) in shards.iter().zip(census) {
+                let (min_day, max_day) = match days {
+                    Some((lo, hi)) => (lo.to_string(), hi.to_string()),
+                    None => ("-".to_owned(), "-".to_owned()),
+                };
+                let _ = writeln!(
+                    shard_index,
+                    "{}\t{rel}\t{rows}\t{blocks}\t{min_day}\t{max_day}",
+                    shard_label(shard)
+                );
+            }
+        }
+        write(root, MLAB_MANIFEST, &container_manifest, summary)?;
+        write(root, MLAB_INDEX, &shard_index, summary)
+    }
+}
+
 /// Re-parse every exported file, proving the tree is consumable by the
 /// substrate parsers alone (no access to the in-memory world).
 ///
-/// NDT shards are the one archive that is unbounded at real scale, so
-/// text shards are *streamed* through `ndt::stream_rows` into an
-/// aggregator without materializing the file; columnar `.ndtc` shards
-/// are read whole — their CRC-32 footer covers the full container — and
-/// decoded with every structural check applied. The shard manifest is
-/// verified structurally: every shard it lists must exist.
+/// NDT containers are the one archive that is unbounded at real scale,
+/// so text containers are *streamed* through `ndt::stream_rows` into an
+/// aggregator without materializing the file; columnar `.ndtc`
+/// containers are read whole and decoded with every structural check
+/// applied. The container manifest and the shard index are verified
+/// structurally: every container they name must exist.
 pub fn verify(root: &Path) -> Result<usize> {
     let mut checked = 0usize;
     let read = |rel: &str| -> String { fs::read_to_string(root.join(rel)).unwrap_or_default() };
@@ -658,24 +764,21 @@ pub fn verify(root: &Path) -> Result<usize> {
     let mut agg =
         lacnet_mlab::aggregate::MonthlyAggregator::new(lacnet_mlab::aggregate::Mode::Streaming);
     for rel in manifest.lines().filter(|l| !l.starts_with('#')) {
-        if rel == MLAB_MANIFEST {
-            // Structural check: every listed shard file must exist.
-            for (label, rec) in read_shard_manifest(root) {
-                if !root.join(&rec.path).exists() {
-                    return Err(lacnet_types::Error::missing(
-                        "NDT shard from manifest",
-                        &label,
-                    ));
-                }
-            }
-            checked += 1;
-            continue;
-        }
-        if rel == MLAB_INDEX {
-            // Structural check: every indexed shard file must exist.
-            for (label, rec) in read_shard_index(root) {
-                if !root.join(&rec.path).exists() {
-                    return Err(lacnet_types::Error::missing("NDT shard from index", &label));
+        if rel == MLAB_MANIFEST || rel == MLAB_INDEX {
+            let paths: Vec<(String, String)> = if rel == MLAB_MANIFEST {
+                read_container_manifest(root)
+                    .into_iter()
+                    .map(|(cc, rec)| (cc, rec.path))
+                    .collect()
+            } else {
+                read_shard_index(root)
+                    .into_iter()
+                    .map(|(label, rec)| (label, rec.path))
+                    .collect()
+            };
+            for (key, path) in paths {
+                if !root.join(&path).exists() {
+                    return Err(lacnet_types::Error::missing("NDT container", key));
                 }
             }
             checked += 1;
@@ -684,11 +787,11 @@ pub fn verify(root: &Path) -> Result<usize> {
         if rel.starts_with("mlab/") {
             if rel.ends_with(".ndtc") {
                 let bytes = fs::read(root.join(rel))
-                    .map_err(|_| lacnet_types::Error::missing("NDT archive shard", rel))?;
+                    .map_err(|_| lacnet_types::Error::missing("NDT archive container", rel))?;
                 agg.observe_columns(&columnar::decode(&bytes)?);
             } else {
                 let file = fs::File::open(root.join(rel))
-                    .map_err(|_| lacnet_types::Error::missing("NDT archive shard", rel))?;
+                    .map_err(|_| lacnet_types::Error::missing("NDT archive container", rel))?;
                 agg.observe_reader(io::BufReader::new(file))?;
             }
             checked += 1;
@@ -734,25 +837,55 @@ mod tests {
         let world = crate::experiments::testworld::world();
         let dir = std::env::temp_dir().join(format!("lacnet-dump-{}", std::process::id()));
         let summary = dump(world, &dir).expect("dump succeeds");
-        assert!(summary.files.len() > 2000, "{} files", summary.files.len());
+        assert!(summary.files.len() > 500, "{} files", summary.files.len());
         assert!(summary.bytes > 1_000_000, "{} bytes", summary.bytes);
         let checked = verify(&dir).expect("every file parses");
         assert_eq!(checked, summary.files.len());
         // Spot-check a known file exists with plausible content.
         let serial = std::fs::read_to_string(dir.join("serial1/20130101.as-rel.txt")).unwrap();
         assert!(serial.contains("|8048|-1"), "CANTV has providers in 2013");
-        // The shard tree covers the full per-(country, month) plan.
-        let ve_july = std::fs::read_to_string(dir.join("mlab/VE/ndt-2023-07.tsv")).unwrap();
-        assert!(ve_july.lines().count() > 10);
-        // A fresh dump writes every shard; a re-dump of the same config
-        // skips every one.
+        // One container per country covers the full per-(country, month)
+        // plan, every month in order.
+        let countries = country::lacnic_codes().count();
+        let ve = std::fs::read_to_string(dir.join("mlab/VE.tsv")).unwrap();
+        assert!(ve.lines().filter(|l| l.starts_with("2023-07-")).count() > 10);
         let plan = bandwidth::shard_plan(windows::mlab_start(), world.config.end);
-        assert_eq!(summary.shards_written, plan.len());
-        assert_eq!(summary.shards_skipped, 0);
+        let index = read_shard_index(&dir);
+        assert_eq!(index.len(), plan.len());
+        assert!(index
+            .values()
+            .all(|r| r.path.starts_with("mlab/") && r.blocks == 1));
+        assert_eq!(
+            ve.lines().count() as u64,
+            index
+                .iter()
+                .filter(|(label, _)| label.starts_with("VE/"))
+                .map(|(_, r)| r.rows)
+                .sum::<u64>()
+        );
+        // A fresh dump writes every container; a re-dump of the same
+        // config skips every one.
+        assert_eq!(summary.containers_written, countries);
+        assert_eq!(summary.containers_skipped, 0);
         let again = dump(world, &dir).expect("re-dump succeeds");
-        assert_eq!(again.shards_written, 0);
-        assert_eq!(again.shards_skipped, plan.len());
+        assert_eq!(again.containers_written, 0);
+        assert_eq!(again.containers_skipped, countries);
         assert_eq!(again.files, summary.files);
+        // A container whose index records are gone is rebuilt rather
+        // than trusted.
+        let index_text = std::fs::read_to_string(dir.join(MLAB_INDEX)).unwrap();
+        let without_ve: String = index_text
+            .lines()
+            .filter(|l| !l.starts_with("VE/"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        std::fs::write(dir.join(MLAB_INDEX), without_ve).unwrap();
+        let healed = dump(world, &dir).expect("re-dump succeeds");
+        assert_eq!(healed.containers_written, 1);
+        assert_eq!(
+            std::fs::read_to_string(dir.join(MLAB_INDEX)).unwrap(),
+            index_text
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -766,17 +899,38 @@ mod tests {
             ..DumpOptions::default()
         };
         let summary = dump_with(world, &dir, columnar).expect("columnar dump succeeds");
-        assert!(summary.shards_written > 0);
+        assert!(summary.containers_written > 0);
         let checked = verify(&dir).expect("columnar tree verifies");
         assert_eq!(checked, summary.files.len());
-        let ve_july = dir.join("mlab/VE/ndt-2023-07.ndtc");
-        assert!(ve_july.exists());
+        let ve = dir.join("mlab/VE.ndtc");
+        assert_eq!(std::fs::read(&ve).unwrap()[4], columnar::VERSION);
+        // The index census matches the container's footer month by month.
+        let index = read_shard_index(&dir);
+        let bytes = std::fs::read(&ve).unwrap();
+        let reader = columnar::ColumnReader::open(&bytes).unwrap();
+        let ve_records: Vec<&ShardIndexRecord> = index
+            .iter()
+            .filter(|(label, _)| label.starts_with("VE/"))
+            .map(|(_, r)| r)
+            .collect();
+        assert!(ve_records.iter().all(|r| r.path == "mlab/VE.ndtc"));
+        assert_eq!(
+            ve_records.iter().map(|r| r.blocks).sum::<u64>(),
+            reader.block_count() as u64
+        );
+        assert_eq!(
+            ve_records.iter().map(|r| r.rows).sum::<u64>(),
+            reader.rows() as u64
+        );
+        // A no-op re-dump reproduces the index from reused records.
+        dump_with(world, &dir, columnar).expect("re-dump succeeds");
+        assert_eq!(read_shard_index(&dir), index);
         // Re-dumping in text format rewrites everything (fingerprints
         // change with the format) and removes the columnar siblings.
         let text = dump_with(world, &dir, DumpOptions::default()).expect("text re-dump");
-        assert_eq!(text.shards_skipped, 0);
-        assert!(!ve_july.exists(), "stale columnar sibling removed");
-        assert!(dir.join("mlab/VE/ndt-2023-07.tsv").exists());
+        assert_eq!(text.containers_skipped, 0);
+        assert!(!ve.exists(), "stale columnar sibling removed");
+        assert!(dir.join("mlab/VE.tsv").exists());
         // `--force` rewrites even an up-to-date tree.
         let forced = dump_with(
             world,
@@ -784,58 +938,11 @@ mod tests {
             DumpOptions {
                 shard_format: ShardFormat::Text,
                 force: true,
-                ..DumpOptions::default()
             },
         )
         .expect("forced re-dump");
-        assert_eq!(forced.shards_skipped, 0);
-        assert_eq!(forced.shards_written, text.shards_written);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn shard_index_tracks_the_tree_and_v1_dumps_write_legacy_containers() {
-        let world = crate::experiments::testworld::world();
-        let dir = std::env::temp_dir().join(format!("lacnet-dump-idx-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let columnar = DumpOptions {
-            shard_format: ShardFormat::Columnar,
-            ..DumpOptions::default()
-        };
-        dump_with(world, &dir, columnar).expect("v2 dump succeeds");
-        let plan = bandwidth::shard_plan(windows::mlab_start(), world.config.end);
-        let index = read_shard_index(&dir);
-        assert_eq!(index.len(), plan.len());
-        let total_rows: u64 = index.values().map(|r| r.rows).sum();
-        assert!(total_rows > 0);
-        for rec in index.values() {
-            assert!(dir.join(&rec.path).exists(), "{} missing", rec.path);
-            assert!(rec.blocks >= 1);
-        }
-        let ve_july = std::fs::read(dir.join("mlab/VE/ndt-2023-07.ndtc")).unwrap();
-        assert_eq!(ve_july[4], 2, "the default columnar writer emits v2");
-        // A no-op re-dump reproduces the index from reused records.
-        dump_with(world, &dir, columnar).expect("re-dump succeeds");
-        assert_eq!(read_shard_index(&dir), index);
-        // `--ndtc-v1` is a distinct codec: everything rewrites as legacy
-        // single-block containers, and the tree still verifies.
-        let v1 = dump_with(
-            world,
-            &dir,
-            DumpOptions {
-                shard_format: ShardFormat::Columnar,
-                columnar_v1: true,
-                ..DumpOptions::default()
-            },
-        )
-        .expect("v1 dump succeeds");
-        assert_eq!(v1.shards_skipped, 0);
-        let ve_july = std::fs::read(dir.join("mlab/VE/ndt-2023-07.ndtc")).unwrap();
-        assert_eq!(ve_july[4], 1, "--ndtc-v1 emits the legacy container");
-        let v1_index = read_shard_index(&dir);
-        assert!(v1_index.values().all(|r| r.blocks == 1));
-        assert_eq!(v1_index.values().map(|r| r.rows).sum::<u64>(), total_rows);
-        verify(&dir).expect("v1 tree verifies");
+        assert_eq!(forced.containers_skipped, 0);
+        assert_eq!(forced.containers_written, text.containers_written);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -54,13 +54,14 @@ impl Endpoint {
 }
 
 /// The single-month NDT query route `lacnet-serve` exposes alongside the
-/// registry endpoints: one `(country, month)` shard query with selective
-/// column decode on v2 archives.
+/// registry endpoints: one `(country, month)` query with selective
+/// column decode on columnar archives.
 pub const NDT_MONTH_ROUTE: &str = "/ndt/{CC}/{YYYY-MM}";
 
-/// The NDT range-query route: an inclusive month window fanned across
-/// shards in parallel and merged deterministically. Served by the same
-/// `/ndt/` prefix — a path with no month segment selects the range form.
+/// The NDT range-query route: an inclusive month window read off the
+/// country's container in one read and folded in month order. Served by
+/// the same `/ndt/` prefix — a path with no month segment selects the
+/// range form.
 pub const NDT_RANGE_ROUTE: &str = "/ndt/{CC}?from=YYYY-MM&to=YYYY-MM";
 
 /// Every endpoint, paper battery first (in paper order — `tab01` sits

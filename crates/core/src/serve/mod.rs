@@ -82,7 +82,7 @@ pub struct ServerState {
 /// The archive fingerprint a source serves under: the FNV-1a hash of
 /// `mlab/manifest.tsv` for archive backends (a re-dump rewrites the
 /// manifest, so the fingerprint — and every cache key — changes; a
-/// scenario switch rewrites every shard fingerprint in it), the hash of
+/// scenario switch rewrites every container fingerprint in it), the hash of
 /// the generating config — folded with the scenario fingerprint for
 /// non-default scenarios — for in-memory backends.
 pub fn source_fingerprint(source: &DataSource) -> String {
@@ -102,26 +102,13 @@ pub fn source_fingerprint(source: &DataSource) -> String {
     }
 }
 
-/// NDT shard inventory of a source: total shard count and per-format
-/// breakdown (`text`/`columnar` from the manifest for archives; the
+/// NDT shard inventory of a source: total `(country, month)` shard
+/// count and per-format breakdown (`text`/`columnar` for archives; the
 /// shard plan, counted as in-memory, otherwise).
 fn shard_inventory(source: &DataSource) -> Vec<(String, usize)> {
     match source {
         DataSource::Archive(a) => {
-            let manifest =
-                std::fs::read_to_string(a.root().join(datasets::MLAB_MANIFEST)).unwrap_or_default();
-            let mut text = 0usize;
-            let mut columnar = 0usize;
-            for line in manifest.lines() {
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                match line.rsplit('\t').next() {
-                    Some(path) if path.ends_with(".ndtc") => columnar += 1,
-                    Some(_) => text += 1,
-                    None => {}
-                }
-            }
+            let (text, columnar) = a.ndt_shard_counts();
             vec![("text".into(), text), ("columnar".into(), columnar)]
         }
         DataSource::InMemory(w) => {
@@ -486,17 +473,18 @@ fn read_stats_json(read: &lacnet_mlab::ReadStats) -> Json {
 
 /// Serve the `/ndt/` prefix. A path with a month segment —
 /// `/ndt/{CC}/{YYYY-MM}` — is one `(country, month)` query routed
-/// through [`DataSource::ndt_month_stats`]; on a v2 columnar archive
-/// that decodes only the matching blocks' download column, and the
-/// response reports exactly how much of the shard was touched. A bare
-/// country — `/ndt/{CC}?from=YYYY-MM&to=YYYY-MM` — is a range query
-/// through [`DataSource::ndt_range_stats`]: the shard plan is pruned on
-/// the resident index, fanned across workers, and merged in
-/// deterministic plan order. Results (including 404s: shard absence is
-/// a property of the fingerprinted archive generation) are cached under
-/// the normalized range, so every spelling of one window shares one LRU
-/// slot; malformed or reversed or out-of-dataset ranges are typed 400s
-/// that never occupy a computed slot; backend I/O errors are not cached.
+/// through [`DataSource::ndt_month_stats`]; on a columnar archive that
+/// decodes only the month's blocks' download column, and the response
+/// reports exactly how much was touched. A bare country —
+/// `/ndt/{CC}?from=YYYY-MM&to=YYYY-MM` — is a range query through
+/// [`DataSource::ndt_range_stats`]: the month plan comes from the
+/// resident table and the window is read off the country's container in
+/// one read. Both go through the cache single-flight. Results (including
+/// 404s: absence is a property of the fingerprinted archive generation)
+/// are cached under the normalized range, so every spelling of one
+/// window shares one LRU slot; malformed or reversed or out-of-dataset
+/// ranges are typed 400s that never occupy a computed slot; backend
+/// errors are 500s that are never cached.
 fn ndt_query(
     state: &ServerState,
     source: &Arc<DataSource<'static>>,
@@ -526,48 +514,61 @@ fn ndt_query(
         format!("{cc}/{month}"),
         fingerprint.to_owned(),
     );
-    if let Some(cached) = state.cache.get(&key) {
-        state
-            .metrics
-            .record("ndt", Outcome::Hit, t0.elapsed().as_secs_f64());
-        return Response::shared(cached.status, cached.content_type, cached.bytes);
-    }
-    let response = match source.ndt_month_stats(cc, month) {
+    cached_ndt(state, "ndt", key, t0, || {
+        Ok(match source.ndt_month_stats(cc, month)? {
+            None => json_error(404, "no NDT shard for that country and month"),
+            Some(stats) => {
+                let body = Json::Obj(vec![
+                    ("country".into(), Json::Str(cc.to_string())),
+                    ("month".into(), Json::Str(month.to_string())),
+                    ("rows".into(), Json::Num(stats.rows as f64)),
+                    (
+                        "median_download_mbps".into(),
+                        stats.median_download.map_or(Json::Null, Json::Num),
+                    ),
+                    ("format".into(), Json::Str(stats.format.into())),
+                    ("read".into(), read_stats_json(&stats.read)),
+                ])
+                .to_text();
+                Response::new(200, "application/json", body.into_bytes())
+            }
+        })
+    })
+}
+
+/// Serve one `/ndt` query through the response cache, single-flight:
+/// concurrent cold requests for one key run `answer` once and share its
+/// bytes. A backend error is the uncacheable outcome — a 500 that no
+/// later request is served from the cache.
+fn cached_ndt(
+    state: &ServerState,
+    label: &'static str,
+    key: (String, String, String),
+    t0: Instant,
+    answer: impl FnOnce() -> lacnet_types::Result<Response>,
+) -> Response {
+    let computed = state.cache.get_or_try_compute(key, || {
+        answer().map(|response| CachedBody {
+            status: response.status,
+            content_type: response.content_type,
+            bytes: response.body,
+        })
+    });
+    match computed {
+        Ok((cached, hit)) => {
+            let outcome = if hit { Outcome::Hit } else { Outcome::Miss };
+            state
+                .metrics
+                .record(label, outcome, t0.elapsed().as_secs_f64());
+            Response::shared(cached.status, cached.content_type, cached.bytes)
+        }
         Err(e) => {
             state
                 .metrics
-                .record("ndt", Outcome::Uncached, t0.elapsed().as_secs_f64());
-            return json_error(500, &e.to_string());
+                .record(label, Outcome::Uncached, t0.elapsed().as_secs_f64());
+            json_error(500, &e.to_string())
         }
-        Ok(None) => json_error(404, "no NDT shard for that country and month"),
-        Ok(Some(stats)) => {
-            let body = Json::Obj(vec![
-                ("country".into(), Json::Str(cc.to_string())),
-                ("month".into(), Json::Str(month.to_string())),
-                ("rows".into(), Json::Num(stats.rows as f64)),
-                (
-                    "median_download_mbps".into(),
-                    stats.median_download.map_or(Json::Null, Json::Num),
-                ),
-                ("format".into(), Json::Str(stats.format.into())),
-                ("read".into(), read_stats_json(&stats.read)),
-            ])
-            .to_text();
-            Response::new(200, "application/json", body.into_bytes())
-        }
-    };
-    state.cache.insert(
-        key,
-        CachedBody {
-            status: response.status,
-            content_type: response.content_type,
-            bytes: Arc::clone(&response.body),
-        },
-    );
-    state
-        .metrics
-        .record("ndt", Outcome::Miss, t0.elapsed().as_secs_f64());
-    response
+    }
 }
 
 /// Serve `/ndt/{CC}?from=YYYY-MM&to=YYYY-MM` — the range form of the
@@ -623,74 +624,52 @@ fn ndt_range_query(
         format!("{cc}/{from}/{to}"),
         fingerprint.to_owned(),
     );
-    if let Some(cached) = state.cache.get(&key) {
-        state
-            .metrics
-            .record("ndt-range", Outcome::Hit, t0.elapsed().as_secs_f64());
-        return Response::shared(cached.status, cached.content_type, cached.bytes);
-    }
-    let response = match source.ndt_range_stats(cc, from, to) {
-        Err(e) => {
-            state
-                .metrics
-                .record("ndt-range", Outcome::Uncached, t0.elapsed().as_secs_f64());
-            return json_error(500, &e.to_string());
+    cached_ndt(state, "ndt-range", key, t0, || {
+        let stats = source.ndt_range_stats(cc, from, to)?;
+        if stats.months.is_empty() {
+            return Ok(json_error(
+                404,
+                "no NDT shards for that country in that range",
+            ));
         }
-        Ok(stats) if stats.months.is_empty() => {
-            json_error(404, "no NDT shards for that country in that range")
-        }
-        Ok(stats) => {
-            let months = stats
-                .months
-                .iter()
-                .map(|(month, m)| {
-                    Json::Obj(vec![
-                        ("month".into(), Json::Str(month.to_string())),
-                        ("rows".into(), Json::Num(m.rows as f64)),
-                        (
-                            "median_download_mbps".into(),
-                            m.median_download.map_or(Json::Null, Json::Num),
-                        ),
-                        ("format".into(), Json::Str(m.format.into())),
-                    ])
-                })
-                .collect();
-            let body = Json::Obj(vec![
-                ("country".into(), Json::Str(cc.to_string())),
-                ("from".into(), Json::Str(from.to_string())),
-                ("to".into(), Json::Str(to.to_string())),
-                (
-                    "months_queried".into(),
-                    Json::Num(stats.months_queried as f64),
-                ),
-                (
-                    "shards_pruned".into(),
-                    Json::Num(stats.shards_pruned as f64),
-                ),
-                ("rows".into(), Json::Num(stats.rows as f64)),
-                (
-                    "mean_monthly_median_mbps".into(),
-                    stats.mean_monthly_median.map_or(Json::Null, Json::Num),
-                ),
-                ("months".into(), Json::Arr(months)),
-                ("read".into(), read_stats_json(&stats.read)),
-            ])
-            .to_text();
-            Response::new(200, "application/json", body.into_bytes())
-        }
-    };
-    state.cache.insert(
-        key,
-        CachedBody {
-            status: response.status,
-            content_type: response.content_type,
-            bytes: Arc::clone(&response.body),
-        },
-    );
-    state
-        .metrics
-        .record("ndt-range", Outcome::Miss, t0.elapsed().as_secs_f64());
-    response
+        let months = stats
+            .months
+            .iter()
+            .map(|(month, m)| {
+                Json::Obj(vec![
+                    ("month".into(), Json::Str(month.to_string())),
+                    ("rows".into(), Json::Num(m.rows as f64)),
+                    (
+                        "median_download_mbps".into(),
+                        m.median_download.map_or(Json::Null, Json::Num),
+                    ),
+                    ("format".into(), Json::Str(m.format.into())),
+                ])
+            })
+            .collect();
+        let body = Json::Obj(vec![
+            ("country".into(), Json::Str(cc.to_string())),
+            ("from".into(), Json::Str(from.to_string())),
+            ("to".into(), Json::Str(to.to_string())),
+            (
+                "months_queried".into(),
+                Json::Num(stats.months_queried as f64),
+            ),
+            (
+                "shards_pruned".into(),
+                Json::Num(stats.shards_pruned as f64),
+            ),
+            ("rows".into(), Json::Num(stats.rows as f64)),
+            (
+                "mean_monthly_median_mbps".into(),
+                stats.mean_monthly_median.map_or(Json::Null, Json::Num),
+            ),
+            ("months".into(), Json::Arr(months)),
+            ("read".into(), read_stats_json(&stats.read)),
+        ])
+        .to_text();
+        Ok(Response::new(200, "application/json", body.into_bytes()))
+    })
 }
 
 /// Serve one accepted connection: keep-alive loop, pipelining via the

@@ -8,8 +8,8 @@
 //!   the dumped native-format files (serial-1 relationship files,
 //!   RouteViews pfx2as, NRO delegations, PeeringDB v2 JSON dumps, the
 //!   Telegeography cable map, yearly TLS scans, top-site scrapes,
-//!   streamed M-Lab NDT shards, Atlas reachability TSVs), exactly as the
-//!   pipeline would parse the real archives.
+//!   per-country M-Lab NDT containers, Atlas reachability TSVs), exactly
+//!   as the pipeline would parse the real archives.
 //!
 //! Both backends carry their own pfx2as `SnapshotCache` and `ConeCache`,
 //! so month-table and cone memoization behave identically on either
@@ -22,21 +22,22 @@ use lacnet_crisis::config::windows;
 use lacnet_crisis::dns::{self, DnsWorld};
 use lacnet_crisis::operators::Operators;
 use lacnet_crisis::world::SnapshotCache;
-use lacnet_crisis::{bandwidth, blackouts, Economy, World, WorldConfig};
+use lacnet_crisis::{blackouts, Economy, World, WorldConfig};
 use lacnet_mlab::aggregate::{Mode, MonthlyAggregator};
 use lacnet_mlab::columnar::{
-    self, ColumnReaderRef, ColumnSelection, ColumnSet, DecodeScratch, ReadStats, ShardFormat,
+    BlockEntry, ColumnReader, ColumnSelection, ColumnSet, DecodeScratch, ReadStats, ShardFormat,
 };
 use lacnet_offnets::certs::CertScan;
 use lacnet_peeringdb::{Snapshot, SnapshotArchive};
 use lacnet_registry::{AllocationLedger, DelegationFile};
 use lacnet_telegeo::CableMap;
 use lacnet_types::stats::P2Quantile;
-use lacnet_types::{sweep, Asn, CountryCode, Date, Error, MonthStamp, Result, TimeSeries};
+use lacnet_types::{country, sweep, Asn, CountryCode, Date, Error, MonthStamp, Result, TimeSeries};
 use lacnet_webmeas::CountryTopSites;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::io;
+use std::io::{Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -63,7 +64,7 @@ pub struct ArchiveWorld {
     pub peeringdb: SnapshotArchive,
     /// Cable map parsed from the Telegeography-style export.
     pub cables: CableMap,
-    /// M-Lab aggregation streamed from the per-(country, month) shards.
+    /// M-Lab aggregation decoded from the per-country NDT containers.
     pub mlab: MonthlyAggregator,
     /// TLS scans parsed from the yearly off-net exports, manifest order.
     pub cert_scans: Vec<CertScan>,
@@ -71,18 +72,75 @@ pub struct ArchiveWorld {
     pub top_sites: Vec<CountryTopSites>,
     /// Daily reachability parsed from the per-country Atlas TSVs.
     pub reachability: BTreeMap<CountryCode, ReachabilitySeries>,
-    /// The archive-level NDT shard index (`mlab/index.tsv`), keyed by
-    /// `CC/YYYY-MM` label. Empty on pre-index trees — queries then fall
-    /// back to probing shard paths directly.
-    ndt_index: BTreeMap<String, crate::datasets::ShardIndexRecord>,
+    /// Every NDT container's resident month table, built at load —
+    /// what `/ndt` queries plan and read from without touching the
+    /// filesystem until the one read a query needs.
+    ndt: BTreeMap<CountryCode, NdtContainer>,
     root: PathBuf,
     pfx2as_cache: SnapshotCache,
     cone_cache: ConeCache,
 }
 
+/// Window size from which an NDT query decodes its months on sweep
+/// workers instead of inline: about where the decode saved outweighs a
+/// thread spawn (BR's months are ~31 KB, most countries' a few KB).
+const PARALLEL_DECODE_BYTES: usize = 128 * 1024;
+
+/// One planned `(country, month)` of a resident NDT container: where
+/// the month's rows sit in the file and what they cover. Months without
+/// rows keep an entry (an empty byte range), so they answer like any
+/// other month.
+#[derive(Debug, Clone)]
+struct MonthSpan {
+    month: MonthStamp,
+    /// Byte range of the month's text lines or row-group blocks.
+    bytes: Range<usize>,
+    /// Min/max test day across the month's rows; `None` without rows.
+    days: Option<(i64, i64)>,
+    /// The month's entries in [`NdtContainer::blocks`] (columnar only).
+    blocks: Range<usize>,
+}
+
+/// One country's NDT container as an archive keeps it resident: its
+/// path and encoding, the month table, and — for `.ndtc` — the validated
+/// footer entries, so a query decodes a month window without re-reading
+/// the footer.
+#[derive(Debug)]
+struct NdtContainer {
+    rel: String,
+    format: ShardFormat,
+    months: Vec<MonthSpan>,
+    blocks: Vec<BlockEntry>,
+}
+
+impl NdtContainer {
+    /// The months of `[from, to]` a query must read, ascending, and how
+    /// many were pruned: a month whose day span provably cannot intersect
+    /// the window is skipped without reading it. Months without rows have
+    /// no span and are never pruned.
+    fn plan(&self, from: MonthStamp, to: MonthStamp) -> (Vec<&MonthSpan>, usize) {
+        let lo = from.first_day().days_since_epoch();
+        let hi = to.last_day().days_since_epoch();
+        let mut pruned = 0usize;
+        let plan = self
+            .months
+            .iter()
+            .filter(|span| span.month >= from && span.month <= to)
+            .filter(|span| match span.days {
+                Some((min_day, max_day)) if max_day < lo || min_day > hi => {
+                    pruned += 1;
+                    false
+                }
+                _ => true,
+            })
+            .collect();
+        (plan, pruned)
+    }
+}
+
 /// What one `(country, month)` NDT query returns: how many tests
-/// matched, their median download, and exactly how much of the shard the
-/// answer cost to decode.
+/// matched, their median download, and exactly how much of the
+/// container the answer cost to decode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NdtMonthStats {
     /// Tests matching the query.
@@ -90,22 +148,31 @@ pub struct NdtMonthStats {
     /// P² median download (Mbit/s) over those tests, in row order — the
     /// same estimator state the resident aggregate holds for the group.
     pub median_download: Option<f64>,
-    /// The backing the answer came from (`columnar-v2`, `columnar-v1`,
-    /// `text`, or `in-memory`).
+    /// The backing the answer came from (`columnar-v2`, `text`, or
+    /// `in-memory`).
     pub format: &'static str,
-    /// Decode accounting (zero for text and in-memory backings).
+    /// Decode accounting for the month's own blocks (zero for text and
+    /// in-memory backings).
     pub read: ReadStats,
+}
+
+/// Disk traffic of one NDT query: what the archive backend opened and
+/// read to answer it (zero in memory).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NdtIo {
+    /// Files opened.
+    pub files_opened: usize,
+    /// Bytes read from disk.
+    pub bytes_read: usize,
 }
 
 /// What a `(country, [from, to])` NDT range query returns: the
 /// per-month answers in ascending month order — each entry equal to
 /// what the single-month query for that `(country, month)` would have
-/// returned — plus the range-level merges. The merge is deterministic
-/// by construction: shards decode on sweep workers but results are
-/// folded in shard-plan (month) order, never completion order.
+/// returned — plus the range-level merges.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NdtRangeStats {
-    /// Months in `[from, to]` with a shard in the archive, ascending.
+    /// Months in `[from, to]` the archive holds, ascending.
     pub months: Vec<(MonthStamp, NdtMonthStats)>,
     /// Total matching tests across the range.
     pub rows: usize,
@@ -114,12 +181,46 @@ pub struct NdtRangeStats {
     pub mean_monthly_median: Option<f64>,
     /// Months the inclusive `[from, to]` span covers.
     pub months_queried: usize,
-    /// Shards skipped without opening a file because the resident shard
-    /// index's day-span summary proves they cannot intersect the range.
+    /// Months skipped without reading them because their resident day
+    /// span proves they cannot intersect the range.
     pub shards_pruned: usize,
-    /// Merged decode accounting across every decoded shard — the sum of
+    /// Merged decode accounting across every decoded month — the sum of
     /// the per-month `read` fields.
     pub read: ReadStats,
+    /// What the query opened and read from disk.
+    pub io: NdtIo,
+}
+
+impl NdtRangeStats {
+    /// Fold per-month answers into a range answer.
+    fn merge(
+        months: Vec<(MonthStamp, NdtMonthStats)>,
+        months_queried: usize,
+        shards_pruned: usize,
+        io: NdtIo,
+    ) -> NdtRangeStats {
+        let mut rows = 0usize;
+        let mut read = ReadStats::default();
+        let mut median_sum = 0.0;
+        let mut median_count = 0usize;
+        for (_, stats) in &months {
+            rows += stats.rows;
+            read.absorb(stats.read);
+            if let Some(m) = stats.median_download {
+                median_sum += m;
+                median_count += 1;
+            }
+        }
+        NdtRangeStats {
+            months,
+            rows,
+            mean_monthly_median: (median_count > 0).then(|| median_sum / median_count as f64),
+            months_queried,
+            shards_pruned,
+            read,
+            io,
+        }
+    }
 }
 
 fn month_from_name(name: &str, prefix: &str, suffix: &str) -> Option<MonthStamp> {
@@ -136,10 +237,138 @@ fn month_from_name(name: &str, prefix: &str, suffix: &str) -> Option<MonthStamp>
         .then(|| MonthStamp::new(year, month))
 }
 
+/// Decode one country's NDT container: its resident month table, its
+/// footer entries (columnar) and the partial aggregate of its rows, in
+/// file order. A typed error unless the container holds only `cc`'s rows,
+/// only `months`, ascending, and no `.ndtc` block straddles a month.
+fn load_container(
+    cc: CountryCode,
+    bytes: &[u8],
+    format: ShardFormat,
+    months: &[MonthStamp],
+    selection: &ColumnSelection,
+) -> Result<(Vec<MonthSpan>, Vec<BlockEntry>, MonthlyAggregator)> {
+    let mut spans: Vec<MonthSpan> = months
+        .iter()
+        .map(|&month| MonthSpan {
+            month,
+            bytes: 0..0,
+            days: None,
+            blocks: 0..0,
+        })
+        .collect();
+    // Months arrive ascending, so a cursor walks the table once.
+    let mut cursor = 0usize;
+    let mut place = |month: MonthStamp,
+                     bytes: Range<usize>,
+                     days: (i64, i64),
+                     block: Option<usize>|
+     -> Result<()> {
+        while spans.get(cursor).is_some_and(|s| s.month < month) {
+            cursor += 1;
+        }
+        let span = spans
+            .get_mut(cursor)
+            .filter(|s| s.month == month)
+            .ok_or_else(|| {
+                Error::parse(
+                    "NDT container months (ascending, inside the plan)",
+                    &month.to_string(),
+                )
+            })?;
+        if let Some(i) = block {
+            span.blocks = if span.days.is_none() {
+                i
+            } else {
+                span.blocks.start
+            }..i + 1;
+        }
+        span.days = Some(match span.days {
+            None => {
+                span.bytes = bytes;
+                days
+            }
+            Some((lo, hi)) => {
+                span.bytes.end = bytes.end;
+                (lo.min(days.0), hi.max(days.1))
+            }
+        });
+        Ok(())
+    };
+    let mut agg = MonthlyAggregator::new(Mode::Streaming);
+    let blocks = match format {
+        ShardFormat::Columnar => {
+            let reader = ColumnReader::open(bytes)?;
+            let (first, last) = (months[0].first_day(), months[months.len() - 1].last_day());
+            let window = first.days_since_epoch()..=last.days_since_epoch();
+            for (i, block) in reader.blocks().iter().enumerate() {
+                if block.countries() != [cc] {
+                    return Err(Error::parse(
+                        "ndtc block country summary naming only the container's country",
+                        cc.as_str(),
+                    ));
+                }
+                let (lo, hi) = block.day_span();
+                if !window.contains(&lo) || !window.contains(&hi) {
+                    return Err(Error::parse("ndtc block dates inside the plan", ""));
+                }
+                let month = Date::from_days_since_epoch(lo).month_stamp();
+                if Date::from_days_since_epoch(hi).month_stamp() != month {
+                    return Err(Error::parse("ndtc block inside one month", ""));
+                }
+                let at = block.offset();
+                place(month, at..at + block.byte_len(), (lo, hi), Some(i))?;
+            }
+            // The scan cross-checks every footer claim used above (day
+            // span, country summary) against the decoded columns.
+            let mut scratch = DecodeScratch::new();
+            reader.scan_counted(selection, &mut scratch, |view| {
+                agg.observe_block(view);
+                Ok(())
+            })?;
+            reader.into_blocks()
+        }
+        ShardFormat::Text => {
+            let mut pos = 0usize;
+            for line in bytes.split_inclusive(|&b| b == b'\n') {
+                let start = pos;
+                pos += line.len();
+                let text = std::str::from_utf8(line)
+                    .map_err(|_| Error::parse("NDT row (utf-8)", ""))?
+                    .trim();
+                if text.is_empty() || text.starts_with('#') {
+                    continue;
+                }
+                let row: lacnet_mlab::NdtTest = text.parse()?;
+                if row.country != cc {
+                    return Err(Error::parse("NDT row of the container's country", text));
+                }
+                let day = row.date.days_since_epoch();
+                place(row.date.month_stamp(), start..pos, (day, day), None)?;
+                agg.observe(&row);
+            }
+            Vec::new()
+        }
+    };
+    // Months without rows sit, empty, where their rows would have gone.
+    let (mut at, mut block) = (blocks.first().map_or(0, BlockEntry::offset), 0);
+    for span in &mut spans {
+        if span.days.is_none() {
+            span.bytes = at..at;
+            span.blocks = block..block;
+        } else {
+            at = span.bytes.end;
+            block = span.blocks.end;
+        }
+    }
+    Ok((spans, blocks, agg))
+}
+
 impl ArchiveWorld {
     /// Load an archive dumped by [`crate::datasets::dump`] from `root`,
-    /// parsing every dataset from its native format, auto-detecting the
-    /// NDT shard encoding per shard. See [`ArchiveWorld::load_with`].
+    /// parsing every dataset from its native format, taking each NDT
+    /// container's encoding from the dump manifest. See
+    /// [`ArchiveWorld::load_with`].
     pub fn load(root: &Path) -> Result<ArchiveWorld> {
         ArchiveWorld::load_with(root, None)
     }
@@ -147,15 +376,15 @@ impl ArchiveWorld {
     /// Load an archive dumped by [`crate::datasets::dump_with`] from
     /// `root`, parsing every dataset from its native format.
     ///
-    /// NDT shards feed the aggregator in shard-plan order — the exact
-    /// observation sequence the in-memory aggregator saw — so the
-    /// order-sensitive P² estimators land in identical state. Each
-    /// shard's on-disk format is auto-detected (columnar `.ndtc` probed
-    /// first, then text `.tsv`); columnar shards are decoded on sweep
-    /// workers and merged through `observe_columns`, while text shards
-    /// are *streamed* through `ndt::stream_rows` without materializing
-    /// the file. Passing `Some(format)` in `expect` instead demands that
-    /// every shard be in that format and fails on the first that is not.
+    /// Each country's NDT container is read once and decoded on a sweep
+    /// worker — `.ndtc` blocks through borrowed `scan_counted` views,
+    /// text rows parsed in file order — into a partial aggregate and the
+    /// resident month table `/ndt` queries read from. Every group sees
+    /// the exact observation sequence the in-memory aggregator saw, so
+    /// the order-sensitive P² estimators land in identical state. Each
+    /// container's encoding is the one the dump manifest lists; passing
+    /// `Some(format)` in `expect` instead demands that every container
+    /// be in that format and fails on the first that is not.
     pub fn load_with(root: &Path, expect: Option<ShardFormat>) -> Result<ArchiveWorld> {
         let read = |rel: &str| -> Result<String> {
             fs::read_to_string(root.join(rel))
@@ -218,7 +447,7 @@ impl ArchiveWorld {
                     .map_err(|_| Error::parse("reachability file country", rel))?;
                 reachability.insert(cc, ReachabilitySeries::parse_tsv(&read(rel)?)?);
             }
-            // mlab/ shards are streamed below in plan order; traceroute
+            // mlab/ containers are decoded below in plan order; traceroute
             // samples and the manifest itself carry no battery state.
         }
 
@@ -228,64 +457,60 @@ impl ArchiveWorld {
             last_delegations,
         )?)?)?;
 
-        // Resolve each shard's on-disk format, then decode the columnar
-        // ones on sweep workers. The sequential merge below still runs in
-        // plan order, so both formats replay the identical observation
-        // sequence.
-        let plan = bandwidth::shard_plan(windows::mlab_start(), config.end);
-        let resolved: Vec<(String, ShardFormat)> = plan
-            .iter()
-            .map(|&shard| -> Result<(String, ShardFormat)> {
-                let format = match expect {
-                    Some(format) => format,
-                    None => {
-                        let columnar =
-                            crate::datasets::mlab_shard_path_with(shard, ShardFormat::Columnar);
-                        if root.join(&columnar).exists() {
-                            ShardFormat::Columnar
-                        } else {
-                            ShardFormat::Text
-                        }
-                    }
-                };
-                let rel = crate::datasets::mlab_shard_path_with(shard, format);
-                if root.join(&rel).exists() {
-                    Ok((rel, format))
-                } else {
-                    Err(Error::missing("NDT archive shard", &rel))
+        // One NDT container per planned country, named in the manifest —
+        // nothing is probed on disk. Each is read once and decoded on a
+        // sweep worker into its resident month table and a partial
+        // aggregate; the partials merge in plan order. Decoding checks
+        // that a container holds only its own country's planned months,
+        // so its groups are exactly its own and every group's P²
+        // estimator sees the observation sequence the in-memory
+        // aggregator saw.
+        let listed: BTreeSet<&str> = entries.iter().copied().collect();
+        let containers = country::lacnic_codes()
+            .map(|cc| -> Result<(CountryCode, String, ShardFormat)> {
+                let mut found = [ShardFormat::Columnar, ShardFormat::Text]
+                    .into_iter()
+                    .filter(|&f| expect.is_none() || expect == Some(f))
+                    .map(|f| (crate::datasets::mlab_container_path(cc, f), f))
+                    .filter(|(rel, _)| listed.contains(rel.as_str()));
+                match (found.next(), found.next()) {
+                    (Some((rel, format)), None) => Ok((cc, rel, format)),
+                    (None, _) => Err(Error::missing(
+                        "NDT archive container",
+                        crate::datasets::mlab_container_path(cc, expect.unwrap_or_default()),
+                    )),
+                    (Some(_), Some(_)) => Err(Error::invalid("two NDT containers for one country")),
                 }
             })
-            .collect::<Result<_>>()?;
+            .collect::<Result<Vec<_>>>()?;
+        let months: Vec<MonthStamp> = windows::mlab_start().through(config.end).collect();
         // Decode only the columns some registered consumer declared a
-        // need for — today the union is exactly the aggregate's three
-        // columns, so a v2 load skips over half the shard bytes.
+        // need for — today exactly the aggregate's three columns, so a
+        // columnar load skips over half the container bytes.
         let selection = ColumnSelection::columns(crate::registry::ndt_column_union());
-        let decoded = sweep::parallel_map_with(
-            sweep::worker_count(resolved.len()),
-            &resolved,
-            |(rel, format)| -> Option<Result<lacnet_mlab::ColumnBatch>> {
-                match format {
-                    ShardFormat::Text => None,
-                    ShardFormat::Columnar => Some(
-                        fs::read(root.join(rel))
-                            .map_err(|_| Error::missing("NDT archive shard", rel))
-                            .and_then(|bytes| columnar::read_batch(&bytes, &selection)),
-                    ),
-                }
+        let loaded = sweep::parallel_map_with(
+            sweep::worker_count(containers.len()),
+            &containers,
+            |(cc, rel, format)| {
+                let bytes = fs::read(root.join(rel))
+                    .map_err(|_| Error::missing("NDT archive container", rel.as_str()))?;
+                load_container(*cc, &bytes, *format, &months, &selection)
             },
         );
         let mut mlab = MonthlyAggregator::new(Mode::Streaming);
-        for ((rel, _), batch) in resolved.iter().zip(decoded) {
-            match batch {
-                Some(batch) => {
-                    mlab.observe_columns(&batch?);
-                }
-                None => {
-                    let file = fs::File::open(root.join(rel))
-                        .map_err(|_| Error::missing("NDT archive shard", rel))?;
-                    mlab.observe_reader(io::BufReader::new(file))?;
-                }
-            }
+        let mut ndt = BTreeMap::new();
+        for ((cc, rel, format), loaded) in containers.into_iter().zip(loaded) {
+            let (months, blocks, part) = loaded?;
+            mlab.merge(part)?;
+            ndt.insert(
+                cc,
+                NdtContainer {
+                    rel,
+                    format,
+                    months,
+                    blocks,
+                },
+            );
         }
 
         Ok(ArchiveWorld {
@@ -302,137 +527,38 @@ impl ArchiveWorld {
             cert_scans,
             top_sites,
             reachability,
-            ndt_index: crate::datasets::read_shard_index(root),
+            ndt,
             root: root.to_owned(),
             pfx2as_cache: SnapshotCache::new(),
             cone_cache: ConeCache::new(),
         })
     }
 
-    /// Resolve the shard file answering `(cc, month)`: the resident
-    /// shard index (parsed once at load) maps the label to its path and
-    /// day-span summary; pre-index trees fall back to probing both
-    /// encodings, columnar first (mirroring load-time auto-detection).
-    fn resolve_ndt_shard(
-        &self,
-        cc: CountryCode,
-        month: MonthStamp,
-    ) -> Option<(String, Option<(i64, i64)>)> {
-        let label = format!("{cc}/{month}");
-        if let Some(rec) = self.ndt_index.get(&label) {
-            return Some((rec.path.clone(), rec.days));
-        }
-        let shard = (cc, month);
-        let columnar_rel = crate::datasets::mlab_shard_path_with(shard, ShardFormat::Columnar);
-        if self.root.join(&columnar_rel).exists() {
-            return Some((columnar_rel, None));
-        }
-        let text_rel = crate::datasets::mlab_shard_path_with(shard, ShardFormat::Text);
-        self.root
-            .join(&text_rel)
-            .exists()
-            .then_some((text_rel, None))
-    }
-
-    /// Answer one `(country, month)` NDT query straight off the archive:
-    /// the shard index maps the query to its single shard file, and a v2
-    /// container decodes only the download column of the blocks whose
-    /// index entries match. `Ok(None)` when the archive holds no shard
-    /// for that pair.
+    /// Answer one `(country, month)` NDT query straight off the archive
+    /// — the one-month case of [`ArchiveWorld::ndt_range_stats`].
+    /// `Ok(None)` when the archive holds no such month.
     pub fn ndt_month_stats(
         &self,
         cc: CountryCode,
         month: MonthStamp,
     ) -> Result<Option<NdtMonthStats>> {
-        let Some((rel, _)) = self.resolve_ndt_shard(cc, month) else {
-            return Ok(None);
-        };
-        let mut scratch = DecodeScratch::new();
-        self.ndt_shard_stats(cc, month, &rel, &mut scratch)
+        Ok(self
+            .ndt_range_stats(cc, month, month)?
+            .months
+            .pop()
+            .map(|(_, stats)| stats))
     }
 
-    /// Decode one resolved shard — the shared per-shard body of the
-    /// single-month and range queries. v2 containers go through the
-    /// borrowed [`ColumnReaderRef::scan_counted`] path: download values
-    /// feed the order-sensitive P² estimator straight off the
-    /// [`lacnet_mlab::ColumnSlice`] view and dictionary columns land in
-    /// the caller's reusable scratch, so after warm-up the only
-    /// per-shard heap work is the file read itself.
-    fn ndt_shard_stats(
-        &self,
-        cc: CountryCode,
-        month: MonthStamp,
-        rel: &str,
-        scratch: &mut DecodeScratch,
-    ) -> Result<Option<NdtMonthStats>> {
-        let path = self.root.join(rel);
-        if !path.exists() {
-            return Ok(None);
-        }
-        let mut p2 = P2Quantile::median();
-        if rel.ends_with(".ndtc") {
-            let bytes = fs::read(&path).map_err(|_| Error::missing("NDT archive shard", rel))?;
-            if bytes.get(4) == Some(&columnar::VERSION_V2) {
-                let reader = ColumnReaderRef::open(&bytes)?;
-                let selection = ColumnSelection::columns(ColumnSet::DOWNLOAD).with_country(cc);
-                let mut rows = 0usize;
-                let read = reader.scan_counted(&selection, scratch, |view| {
-                    rows += view.download().len();
-                    for v in view.download().iter() {
-                        p2.observe(v);
-                    }
-                    Ok(())
-                })?;
-                Ok(Some(NdtMonthStats {
-                    rows,
-                    median_download: p2.value(),
-                    format: "columnar-v2",
-                    read,
-                }))
-            } else {
-                let batch = columnar::decode(&bytes)?;
-                for &v in batch.download() {
-                    p2.observe(v);
-                }
-                Ok(Some(NdtMonthStats {
-                    rows: batch.len(),
-                    median_download: p2.value(),
-                    format: "columnar-v1",
-                    read: ReadStats {
-                        blocks_total: 1,
-                        blocks_decoded: 1,
-                        bytes_decoded: bytes.len(),
-                        columns_decoded: 7,
-                    },
-                }))
-            }
-        } else {
-            let file =
-                fs::File::open(&path).map_err(|_| Error::missing("NDT archive shard", rel))?;
-            let mut rows = 0usize;
-            for row in lacnet_mlab::ndt::stream_rows(io::BufReader::new(file)) {
-                let row = row?;
-                if row.country == cc && row.date.month_stamp() == month {
-                    p2.observe(row.download_mbps);
-                    rows += 1;
-                }
-            }
-            Ok(Some(NdtMonthStats {
-                rows,
-                median_download: p2.value(),
-                format: "text",
-                read: ReadStats::default(),
-            }))
-        }
-    }
-
-    /// Answer a `(country, [from, to])` NDT range query: walk the
-    /// resident shard index once to build the shard plan, prune shards
-    /// whose indexed day span cannot intersect the window, fan the
-    /// surviving selective reads across `sweep` workers (one scratch
-    /// arena per shard), and merge in plan order so the result is
-    /// byte-stable at any worker count. `Err` on a reversed range;
-    /// months without data simply don't appear in the result.
+    /// Answer a `(country, [from, to])` NDT range query: plan the window
+    /// from the country's resident month table (pruning months whose
+    /// day span cannot intersect it), read the planned months' bytes with
+    /// one open, one seek and one contiguous read, and decode each month
+    /// (on sweep workers for large windows), folding in month order. A
+    /// `.ndtc` container decodes only the download
+    /// column of each month's blocks, straight off borrowed
+    /// [`lacnet_mlab::ColumnSlice`] views. `Err` on a reversed range or a
+    /// container that no longer matches its resident table; months the
+    /// archive does not hold simply don't appear in the result.
     pub fn ndt_range_stats(
         &self,
         cc: CountryCode,
@@ -442,74 +568,114 @@ impl ArchiveWorld {
         if from > to {
             return Err(Error::invalid("NDT range: from month after to month"));
         }
-        let lo = from.first_day().days_since_epoch();
-        let hi = to.last_day().days_since_epoch();
         let months_queried = (from.months_until(to) + 1) as usize;
-        let mut shards_pruned = 0usize;
-        let mut plan: Vec<(MonthStamp, String)> = Vec::new();
-        if self.ndt_index.is_empty() {
-            // Pre-index tree: no summaries to prune by — probe each
-            // month's shard paths directly.
-            for month in from.through(to) {
-                if let Some((rel, _)) = self.resolve_ndt_shard(cc, month) {
-                    plan.push((month, rel));
-                }
-            }
-        } else {
-            // One ordered walk over the country's slice of the resident
-            // index (`BTreeMap` range on the `CC/` label prefix). A
-            // shard stays in the plan only if its month is inside the
-            // window *and* its day-span summary can intersect it — a
-            // summary that proves otherwise (sparse or mislabeled data,
-            // or future partial live-ingested months) skips the file
-            // without opening it. Unknown spans are never pruned.
-            let prefix = format!("{cc}/");
-            for (label, rec) in self.ndt_index.range(prefix.clone()..) {
-                let Some(month) = label.strip_prefix(&prefix) else {
-                    break;
-                };
-                let Ok(month) = month.parse::<MonthStamp>() else {
-                    continue;
-                };
-                if month < from || month > to {
-                    continue;
-                }
-                match rec.days {
-                    Some((min_day, max_day)) if max_day < lo || min_day > hi => {
-                        shards_pruned += 1;
-                    }
-                    _ => plan.push((month, rec.path.clone())),
-                }
-            }
-        }
-        let results =
-            sweep::parallel_map_with(sweep::worker_count(plan.len()), &plan, |(month, rel)| {
-                let mut scratch = DecodeScratch::new();
-                self.ndt_shard_stats(cc, *month, rel, &mut scratch)
-            });
-        let mut months = Vec::with_capacity(plan.len());
-        let mut rows = 0usize;
-        let mut read = ReadStats::default();
-        let mut median_sum = 0.0;
-        let mut median_count = 0usize;
-        for ((month, _), result) in plan.into_iter().zip(results) {
-            let Some(stats) = result? else { continue };
-            rows += stats.rows;
-            read.absorb(stats.read);
-            if let Some(m) = stats.median_download {
-                median_sum += m;
-                median_count += 1;
-            }
-            months.push((month, stats));
-        }
-        Ok(NdtRangeStats {
+        let Some(container) = self.ndt.get(&cc) else {
+            return Ok(NdtRangeStats::merge(
+                Vec::new(),
+                months_queried,
+                0,
+                NdtIo::default(),
+            ));
+        };
+        let (plan, shards_pruned) = container.plan(from, to);
+        let (months, io) = self.read_months(cc, container, &plan)?;
+        Ok(NdtRangeStats::merge(
             months,
-            rows,
-            mean_monthly_median: (median_count > 0).then(|| median_sum / median_count as f64),
             months_queried,
             shards_pruned,
-            read,
+            io,
+        ))
+    }
+
+    /// Read and decode the planned months of one container, ascending.
+    fn read_months(
+        &self,
+        cc: CountryCode,
+        container: &NdtContainer,
+        plan: &[&MonthSpan],
+    ) -> Result<(Vec<(MonthStamp, NdtMonthStats)>, NdtIo)> {
+        let (Some(first), Some(last)) = (plan.first(), plan.last()) else {
+            return Ok((Vec::new(), NdtIo::default()));
+        };
+        let span = first.bytes.start..last.bytes.end;
+        let missing = || Error::missing("NDT archive container", container.rel.as_str());
+        let mut file = fs::File::open(self.root.join(&container.rel)).map_err(|_| missing())?;
+        // Size the buffer only once the file proves long enough for it.
+        let file_len = file.metadata().map_err(|_| missing())?.len();
+        if span.end as u64 > file_len {
+            return Err(Error::parse(
+                "NDT container at least as long as its resident month table",
+                &container.rel,
+            ));
+        }
+        let mut buf = vec![0u8; span.len()];
+        file.seek(SeekFrom::Start(span.start as u64))
+            .and_then(|_| file.read_exact(&mut buf))
+            .map_err(|e| Error::parse("NDT container read", &e.to_string()))?;
+        let io = NdtIo {
+            files_opened: 1,
+            bytes_read: buf.len(),
+        };
+        // Decoding (block CRCs, P² updates) costs more than the read, so
+        // a window large enough to amortise a thread spawn decodes its
+        // months on sweep workers; the answers stay in month order.
+        let workers = if buf.len() >= PARALLEL_DECODE_BYTES {
+            sweep::worker_count(plan.len())
+        } else {
+            1
+        };
+        let months = sweep::parallel_map_with(workers, plan, |m| {
+            let mut p2 = P2Quantile::median();
+            let mut rows = 0usize;
+            let bytes = &buf[m.bytes.start - span.start..m.bytes.end - span.start];
+            let (format, read) = match container.format {
+                ShardFormat::Columnar => {
+                    let blocks = &container.blocks[m.blocks.clone()];
+                    let reader = ColumnReader::window(bytes, m.bytes.start, blocks)?;
+                    let selection = ColumnSelection::columns(ColumnSet::DOWNLOAD).with_country(cc);
+                    let mut scratch = DecodeScratch::new();
+                    let read = reader.scan_counted(&selection, &mut scratch, |view| {
+                        rows += view.download().len();
+                        for v in view.download().iter() {
+                            p2.observe(v);
+                        }
+                        Ok(())
+                    })?;
+                    ("columnar-v2", read)
+                }
+                ShardFormat::Text => {
+                    for row in lacnet_mlab::ndt::stream_rows(bytes) {
+                        let row = row?;
+                        if row.country == cc && row.date.month_stamp() == m.month {
+                            rows += 1;
+                            p2.observe(row.download_mbps);
+                        }
+                    }
+                    ("text", ReadStats::default())
+                }
+            };
+            let stats = NdtMonthStats {
+                rows,
+                median_download: p2.value(),
+                format,
+                read,
+            };
+            Ok((m.month, stats))
         })
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
+        Ok((months, io))
+    }
+
+    /// Planned NDT months the archive holds per encoding:
+    /// `(text, columnar)`.
+    pub fn ndt_shard_counts(&self) -> (usize, usize) {
+        self.ndt
+            .values()
+            .fold((0, 0), |(text, columnar), c| match c.format {
+                ShardFormat::Text => (text + c.months.len(), columnar),
+                ShardFormat::Columnar => (text, columnar + c.months.len()),
+            })
     }
 
     /// The pfx2as table for `month`, parsed lazily from the monthly dump
@@ -569,8 +735,8 @@ impl<'w> DataSource<'w> {
         Ok(DataSource::Archive(Box::new(ArchiveWorld::load(root)?)))
     }
 
-    /// Load the archive backend, demanding a specific NDT shard format
-    /// (see [`ArchiveWorld::load_with`]). `None` auto-detects per shard.
+    /// Load the archive backend, demanding a specific NDT format (see
+    /// [`ArchiveWorld::load_with`]). `None` takes it from the manifest.
     pub fn from_archive_with(root: &Path, expect: Option<ShardFormat>) -> Result<Self> {
         Ok(DataSource::Archive(Box::new(ArchiveWorld::load_with(
             root, expect,
@@ -666,32 +832,28 @@ impl<'w> DataSource<'w> {
     }
 
     /// One `(country, month)` NDT query — the `/ndt/{cc}/{month}` serve
-    /// endpoint. In memory it reads the resident aggregate's group
-    /// state; on the archive it routes through the shard index and (for
-    /// v2 containers) decodes only the matching blocks' download column.
+    /// endpoint, and the one-month case of
+    /// [`DataSource::ndt_range_stats`]. `Ok(None)` when the backend
+    /// holds no such month.
     pub fn ndt_month_stats(
         &self,
         cc: CountryCode,
         month: MonthStamp,
     ) -> Result<Option<NdtMonthStats>> {
-        match self {
-            DataSource::InMemory(w) => Ok(w.mlab.group(cc, month).map(|g| NdtMonthStats {
-                rows: g.count(),
-                median_download: g.median(),
-                format: "in-memory",
-                read: ReadStats::default(),
-            })),
-            DataSource::Archive(a) => a.ndt_month_stats(cc, month),
-        }
+        Ok(self
+            .ndt_range_stats(cc, month, month)?
+            .months
+            .pop()
+            .map(|(_, stats)| stats))
     }
 
     /// A `(country, [from, to])` NDT range query — the
     /// `/ndt/{cc}?from=&to=` serve endpoint. The in-memory backend
-    /// walks the resident aggregate's groups; the archive backend
-    /// merges parallel per-shard selective reads in plan order (see
-    /// [`ArchiveWorld::ndt_range_stats`]). Both return per-month
-    /// entries equal to the corresponding single-month query. `Err` on
-    /// a reversed range.
+    /// walks the resident aggregate's groups; the archive backend reads
+    /// the window off its country's container (see
+    /// [`ArchiveWorld::ndt_range_stats`]). Both return per-month entries
+    /// equal to the corresponding single-month query. `Err` on a
+    /// reversed range.
     pub fn ndt_range_stats(
         &self,
         cc: CountryCode,
@@ -703,38 +865,26 @@ impl<'w> DataSource<'w> {
                 if from > to {
                     return Err(Error::invalid("NDT range: from month after to month"));
                 }
-                let mut months = Vec::new();
-                let mut rows = 0usize;
-                let mut median_sum = 0.0;
-                let mut median_count = 0usize;
-                let mut months_queried = 0usize;
-                for month in from.through(to) {
-                    months_queried += 1;
-                    let Some(g) = w.mlab.group(cc, month) else {
-                        continue;
-                    };
-                    let stats = NdtMonthStats {
-                        rows: g.count(),
-                        median_download: g.median(),
-                        format: "in-memory",
-                        read: ReadStats::default(),
-                    };
-                    rows += stats.rows;
-                    if let Some(m) = stats.median_download {
-                        median_sum += m;
-                        median_count += 1;
-                    }
-                    months.push((month, stats));
-                }
-                Ok(NdtRangeStats {
+                let months = from
+                    .through(to)
+                    .filter_map(|month| {
+                        let g = w.mlab.group(cc, month)?;
+                        let stats = NdtMonthStats {
+                            rows: g.count(),
+                            median_download: g.median(),
+                            format: "in-memory",
+                            read: ReadStats::default(),
+                        };
+                        Some((month, stats))
+                    })
+                    .collect();
+                let months_queried = (from.months_until(to) + 1) as usize;
+                Ok(NdtRangeStats::merge(
                     months,
-                    rows,
-                    mean_monthly_median: (median_count > 0)
-                        .then(|| median_sum / median_count as f64),
                     months_queried,
-                    shards_pruned: 0,
-                    read: ReadStats::default(),
-                })
+                    0,
+                    NdtIo::default(),
+                ))
             }
             DataSource::Archive(a) => a.ndt_range_stats(cc, from, to),
         }
@@ -743,7 +893,7 @@ impl<'w> DataSource<'w> {
     /// The inclusive month window the backend's NDT data can cover:
     /// `[mlab_start, config.end]` — the dataset's own generation window.
     /// The serve layer rejects range queries entirely outside it as
-    /// client errors before touching the cache or any shard.
+    /// client errors before touching the cache or any container.
     pub fn ndt_month_bounds(&self) -> (MonthStamp, MonthStamp) {
         (windows::mlab_start(), self.config().end)
     }
@@ -919,32 +1069,54 @@ mod tests {
         let stats = src
             .ndt_month_stats(country::VE, month)
             .expect("query succeeds")
-            .expect("shard exists");
+            .expect("month exists");
         assert_eq!(stats.format, "columnar-v2");
         assert!(stats.rows > 0);
-        // Only the download column of each matching block was decoded.
+        // Only the download column of the month's blocks was decoded, and
+        // only the month's blocks were read off disk.
         assert_eq!(stats.read.columns_decoded, stats.read.blocks_decoded);
         assert!(stats.read.blocks_decoded >= 1);
-        let shard_len = std::fs::read(dir.join("mlab/VE/ndt-2023-07.ndtc"))
-            .unwrap()
-            .len();
-        assert!(
-            stats.read.bytes_decoded < shard_len / 2,
-            "selective decode touched {} of {} shard bytes",
-            stats.read.bytes_decoded,
-            shard_len
+        let container = std::fs::read(dir.join("mlab/VE.ndtc")).unwrap();
+        let reader = lacnet_mlab::ColumnReader::open(&container).unwrap();
+        let (lo, hi) = (
+            month.first_day().days_since_epoch(),
+            month.last_day().days_since_epoch(),
         );
+        let month_blocks: Vec<&BlockEntry> = reader
+            .blocks()
+            .iter()
+            .filter(|b| b.day_span().0 >= lo && b.day_span().1 <= hi)
+            .collect();
+        let month_bytes: usize = month_blocks.iter().map(|b| b.byte_len()).sum();
+        assert_eq!(stats.read.blocks_total, month_blocks.len());
+        assert!(
+            stats.read.bytes_decoded < month_bytes / 2,
+            "selective decode touched {} of {month_bytes} month bytes",
+            stats.read.bytes_decoded,
+        );
+        let io = src.ndt_range_stats(country::VE, month, month).unwrap().io;
+        assert_eq!(io.files_opened, 1);
+        assert_eq!(io.bytes_read, month_bytes);
         let in_memory = DataSource::in_memory(world)
             .ndt_month_stats(country::VE, month)
             .unwrap()
             .unwrap();
         assert_eq!(stats.rows, in_memory.rows);
         assert_eq!(stats.median_download, in_memory.median_download);
-        // A month outside the archive answers None, not an error.
+        // A month outside the archive answers None, not an error, and
+        // touches no file.
         assert!(src
             .ndt_month_stats(country::VE, MonthStamp::new(1999, 1))
             .unwrap()
             .is_none());
+        let outside = src
+            .ndt_range_stats(
+                country::VE,
+                MonthStamp::new(1999, 1),
+                MonthStamp::new(1999, 6),
+            )
+            .unwrap();
+        assert_eq!(outside.io, NdtIo::default());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -980,7 +1152,7 @@ mod tests {
             let single = src
                 .ndt_month_stats(country::VE, month)
                 .unwrap()
-                .expect("shard exists for listed month");
+                .expect("listed month exists");
             assert_eq!(stats, &single, "{month}");
             rows += single.rows;
             read.absorb(single.read);
@@ -989,10 +1161,7 @@ mod tests {
         assert_eq!(range.read, read);
         assert_eq!(range.shards_pruned, 0);
 
-        // Worker-count determinism: the merge is in plan order, so the
-        // result is identical however the per-shard reads are scheduled
-        // (the sweep engine is already worker-count invariant; this
-        // pins the merge itself by re-running).
+        // Re-running reads and decodes the same bytes the same way.
         let again = src.ndt_range_stats(country::VE, from, to).unwrap();
         assert_eq!(again, range);
 
@@ -1016,33 +1185,48 @@ mod tests {
             .ndt_range_stats(country::VE, to, from)
             .is_err());
 
-        // Day-span pruning: rewrite one indexed month's summary so it
-        // provably cannot intersect the window. The reloaded archive
-        // must skip that shard without opening it — the summary is
-        // trusted for pruning, exactly like a v2 block index entry.
-        let index_path = dir.join(crate::datasets::MLAB_INDEX);
-        let text = std::fs::read_to_string(&index_path).unwrap();
-        let pruned_month = range.months[0].0;
-        let needle = format!("VE/{pruned_month}\t");
-        let rewritten: String = text
-            .lines()
-            .map(|l| {
-                if l.starts_with(&needle) {
-                    let mut cols: Vec<&str> = l.split('\t').collect();
-                    cols[4] = "0";
-                    cols[5] = "1";
-                    cols.join("\t") + "\n"
-                } else {
-                    l.to_owned() + "\n"
-                }
-            })
-            .collect();
-        std::fs::write(&index_path, rewritten).unwrap();
-        let reloaded = DataSource::from_archive(&dir).expect("archive reloads");
-        let pruned = reloaded.ndt_range_stats(country::VE, from, to).unwrap();
-        assert_eq!(pruned.shards_pruned, 1);
-        assert_eq!(pruned.months.len(), range.months.len() - 1);
-        assert!(pruned.months.iter().all(|(m, _)| *m != pruned_month));
+        // The whole window came off disk in one read of one file.
+        assert_eq!(range.io.files_opened, 1);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn month_plan_prunes_spans_that_cannot_meet_the_window() {
+        let span = |month: MonthStamp, days: Option<(i64, i64)>| MonthSpan {
+            month,
+            bytes: 0..0,
+            days,
+            blocks: 0..0,
+        };
+        let day = |y, m, d| Date::ymd(y, m, d).days_since_epoch();
+        let (jan, feb, mar) = (
+            MonthStamp::new(2020, 1),
+            MonthStamp::new(2020, 2),
+            MonthStamp::new(2020, 3),
+        );
+        let container = NdtContainer {
+            rel: "mlab/VE.ndtc".into(),
+            format: ShardFormat::Columnar,
+            months: vec![
+                span(jan, Some((day(2020, 1, 2), day(2020, 1, 30)))),
+                // A span that provably misses any window inside 2020.
+                span(feb, Some((day(2019, 2, 1), day(2019, 2, 3)))),
+                // No rows: never pruned.
+                span(mar, None),
+            ],
+            blocks: Vec::new(),
+        };
+        let (plan, pruned) = container.plan(jan, mar);
+        assert_eq!(pruned, 1);
+        assert_eq!(
+            plan.iter().map(|s| s.month).collect::<Vec<_>>(),
+            vec![jan, mar]
+        );
+        let (plan, pruned) = container.plan(feb, feb);
+        assert!(plan.is_empty());
+        assert_eq!(pruned, 1);
+        let (plan, pruned) = container.plan(MonthStamp::new(2021, 1), MonthStamp::new(2021, 5));
+        assert!(plan.is_empty());
+        assert_eq!(pruned, 0);
     }
 }

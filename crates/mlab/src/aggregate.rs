@@ -138,6 +138,51 @@ impl MonthlyAggregator {
         batch.len()
     }
 
+    /// Reduce one decoded block of an `.ndtc` scan, row order — the
+    /// borrowed twin of [`observe_columns`] that archive loads feed
+    /// straight from [`ColumnReader::scan_counted`]. The block must have
+    /// been scanned with at least [`REQUIRED_COLUMNS`]. Returns the rows
+    /// observed.
+    ///
+    /// [`observe_columns`]: MonthlyAggregator::observe_columns
+    /// [`ColumnReader::scan_counted`]: crate::columnar::ColumnReader::scan_counted
+    /// [`REQUIRED_COLUMNS`]: MonthlyAggregator::REQUIRED_COLUMNS
+    pub fn observe_block(&mut self, view: &crate::columnar::BlockView<'_, '_>) -> usize {
+        let mode = self.mode;
+        for ((&cc, &date), down) in view
+            .countries()
+            .iter()
+            .zip(view.dates())
+            .zip(view.download().iter())
+        {
+            let entry = self
+                .groups
+                .entry((cc, date.month_stamp()))
+                .or_insert_with(|| match mode {
+                    Mode::Streaming => GroupStats::Streaming(P2Quantile::median()),
+                    Mode::Exact => GroupStats::Exact(Vec::new()),
+                });
+            entry.observe(down);
+        }
+        view.rows()
+    }
+
+    /// Move every group of `other` into `self`. Archive loads aggregate
+    /// each country's container on its own sweep worker and merge the
+    /// partial aggregates here; a group present on both sides is a
+    /// typed error, because merging two P² states is not the state of
+    /// one observation sequence.
+    pub fn merge(&mut self, other: MonthlyAggregator) -> lacnet_types::Result<()> {
+        for (key, group) in other.groups {
+            if self.groups.insert(key, group).is_some() {
+                return Err(lacnet_types::Error::invalid(
+                    "NDT group observed by two partial aggregates",
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Number of `(country, month)` groups seen.
     pub fn group_count(&self) -> usize {
         self.groups.len()
@@ -314,7 +359,9 @@ mod tests {
             text.push_str(&r.to_row());
             text.push('\n');
         }
-        let batch = crate::columnar::decode(&crate::columnar::encode_rows(&rows)).unwrap();
+        let bytes =
+            crate::columnar::encode_v2_with(&crate::columnar::ColumnBatch::from_rows(&rows), 64);
+        let batch = crate::columnar::decode(&bytes).unwrap();
 
         let mut from_text = MonthlyAggregator::new(Mode::Streaming);
         from_text.observe_reader(text.as_bytes()).unwrap();
@@ -326,6 +373,30 @@ mod tests {
         // from 0.0), so string equality here is bit-level equality of
         // the full estimator state.
         assert_eq!(format!("{from_text:?}"), format!("{from_columns:?}"));
+
+        // The borrowed block path lands on the same state, and so do
+        // per-country partial aggregates merged afterwards.
+        let reader = crate::columnar::ColumnReader::open(&bytes).unwrap();
+        let selection =
+            crate::columnar::ColumnSelection::columns(MonthlyAggregator::REQUIRED_COLUMNS);
+        let mut scratch = crate::columnar::DecodeScratch::new();
+        let mut from_blocks = MonthlyAggregator::new(Mode::Streaming);
+        reader
+            .scan_counted(&selection, &mut scratch, |view| {
+                from_blocks.observe_block(view);
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!(format!("{from_text:?}"), format!("{from_blocks:?}"));
+        let mut merged = MonthlyAggregator::new(Mode::Streaming);
+        for cc in [country::BR, country::VE] {
+            let mut part = MonthlyAggregator::new(Mode::Streaming);
+            part.observe_all(rows.iter().filter(|r| r.country == cc));
+            merged.merge(part).unwrap();
+        }
+        assert_eq!(format!("{from_text:?}"), format!("{merged:?}"));
+        // A group on both sides cannot be merged.
+        assert!(merged.merge(from_blocks).is_err());
     }
 
     #[test]

@@ -1,38 +1,26 @@
-//! The `.ndtc` binary columnar shard container.
+//! The `.ndtc` binary columnar container.
 //!
-//! NDT shards are the largest artifact in a dump tree — at real scale the
-//! M-Lab corpus is multi-terabyte — and the text shards spend their cold
-//! load almost entirely in per-row float/date parsing. `.ndtc` stores one
-//! shard's rows as per-column blocks instead, so a cold load is bounded
-//! by disk bandwidth and a handful of `memcpy`-shaped decodes.
+//! NDT data is the largest artifact in a dump tree — at real scale the
+//! M-Lab corpus is multi-terabyte — and text rows spend their cold load
+//! almost entirely in per-row float/date parsing. `.ndtc` stores rows as
+//! per-column blocks instead, so a cold load is bounded by disk bandwidth
+//! and a handful of `memcpy`-shaped decodes.
 //!
-//! Two container versions exist. Version 1 (the PR 5 layout) is a single
-//! monolithic column group:
-//!
-//! ```text
-//! offset 0   magic  "NDTC"                  (4 bytes)
-//! offset 4   version                        (1 byte, = 1)
-//!            row count                      (uvarint)
-//!            7 column blocks, fixed order, each:
-//!              tag                          (1 byte)
-//!              payload length in bytes      (uvarint)
-//!              payload                      (see below)
-//! footer     row count                     (u64 little-endian)
-//!            CRC-32 of every preceding byte (u32 little-endian)
-//! ```
-//!
-//! Version 2 — what the writer emits today — splits the rows into
-//! independently decodable row groups and appends a footer index so a
-//! reader can seek straight to the blocks a query touches:
+//! A container is a run of independently decodable row-group blocks
+//! followed by a footer index, so a reader can seek straight to the
+//! blocks a query touches:
 //!
 //! ```text
 //! offset 0   magic  "NDTC"                  (4 bytes)
 //! offset 4   version                        (1 byte, = 2)
 //!            N row-group blocks, back to back, each:
 //!              row count                    (uvarint)
-//!              7 column groups, fixed order, tagged and
-//!              length-prefixed exactly like v1 (dictionaries and the
-//!              date delta chain restart per block)
+//!              7 column groups, fixed order, each:
+//!                tag                        (1 byte)
+//!                payload length in bytes    (uvarint)
+//!                payload                    (see below; dictionaries
+//!                                           and the date delta chain
+//!                                           restart per block)
 //! index      block count                    (uvarint)
 //!            per block:
 //!              byte offset from file start  (uvarint)
@@ -56,7 +44,15 @@
 //! query cost proportional to the rows it touches rather than to the
 //! archive size.
 //!
-//! Column payloads (`n` = row count of the enclosing group):
+//! An archive holds one container per country (`mlab/{CC}.ndtc`), built
+//! by [`assemble`] from one [`BlockRun`] per month in plan order. Blocks
+//! never straddle a month — a month with more than
+//! [`DEFAULT_BLOCK_ROWS`] rows takes several — so a month's blocks are
+//! byte-identical to a container holding that month alone, and a
+//! contiguous month window is a contiguous byte span that
+//! [`ColumnReader::window`] decodes without the rest of the file.
+//!
+//! Column payloads (`n` = row count of the enclosing block):
 //!
 //! * **dates** (tag 1) — days-since-epoch, delta-encoded: the first value
 //!   then successive differences, each a zigzag varint.
@@ -70,46 +66,43 @@
 //!   exactly, so the order-sensitive P² estimators observe the very same
 //!   values the text path parses from shortest-roundtrip decimal.
 //!
-//! **Format evolution rule:** readers reject any version byte other than
-//! [`VERSION_V1`] or [`VERSION_V2`]. A layout change — new column,
-//! different encoding, moved footer — must add a new version; the magic
-//! never changes meaning, and old versions stay readable (v1 containers
-//! decode forever). The `container_header_is_frozen` test pins the header
-//! bytes of both writers so a magic edit without a version bump fails CI.
+//! **Format evolution rule:** bump the version, reject unknown versions,
+//! keep the frozen-header guard. A layout change — new column, different
+//! encoding, moved footer — takes a new version byte; the magic never
+//! changes meaning; readers reject every version they do not implement
+//! (today: everything but [`VERSION`], including the retired
+//! single-block version 1) with a typed error. The
+//! `container_header_is_frozen` test pins the header bytes so a magic or
+//! version edit without a deliberate pin update fails CI.
 //!
 //! Every decode error is a typed [`Error`](lacnet_types::Error) — wrong
-//! magic, unknown version, truncated block, checksum mismatch, row-range
-//! violations — never a panic.
+//! magic, unsupported version, truncated block, checksum mismatch,
+//! row-range violations — never a panic.
 
 use crate::ndt::NdtTest;
 use lacnet_types::codec::{
-    crc32, f64_at, put_f64, put_ivarint, put_u32, put_u64, put_uvarint, read_f64, read_ivarint,
-    read_u32, read_u64, read_uvarint,
+    crc32, f64_at, put_f64, put_ivarint, put_u32, put_u64, put_uvarint, read_ivarint, read_u32,
+    read_u64, read_uvarint,
 };
 use lacnet_types::{Asn, CountryCode, Date, Error, Result};
-use std::io::Read;
+use std::borrow::Cow;
 
 /// The container magic, `NDTC`.
 pub const MAGIC: [u8; 4] = *b"NDTC";
 
-/// The legacy single-group container version (still fully readable).
-pub const VERSION_V1: u8 = 1;
+/// The one container version readers accept and [`assemble`] writes:
+/// indexed row-group blocks.
+pub const VERSION: u8 = 2;
 
-/// The indexed row-group container version — what [`encode_v2`] writes.
-pub const VERSION_V2: u8 = 2;
-
-/// Bytes of the fixed v1 footer: row count (u64) + CRC-32 (u32).
-const FOOTER_LEN: usize = 12;
-
-/// Bytes of the fixed v2 tail: index length (u32) + row count (u64) +
+/// Bytes of the fixed tail: index length (u32) + row count (u64) +
 /// index CRC-32 (u32).
-const V2_TAIL_LEN: usize = 16;
+const TAIL_LEN: usize = 16;
 
-/// Header bytes shared by both versions: magic + version byte.
+/// Header bytes: magic + version byte.
 const HEADER_LEN: usize = 5;
 
-/// Rows per v2 block when the writer isn't told otherwise. Small enough
-/// that a month shard at paper scale splits into many prunable groups,
+/// Rows per block when the writer isn't told otherwise. Small enough
+/// that a month at paper scale splits into many prunable groups,
 /// large enough that per-block dictionary and index overhead stays under
 /// a percent of the payload.
 pub const DEFAULT_BLOCK_ROWS: usize = 2048;
@@ -223,7 +216,7 @@ pub struct ColumnSelection {
 }
 
 impl ColumnSelection {
-    /// Decode every block and every column (the v1-equivalent read).
+    /// Decode every block and every column.
     pub fn all() -> ColumnSelection {
         ColumnSelection::columns(ColumnSet::ALL)
     }
@@ -406,10 +399,10 @@ impl ColumnBatch {
         &self.loss
     }
 
-    /// Column-wise mirror of [`NdtTest::validate`]: the decoder applies
-    /// exactly the range checks the text parser applies per row, so a
-    /// corrupt container cannot smuggle out-of-range values past the
-    /// aggregation that a corrupt text shard would have rejected.
+    /// Column-wise mirror of [`NdtTest::validate`] — the owned reference
+    /// decode in the tests applies it; the real read path applies the
+    /// same checks per [`BlockView`].
+    #[cfg(test)]
     fn validate(&self) -> Result<()> {
         if self.download.iter().chain(&self.upload).any(|&v| v < 0.0) {
             return Err(Error::invalid("negative throughput"));
@@ -425,13 +418,11 @@ impl ColumnBatch {
 }
 
 // ---------------------------------------------------------------------
-// Column payload codecs, shared by the v1 and v2 writers/readers. The
-// v1 byte stream is unchanged: these are the PR 5 encoders factored out
-// so a v2 row group is literally a v1 column section over a row slice.
+// Column payload codecs
 // ---------------------------------------------------------------------
 
-/// Delta-encode days-since-epoch. The delta chain starts from 0, so v2
-/// row groups (which call this per block) restart cleanly.
+/// Delta-encode days-since-epoch. The delta chain starts from 0, so
+/// every block restarts it cleanly.
 fn encode_date_payload(dates: &[Date], payload: &mut Vec<u8>) {
     let mut prev = 0i64;
     for d in dates {
@@ -442,7 +433,7 @@ fn encode_date_payload(dates: &[Date], payload: &mut Vec<u8>) {
 }
 
 /// Dictionary-encode alpha-2 codes, first-appearance order. Returns the
-/// dictionary so the v2 writer can summarize it in the footer index.
+/// dictionary so the writer can summarize it in the footer index.
 fn encode_country_payload(countries: &[CountryCode], payload: &mut Vec<u8>) -> Vec<CountryCode> {
     let mut dict: Vec<CountryCode> = Vec::new();
     let mut indices = Vec::with_capacity(countries.len());
@@ -515,14 +506,8 @@ fn decode_date_payload_into(block: &[u8], n: usize, out: &mut Vec<Date>) -> Resu
     Ok(())
 }
 
-fn decode_date_payload(block: &[u8], n: usize) -> Result<Vec<Date>> {
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    decode_date_payload_into(block, n, &mut out)?;
-    Ok(out)
-}
-
 /// Decode the country column into caller-owned value and dictionary
-/// vectors (both cleared first); the dictionary is exposed so v2 readers
+/// vectors (both cleared first); the dictionary is exposed so readers
 /// can cross-check the footer index's country summary.
 fn decode_country_payload_into(
     block: &[u8],
@@ -557,13 +542,6 @@ fn decode_country_payload_into(
     Ok(())
 }
 
-fn decode_country_payload(block: &[u8], n: usize) -> Result<(Vec<CountryCode>, Vec<CountryCode>)> {
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    let mut dict = Vec::new();
-    decode_country_payload_into(block, n, &mut out, &mut dict)?;
-    Ok((out, dict))
-}
-
 /// Decode the ASN column into caller-owned value and dictionary vectors
 /// (both cleared first).
 fn decode_asn_payload_into(
@@ -594,28 +572,9 @@ fn decode_asn_payload_into(
     Ok(())
 }
 
-fn decode_asn_payload(block: &[u8], n: usize) -> Result<Vec<Asn>> {
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    let mut dict = Vec::new();
-    decode_asn_payload_into(block, n, &mut out, &mut dict)?;
-    Ok(out)
-}
-
-fn decode_float_payload(block: &[u8], n: usize) -> Result<Vec<f64>> {
-    if block.len() != n * 8 {
-        return Err(Error::parse("ndtc float column (wrong size)", ""));
-    }
-    let mut out = Vec::with_capacity(n);
-    let mut pos = 0;
-    for _ in 0..n {
-        out.push(read_f64(block, &mut pos)?);
-    }
-    Ok(out)
-}
-
 /// Append the seven tagged, length-prefixed column sections for a row
-/// slice of `batch` — the shared body layout of a v1 container and of
-/// one v2 row group. Returns the country dictionary of the slice.
+/// slice of `batch` — the body of one row-group block. Returns the
+/// country dictionary of the slice.
 fn encode_column_sections(
     batch: &ColumnBatch,
     range: std::ops::Range<usize>,
@@ -652,7 +611,7 @@ fn encode_column_sections(
 }
 
 /// Slice the seven tagged column sections starting at `*pos`, advancing
-/// past them. Shared by the v1 body walk and the per-group v2 walk.
+/// past them.
 fn split_column_sections<'b>(buf: &'b [u8], pos: &mut usize) -> Result<[&'b [u8]; 7]> {
     let mut sections: [&[u8]; 7] = [&[]; 7];
     for (slot, &tag) in sections.iter_mut().zip(&TAGS) {
@@ -676,136 +635,94 @@ fn split_column_sections<'b>(buf: &'b [u8], pos: &mut usize) -> Result<[&'b [u8]
 }
 
 // ---------------------------------------------------------------------
-// v1 writer/reader (legacy, byte-frozen)
+// Writer
 // ---------------------------------------------------------------------
 
-/// Encode rows as one legacy (v1) `.ndtc` container. Kept for the
-/// compatibility matrix and `lacnet-gen --ndtc-v1`; new dumps use
-/// [`encode_rows_v2`].
-pub fn encode_rows(rows: &[NdtTest]) -> Vec<u8> {
-    encode(&ColumnBatch::from_rows(rows))
+/// Row-group blocks encoded for one run of rows — one `(country, month)`
+/// of an archive container — before they are placed in a container.
+/// Block offsets are relative to the run's first byte; [`assemble`]
+/// shifts them to their place in the file. Encoding runs independently
+/// is what lets a dump encode every month on a sweep worker and still
+/// produce the exact bytes a single-writer pass would.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BlockRun {
+    bytes: Vec<u8>,
+    blocks: Vec<BlockEntry>,
 }
 
-/// Encode a column batch as one legacy (v1) `.ndtc` container.
-pub fn encode(batch: &ColumnBatch) -> Vec<u8> {
-    let n = batch.len();
-    let mut out = Vec::with_capacity(64 + n * 36);
+impl BlockRun {
+    /// Encode `rows` in [`DEFAULT_BLOCK_ROWS`]-row blocks.
+    pub fn encode(rows: &[NdtTest]) -> BlockRun {
+        BlockRun::encode_with(&ColumnBatch::from_rows(rows), DEFAULT_BLOCK_ROWS)
+    }
+
+    /// Encode with an explicit block size (rows per block). Tests use
+    /// tiny blocks to exercise pruning; `block_rows` is clamped to ≥ 1.
+    /// An empty batch encodes to an empty run (no blocks).
+    pub fn encode_with(batch: &ColumnBatch, block_rows: usize) -> BlockRun {
+        let block_rows = block_rows.max(1);
+        let n = batch.len();
+        let mut run = BlockRun {
+            bytes: Vec::with_capacity(n * 36),
+            blocks: Vec::with_capacity(n.div_ceil(block_rows)),
+        };
+        let mut start = 0usize;
+        while start < n {
+            let end = (start + block_rows).min(n);
+            let offset = run.bytes.len();
+            put_uvarint(&mut run.bytes, (end - start) as u64);
+            let countries = encode_column_sections(batch, start..end, &mut run.bytes);
+            let days = batch.dates[start..end].iter().map(|d| d.days_since_epoch());
+            run.blocks.push(BlockEntry {
+                offset,
+                len: run.bytes.len() - offset,
+                rows: end - start,
+                min_days: days.clone().min().expect("non-empty block"),
+                max_days: days.max().expect("non-empty block"),
+                crc: crc32(&run.bytes[offset..]),
+                countries,
+            });
+            start = end;
+        }
+        run
+    }
+
+    /// Rows across the run's blocks.
+    pub fn rows(&self) -> usize {
+        self.blocks.iter().map(|b| b.rows).sum()
+    }
+
+    /// The run's blocks (offsets relative to the run).
+    pub fn blocks(&self) -> &[BlockEntry] {
+        &self.blocks
+    }
+
+    /// Min/max days-since-epoch across the run; `None` when empty.
+    pub fn day_span(&self) -> Option<(i64, i64)> {
+        day_span(&self.blocks)
+    }
+}
+
+/// Place `runs` back to back in one container, followed by the footer
+/// index over all their blocks in order.
+pub fn assemble<'r>(runs: impl IntoIterator<Item = &'r BlockRun>) -> Vec<u8> {
+    let runs: Vec<&BlockRun> = runs.into_iter().collect();
+    let body: usize = runs.iter().map(|r| r.bytes.len()).sum();
+    let mut out = Vec::with_capacity(HEADER_LEN + body + 64 * runs.len() + TAIL_LEN);
     out.extend_from_slice(&MAGIC);
-    out.push(VERSION_V1);
-    put_uvarint(&mut out, n as u64);
-    encode_column_sections(batch, 0..n, &mut out);
-    // Footer: row count again, then the CRC over everything before it.
-    put_u64(&mut out, n as u64);
-    let crc = crc32(&out);
-    put_u32(&mut out, crc);
-    out
-}
-
-fn decode_v1(bytes: &[u8]) -> Result<ColumnBatch> {
-    // Verify the footer before trusting any block length.
-    let crc_at = bytes.len() - 4;
-    let mut pos = crc_at;
-    let stored_crc = read_u32(bytes, &mut pos)?;
-    if crc32(&bytes[..crc_at]) != stored_crc {
-        return Err(Error::parse("ndtc checksum (corrupt container)", ""));
-    }
-    let mut pos = bytes.len() - FOOTER_LEN;
-    let footer_rows = read_u64(bytes, &mut pos)?;
-
-    let body = &bytes[..bytes.len() - FOOTER_LEN];
-    let mut pos = HEADER_LEN;
-    let n = read_uvarint(body, &mut pos)?;
-    if n != footer_rows {
-        return Err(Error::parse(
-            "ndtc footer row count",
-            &footer_rows.to_string(),
-        ));
-    }
-    let n = usize::try_from(n).map_err(|_| Error::parse("ndtc row count", ""))?;
-    // A row costs at least one byte in every varint column; anything
-    // claiming more rows than bytes is corrupt, caught before allocating.
-    if n > body.len() {
-        return Err(Error::parse("ndtc row count (exceeds container size)", ""));
-    }
-
-    let sections = split_column_sections(body, &mut pos)?;
-    if pos != body.len() {
-        return Err(Error::parse("ndtc container (trailing bytes)", ""));
-    }
-
-    let batch = ColumnBatch {
-        dates: decode_date_payload(sections[0], n)?,
-        countries: decode_country_payload(sections[1], n)?.0,
-        asns: decode_asn_payload(sections[2], n)?,
-        download: decode_float_payload(sections[3], n)?,
-        upload: decode_float_payload(sections[4], n)?,
-        min_rtt: decode_float_payload(sections[5], n)?,
-        loss: decode_float_payload(sections[6], n)?,
-    };
-    batch.validate()?;
-    Ok(batch)
-}
-
-// ---------------------------------------------------------------------
-// v2 writer
-// ---------------------------------------------------------------------
-
-/// Encode rows as one indexed (v2) `.ndtc` container with
-/// [`DEFAULT_BLOCK_ROWS`] rows per block.
-pub fn encode_rows_v2(rows: &[NdtTest]) -> Vec<u8> {
-    encode_v2(&ColumnBatch::from_rows(rows))
-}
-
-/// Encode a column batch as one indexed (v2) `.ndtc` container.
-pub fn encode_v2(batch: &ColumnBatch) -> Vec<u8> {
-    encode_v2_with(batch, DEFAULT_BLOCK_ROWS)
-}
-
-/// Encode with an explicit block size (rows per row group). Tests use
-/// tiny blocks to exercise pruning; `block_rows` is clamped to ≥ 1.
-pub fn encode_v2_with(batch: &ColumnBatch, block_rows: usize) -> Vec<u8> {
-    let block_rows = block_rows.max(1);
-    let n = batch.len();
-    let mut out = Vec::with_capacity(64 + n * 36);
-    out.extend_from_slice(&MAGIC);
-    out.push(VERSION_V2);
-
-    struct Pending {
-        offset: usize,
-        len: usize,
-        rows: usize,
-        min_days: i64,
-        max_days: i64,
-        crc: u32,
-        countries: Vec<CountryCode>,
-    }
-    let mut entries: Vec<Pending> = Vec::new();
-    let mut start = 0usize;
-    while start < n {
-        let end = (start + block_rows).min(n);
-        let offset = out.len();
-        put_uvarint(&mut out, (end - start) as u64);
-        let dict = encode_column_sections(batch, start..end, &mut out);
-        let days = batch.dates[start..end].iter().map(|d| d.days_since_epoch());
-        let min_days = days.clone().min().expect("non-empty block");
-        let max_days = days.max().expect("non-empty block");
-        let crc = crc32(&out[offset..]);
-        entries.push(Pending {
-            offset,
-            len: out.len() - offset,
-            rows: end - start,
-            min_days,
-            max_days,
-            crc,
-            countries: dict,
-        });
-        start = end;
+    out.push(VERSION);
+    let mut entries = Vec::with_capacity(runs.iter().map(|r| r.blocks.len()).sum());
+    for run in &runs {
+        let base = out.len();
+        out.extend_from_slice(&run.bytes);
+        entries.extend(run.blocks.iter().map(|b| (base + b.offset, b)));
     }
 
     let index_start = out.len();
     put_uvarint(&mut out, entries.len() as u64);
-    for e in &entries {
-        put_uvarint(&mut out, e.offset as u64);
+    let mut total_rows = 0u64;
+    for (offset, e) in entries {
+        put_uvarint(&mut out, offset as u64);
         put_uvarint(&mut out, e.len as u64);
         put_uvarint(&mut out, e.rows as u64);
         put_ivarint(&mut out, e.min_days);
@@ -815,15 +732,28 @@ pub fn encode_v2_with(batch: &ColumnBatch, block_rows: usize) -> Vec<u8> {
         for cc in &e.countries {
             out.extend_from_slice(cc.as_str().as_bytes());
         }
+        total_rows += e.rows as u64;
     }
     let index_len = out.len() - index_start;
     put_u32(&mut out, index_len as u32);
-    put_u64(&mut out, n as u64);
+    put_u64(&mut out, total_rows);
     // The tail CRC covers the index plus the two tail fields before it,
     // so open() validates everything it uses for seeking in one pass.
     let crc = crc32(&out[index_start..]);
     put_u32(&mut out, crc);
     out
+}
+
+/// Encode a column batch as one container with [`DEFAULT_BLOCK_ROWS`]
+/// rows per block.
+pub fn encode_v2(batch: &ColumnBatch) -> Vec<u8> {
+    encode_v2_with(batch, DEFAULT_BLOCK_ROWS)
+}
+
+/// Encode a column batch as one container with `block_rows` rows per
+/// block — a single-run [`assemble`].
+pub fn encode_v2_with(batch: &ColumnBatch, block_rows: usize) -> Vec<u8> {
+    assemble(&[BlockRun::encode_with(batch, block_rows)])
 }
 
 // ---------------------------------------------------------------------
@@ -976,10 +906,10 @@ impl<'a, 's> BlockView<'a, 's> {
         self.loss
     }
 
-    /// Block-wise mirror of `ColumnBatch::validate`: the same range
-    /// checks the owned path applies, evaluated over the borrowed
-    /// views, so a corrupt container cannot smuggle out-of-range values
-    /// past a zero-copy consumer either.
+    /// Block-wise mirror of [`NdtTest::validate`]: the decoder applies
+    /// exactly the range checks the text parser applies per row, so a
+    /// corrupt container cannot smuggle out-of-range values past the
+    /// aggregation that a corrupt text row would have been rejected at.
     fn validate(&self) -> Result<()> {
         if self
             .download
@@ -1000,13 +930,15 @@ impl<'a, 's> BlockView<'a, 's> {
 }
 
 // ---------------------------------------------------------------------
-// v2 reader
+// Reader
 // ---------------------------------------------------------------------
 
 /// One footer-index entry: where a row-group block lives and what it
-/// can contain.
-#[derive(Debug, Clone)]
-struct BlockEntry {
+/// can contain. Archive loaders keep a container's entries resident and
+/// later decode month windows through [`ColumnReader::window`] without
+/// re-reading the footer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BlockEntry {
     offset: usize,
     len: usize,
     rows: usize,
@@ -1016,37 +948,84 @@ struct BlockEntry {
     countries: Vec<CountryCode>,
 }
 
-/// A validated view over a v2 container held in a caller-owned buffer.
+impl BlockEntry {
+    /// Byte offset of the block from the start of its container (or of
+    /// its [`BlockRun`], before assembly).
+    pub fn offset(&self) -> usize {
+        self.offset
+    }
+
+    /// Byte length of the block.
+    pub fn byte_len(&self) -> usize {
+        self.len
+    }
+
+    /// Rows in the block.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Min/max test day (days since epoch) across the block's rows.
+    pub fn day_span(&self) -> (i64, i64) {
+        (self.min_days, self.max_days)
+    }
+
+    /// The distinct client countries in the block, first-appearance
+    /// order.
+    pub fn countries(&self) -> &[CountryCode] {
+        &self.countries
+    }
+}
+
+/// Min/max days-since-epoch across `blocks`; `None` when there are none.
+fn day_span(blocks: &[BlockEntry]) -> Option<(i64, i64)> {
+    let min = blocks.iter().map(|b| b.min_days).min()?;
+    let max = blocks.iter().map(|b| b.max_days).max()?;
+    Some((min, max))
+}
+
+/// A validated view over container bytes held in a caller-owned buffer:
+/// a whole container ([`ColumnReader::open`]) or a byte window of one
+/// ([`ColumnReader::window`]).
 ///
-/// [`ColumnReader::open`] parses the header and the CRC-protected footer
-/// index only — no block bytes are touched. [`ColumnReader::read`] then
-/// decodes exactly the blocks and columns a [`ColumnSelection`] asks
-/// for, verifying each decoded block's own CRC on the way.
+/// Opening parses the header and the CRC-protected footer index only —
+/// no block bytes are touched. [`ColumnReader::read`] and
+/// [`ColumnReader::scan_counted`] then decode exactly the blocks and
+/// columns a [`ColumnSelection`] asks for, verifying each decoded
+/// block's own CRC on the way.
 pub struct ColumnReader<'a> {
     bytes: &'a [u8],
+    /// Container offset of `bytes[0]`: 0 for a whole container, the
+    /// window's first byte otherwise.
+    base: usize,
     rows: usize,
-    blocks: Vec<BlockEntry>,
+    blocks: Cow<'a, [BlockEntry]>,
 }
 
 impl<'a> ColumnReader<'a> {
-    /// Validate the header and footer index of a v2 container. Typed
-    /// errors for wrong magic, non-v2 versions (v1 containers go through
-    /// [`decode`]), truncation, index corruption, and any index entry
-    /// whose geometry doesn't tile the block region exactly.
+    /// Validate the header and footer index of a container. Typed errors
+    /// for wrong magic, unsupported versions (the retired version 1
+    /// included), truncation, index corruption, and any index entry whose
+    /// geometry doesn't tile the block region exactly — so every block
+    /// offset and length is proven to lie inside `bytes` before anything
+    /// is sized or sliced from it.
     pub fn open(bytes: &'a [u8]) -> Result<ColumnReader<'a>> {
-        if bytes.len() < HEADER_LEN + V2_TAIL_LEN {
+        if bytes.len() < HEADER_LEN {
             return Err(Error::parse("ndtc container (truncated)", ""));
         }
         if bytes[..4] != MAGIC {
             return Err(Error::parse("ndtc magic", &format!("{:02x?}", &bytes[..4])));
         }
-        if bytes[4] != VERSION_V2 {
+        if bytes[4] != VERSION {
             return Err(Error::parse(
-                "ndtc version 2 (ColumnReader reads only indexed containers)",
+                "ndtc version 2 (unsupported container version)",
                 &bytes[4].to_string(),
             ));
         }
-        let tail_at = bytes.len() - V2_TAIL_LEN;
+        if bytes.len() < HEADER_LEN + TAIL_LEN {
+            return Err(Error::parse("ndtc container (truncated)", ""));
+        }
+        let tail_at = bytes.len() - TAIL_LEN;
         let mut pos = tail_at;
         let index_len = read_u32(bytes, &mut pos)? as usize;
         let total_rows = read_u64(bytes, &mut pos)?;
@@ -1054,9 +1033,9 @@ impl<'a> ColumnReader<'a> {
         let index_start = tail_at
             .checked_sub(index_len)
             .filter(|&s| s >= HEADER_LEN)
-            .ok_or_else(|| Error::parse("ndtc v2 index length", &index_len.to_string()))?;
+            .ok_or_else(|| Error::parse("ndtc index length", &index_len.to_string()))?;
         if crc32(&bytes[index_start..bytes.len() - 4]) != stored_crc {
-            return Err(Error::parse("ndtc v2 index checksum (corrupt index)", ""));
+            return Err(Error::parse("ndtc index checksum (corrupt index)", ""));
         }
 
         let index = &bytes[index_start..tail_at];
@@ -1066,7 +1045,7 @@ impl<'a> ColumnReader<'a> {
         let count = usize::try_from(count)
             .ok()
             .filter(|&c| c <= index.len())
-            .ok_or_else(|| Error::parse("ndtc v2 block count", ""))?;
+            .ok_or_else(|| Error::parse("ndtc block count", ""))?;
         let mut blocks = Vec::with_capacity(count);
         let mut expected_offset = HEADER_LEN;
         let mut rows_sum = 0u64;
@@ -1085,34 +1064,34 @@ impl<'a> ColumnReader<'a> {
                     usize::try_from(rows).ok()?,
                 ))
             })()
-            .ok_or_else(|| Error::parse("ndtc v2 index entry", ""))?;
+            .ok_or_else(|| Error::parse("ndtc index entry", ""))?;
             if rows == 0 || min_days > max_days {
-                return Err(Error::parse("ndtc v2 index entry", ""));
+                return Err(Error::parse("ndtc index entry", ""));
             }
             let cc_count = usize::try_from(cc_count)
                 .ok()
                 .filter(|&c| c >= 1 && c <= rows)
-                .ok_or_else(|| Error::parse("ndtc v2 country summary", ""))?;
+                .ok_or_else(|| Error::parse("ndtc country summary", ""))?;
             let mut countries = Vec::with_capacity(cc_count.min(256));
             for _ in 0..cc_count {
                 let end = pos
                     .checked_add(2)
                     .filter(|&e| e <= index.len())
-                    .ok_or_else(|| Error::parse("ndtc v2 country summary (truncated)", ""))?;
+                    .ok_or_else(|| Error::parse("ndtc country summary (truncated)", ""))?;
                 let s = std::str::from_utf8(&index[pos..end])
-                    .map_err(|_| Error::parse("ndtc v2 country summary entry", ""))?;
+                    .map_err(|_| Error::parse("ndtc country summary entry", ""))?;
                 countries.push(CountryCode::new(s)?);
                 pos = end;
             }
             // Blocks must tile [header, index) exactly, in order — the
             // index cannot point a reader at overlapping or stray bytes.
             if offset != expected_offset {
-                return Err(Error::parse("ndtc v2 block offset (not contiguous)", ""));
+                return Err(Error::parse("ndtc block offset (not contiguous)", ""));
             }
             expected_offset = offset
                 .checked_add(len)
                 .filter(|&e| e <= index_start)
-                .ok_or_else(|| Error::parse("ndtc v2 block length (out of bounds)", ""))?;
+                .ok_or_else(|| Error::parse("ndtc block length (out of bounds)", ""))?;
             rows_sum += rows as u64;
             blocks.push(BlockEntry {
                 offset,
@@ -1125,10 +1104,10 @@ impl<'a> ColumnReader<'a> {
             });
         }
         if pos != index.len() {
-            return Err(Error::parse("ndtc v2 index (trailing bytes)", ""));
+            return Err(Error::parse("ndtc index (trailing bytes)", ""));
         }
         if expected_offset != index_start {
-            return Err(Error::parse("ndtc v2 index (blocks do not cover body)", ""));
+            return Err(Error::parse("ndtc index (blocks do not cover body)", ""));
         }
         if rows_sum != total_rows {
             return Err(Error::parse(
@@ -1139,19 +1118,58 @@ impl<'a> ColumnReader<'a> {
         let rows = usize::try_from(total_rows).map_err(|_| Error::parse("ndtc row count", ""))?;
         Ok(ColumnReader {
             bytes,
+            base: 0,
             rows,
-            blocks,
+            blocks: Cow::Owned(blocks),
         })
     }
 
-    /// Total rows in the container (from the validated footer).
+    /// A reader over a byte window of a container whose footer was
+    /// validated earlier: `bytes` holds the container's bytes starting at
+    /// offset `base`, and `blocks` are entries from that footer (in
+    /// container order). A typed error if any block falls outside the
+    /// window — say, the file changed since its footer was read.
+    pub fn window(
+        bytes: &'a [u8],
+        base: usize,
+        blocks: &'a [BlockEntry],
+    ) -> Result<ColumnReader<'a>> {
+        let mut rows = 0usize;
+        for b in blocks {
+            b.offset
+                .checked_sub(base)
+                .and_then(|start| start.checked_add(b.len))
+                .filter(|&end| end <= bytes.len())
+                .ok_or_else(|| Error::parse("ndtc block (outside the read window)", ""))?;
+            rows += b.rows;
+        }
+        Ok(ColumnReader {
+            bytes,
+            base,
+            rows,
+            blocks: Cow::Borrowed(blocks),
+        })
+    }
+
+    /// Total rows across the reader's blocks.
     pub fn rows(&self) -> usize {
         self.rows
     }
 
-    /// Row-group blocks listed in the footer index.
+    /// Row-group blocks the reader covers.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
+    }
+
+    /// The reader's footer-index entries, container order.
+    pub fn blocks(&self) -> &[BlockEntry] {
+        &self.blocks
+    }
+
+    /// The reader's footer-index entries, owned — what an archive keeps
+    /// resident to decode month windows later.
+    pub fn into_blocks(self) -> Vec<BlockEntry> {
+        self.blocks.into_owned()
     }
 
     /// Decode the blocks and columns `selection` asks for.
@@ -1206,19 +1224,22 @@ impl<'a> ColumnReader<'a> {
             ..ReadStats::default()
         };
         let want = selection.columns;
-        for entry in &self.blocks {
+        for entry in self.blocks.iter() {
             if !selection.matches(entry) {
                 continue;
             }
             stats.blocks_decoded += 1;
-            let block = &self.bytes[entry.offset..entry.offset + entry.len];
+            // In range by construction (`open` tiles the body, `window`
+            // bounds every block), so plain slicing cannot panic.
+            let start = entry.offset - self.base;
+            let block = &self.bytes[start..start + entry.len];
             if crc32(block) != entry.crc {
                 return Err(Error::parse("ndtc checksum (corrupt block)", ""));
             }
             let mut pos = 0;
             let n = read_uvarint(block, &mut pos)?;
             if n != entry.rows as u64 {
-                return Err(Error::parse("ndtc v2 block row count", &n.to_string()));
+                return Err(Error::parse("ndtc block row count", &n.to_string()));
             }
             let n = entry.rows;
             let sections = split_column_sections(block, &mut pos)?;
@@ -1238,7 +1259,7 @@ impl<'a> ColumnReader<'a> {
                 let days = scratch.dates.iter().map(|d| d.days_since_epoch());
                 if days.clone().min() != Some(entry.min_days) || days.max() != Some(entry.max_days)
                 {
-                    return Err(Error::parse("ndtc v2 index date span (mismatch)", ""));
+                    return Err(Error::parse("ndtc index date span (mismatch)", ""));
                 }
             }
             if want.contains(ColumnSet::COUNTRIES) {
@@ -1250,7 +1271,7 @@ impl<'a> ColumnReader<'a> {
                     &mut scratch.country_dict,
                 )?;
                 if scratch.country_dict != entry.countries {
-                    return Err(Error::parse("ndtc v2 index country summary (mismatch)", ""));
+                    return Err(Error::parse("ndtc index country summary (mismatch)", ""));
                 }
             }
             if want.contains(ColumnSet::ASNS) {
@@ -1286,13 +1307,10 @@ impl<'a> ColumnReader<'a> {
         Ok(stats)
     }
 
-    /// The min/max days-since-epoch across every block, straight from
-    /// the validated footer index — `None` for an empty container. What
-    /// the archive-level shard index records for range pruning.
+    /// The min/max days-since-epoch across the reader's blocks, straight
+    /// from the validated footer index — `None` when it has no blocks.
     pub fn day_span(&self) -> Option<(i64, i64)> {
-        let min = self.blocks.iter().map(|b| b.min_days).min()?;
-        let max = self.blocks.iter().map(|b| b.max_days).max()?;
-        Some((min, max))
+        day_span(&self.blocks)
     }
 }
 
@@ -1303,115 +1321,23 @@ impl<'a> ColumnReader<'a> {
 /// [`DecodeScratch`] and consume [`BlockView`]s.
 pub type ColumnReaderRef<'a> = ColumnReader<'a>;
 
-// ---------------------------------------------------------------------
-// Version-dispatching entry points
-// ---------------------------------------------------------------------
-
-/// Decode one `.ndtc` container fully, either version. Rejects wrong
-/// magic, unknown versions, truncated or oversized blocks,
-/// footer/checksum mismatches and out-of-range row values — all as
-/// typed errors.
+/// Decode one `.ndtc` container fully. Rejects wrong magic, unsupported
+/// versions, truncated or oversized blocks, footer/checksum mismatches
+/// and out-of-range row values — all as typed errors.
 pub fn decode(bytes: &[u8]) -> Result<ColumnBatch> {
     read_batch(bytes, &ColumnSelection::all())
 }
 
-/// Decode one `.ndtc` container through a [`ColumnSelection`]. Version 2
-/// containers decode selectively; version 1 containers have no index, so
-/// the selection falls back to a full decode (correct, just not lazy).
+/// Decode one `.ndtc` container through a [`ColumnSelection`]: only the
+/// blocks and columns it asks for.
 pub fn read_batch(bytes: &[u8], selection: &ColumnSelection) -> Result<ColumnBatch> {
-    if bytes.len() < HEADER_LEN {
-        return Err(Error::parse("ndtc container (truncated)", ""));
-    }
-    if bytes[..4] != MAGIC {
-        return Err(Error::parse("ndtc magic", &format!("{:02x?}", &bytes[..4])));
-    }
-    match bytes[4] {
-        VERSION_V1 => {
-            if bytes.len() < HEADER_LEN + FOOTER_LEN {
-                return Err(Error::parse("ndtc container (truncated)", ""));
-            }
-            decode_v1(bytes)
-        }
-        VERSION_V2 => ColumnReader::open(bytes)?.read(selection),
-        v => Err(Error::parse(
-            "ndtc version 1 or 2 (readers reject unknown versions)",
-            &v.to_string(),
-        )),
-    }
-}
-
-/// Cheap container census without decoding row data: `(rows, blocks)`.
-/// A v1 container reports one block; a v2 container reports its indexed
-/// block count. Used to build the archive-level shard index.
-pub fn container_stats(bytes: &[u8]) -> Result<(u64, u64)> {
-    if bytes.len() < HEADER_LEN {
-        return Err(Error::parse("ndtc container (truncated)", ""));
-    }
-    if bytes[..4] != MAGIC {
-        return Err(Error::parse("ndtc magic", &format!("{:02x?}", &bytes[..4])));
-    }
-    match bytes[4] {
-        VERSION_V1 => {
-            if bytes.len() < HEADER_LEN + FOOTER_LEN {
-                return Err(Error::parse("ndtc container (truncated)", ""));
-            }
-            let mut pos = bytes.len() - FOOTER_LEN;
-            let rows = read_u64(bytes, &mut pos)?;
-            Ok((rows, 1))
-        }
-        VERSION_V2 => {
-            let reader = ColumnReader::open(bytes)?;
-            Ok((reader.rows() as u64, reader.block_count() as u64))
-        }
-        v => Err(Error::parse(
-            "ndtc version 1 or 2 (readers reject unknown versions)",
-            &v.to_string(),
-        )),
-    }
-}
-
-/// Cheap day-span census without decoding row data: `Some((min, max))`
-/// days-since-epoch over all rows, from the v2 footer index alone.
-/// `None` for an empty container and for v1 containers (which have no
-/// index to consult without a full decode). Feeds the archive-level
-/// shard index's range-pruning summaries.
-pub fn container_day_span(bytes: &[u8]) -> Result<Option<(i64, i64)>> {
-    if bytes.len() < HEADER_LEN {
-        return Err(Error::parse("ndtc container (truncated)", ""));
-    }
-    if bytes[..4] != MAGIC {
-        return Err(Error::parse("ndtc magic", &format!("{:02x?}", &bytes[..4])));
-    }
-    match bytes[4] {
-        VERSION_V1 => {
-            if bytes.len() < HEADER_LEN + FOOTER_LEN {
-                return Err(Error::parse("ndtc container (truncated)", ""));
-            }
-            Ok(None)
-        }
-        VERSION_V2 => Ok(ColumnReader::open(bytes)?.day_span()),
-        v => Err(Error::parse(
-            "ndtc version 1 or 2 (readers reject unknown versions)",
-            &v.to_string(),
-        )),
-    }
-}
-
-/// Read one `.ndtc` shard from a reader. The container is checksummed,
-/// so the reader slurps the (bounded, per-country-month) file and
-/// verifies it before any value is surfaced; rows then stream lazily
-/// off the decoded columns via [`ColumnBatch::iter`].
-pub fn read_shard<R: Read>(mut reader: R) -> Result<ColumnBatch> {
-    let mut bytes = Vec::new();
-    reader
-        .read_to_end(&mut bytes)
-        .map_err(|e| Error::parse("ndtc shard read", &e.to_string()))?;
-    decode(&bytes)
+    ColumnReader::open(bytes)?.read(selection)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lacnet_types::codec::read_f64;
     use lacnet_types::country;
 
     fn rows() -> Vec<NdtTest> {
@@ -1446,17 +1372,13 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn roundtrip_preserves_rows_exactly() {
-        let rows = rows();
-        let decoded = decode(&encode_rows(&rows)).unwrap();
-        assert_eq!(decoded.len(), rows.len());
-        let back: Vec<NdtTest> = decoded.iter().collect();
-        assert_eq!(back, rows);
+    /// One container holding `rows` in default-size blocks.
+    fn container(rows: &[NdtTest]) -> Vec<u8> {
+        encode_v2(&ColumnBatch::from_rows(rows))
     }
 
     #[test]
-    fn v2_roundtrip_preserves_rows_exactly() {
+    fn roundtrip_preserves_rows_exactly() {
         let rows = rows();
         for block_rows in [1, 2, 3, 4096] {
             let bytes = encode_v2_with(&ColumnBatch::from_rows(&rows), block_rows);
@@ -1470,23 +1392,10 @@ mod tests {
     }
 
     #[test]
-    fn v1_and_v2_decode_to_the_same_batch() {
-        let rows = rows();
-        let v1 = decode(&encode_rows(&rows)).unwrap();
-        let v2 = decode(&encode_rows_v2(&rows)).unwrap();
-        assert_eq!(v1, v2);
-    }
-
-    #[test]
-    fn empty_and_single_row_shards_roundtrip() {
-        let empty = decode(&encode_rows(&[])).unwrap();
-        assert!(empty.is_empty());
-        let empty = decode(&encode_rows_v2(&[])).unwrap();
-        assert!(empty.is_empty());
+    fn empty_and_single_row_containers_roundtrip() {
+        assert!(decode(&container(&[])).unwrap().is_empty());
         let one = &rows()[..1];
-        let decoded = decode(&encode_rows(one)).unwrap();
-        assert_eq!(decoded.iter().collect::<Vec<_>>(), one);
-        let decoded = decode(&encode_rows_v2(one)).unwrap();
+        let decoded = decode(&container(one)).unwrap();
         assert_eq!(decoded.iter().collect::<Vec<_>>(), one);
     }
 
@@ -1496,71 +1405,61 @@ mod tests {
         // are the magic followed by the version constant. Changing a
         // magic or version byte without a deliberate fixture update here
         // fails CI.
-        let v1 = encode_rows(&[]);
-        assert_eq!(&v1[..4], b"NDTC");
-        assert_eq!(v1[4], 1);
-        let v2 = encode_rows_v2(&[]);
-        assert_eq!(&v2[..4], b"NDTC");
-        assert_eq!(v2[4], 2);
-        assert_eq!(VERSION_V1, 1, "bump this pin together with the constant");
-        assert_eq!(VERSION_V2, 2, "bump this pin together with the constant");
+        let bytes = container(&[]);
+        assert_eq!(&bytes[..4], b"NDTC");
+        assert_eq!(bytes[4], 2);
+        assert_eq!(VERSION, 2, "bump this pin together with the constant");
     }
 
     #[test]
     fn wrong_magic_is_a_typed_error() {
-        for bytes in [encode_rows(&rows()), encode_rows_v2(&rows())] {
-            let mut bytes = bytes;
-            bytes[0] = b'X';
-            match decode(&bytes) {
-                Err(Error::Parse { expected, .. }) => assert!(expected.contains("magic")),
-                other => panic!("expected a magic error, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn unknown_version_is_rejected() {
-        let mut bytes = encode_rows(&rows());
-        bytes[4] = VERSION_V2 + 1;
+        let mut bytes = container(&rows());
+        bytes[0] = b'X';
         match decode(&bytes) {
-            Err(Error::Parse { expected, .. }) => assert!(expected.contains("version")),
-            other => panic!("expected a version error, got {other:?}"),
+            Err(Error::Parse { expected, .. }) => assert!(expected.contains("magic")),
+            other => panic!("expected a magic error, got {other:?}"),
         }
     }
 
     #[test]
-    fn corrupted_footer_is_a_typed_error() {
-        let mut bytes = encode_rows(&rows());
-        let len = bytes.len();
-        bytes[len - 1] ^= 0xFF; // flip CRC bits
-        assert!(matches!(decode(&bytes), Err(Error::Parse { .. })));
-        let mut bytes = encode_rows(&rows());
-        let len = bytes.len();
-        bytes[len - 8] ^= 0x01; // corrupt the footer row count (CRC catches it)
-        assert!(decode(&bytes).is_err());
+    fn unsupported_versions_are_rejected() {
+        // The retired single-block version 1 and any future version are
+        // the same typed error, checked before any length is trusted.
+        for version in [1, VERSION + 1] {
+            let mut bytes = container(&rows());
+            bytes[4] = version;
+            match decode(&bytes) {
+                Err(Error::Parse { expected, input }) => {
+                    assert!(expected.contains("unsupported container version"));
+                    assert_eq!(input, version.to_string());
+                }
+                other => panic!("expected a version error, got {other:?}"),
+            }
+            assert!(decode(&[b'N', b'D', b'T', b'C', version]).is_err());
+        }
     }
 
     #[test]
-    fn v2_corrupted_index_fails_open() {
-        let mut bytes = encode_rows_v2(&rows());
+    fn corrupted_index_fails_open() {
+        let mut bytes = container(&rows());
         let len = bytes.len();
         bytes[len - 1] ^= 0xFF; // flip tail CRC bits
         assert!(matches!(
             ColumnReader::open(&bytes),
             Err(Error::Parse { .. })
         ));
-        let mut bytes = encode_rows_v2(&rows());
+        let mut bytes = container(&rows());
         let len = bytes.len();
         bytes[len - 6] ^= 0x01; // corrupt the tail row count (CRC catches it)
         assert!(ColumnReader::open(&bytes).is_err());
     }
 
     #[test]
-    fn v2_corrupted_block_passes_open_but_fails_decode() {
+    fn corrupted_block_passes_open_but_fails_decode() {
         // Block corruption is invisible to open() by design — only the
         // index is validated up front — and caught by the per-block CRC
         // the moment the block is decoded.
-        let mut bytes = encode_rows_v2(&rows());
+        let mut bytes = container(&rows());
         bytes[8] ^= 0x40; // inside the first (only) block's payload
         let reader = ColumnReader::open(&bytes).expect("index is intact");
         match reader.read(&ColumnSelection::all()) {
@@ -1571,43 +1470,32 @@ mod tests {
 
     #[test]
     fn truncated_container_is_a_typed_error() {
-        for bytes in [encode_rows(&rows()), encode_rows_v2(&rows())] {
-            for cut in [0, 3, 5, 8, bytes.len() / 2, bytes.len() - 1] {
-                assert!(
-                    matches!(decode(&bytes[..cut]), Err(Error::Parse { .. })),
-                    "truncation at {cut} must fail typed"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn corrupted_body_is_caught_by_the_checksum() {
-        let mut bytes = encode_rows(&rows());
-        bytes[10] ^= 0x40;
-        match decode(&bytes) {
-            Err(Error::Parse { expected, .. }) => assert!(expected.contains("checksum")),
-            other => panic!("expected a checksum error, got {other:?}"),
+        let bytes = container(&rows());
+        for cut in [0, 3, 5, 8, bytes.len() / 2, bytes.len() - 1] {
+            assert!(
+                matches!(decode(&bytes[..cut]), Err(Error::Parse { .. })),
+                "truncation at {cut} must fail typed"
+            );
         }
     }
 
     #[test]
     fn out_of_range_values_are_rejected_like_the_text_path() {
+        // The writer does not validate, so a sealed container with valid
+        // checksums can still carry a bad value — only the range check
+        // can object.
         let mut bad = rows();
         bad[0].loss_rate = 1.5;
-        let mut bytes = encode_rows(&bad);
-        // Re-seal the container so only the range check can object.
-        let len = bytes.len();
-        bytes.truncate(len - 4);
-        let crc = crc32(&bytes);
-        put_u32(&mut bytes, crc);
-        assert!(matches!(decode(&bytes), Err(Error::Invalid { .. })));
+        assert!(matches!(
+            decode(&container(&bad)),
+            Err(Error::Invalid { .. })
+        ));
     }
 
     #[test]
     fn selective_decode_reads_only_requested_columns() {
         let rows = rows();
-        let bytes = encode_rows_v2(&rows);
+        let bytes = container(&rows);
         let reader = ColumnReader::open(&bytes).unwrap();
         let (batch, stats) = reader
             .read_counted(&ColumnSelection::columns(ColumnSet::AGGREGATE))
@@ -1662,28 +1550,113 @@ mod tests {
     }
 
     #[test]
-    fn container_stats_census() {
-        let rows = rows();
-        assert_eq!(container_stats(&encode_rows(&rows)).unwrap(), (3, 1));
-        let bytes = encode_v2_with(&ColumnBatch::from_rows(&rows), 2);
-        assert_eq!(container_stats(&bytes).unwrap(), (3, 2));
-        assert!(container_stats(b"NDTX").is_err());
-    }
-
-    #[test]
-    fn container_day_span_census() {
+    fn footer_day_span_census() {
         // rows() spans Jul 2 .. Jul 30 2019 regardless of block split.
         let rows = rows();
         let lo = Date::ymd(2019, 7, 2).days_since_epoch();
         let hi = Date::ymd(2019, 7, 30).days_since_epoch();
         for block_rows in [1, 2, 4096] {
-            let bytes = encode_v2_with(&ColumnBatch::from_rows(&rows), block_rows);
-            assert_eq!(container_day_span(&bytes).unwrap(), Some((lo, hi)));
+            let run = BlockRun::encode_with(&ColumnBatch::from_rows(&rows), block_rows);
+            assert_eq!(run.day_span(), Some((lo, hi)));
+            let bytes = assemble(&[run]);
+            assert_eq!(
+                ColumnReader::open(&bytes).unwrap().day_span(),
+                Some((lo, hi))
+            );
         }
-        assert_eq!(container_day_span(&encode_rows_v2(&[])).unwrap(), None);
-        // v1 has no footer index — the census answers "unknown".
-        assert_eq!(container_day_span(&encode_rows(&rows)).unwrap(), None);
-        assert!(container_day_span(b"NDTX").is_err());
+        let empty = container(&[]);
+        assert_eq!(ColumnReader::open(&empty).unwrap().day_span(), None);
+    }
+
+    /// Three month runs for one country, the middle one empty and the
+    /// last one wider than a block.
+    fn month_runs(block_rows: usize) -> (Vec<Vec<NdtTest>>, Vec<BlockRun>) {
+        let month = |m: u8, n: usize| -> Vec<NdtTest> {
+            (0..n)
+                .map(|i| NdtTest {
+                    date: Date::ymd(2020, m, 1 + (i % 28) as u8),
+                    country: country::VE,
+                    asn: Asn(8048 + (i as u32 % 3)),
+                    download_mbps: 0.5 + i as f64,
+                    upload_mbps: 0.25,
+                    min_rtt_ms: 40.0,
+                    loss_rate: 0.01,
+                })
+                .collect()
+        };
+        let months = vec![month(1, 3), month(2, 0), month(3, 7)];
+        let runs = months
+            .iter()
+            .map(|rows| BlockRun::encode_with(&ColumnBatch::from_rows(rows), block_rows))
+            .collect();
+        (months, runs)
+    }
+
+    #[test]
+    fn assembled_months_keep_their_single_month_block_bytes() {
+        let (months, runs) = month_runs(4);
+        let bytes = assemble(&runs);
+        let reader = ColumnReader::open(&bytes).unwrap();
+        // 1 + 0 + 2 blocks, tiling the body in month order.
+        assert_eq!(reader.block_count(), 3);
+        assert_eq!(reader.rows(), 10);
+        let all: Vec<NdtTest> = months.concat();
+        assert_eq!(
+            reader
+                .read(&ColumnSelection::all())
+                .unwrap()
+                .iter()
+                .collect::<Vec<_>>(),
+            all
+        );
+        // Each month's blocks are byte-identical to a container holding
+        // that month alone, and so is its footer entry (up to offset).
+        let mut at = 0;
+        for (rows, run) in months.iter().zip(&runs) {
+            let solo = encode_v2_with(&ColumnBatch::from_rows(rows), 4);
+            let solo_reader = ColumnReader::open(&solo).unwrap();
+            for (s, b) in solo_reader.blocks().iter().zip(&reader.blocks()[at..]) {
+                assert_eq!(
+                    &solo[s.offset..s.offset + s.len],
+                    &bytes[b.offset..b.offset + b.len]
+                );
+                assert_eq!((s.rows, s.crc, s.day_span()), (b.rows, b.crc, b.day_span()));
+            }
+            assert_eq!(solo_reader.block_count(), run.blocks().len());
+            at += run.blocks().len();
+        }
+        // One run is exactly the single-run writer.
+        assert_eq!(
+            assemble(&runs[..1]),
+            encode_v2_with(&ColumnBatch::from_rows(&months[0]), 4)
+        );
+    }
+
+    #[test]
+    fn a_window_decodes_its_blocks_without_the_rest_of_the_file() {
+        let (months, runs) = month_runs(4);
+        let bytes = assemble(&runs);
+        let reader = ColumnReader::open(&bytes).unwrap();
+        // The March blocks: a contiguous byte span at the end of the body.
+        let march = &reader.blocks()[1..];
+        let start = march[0].offset();
+        let end = march[1].offset() + march[1].byte_len();
+        let window = ColumnReader::window(&bytes[start..end], start, march).unwrap();
+        assert_eq!(window.rows(), months[2].len());
+        let (batch, stats) = window.read_counted(&ColumnSelection::all()).unwrap();
+        assert_eq!(batch.iter().collect::<Vec<_>>(), months[2]);
+        assert_eq!(stats.blocks_total, 2);
+        assert_eq!(stats.blocks_decoded, 2);
+        // A window too short for its blocks is a typed error, not a
+        // panic — what a file truncated after its footer was read gives.
+        assert!(ColumnReader::window(&bytes[start..end - 1], start, march).is_err());
+        assert!(ColumnReader::window(&bytes[start..end], start + 1, march).is_err());
+        // An empty window over no blocks decodes nothing.
+        let empty = ColumnReader::window(&[], end, &[]).unwrap();
+        assert_eq!(
+            empty.read_counted(&ColumnSelection::all()).unwrap().1,
+            ReadStats::default()
+        );
     }
 
     #[test]
@@ -1702,16 +1675,16 @@ mod tests {
         assert_eq!(slice.iter().collect::<Vec<_>>(), vals);
         assert!(ColumnSlice::empty().is_empty());
         assert_eq!(ColumnSlice::empty().len(), 0);
-        // A payload whose length disagrees with the row count is the
-        // same typed error the owned float decoder raises.
+        // A payload whose length disagrees with the row count is a typed
+        // error.
         assert!(ColumnSlice::new(&payload, vals.len() + 1).is_err());
         assert!(ColumnSlice::new(&payload[..payload.len() - 1], vals.len()).is_err());
     }
 
-    /// The pre-zero-copy owned decode, kept verbatim as a reference
-    /// implementation: fresh `Vec`s per block via the allocating payload
-    /// decoders. The proptest below pins the borrowed scan (and the
-    /// thin owned wrapper over it) bit-identical to this.
+    /// The pre-zero-copy owned decode, kept as a reference
+    /// implementation: fresh `Vec`s per block. The proptest below pins
+    /// the borrowed scan (and the thin owned wrapper over it)
+    /// bit-identical to this.
     fn reference_read_counted(
         reader: &ColumnReader<'_>,
         selection: &ColumnSelection,
@@ -1722,7 +1695,7 @@ mod tests {
         };
         let mut batch = ColumnBatch::default();
         let want = selection.columns;
-        for entry in &reader.blocks {
+        for entry in reader.blocks.iter() {
             if !selection.matches(entry) {
                 continue;
             }
@@ -1734,7 +1707,7 @@ mod tests {
             let mut pos = 0;
             let n = read_uvarint(block, &mut pos)?;
             if n != entry.rows as u64 {
-                return Err(Error::parse("ndtc v2 block row count", &n.to_string()));
+                return Err(Error::parse("ndtc block row count", &n.to_string()));
             }
             let n = entry.rows;
             let sections = split_column_sections(block, &mut pos)?;
@@ -1744,17 +1717,21 @@ mod tests {
             };
             if want.contains(ColumnSet::DATES) {
                 touched(sections[0]);
-                batch.dates.extend(decode_date_payload(sections[0], n)?);
+                let mut dates = Vec::new();
+                decode_date_payload_into(sections[0], n, &mut dates)?;
+                batch.dates.extend(dates);
             }
             if want.contains(ColumnSet::COUNTRIES) {
                 touched(sections[1]);
-                batch
-                    .countries
-                    .extend(decode_country_payload(sections[1], n)?.0);
+                let (mut countries, mut dict) = (Vec::new(), Vec::new());
+                decode_country_payload_into(sections[1], n, &mut countries, &mut dict)?;
+                batch.countries.extend(countries);
             }
             if want.contains(ColumnSet::ASNS) {
                 touched(sections[2]);
-                batch.asns.extend(decode_asn_payload(sections[2], n)?);
+                let (mut asns, mut dict) = (Vec::new(), Vec::new());
+                decode_asn_payload_into(sections[2], n, &mut asns, &mut dict)?;
+                batch.asns.extend(asns);
             }
             for (set, section, col) in [
                 (ColumnSet::DOWNLOAD, sections[3], &mut batch.download),
@@ -1764,7 +1741,13 @@ mod tests {
             ] {
                 if want.contains(set) {
                     touched(section);
-                    col.extend(decode_float_payload(section, n)?);
+                    if section.len() != n * 8 {
+                        return Err(Error::parse("ndtc float column (wrong size)", ""));
+                    }
+                    let mut pos = 0;
+                    for _ in 0..n {
+                        col.push(read_f64(section, &mut pos)?);
+                    }
                 }
             }
         }
@@ -1843,11 +1826,10 @@ mod tests {
         }
 
         proptest! {
-            /// text shard → columnar encode → decode → text is
-            /// byte-identical for arbitrary generated shards, including
-            /// empty and single-row ones (`size 0..` covers both) —
-            /// through both container versions, and v2 at a block size
-            /// small enough to split every multi-row shard.
+            /// text rows → columnar encode → decode → text is
+            /// byte-identical for arbitrary generated rows, including
+            /// empty and single-row ones (`size 0..` covers both), at a
+            /// block size small enough to split every multi-row batch.
             #[test]
             fn text_columnar_text_is_byte_identical(
                 specs in proptest::collection::vec(
@@ -1861,9 +1843,6 @@ mod tests {
                     .map(|(day, cc, asn, f)| arb_row(day, cc, asn, f))
                     .collect();
                 let text: String = rows.iter().map(|r| r.to_row() + "\n").collect();
-                let decoded = decode(&encode_rows(&rows)).unwrap();
-                let back: String = decoded.iter().map(|r| r.to_row() + "\n").collect();
-                prop_assert_eq!(&back, &text);
                 let batch = ColumnBatch::from_rows(&rows);
                 for block_rows in [3usize, 4096] {
                     let decoded = decode(&encode_v2_with(&batch, block_rows)).unwrap();
@@ -1874,7 +1853,7 @@ mod tests {
 
             /// The borrowed scan is bit-identical to the owned decode
             /// for *every* `ColumnSelection` — all 128 column subsets,
-            /// optional date-range and country pruning, shards split at
+            /// optional date-range and country pruning, rows split at
             /// arbitrary block sizes. `read_counted` (the thin wrapper
             /// over the scan) and a scan-collected batch must both match
             /// the reference owned implementation, `ReadStats` included.
@@ -1946,23 +1925,25 @@ mod tests {
 
             /// Arbitrary byte mutations never panic the decoder — they
             /// either still decode (only when the CRC happens to match)
-            /// or fail with a typed error. Both versions.
+            /// or fail with a typed error.
             #[test]
             fn mutated_containers_fail_typed(
                 idx in 0usize..200,
                 mask in 1u8..=255,
             ) {
-                for bytes in [encode_rows(&rows()), encode_rows_v2(&rows())] {
-                    let mut mutated = bytes;
-                    let i = idx % mutated.len();
-                    mutated[i] ^= mask;
-                    let _ = decode(&mutated); // must not panic
-                }
+                let mut mutated = container(&rows());
+                let i = idx % mutated.len();
+                mutated[i] ^= mask;
+                let _ = decode(&mutated); // must not panic
             }
         }
 
         fn rows() -> Vec<NdtTest> {
             super::rows()
+        }
+
+        fn container(rows: &[NdtTest]) -> Vec<u8> {
+            super::container(rows)
         }
     }
 }

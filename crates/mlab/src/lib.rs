@@ -8,9 +8,9 @@
 //! The aggregator offers both an exact (sort-based) and a P² streaming
 //! median per group; the `lacnet-bench` ablation compares them.
 //!
-//! Shards exist in two on-disk encodings: the native text rows and the
-//! [`columnar`] `.ndtc` container, whose cold load is bounded by disk
-//! bandwidth instead of per-row text parsing.
+//! Archives store NDT rows in two on-disk encodings: the native text rows
+//! and the [`columnar`] `.ndtc` container, whose cold load is bounded by
+//! disk bandwidth instead of per-row text parsing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,8 +23,8 @@ pub mod synth;
 
 pub use aggregate::{GroupStats, MonthlyAggregator};
 pub use columnar::{
-    BlockView, ColumnBatch, ColumnReader, ColumnReaderRef, ColumnSelection, ColumnSet, ColumnSlice,
-    DecodeScratch, ReadStats, ShardFormat,
+    BlockEntry, BlockRun, BlockView, ColumnBatch, ColumnReader, ColumnReaderRef, ColumnSelection,
+    ColumnSet, ColumnSlice, DecodeScratch, ReadStats, ShardFormat,
 };
 pub use multi::{Group, Metric, MultiAggregator};
 pub use ndt::NdtTest;

@@ -11,8 +11,10 @@
 //! When N threads ask for the same absent key at once, exactly one runs
 //! the compute closure (outside the lock); the rest block on a condvar
 //! and are served the finished value as cache hits. If the computing
-//! thread panics, its pending reservation is rolled back and the waiters
-//! retry, so a poisoned computation never wedges the cache.
+//! thread panics — or, through [`LruCache::get_or_try_compute`], returns
+//! an uncacheable error — its pending reservation is rolled back and the
+//! waiters retry, so a failed computation never wedges the cache and is
+//! never cached.
 
 use std::collections::BTreeMap;
 use std::sync::{Condvar, Mutex};
@@ -154,6 +156,22 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
     /// computation of the same key — exactly one closure runs per
     /// residency of a key, no matter how many threads race for it.
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> (V, bool) {
+        match self.get_or_try_compute(key, || Ok::<V, std::convert::Infallible>(compute())) {
+            Ok(found) => found,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`LruCache::get_or_compute`] for computations whose result may be
+    /// *uncacheable*: an `Err` from `compute` is handed back to its caller
+    /// and never stored. The reservation is released, so threads that
+    /// were waiting on it retry — one of them computes next — and a
+    /// failure is never served to a later request as a hit.
+    pub fn get_or_try_compute<E>(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, bool), E> {
         {
             let mut inner = self.shared.lock().expect("lru lock");
             loop {
@@ -163,7 +181,7 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
                         Slot::Ready(v) => {
                             let v = v.clone();
                             entry.used = tick;
-                            return (v, true);
+                            return Ok((v, true));
                         }
                         Slot::Pending => {
                             inner = self.ready.wait(inner).expect("lru lock");
@@ -184,13 +202,14 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
         }
 
         // Compute outside the lock. The guard rolls the reservation back
-        // if `compute` panics, so waiters retry instead of hanging.
+        // if `compute` panics or fails, so waiters retry instead of
+        // hanging.
         let mut guard = PendingGuard {
             cache: self,
             key: &key,
             armed: true,
         };
-        let value = compute();
+        let value = compute()?;
         guard.armed = false;
         let mut inner = self.shared.lock().expect("lru lock");
         let tick = inner.bump();
@@ -204,7 +223,7 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
         inner.evict_to(self.capacity);
         drop(inner);
         self.ready.notify_all();
-        (value, false)
+        Ok((value, false))
     }
 
     /// Remove every ready entry whose key matches `pred` (pending
@@ -239,7 +258,7 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
 }
 
 /// Rollback handle for an in-flight reservation; disarmed once the value
-/// lands.
+/// lands, so a panicking or failing computation releases its slot.
 struct PendingGuard<'c, K: Ord + Clone, V: Clone> {
     cache: &'c LruCache<K, V>,
     key: &'c K,
@@ -383,6 +402,42 @@ mod tests {
         panicker.join().unwrap();
         // The cache is not wedged: the next caller computes fresh.
         assert_eq!(cache.get_or_compute("k", || 5), (5, false));
+    }
+
+    #[test]
+    fn failed_compute_is_not_cached_and_waiters_retry() {
+        let cache = Arc::new(LruCache::new(4));
+        // A failure is returned to its caller and leaves no entry.
+        assert_eq!(
+            cache.get_or_try_compute("k", || Err::<i32, &str>("disk")),
+            Err("disk")
+        );
+        assert!(cache.is_empty());
+        // Waiters piled onto a failing computation retry: exactly one of
+        // them computes the value everybody then receives.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let handles: Vec<_> = (0..8)
+            .map(|_| {
+                let cache = Arc::clone(&cache);
+                let calls = Arc::clone(&calls);
+                std::thread::spawn(move || {
+                    cache.get_or_try_compute("w", || {
+                        let n = calls.fetch_add(1, Ordering::SeqCst);
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        if n == 0 {
+                            Err("first attempt fails")
+                        } else {
+                            Ok(9)
+                        }
+                    })
+                })
+            })
+            .collect();
+        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(results.iter().filter(|r| r.is_err()).count(), 1);
+        assert!(results.iter().flatten().all(|&(v, _)| v == 9));
+        assert_eq!(calls.load(Ordering::SeqCst), 2, "one failure, one success");
+        assert_eq!(cache.get(&"w"), Some(9));
     }
 
     proptest! {

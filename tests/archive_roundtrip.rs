@@ -24,7 +24,7 @@ fn world() -> &'static World {
 }
 
 /// The labels of the dump trees this suite writes.
-const TREES: [&str; 4] = ["text", "columnar", "v1", "mixed"];
+const TREES: [&str; 2] = ["text", "columnar"];
 
 /// Where the `label` dump tree lives. The first call registers an exit
 /// hook that removes every tree in [`TREES`] when the test binary ends.
@@ -45,7 +45,7 @@ fn tree_path(label: &str) -> PathBuf {
 
 extern "C" {
     /// The C runtime's exit hook. The archive sources live in statics and
-    /// read shards lazily, so no destructor runs when the test binary
+    /// read containers lazily, so no destructor runs when the test binary
     /// ends; an exit hook is where the dumped trees can go.
     fn atexit(callback: extern "C" fn()) -> std::os::raw::c_int;
 }
@@ -56,9 +56,9 @@ extern "C" fn remove_roundtrip_dirs() {
     }
 }
 
-/// Dump the test world once per shard format and keep the archive-backed
-/// source for every test in the binary — each dump tree holds a few
-/// thousand files, so the suite parses each a single time.
+/// Dump the test world once per NDT format and keep the archive-backed
+/// source for every test in the binary, so the suite parses each tree a
+/// single time.
 fn archive_source_for(format: ShardFormat) -> &'static DataSource<'static> {
     static TEXT: OnceLock<DataSource<'static>> = OnceLock::new();
     static COLUMNAR: OnceLock<DataSource<'static>> = OnceLock::new();
@@ -74,52 +74,6 @@ fn archive_source_for(format: ShardFormat) -> &'static DataSource<'static> {
         };
         datasets::dump_with(world(), &dir, options).expect("dump succeeds");
         DataSource::from_archive_with(&dir, Some(format)).expect("archive loads")
-    })
-}
-
-/// A columnar tree written in the frozen v1 single-block container
-/// (what `lacnet-gen --ndtc-v1` produces) — the legacy layout the
-/// version-dispatch read path must keep serving.
-fn v1_archive_source() -> &'static DataSource<'static> {
-    static V1: OnceLock<DataSource<'static>> = OnceLock::new();
-    V1.get_or_init(|| {
-        let dir = roundtrip_dir("v1");
-        let options = DumpOptions {
-            shard_format: ShardFormat::Columnar,
-            columnar_v1: true,
-            ..DumpOptions::default()
-        };
-        datasets::dump_with(world(), &dir, options).expect("v1 dump succeeds");
-        DataSource::from_archive_with(&dir, Some(ShardFormat::Columnar)).expect("v1 archive loads")
-    })
-}
-
-/// A mid-migration tree: a v2 dump with every Venezuelan shard resealed
-/// in the v1 container. Loading it exercises both decoders inside one
-/// archive walk — exactly what an interrupted re-dump leaves behind.
-fn mixed_archive_source() -> &'static DataSource<'static> {
-    static MIXED: OnceLock<DataSource<'static>> = OnceLock::new();
-    MIXED.get_or_init(|| {
-        let dir = roundtrip_dir("mixed");
-        let options = DumpOptions {
-            shard_format: ShardFormat::Columnar,
-            ..DumpOptions::default()
-        };
-        datasets::dump_with(world(), &dir, options).expect("mixed dump succeeds");
-        let mut resealed = 0usize;
-        for entry in std::fs::read_dir(dir.join("mlab/VE")).expect("VE shard dir") {
-            let path = entry.expect("dir entry").path();
-            if path.extension().and_then(|e| e.to_str()) != Some("ndtc") {
-                continue;
-            }
-            let bytes = std::fs::read(&path).expect("shard bytes");
-            let batch = lacnet::mlab::columnar::decode(&bytes).expect("shard decodes");
-            std::fs::write(&path, lacnet::mlab::columnar::encode(&batch)).expect("v1 reseal");
-            resealed += 1;
-        }
-        assert!(resealed > 0, "mixed tree resealed no shards");
-        DataSource::from_archive_with(&dir, Some(ShardFormat::Columnar))
-            .expect("mixed archive loads")
     })
 }
 
@@ -222,32 +176,6 @@ fn columnar_archive_battery_matches_golden_fixtures() {
 }
 
 #[test]
-fn v1_and_mixed_columnar_trees_serve_the_identical_battery() {
-    // The container-version matrix: pure-v1 and mixed v1/v2 trees must
-    // land the whole battery on the same bytes as the text tree — the
-    // format-evolution contract (readers dispatch on the frozen header
-    // byte; writers never change what decoders observe).
-    let text = archive_results_for(ShardFormat::Text);
-    for (label, src) in [
-        ("v1", v1_archive_source()),
-        ("mixed", mixed_archive_source()),
-    ] {
-        let mut results = experiments::all(src);
-        results.extend(extensions::all(src));
-        assert_eq!(text.len(), results.len());
-        for (t, r) in text.iter().zip(&results) {
-            assert_eq!(t.id, r.id, "battery order differs on the {label} tree");
-            assert_eq!(
-                canonical_tsv(t),
-                canonical_tsv(r),
-                "{} diverges between the text tree and the {label} columnar tree",
-                t.id
-            );
-        }
-    }
-}
-
-#[test]
 fn single_month_query_decodes_only_the_matching_shard_bytes() {
     use lacnet::types::country;
     let src = archive_source_for(ShardFormat::Columnar);
@@ -259,38 +187,42 @@ fn single_month_query_decodes_only_the_matching_shard_bytes() {
     let stats = src
         .ndt_month_stats(country::VE, month)
         .expect("query succeeds")
-        .expect("shard exists");
+        .expect("month exists");
     assert_eq!(stats.format, "columnar-v2");
     assert!(stats.rows > 0);
-    // The counting reader saw only the matching blocks, and of those
-    // only the download column the query asked for.
+    // The decode saw only the month's blocks, and of those only the
+    // download column the query asked for.
     assert!(stats.read.blocks_decoded >= 1);
     assert!(stats.read.blocks_decoded <= stats.read.blocks_total);
     assert_eq!(stats.read.columns_decoded, stats.read.blocks_decoded);
-    // The decoded bytes are a strict subset of the one matching shard
-    // and a sliver of the tree's whole columnar payload.
+    // The decoded bytes are a strict subset of the month's blocks in
+    // its country's container and a sliver of the tree's whole columnar
+    // payload.
     let DataSource::Archive(archive) = src else {
         panic!("columnar source is archive-backed");
     };
-    let shard_len = std::fs::read(archive.root().join(format!("mlab/VE/ndt-{month}.ndtc")))
-        .expect("matching shard")
-        .len();
+    let container = std::fs::read(archive.root().join("mlab/VE.ndtc")).expect("VE container");
+    let reader = lacnet::mlab::ColumnReader::open(&container).expect("container opens");
+    let (lo, hi) = (
+        month.first_day().days_since_epoch(),
+        month.last_day().days_since_epoch(),
+    );
+    let month_bytes: usize = reader
+        .blocks()
+        .iter()
+        .filter(|b| b.day_span().0 >= lo && b.day_span().1 <= hi)
+        .map(|b| b.byte_len())
+        .sum();
     let mut tree_total = 0usize;
-    for country_dir in std::fs::read_dir(archive.root().join("mlab")).expect("mlab dir") {
-        let country_dir = country_dir.expect("entry").path();
-        if !country_dir.is_dir() {
-            continue;
-        }
-        for shard in std::fs::read_dir(&country_dir).expect("country dir") {
-            let shard = shard.expect("entry").path();
-            if shard.extension().and_then(|e| e.to_str()) == Some("ndtc") {
-                tree_total += std::fs::metadata(&shard).expect("metadata").len() as usize;
-            }
+    for entry in std::fs::read_dir(archive.root().join("mlab")).expect("mlab dir") {
+        let path = entry.expect("entry").path();
+        if path.extension().and_then(|e| e.to_str()) == Some("ndtc") {
+            tree_total += std::fs::metadata(&path).expect("metadata").len() as usize;
         }
     }
     assert!(
-        stats.read.bytes_decoded < shard_len,
-        "query decoded {} of the {shard_len}-byte shard",
+        stats.read.bytes_decoded < month_bytes,
+        "query decoded {} of the month's {month_bytes} block bytes",
         stats.read.bytes_decoded
     );
     assert!(
@@ -298,24 +230,18 @@ fn single_month_query_decodes_only_the_matching_shard_bytes() {
         "query decoded {} of the {tree_total}-byte tree",
         stats.read.bytes_decoded
     );
-    // Every storage format answers the same numbers: the v1 container
-    // and the text rows take their full-decode paths and still land on
-    // the identical count and bit-identical P² median.
-    for (label, other) in [
-        ("columnar-v1", v1_archive_source()),
-        ("text", archive_source_for(ShardFormat::Text)),
-    ] {
-        let answer = other
-            .ndt_month_stats(country::VE, month)
-            .expect("query succeeds")
-            .expect("shard exists");
-        assert_eq!(answer.format, label);
-        assert_eq!(answer.rows, stats.rows, "{label} row count diverges");
-        assert_eq!(
-            answer.median_download, stats.median_download,
-            "{label} median diverges"
-        );
-    }
+    // The text rows take their full-decode path and still land on the
+    // identical count and bit-identical P² median.
+    let answer = archive_source_for(ShardFormat::Text)
+        .ndt_month_stats(country::VE, month)
+        .expect("query succeeds")
+        .expect("month exists");
+    assert_eq!(answer.format, "text");
+    assert_eq!(answer.rows, stats.rows, "text row count diverges");
+    assert_eq!(
+        answer.median_download, stats.median_download,
+        "text median diverges"
+    );
 }
 
 #[test]
@@ -334,9 +260,8 @@ fn range_query_equals_the_merge_of_its_single_month_queries() {
     assert_eq!(range.months.len(), 4);
 
     // The merged answer is exactly the fold of the single-month queries:
-    // per-month stats, the row total, and the absorbed ReadStats — the
-    // parallel fan-out with plan-order merge is observationally identical
-    // to a sequential month walk.
+    // per-month stats, the row total, and the absorbed ReadStats — one
+    // window read is observationally identical to a month-by-month walk.
     let mut rows = 0usize;
     let mut read = lacnet::mlab::ReadStats::default();
     let mut median_sum = 0.0f64;
@@ -345,7 +270,7 @@ fn range_query_equals_the_merge_of_its_single_month_queries() {
         let single = src
             .ndt_month_stats(country::VE, month)
             .expect("query succeeds")
-            .expect("shard exists");
+            .expect("month exists");
         assert_eq!(merged, &single, "{month} diverges inside the range");
         rows += single.rows;
         read.absorb(single.read);
@@ -361,26 +286,26 @@ fn range_query_equals_the_merge_of_its_single_month_queries() {
         (medians > 0).then(|| median_sum / medians as f64)
     );
 
-    // The fan-out decoded only the download column of the matching
-    // blocks across every queried shard.
+    // The window decoded only the download column of the matching
+    // blocks across every queried month, read with one file open.
     assert!(range.read.blocks_decoded >= 4);
     assert_eq!(range.read.columns_decoded, range.read.blocks_decoded);
+    assert_eq!(range.io.files_opened, 1);
 
-    // Every storage format answers the same numbers through the same
-    // range entry point — full-decode paths included.
-    for other in [v1_archive_source(), archive_source_for(ShardFormat::Text)] {
-        let answer = other
-            .ndt_range_stats(country::VE, from, to)
-            .expect("range query succeeds");
-        assert_eq!(answer.rows, range.rows);
-        assert_eq!(answer.months.len(), range.months.len());
-        for ((m_a, a), (m_b, b)) in answer.months.iter().zip(&range.months) {
-            assert_eq!(m_a, m_b);
-            assert_eq!(a.rows, b.rows, "{m_a}");
-            assert_eq!(a.median_download, b.median_download, "{m_a}");
-        }
-        assert_eq!(answer.mean_monthly_median, range.mean_monthly_median);
+    // The text format answers the same numbers through the same range
+    // entry point.
+    let answer = archive_source_for(ShardFormat::Text)
+        .ndt_range_stats(country::VE, from, to)
+        .expect("range query succeeds");
+    assert_eq!(answer.rows, range.rows);
+    assert_eq!(answer.months.len(), range.months.len());
+    for ((m_a, a), (m_b, b)) in answer.months.iter().zip(&range.months) {
+        assert_eq!(m_a, m_b);
+        assert_eq!(a.rows, b.rows, "{m_a}");
+        assert_eq!(a.median_download, b.median_download, "{m_a}");
     }
+    assert_eq!(answer.mean_monthly_median, range.mean_monthly_median);
+    assert_eq!(answer.io.files_opened, 1);
 }
 
 #[test]

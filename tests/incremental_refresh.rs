@@ -1,15 +1,15 @@
 //! Incremental archive refresh: a re-dump regenerates only the NDT
-//! shards whose inputs changed.
+//! containers whose inputs changed.
 //!
-//! The dump records every shard's input fingerprint (seed, effective
-//! per-country volume scale, on-disk format) in `mlab/manifest.tsv`.
-//! This suite proves the three properties that make the manifest
-//! trustworthy:
+//! The dump records every country container's input fingerprint (seed,
+//! effective per-country volume scale, on-disk format, month window) in
+//! `mlab/manifest.tsv`. This suite proves the three properties that make
+//! the manifest trustworthy:
 //!
-//! 1. a re-dump of an unchanged configuration rewrites **zero** shard
-//!    files (their mtimes are untouched);
+//! 1. a re-dump of an unchanged configuration rewrites **zero**
+//!    containers (their mtimes are untouched);
 //! 2. touching one country's volume knob regenerates **only** that
-//!    country's shards — every other shard file keeps its mtime and
+//!    country's container — every other container keeps its mtime and
 //!    bytes;
 //! 3. the incrementally refreshed tree drives the full experiment
 //!    battery to byte-identical output with a from-scratch dump of the
@@ -17,22 +17,22 @@
 
 use lacnet::core::render::canonical_tsv;
 use lacnet::core::{datasets, experiments, extensions, DataSource};
-use lacnet::crisis::config::windows;
-use lacnet::crisis::{bandwidth, Scenario, World, WorldConfig};
+use lacnet::crisis::{Scenario, World, WorldConfig};
+use lacnet::mlab::ShardFormat;
 use lacnet::types::country;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::SystemTime;
 
-/// (relative shard path -> mtime) for every NDT shard file in the tree.
-fn shard_mtimes(root: &Path, config: &WorldConfig) -> BTreeMap<String, SystemTime> {
-    bandwidth::shard_plan(windows::mlab_start(), config.end)
-        .into_iter()
-        .map(|shard| {
-            let rel = datasets::mlab_shard_path(shard);
+/// (relative container path -> mtime) for every NDT container in the
+/// tree.
+fn container_mtimes(root: &Path) -> BTreeMap<String, SystemTime> {
+    country::lacnic_codes()
+        .map(|cc| {
+            let rel = datasets::mlab_container_path(cc, ShardFormat::Text);
             let mtime = std::fs::metadata(root.join(&rel))
                 .and_then(|m| m.modified())
-                .expect("shard file exists with a readable mtime");
+                .expect("container exists with a readable mtime");
             (rel, mtime)
         })
         .collect()
@@ -57,37 +57,47 @@ fn touching_one_country_refreshes_only_its_shards() {
     std::fs::remove_dir_all(&scratch).ok();
 
     // Property 1: a re-dump of the same configuration rewrites nothing.
+    let countries = country::lacnic_codes().count();
     let base = World::generate(base_config);
     let first = datasets::dump(&base, &dir).expect("initial dump");
-    assert_eq!(first.shards_skipped, 0);
-    let before = shard_mtimes(&dir, &base_config);
+    assert_eq!(first.containers_written, countries);
+    assert_eq!(first.containers_skipped, 0);
+    let before = container_mtimes(&dir);
     let again = datasets::dump(&base, &dir).expect("unchanged re-dump");
-    assert_eq!(again.shards_written, 0, "unchanged config rewrote shards");
-    assert_eq!(again.shards_skipped, first.shards_written);
     assert_eq!(
-        shard_mtimes(&dir, &base_config),
+        again.containers_written, 0,
+        "unchanged config rewrote containers"
+    );
+    assert_eq!(again.containers_skipped, countries);
+    assert_eq!(
+        container_mtimes(&dir),
         before,
-        "an unchanged re-dump must not touch any shard file"
+        "an unchanged re-dump must not touch any container"
     );
 
-    // Property 2: boosting VE's volume regenerates exactly VE's shards.
+    // Property 2: boosting VE's volume rewrites exactly `mlab/VE.*`.
     let boosted = World::generate(boosted_config);
+    let before_bytes: BTreeMap<String, Vec<u8>> = before
+        .keys()
+        .map(|rel| (rel.clone(), std::fs::read(dir.join(rel)).unwrap()))
+        .collect();
     let refreshed = datasets::dump(&boosted, &dir).expect("boosted re-dump");
-    let plan = bandwidth::shard_plan(windows::mlab_start(), boosted_config.end);
-    let ve_shards = plan.iter().filter(|&&(cc, _)| cc == country::VE).count();
-    assert_eq!(refreshed.shards_written, ve_shards);
-    assert_eq!(refreshed.shards_skipped, plan.len() - ve_shards);
-    let after = shard_mtimes(&dir, &boosted_config);
+    assert_eq!(refreshed.containers_written, 1);
+    assert_eq!(refreshed.containers_skipped, countries - 1);
+    let after = container_mtimes(&dir);
     for (rel, mtime) in &before {
-        if rel.starts_with("mlab/VE/") {
+        let bytes = std::fs::read(dir.join(rel)).unwrap();
+        if rel.starts_with("mlab/VE.") {
+            assert_ne!(bytes, before_bytes[rel], "{rel} was not regenerated");
             continue;
         }
         assert_eq!(
             after[rel], *mtime,
             "{rel} was rewritten although its inputs did not change"
         );
+        assert_eq!(bytes, before_bytes[rel], "{rel} changed bytes");
     }
-    let ve_sample = "mlab/VE/ndt-2019-03.tsv";
+    let ve_sample = "mlab/VE.tsv";
 
     // Property 3: the refreshed tree and a from-scratch dump of the
     // boosted world agree on every battery artifact, byte for byte.
@@ -95,7 +105,7 @@ fn touching_one_country_refreshes_only_its_shards() {
     assert_eq!(
         std::fs::read(dir.join(ve_sample)).unwrap(),
         std::fs::read(scratch.join(ve_sample)).unwrap(),
-        "refreshed VE shard must equal the from-scratch bytes"
+        "refreshed VE container must equal the from-scratch bytes"
     );
     let refreshed_src = DataSource::from_archive(&dir).expect("refreshed tree loads");
     let scratch_src = DataSource::from_archive(&scratch).expect("scratch tree loads");
@@ -111,8 +121,8 @@ fn touching_one_country_refreshes_only_its_shards() {
 
 /// Every file of an explicit `--scenario venezuela` dump must equal the
 /// no-flag dump byte for byte — the byte-identity contract of the
-/// scenario layer — and switching scenarios must invalidate every shard
-/// while a same-scenario re-run invalidates none.
+/// scenario layer — and switching scenarios must invalidate every
+/// container while a same-scenario re-run invalidates none.
 #[test]
 fn scenario_switch_refreshes_every_shard_and_default_is_byte_identical() {
     let config = WorldConfig::test();
@@ -145,27 +155,27 @@ fn scenario_switch_refreshes_every_shard_and_default_is_byte_identical() {
         "default scenario must not write a sidecar"
     );
 
-    // Switching scenarios rewrites every shard: the scenario fingerprint
-    // is part of each manifest record.
-    let plan_len = bandwidth::shard_plan(windows::mlab_start(), config.end).len();
+    // Switching scenarios rewrites every container: the scenario
+    // fingerprint is part of each manifest record.
+    let countries = country::lacnic_codes().count();
     let cut = World::generate_with(config, Scenario::builtin("cable-cut").expect("builtin"));
     let switched = datasets::dump(&cut, &dir).expect("scenario switch re-dump");
     assert_eq!(
-        switched.shards_written, plan_len,
-        "a scenario switch must refresh every NDT shard"
+        switched.containers_written, countries,
+        "a scenario switch must refresh every NDT container"
     );
     assert!(
         dir.join("world/scenario.toml").exists(),
         "non-default scenario must write its sidecar"
     );
 
-    // A same-scenario re-run is a no-op on the shard files.
+    // A same-scenario re-run is a no-op on the containers.
     let again = datasets::dump(&cut, &dir).expect("same-scenario re-dump");
     assert_eq!(
-        again.shards_written, 0,
-        "same-scenario re-run rewrote shards"
+        again.containers_written, 0,
+        "same-scenario re-run rewrote containers"
     );
-    assert_eq!(again.shards_skipped, plan_len);
+    assert_eq!(again.containers_skipped, countries);
 
     // The loader reapplies the sidecar: the reloaded archive reports the
     // non-default scenario and reproduces its battery output.
@@ -180,9 +190,9 @@ fn scenario_switch_refreshes_every_shard_and_default_is_byte_identical() {
     );
 
     // Dumping the default world back over the scenario tree removes the
-    // stale sidecar and refreshes every shard again.
+    // stale sidecar and refreshes every container again.
     let restored = datasets::dump(&base, &dir).expect("restore default dump");
-    assert_eq!(restored.shards_written, plan_len);
+    assert_eq!(restored.containers_written, countries);
     assert!(
         !dir.join("world/scenario.toml").exists(),
         "stale sidecar must be removed when the default scenario returns"

@@ -1,0 +1,380 @@
+//! Per-country NDT containers under hostile and edge-case conditions.
+//!
+//! The archive keeps one `.ndtc` container per country and reads every
+//! `/ndt` query off it with one contiguous read. This suite pins what
+//! happens when those files lie or change under a running server:
+//!
+//! * a truncated container, a footer pointing past the end of the file,
+//!   a bad index checksum, another country's blocks and a retired v1
+//!   container each fail [`ArchiveWorld::load_with`] with a typed error;
+//! * a container corrupted after boot turns its queries into uncached
+//!   500s while the worker keeps serving everything else;
+//! * a month without rows answers 200 with `rows: 0` in both formats,
+//!   exactly like any other month, never 404.
+//!
+//! The fixture world zeroes Venezuela's NDT volume, so every VE month is
+//! a zero-row month, while the other countries carry normal rows.
+
+use lacnet::core::serve::{ServeOptions, Server};
+use lacnet::core::{datasets, ArchiveWorld, DataSource, DumpOptions};
+use lacnet::crisis::{World, WorldConfig};
+use lacnet::mlab::{ColumnReader, ShardFormat};
+use lacnet::types::codec::{crc32, put_ivarint, put_u32, put_u64, put_uvarint};
+use lacnet::types::json::Json;
+use lacnet::types::{country, Error, MonthStamp};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Duration;
+
+/// The test world with Venezuela's NDT volume scaled to zero.
+fn world() -> &'static World {
+    static WORLD: OnceLock<World> = OnceLock::new();
+    WORLD.get_or_init(|| {
+        World::generate(WorldConfig {
+            mlab_country_boost: Some((country::VE, 0.0)),
+            ..WorldConfig::test()
+        })
+    })
+}
+
+/// The world dumped once per format; tests that mutate a tree hold its
+/// lock and restore every byte they touched.
+fn tree(format: ShardFormat) -> &'static Mutex<PathBuf> {
+    static TEXT: OnceLock<Mutex<PathBuf>> = OnceLock::new();
+    static COLUMNAR: OnceLock<Mutex<PathBuf>> = OnceLock::new();
+    let cell = match format {
+        ShardFormat::Text => &TEXT,
+        ShardFormat::Columnar => &COLUMNAR,
+    };
+    cell.get_or_init(|| {
+        // SAFETY: `atexit` only records the function pointer; the
+        // callback uses nothing but `std::fs` and `std::env`.
+        static HOOK: std::sync::Once = std::sync::Once::new();
+        HOOK.call_once(|| unsafe {
+            atexit(remove_trees);
+        });
+        let dir = tree_path(format);
+        let _ = std::fs::remove_dir_all(&dir);
+        let options = DumpOptions {
+            shard_format: format,
+            ..DumpOptions::default()
+        };
+        datasets::dump_with(world(), &dir, options).expect("dump succeeds");
+        Mutex::new(dir)
+    })
+}
+
+fn tree_path(format: ShardFormat) -> PathBuf {
+    std::env::temp_dir().join(format!("lacnet-ndtc-{format}-{}", std::process::id()))
+}
+
+extern "C" {
+    /// The C runtime's exit hook: the trees live in statics, so no
+    /// destructor runs when the test binary ends.
+    fn atexit(callback: extern "C" fn()) -> std::os::raw::c_int;
+}
+
+extern "C" fn remove_trees() {
+    for format in [ShardFormat::Text, ShardFormat::Columnar] {
+        let _ = std::fs::remove_dir_all(tree_path(format));
+    }
+}
+
+/// Replace `rel` under `root` with `bytes`, try a load, restore the
+/// original bytes, and hand back the load's error.
+fn load_with_replaced(root: &Path, rel: &str, bytes: &[u8]) -> Error {
+    let path = root.join(rel);
+    let original = std::fs::read(&path).expect("container exists");
+    std::fs::write(&path, bytes).expect("write hostile container");
+    let loaded = ArchiveWorld::load_with(root, Some(ShardFormat::Columnar));
+    std::fs::write(&path, original).expect("restore container");
+    match loaded {
+        Ok(_) => panic!("a hostile {rel} loaded"),
+        Err(e) => e,
+    }
+}
+
+/// Re-seal `container` with a rewritten footer: `edit` changes the
+/// parsed entries, and the index checksum is recomputed, so only the
+/// loader's geometry and content checks can object.
+fn reseal_footer(container: &[u8], edit: impl FnOnce(&mut Vec<FooterEntry>)) -> Vec<u8> {
+    let reader = ColumnReader::open(container).expect("container opens");
+    let mut entries: Vec<FooterEntry> = reader
+        .blocks()
+        .iter()
+        .map(|b| FooterEntry {
+            offset: b.offset() as u64,
+            len: b.byte_len() as u64,
+            rows: b.rows() as u64,
+            days: b.day_span(),
+            crc: crc32(&container[b.offset()..b.offset() + b.byte_len()]),
+            countries: b.countries().iter().map(|c| c.to_string()).collect(),
+        })
+        .collect();
+    let body_end = reader
+        .blocks()
+        .last()
+        .map_or(5, |b| b.offset() + b.byte_len());
+    edit(&mut entries);
+    let mut out = container[..body_end].to_vec();
+    let index_start = out.len();
+    put_uvarint(&mut out, entries.len() as u64);
+    for e in &entries {
+        put_uvarint(&mut out, e.offset);
+        put_uvarint(&mut out, e.len);
+        put_uvarint(&mut out, e.rows);
+        put_ivarint(&mut out, e.days.0);
+        put_ivarint(&mut out, e.days.1);
+        put_u32(&mut out, e.crc);
+        put_uvarint(&mut out, e.countries.len() as u64);
+        for cc in &e.countries {
+            out.extend_from_slice(cc.as_bytes());
+        }
+    }
+    let index_len = out.len() - index_start;
+    put_u32(&mut out, index_len as u32);
+    put_u64(&mut out, entries.iter().map(|e| e.rows).sum());
+    let crc = crc32(&out[index_start..]);
+    put_u32(&mut out, crc);
+    out
+}
+
+/// One footer entry, as the test rewrites it.
+struct FooterEntry {
+    offset: u64,
+    len: u64,
+    rows: u64,
+    days: (i64, i64),
+    crc: u32,
+    countries: Vec<String>,
+}
+
+fn assert_parse_error(e: &Error, fragment: &str) {
+    match e {
+        Error::Parse { expected, .. } => {
+            assert!(
+                expected.contains(fragment),
+                "{expected:?} lacks {fragment:?}"
+            )
+        }
+        other => panic!("expected a typed parse error mentioning {fragment:?}, got {other:?}"),
+    }
+}
+
+#[test]
+fn hostile_containers_fail_the_load_typed() {
+    let root = tree(ShardFormat::Columnar)
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    let rel = "mlab/AR.ndtc";
+    let good = std::fs::read(root.join(rel)).expect("AR container");
+    ArchiveWorld::load_with(&root, Some(ShardFormat::Columnar)).expect("pristine tree loads");
+
+    // Truncated: the tail no longer describes the file.
+    let e = load_with_replaced(&root, rel, &good[..good.len() / 2]);
+    assert_parse_error(&e, "ndtc");
+
+    // A footer whose last block runs past the end of the file, and one
+    // whose block starts past it — sealed with a valid index checksum.
+    let long = reseal_footer(&good, |entries| {
+        entries.last_mut().expect("AR has blocks").len = 1 << 40;
+    });
+    assert_parse_error(&load_with_replaced(&root, rel, &long), "out of bounds");
+    let far = reseal_footer(&good, |entries| {
+        entries.last_mut().expect("AR has blocks").offset = 1 << 40;
+    });
+    assert_parse_error(&load_with_replaced(&root, rel, &far), "not contiguous");
+
+    // A bad index checksum.
+    let mut bad_crc = good.clone();
+    *bad_crc.last_mut().expect("non-empty") ^= 0x5a;
+    assert_parse_error(&load_with_replaced(&root, rel, &bad_crc), "checksum");
+
+    // Another country's blocks in AR's container: a summary that names
+    // only BR, and a summary that claims AR over BR's rows.
+    let br = std::fs::read(root.join("mlab/BR.ndtc")).expect("BR container");
+    assert_parse_error(
+        &load_with_replaced(&root, rel, &br),
+        "naming only the container's country",
+    );
+    let lying = reseal_footer(&br, |entries| {
+        for e in entries {
+            e.countries = vec!["AR".into()];
+        }
+    });
+    assert_parse_error(&load_with_replaced(&root, rel, &lying), "country summary");
+
+    // A retired v1 container (empty, otherwise well-formed).
+    let mut v1 = b"NDTC\x01\x00".to_vec();
+    for tag in 1..=7u8 {
+        v1.extend_from_slice(&[tag, 0]);
+    }
+    put_u64(&mut v1, 0);
+    let crc = crc32(&v1);
+    put_u32(&mut v1, crc);
+    assert_parse_error(
+        &load_with_replaced(&root, rel, &v1),
+        "unsupported container version",
+    );
+
+    // Every case restored the original bytes.
+    assert_eq!(std::fs::read(root.join(rel)).unwrap(), good);
+    ArchiveWorld::load_with(&root, Some(ShardFormat::Columnar)).expect("restored tree loads");
+}
+
+/// Read exactly one HTTP/1.1 response off a buffered socket.
+fn read_response(reader: &mut BufReader<TcpStream>) -> (u16, Vec<u8>) {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("status line");
+    let status: u16 = line
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("bad status line {line:?}"));
+    let mut len = 0usize;
+    loop {
+        let mut h = String::new();
+        reader.read_line(&mut h).expect("header line");
+        let h = h.trim_end();
+        if h.is_empty() {
+            break;
+        }
+        if let Some((name, value)) = h.split_once(':') {
+            if name.eq_ignore_ascii_case("content-length") {
+                len = value.trim().parse().expect("content-length");
+            }
+        }
+    }
+    let mut body = vec![0u8; len];
+    reader.read_exact(&mut body).expect("body");
+    (status, body)
+}
+
+fn http_get(addr: SocketAddr, target: &str) -> (u16, Vec<u8>) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    write!(
+        stream,
+        "GET {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n"
+    )
+    .expect("request");
+    read_response(&mut BufReader::new(stream))
+}
+
+fn json(body: &[u8]) -> Json {
+    Json::parse(std::str::from_utf8(body).expect("utf8")).expect("json")
+}
+
+#[test]
+fn zero_row_months_answer_200_with_zero_rows() {
+    for (format, label) in [
+        (ShardFormat::Columnar, "columnar-v2"),
+        (ShardFormat::Text, "text"),
+    ] {
+        let root = tree(format).lock().unwrap_or_else(|e| e.into_inner());
+        let source = DataSource::from_archive_with(&root, Some(format)).expect("archive loads");
+        let (first, last) = source.ndt_month_bounds();
+        let month = MonthStamp::new(2019, 3);
+        let stats = source
+            .ndt_month_stats(country::VE, month)
+            .expect("query succeeds")
+            .expect("a zero-row month is still a month of the archive");
+        assert_eq!((stats.rows, stats.median_download), (0, None));
+        assert_eq!(stats.format, label);
+        assert_eq!(stats.read, Default::default());
+        let range = source
+            .ndt_range_stats(country::VE, first, last)
+            .expect("range succeeds");
+        assert_eq!(range.months.len(), range.months_queried);
+        assert_eq!(range.rows, 0);
+
+        let server =
+            Server::bind(Arc::new(source), "127.0.0.1:0", ServeOptions::default()).expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let handle = server.handle().expect("handle");
+        std::thread::spawn(move || server.run().expect("server run"));
+        let (status, body) = http_get(addr, &format!("/ndt/VE/{month}"));
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        let answer = json(&body);
+        assert_eq!(answer.get("rows").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(answer.get("median_download_mbps"), Some(&Json::Null));
+        assert_eq!(answer.get("format").and_then(Json::as_str), Some(label));
+        let (status, body) = http_get(addr, &format!("/ndt/VE?from={first}&to={month}"));
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+        assert_eq!(json(&body).get("rows").and_then(Json::as_f64), Some(0.0));
+        // A month the archive does not hold is still a 404.
+        let (status, _) = http_get(addr, "/ndt/VE/1805-12");
+        assert_eq!(status, 404);
+        handle.shutdown();
+    }
+}
+
+#[test]
+fn a_container_corrupted_after_boot_is_an_uncached_500_and_the_worker_keeps_serving() {
+    let root = tree(ShardFormat::Columnar)
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    let source = DataSource::from_archive_with(&root, Some(ShardFormat::Columnar)).expect("loads");
+    let server =
+        Server::bind(Arc::new(source), "127.0.0.1:0", ServeOptions::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.handle().expect("handle");
+    std::thread::spawn(move || server.run().expect("server run"));
+
+    // Corrupt one byte inside BR's July 2019 blocks after boot.
+    let path = root.join("mlab/BR.ndtc");
+    let good = std::fs::read(&path).expect("BR container");
+    let month = MonthStamp::new(2019, 7);
+    let (lo, hi) = (
+        month.first_day().days_since_epoch(),
+        month.last_day().days_since_epoch(),
+    );
+    let block = ColumnReader::open(&good)
+        .expect("opens")
+        .blocks()
+        .iter()
+        .find(|b| b.day_span().0 >= lo && b.day_span().1 <= hi)
+        .map(|b| b.offset() + b.byte_len() / 2)
+        .expect("BR has July 2019 rows");
+    let mut bad = good.clone();
+    bad[block] ^= 0x40;
+    std::fs::write(&path, &bad).expect("corrupt");
+
+    let target = format!("/ndt/BR/{month}");
+    for _ in 0..2 {
+        let (status, body) = http_get(addr, &target);
+        assert_eq!(status, 500, "{}", String::from_utf8_lossy(&body));
+    }
+    let (status, _) = http_get(addr, &format!("/ndt/BR?from=2019-06&to={month}"));
+    assert_eq!(status, 500);
+    // Truncation after boot is a typed 500 as well, not a panic.
+    std::fs::write(&path, &good[..good.len() / 3]).expect("truncate");
+    let (status, _) = http_get(addr, "/ndt/BR?from=2023-01&to=2023-06");
+    assert_eq!(status, 500);
+
+    // The worker keeps serving: liveness, other countries, and — once
+    // the file is whole again — the very query that failed, computed
+    // fresh because no 500 was cached.
+    let (status, _) = http_get(addr, "/healthz");
+    assert_eq!(status, 200);
+    let (status, _) = http_get(addr, "/ndt/AR/2019-07");
+    assert_eq!(status, 200);
+    std::fs::write(&path, &good).expect("restore");
+    let (status, _) = http_get(addr, &target);
+    assert_eq!(status, 200);
+    let (_, metrics) = http_get(addr, "/metrics");
+    let text = String::from_utf8(metrics).expect("utf8");
+    assert!(
+        text.contains("lacnet_requests_total{endpoint=\"ndt\"} 4"),
+        "{text}"
+    );
+    assert!(
+        text.contains("lacnet_cache_misses_total{endpoint=\"ndt\"} 2"),
+        "{text}"
+    );
+    handle.shutdown();
+}

@@ -99,6 +99,39 @@ fn sharded_ndt_build_is_worker_count_invariant() {
 }
 
 #[test]
+fn ndt_container_bytes_are_worker_count_invariant() {
+    use lacnet::core::datasets;
+    use lacnet::mlab::{ColumnReader, ShardFormat};
+    use lacnet::types::country;
+    let world = world();
+    // BR holds most rows; VE and AR are ordinary.
+    let countries = [country::BR, country::VE, country::AR];
+    for format in [ShardFormat::Columnar, ShardFormat::Text] {
+        let serial = datasets::encode_ndt_containers(world, format, &countries, 1);
+        assert_eq!(serial.len(), countries.len());
+        for workers in [2, 7] {
+            assert_eq!(
+                datasets::encode_ndt_containers(world, format, &countries, workers),
+                serial,
+                "{format} container bytes must not depend on worker count ({workers})"
+            );
+        }
+    }
+    // The assembled container holds every planned month's blocks in
+    // order, and its footer agrees with the per-month census.
+    let columnar = datasets::encode_ndt_containers(world, ShardFormat::Columnar, &countries, 2);
+    for container in &columnar {
+        let reader = ColumnReader::open(&container.bytes).expect("container opens");
+        let census_blocks: u64 = container.months.iter().map(|m| m.1).sum();
+        let census_rows: u64 = container.months.iter().map(|m| m.0).sum();
+        assert_eq!(reader.block_count() as u64, census_blocks);
+        assert_eq!(reader.rows() as u64, census_rows);
+        let spans: Vec<(i64, i64)> = reader.blocks().iter().map(|b| b.day_span()).collect();
+        assert!(spans.windows(2).all(|w| w[0].1 <= w[1].0), "months ascend");
+    }
+}
+
+#[test]
 fn world_mlab_stream_is_the_sharded_build() {
     use lacnet::crisis::{bandwidth, config::windows};
     let world = world();

@@ -299,6 +299,75 @@ fn concurrent_hammer_computes_once_and_serves_identical_bodies() {
 }
 
 #[test]
+fn concurrent_ndt_range_hammer_decodes_once() {
+    // Single flight on `/ndt`: eight clients race for one cold range
+    // window on a fresh server; exactly one request decodes it (one
+    // miss), the others wait on its slot, and every body is identical.
+    let (addr, handle) = boot(ServeOptions::default());
+    let source = archive_source();
+    let series: Vec<_> = source
+        .mlab()
+        .median_series(lacnet::types::country::BR)
+        .iter()
+        .collect();
+    let (from, _) = series[series.len() / 3];
+    let (to, _) = *series.last().unwrap();
+    let target = format!("/ndt/BR?from={from}&to={to}");
+    const CLIENTS: usize = 8;
+    // Every client connects first, then all send at once.
+    let start = std::sync::Barrier::new(CLIENTS);
+    let bodies: Vec<Vec<u8>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let (target, start) = (&target, &start);
+                scope.spawn(move || {
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    stream
+                        .set_read_timeout(Some(Duration::from_secs(60)))
+                        .expect("timeout");
+                    start.wait();
+                    write!(
+                        stream,
+                        "GET {target} HTTP/1.1\r\nhost: t\r\nconnection: close\r\n\r\n"
+                    )
+                    .expect("request");
+                    let (status, _, body) = read_response(&mut BufReader::new(stream));
+                    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+                    body
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("client"))
+            .collect()
+    });
+    for body in &bodies[1..] {
+        assert_eq!(body, &bodies[0], "concurrent range responses diverged");
+    }
+    let (_, _, metrics) = http_get(addr, "/metrics");
+    let text = std::str::from_utf8(&metrics).expect("utf8");
+    assert!(
+        text.contains(&format!(
+            "lacnet_requests_total{{endpoint=\"ndt-range\"}} {CLIENTS}"
+        )),
+        "{text}"
+    );
+    assert!(
+        text.contains("lacnet_cache_misses_total{endpoint=\"ndt-range\"} 1"),
+        "{text}"
+    );
+    assert!(
+        text.contains(&format!(
+            "lacnet_cache_hits_total{{endpoint=\"ndt-range\"}} {}",
+            CLIENTS - 1
+        )),
+        "{text}"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn malformed_requests_get_typed_errors_not_hangs() {
     let addr = shared_server();
     assert_eq!(raw_status(addr, b"GARBAGE\r\n\r\n"), 400);
@@ -463,7 +532,7 @@ fn query_spellings_normalize_on_the_wire() {
 #[test]
 fn ndt_month_query_serves_selective_read_stats() {
     let addr = shared_server();
-    // Pick a real (VE, month) label off the archive's shard index.
+    // Pick a real (VE, month) off the resident aggregate.
     let source = archive_source();
     let (month, _) = source
         .mlab()
