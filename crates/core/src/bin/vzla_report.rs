@@ -15,7 +15,7 @@
 //! for the default scenario — counterfactual worlds are *expected* to
 //! diverge from the paper's endpoints.
 
-use lacnet_core::{experiments, render, DataSource};
+use lacnet_core::{experiments, registry, render, DataSource};
 use lacnet_crisis::{Scenario, World, WorldConfig};
 use lacnet_mlab::ShardFormat;
 use lacnet_types::sweep;
@@ -119,6 +119,17 @@ fn main() {
     if archive.is_some() && (!scenario.is_default() || matrix.is_some()) {
         die("--scenario/--matrix apply to generated worlds; an archive carries its own world/scenario.toml sidecar");
     }
+    // The `--only` endpoints in registry order, checked before any world
+    // is built or loaded.
+    let selected: Option<Vec<&registry::Endpoint>> = only.as_ref().map(|ids| {
+        if let Some(id) = ids.iter().find(|id| registry::find(id).is_none()) {
+            die(&format!("--only: unknown experiment id {id}"));
+        }
+        registry::ENDPOINTS
+            .iter()
+            .filter(|e| ids.iter().any(|id| id == e.id))
+            .collect()
+    });
 
     // Matrix mode: one world per scenario, generated and measured on
     // sweep workers, reported as a summary table. The exit status gates
@@ -203,8 +214,18 @@ fn main() {
 
     let seed = source.config().seed;
     let default_scenario = source.scenario().is_default();
-    let mut results = experiments::all(&source);
-    results.extend(lacnet_core::extensions::all(&source));
+    // `--only` runs just its experiments — unless `--markdown` asks for
+    // the whole battery's report, which needs every result.
+    let results = match &selected {
+        Some(endpoints) if markdown.is_none() => {
+            sweep::parallel_map(endpoints, |e| (e.run)(&source))
+        }
+        _ => {
+            let mut results = experiments::all(&source);
+            results.extend(lacnet_core::extensions::all(&source));
+            results
+        }
+    };
     let mut ok = 0usize;
     let mut diverged = 0usize;
     for result in &results {

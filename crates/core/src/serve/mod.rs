@@ -17,6 +17,7 @@
 
 pub mod metrics;
 
+use crate::artifact::ExperimentResult;
 use crate::render::{canonical_tsv, result_json};
 use crate::source::DataSource;
 use crate::{datasets, registry};
@@ -25,11 +26,12 @@ use lacnet_types::http::{self, Limits, Request, Response};
 use lacnet_types::json::Json;
 use lacnet_types::lru::LruCache;
 use metrics::{Metrics, Outcome};
+use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for one server instance.
@@ -77,6 +79,45 @@ pub struct ServerState {
     /// Each entry carries its own fingerprint, so scenario-scoped
     /// responses occupy distinct LRU slots.
     scenario_sources: Mutex<std::collections::BTreeMap<String, (Arc<DataSource<'static>>, String)>>,
+    runs: Runs,
+}
+
+/// The experiment runs in progress, keyed by endpoint id and source
+/// fingerprint. A JSON or TSV render that misses the cache while the
+/// other render of the same endpoint is computing waits for that run
+/// instead of starting a second one. An entry lives only as long as its
+/// run, so no result stays resident beside the cached bodies.
+#[derive(Default)]
+struct Runs(Mutex<BTreeMap<(&'static str, String), Run>>);
+
+/// One experiment run's result, set once by the render that started it.
+type Run = Arc<OnceLock<Arc<ExperimentResult>>>;
+
+impl Runs {
+    fn run(
+        &self,
+        endpoint: &registry::Endpoint,
+        fingerprint: &str,
+        source: &DataSource,
+    ) -> Arc<ExperimentResult> {
+        let key = (endpoint.id, fingerprint.to_owned());
+        let (cell, leader) = {
+            let mut runs = self.0.lock().expect("runs lock");
+            match runs.get(&key) {
+                Some(cell) => (Arc::clone(cell), false),
+                None => {
+                    let cell = Arc::new(OnceLock::new());
+                    runs.insert(key.clone(), Arc::clone(&cell));
+                    (cell, true)
+                }
+            }
+        };
+        let result = Arc::clone(cell.get_or_init(|| Arc::new((endpoint.run)(source))));
+        if leader {
+            self.0.lock().expect("runs lock").remove(&key);
+        }
+        result
+    }
 }
 
 /// The archive fingerprint a source serves under: the FNV-1a hash of
@@ -226,6 +267,7 @@ impl ServerState {
             endpoints_body,
             scenarios_body,
             scenario_sources: Mutex::new(std::collections::BTreeMap::new()),
+            runs: Runs::default(),
         }
     }
 
@@ -426,7 +468,7 @@ fn route_data(
                 fingerprint.to_owned(),
             );
             let (cached, hit) = state.cache.get_or_compute(key, || {
-                let result = (endpoint.run)(source);
+                let result = state.runs.run(endpoint, fingerprint, source);
                 let bytes = if tsv {
                     canonical_tsv(&result).into_bytes()
                 } else {
@@ -914,6 +956,42 @@ mod tests {
     fn fresh_state() -> ServerState {
         let source = Arc::new(DataSource::in_memory(crate::experiments::testworld::world()));
         ServerState::new(source, 8)
+    }
+
+    /// How many times [`slow_fig01`] has run.
+    static SLOW_RUNS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
+    /// fig01, slowed down so that a second render arrives mid-run.
+    fn slow_fig01(src: &DataSource) -> ExperimentResult {
+        SLOW_RUNS.fetch_add(1, Ordering::SeqCst);
+        std::thread::sleep(Duration::from_millis(200));
+        crate::experiments::fig01_macro::run(src)
+    }
+
+    #[test]
+    fn concurrent_renders_of_one_endpoint_share_one_run() {
+        let state = fresh_state();
+        let endpoint = registry::Endpoint {
+            id: "fig01",
+            kind: registry::Kind::Paper,
+            run: slow_fig01,
+            ndt_columns: lacnet_mlab::ColumnSet::NONE,
+        };
+        let run = || state.runs.run(&endpoint, &state.fingerprint, &state.source);
+        let (first, second) = std::thread::scope(|scope| {
+            let first = scope.spawn(run);
+            while SLOW_RUNS.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            let second = scope.spawn(run);
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        assert_eq!(SLOW_RUNS.load(Ordering::SeqCst), 1);
+        assert!(Arc::ptr_eq(&first, &second));
+        // The entry left with its run: a later miss runs afresh.
+        assert!(state.runs.0.lock().unwrap().is_empty());
+        assert_eq!(*run(), *first);
+        assert_eq!(SLOW_RUNS.load(Ordering::SeqCst), 2);
     }
 
     #[test]

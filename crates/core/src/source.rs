@@ -36,7 +36,7 @@ use lacnet_types::{country, sweep, Asn, CountryCode, Date, Error, MonthStamp, Re
 use lacnet_webmeas::CountryTopSites;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{ErrorKind, Read, Seek, SeekFrom};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -364,6 +364,66 @@ fn load_container(
     Ok((spans, blocks, agg))
 }
 
+/// One manifest entry parsed into the dataset it holds, ready to fold
+/// into an [`ArchiveWorld`].
+enum Parsed {
+    Topology(MonthStamp, AsGraph),
+    PeeringDb(MonthStamp, Snapshot),
+    Cables(CableMap),
+    CertScan(CertScan),
+    TopSites(CountryTopSites),
+    Reachability(CountryCode, ReachabilitySeries),
+}
+
+/// Parse the manifest entry `rel` under `root`. `Ok(None)` for the
+/// entries the loader reads elsewhere or not at all: pfx2as tables
+/// (parsed lazily), delegations (only the newest file), NDT containers
+/// (decoded in plan order), traceroute samples and the manifest itself.
+fn parse_entry(root: &Path, rel: &str) -> Result<Option<Parsed>> {
+    let part = if let Some(name) = rel.strip_prefix("serial1/") {
+        let m = month_from_name(name, "", ".as-rel.txt")
+            .ok_or_else(|| Error::parse("serial-1 file month", rel))?;
+        let edges = lacnet_bgp::serial1::parse(&read_text(root, rel)?)?;
+        Parsed::Topology(m, AsGraph::from_edges(edges))
+    } else if let Some(name) = rel.strip_prefix("peeringdb/") {
+        let m = month_from_name(name, "peeringdb_2_dump_", ".json")
+            .ok_or_else(|| Error::parse("peeringdb dump month", rel))?;
+        Parsed::PeeringDb(m, Snapshot::from_json(&read_text(root, rel)?)?)
+    } else if rel.starts_with("cables/") {
+        Parsed::Cables(CableMap::from_json(&read_text(root, rel)?)?)
+    } else if rel.starts_with("offnets/") {
+        Parsed::CertScan(CertScan::from_json(&read_text(root, rel)?)?)
+    } else if rel.starts_with("topsites/") {
+        Parsed::TopSites(CountryTopSites::from_json(&read_text(root, rel)?)?)
+    } else if let Some(name) = rel.strip_prefix("atlas/reachability-") {
+        let code = name.split('-').next().unwrap_or_default();
+        let cc =
+            CountryCode::new(code).map_err(|_| Error::parse("reachability file country", rel))?;
+        Parsed::Reachability(cc, ReachabilitySeries::parse_tsv(&read_text(root, rel)?)?)
+    } else {
+        return Ok(None);
+    };
+    Ok(Some(part))
+}
+
+/// Read the archive file `rel` under `root` as UTF-8 text.
+fn read_text(root: &Path, rel: &str) -> Result<String> {
+    fs::read_to_string(root.join(rel))
+        .map_err(|e| read_error(e, "archive file", format!("{}/{rel}", root.display())))
+}
+
+/// The typed error for a failed read of the archive file `file`: only a
+/// file that is not there is [`Error::Missing`] (`what`); one that is
+/// there but cannot be read — a directory, no permission, not UTF-8 —
+/// is a parse error naming the file.
+fn read_error(e: std::io::Error, what: &'static str, file: String) -> Error {
+    if e.kind() == ErrorKind::NotFound {
+        Error::missing(what, file)
+    } else {
+        Error::parse("readable archive file", &format!("{file}: {e}"))
+    }
+}
+
 impl ArchiveWorld {
     /// Load an archive dumped by [`crate::datasets::dump`] from `root`,
     /// parsing every dataset from its native format, taking each NDT
@@ -376,9 +436,14 @@ impl ArchiveWorld {
     /// Load an archive dumped by [`crate::datasets::dump_with`] from
     /// `root`, parsing every dataset from its native format.
     ///
-    /// Each country's NDT container is read once and decoded on a sweep
-    /// worker — `.ndtc` blocks through borrowed `scan_counted` views,
-    /// text rows parsed in file order — into a partial aggregate and the
+    /// The manifest's serial-1, PeeringDB, cable, off-net, top-site and
+    /// reachability files parse in one sweep, each on whichever worker
+    /// claims it, and fold in manifest order; a load that fails returns
+    /// the first failing file in manifest order, then the first failing
+    /// NDT container in plan order. Each country's NDT container is read
+    /// once and decoded on a sweep worker — `.ndtc` blocks through
+    /// borrowed `scan_counted` views, text rows parsed in file order —
+    /// into a partial aggregate and the
     /// resident month table `/ndt` queries read from. Every group sees
     /// the exact observation sequence the in-memory aggregator saw, so
     /// the order-sensitive P² estimators land in identical state. Each
@@ -386,14 +451,14 @@ impl ArchiveWorld {
     /// `Some(format)` in `expect` instead demands that every container
     /// be in that format and fails on the first that is not.
     pub fn load_with(root: &Path, expect: Option<ShardFormat>) -> Result<ArchiveWorld> {
-        let read = |rel: &str| -> Result<String> {
-            fs::read_to_string(root.join(rel))
-                .map_err(|_| Error::missing("archive file", format!("{}/{rel}", root.display())))
-        };
-        let config = WorldConfig::parse(&read("world/config.tsv")?)?;
+        let config = WorldConfig::parse(&read_text(root, "world/config.tsv")?)?;
         let scenario = match fs::read_to_string(root.join("world/scenario.toml")) {
             Ok(text) => lacnet_crisis::Scenario::parse(&text).map_err(Error::from)?,
-            Err(_) => lacnet_crisis::Scenario::venezuela(),
+            Err(e) if e.kind() == ErrorKind::NotFound => lacnet_crisis::Scenario::venezuela(),
+            Err(e) => {
+                let file = format!("{}/world/scenario.toml", root.display());
+                return Err(read_error(e, "archive file", file));
+            }
         };
 
         // The model roots are pure functions of the config and scenario;
@@ -409,12 +474,16 @@ impl ArchiveWorld {
             },
         );
 
-        let manifest = read("MANIFEST.txt")?;
+        let manifest = read_text(root, "MANIFEST.txt")?;
         let entries: Vec<&str> = manifest
             .lines()
             .filter(|l| !l.starts_with('#') && !l.is_empty())
             .collect();
 
+        // The parts fold in manifest order on this thread, so the archive,
+        // its scan and scrape order, and the error returned are the
+        // serial loop's.
+        let parsed = sweep::parallel_map(&entries, |rel| parse_entry(root, rel));
         let mut topology = TopologyArchive::new();
         let mut peeringdb = SnapshotArchive::new();
         let mut cables: Option<CableMap> = None;
@@ -422,38 +491,25 @@ impl ArchiveWorld {
         let mut top_sites = Vec::new();
         let mut reachability = BTreeMap::new();
         let mut last_delegations: Option<&str> = None;
-
-        for &rel in &entries {
-            if let Some(name) = rel.strip_prefix("serial1/") {
-                let m = month_from_name(name, "", ".as-rel.txt")
-                    .ok_or_else(|| Error::parse("serial-1 file month", rel))?;
-                let edges = lacnet_bgp::serial1::parse(&read(rel)?)?;
-                topology.insert(m, AsGraph::from_edges(edges));
-            } else if let Some(name) = rel.strip_prefix("peeringdb/") {
-                let m = month_from_name(name, "peeringdb_2_dump_", ".json")
-                    .ok_or_else(|| Error::parse("peeringdb dump month", rel))?;
-                peeringdb.insert(m, Snapshot::from_json(&read(rel)?)?);
-            } else if rel.starts_with("delegations/") {
-                last_delegations = Some(rel);
-            } else if rel.starts_with("cables/") {
-                cables = Some(CableMap::from_json(&read(rel)?)?);
-            } else if rel.starts_with("offnets/") {
-                cert_scans.push(CertScan::from_json(&read(rel)?)?);
-            } else if rel.starts_with("topsites/") {
-                top_sites.push(CountryTopSites::from_json(&read(rel)?)?);
-            } else if let Some(name) = rel.strip_prefix("atlas/reachability-") {
-                let code = name.split('-').next().unwrap_or_default();
-                let cc = CountryCode::new(code)
-                    .map_err(|_| Error::parse("reachability file country", rel))?;
-                reachability.insert(cc, ReachabilitySeries::parse_tsv(&read(rel)?)?);
+        for (&rel, part) in entries.iter().zip(parsed) {
+            match part? {
+                Some(Parsed::Topology(m, graph)) => topology.insert(m, graph),
+                Some(Parsed::PeeringDb(m, snapshot)) => peeringdb.insert(m, snapshot),
+                Some(Parsed::Cables(map)) => cables = Some(map),
+                Some(Parsed::CertScan(scan)) => cert_scans.push(scan),
+                Some(Parsed::TopSites(sites)) => top_sites.push(sites),
+                Some(Parsed::Reachability(cc, series)) => {
+                    reachability.insert(cc, series);
+                }
+                None if rel.starts_with("delegations/") => last_delegations = Some(rel),
+                None => {}
             }
-            // mlab/ containers are decoded below in plan order; traceroute
-            // samples and the manifest itself carry no battery state.
         }
 
         let last_delegations =
             last_delegations.ok_or_else(|| Error::missing("archive dataset", "delegations/"))?;
-        let ledger = AllocationLedger::from_delegation_file(&DelegationFile::parse(&read(
+        let ledger = AllocationLedger::from_delegation_file(&DelegationFile::parse(&read_text(
+            root,
             last_delegations,
         )?)?)?;
 
@@ -493,7 +549,7 @@ impl ArchiveWorld {
             &containers,
             |(cc, rel, format)| {
                 let bytes = fs::read(root.join(rel))
-                    .map_err(|_| Error::missing("NDT archive container", rel.as_str()))?;
+                    .map_err(|e| read_error(e, "NDT archive container", rel.clone()))?;
                 load_container(*cc, &bytes, *format, &months, &selection)
             },
         );
@@ -598,10 +654,10 @@ impl ArchiveWorld {
             return Ok((Vec::new(), NdtIo::default()));
         };
         let span = first.bytes.start..last.bytes.end;
-        let missing = || Error::missing("NDT archive container", container.rel.as_str());
-        let mut file = fs::File::open(self.root.join(&container.rel)).map_err(|_| missing())?;
+        let unread = |e| read_error(e, "NDT archive container", container.rel.clone());
+        let mut file = fs::File::open(self.root.join(&container.rel)).map_err(unread)?;
         // Size the buffer only once the file proves long enough for it.
-        let file_len = file.metadata().map_err(|_| missing())?.len();
+        let file_len = file.metadata().map_err(unread)?.len();
         if span.end as u64 > file_len {
             return Err(Error::parse(
                 "NDT container at least as long as its resident month table",

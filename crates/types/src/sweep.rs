@@ -7,12 +7,16 @@
 //! dependencies — with a hard determinism contract: **output order and
 //! content are identical to the serial loop**, whatever the worker count.
 //!
-//! Workers claim fixed, contiguous index chunks and write results into
-//! disjoint slots of a preallocated buffer, so reassembly is free and the
-//! result vector is in input order by construction.
+//! Workers schedule themselves: each claims the next unclaimed index
+//! from a shared counter, one item at a time, so a few expensive items
+//! (BR's NDT container, the PeeringDB dumps) never strand the cheap
+//! items queued behind them on one busy worker. Every result is tagged
+//! with its index and lands in that index's slot, so the result vector
+//! is in input order whichever worker computed what.
 
 use crate::date::MonthStamp;
 use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// The machine's available parallelism, detected once per process. On a
@@ -55,10 +59,11 @@ where
 }
 
 /// [`parallel_map`] with an explicit worker count — lets callers (the
-/// shard-invariance tests, benches on single-core hosts) drive the chunked
+/// shard-invariance tests, benches on single-core hosts) drive the
 /// multi-worker path regardless of the machine's parallelism. Same
 /// determinism contract: the output is byte-identical to the serial loop
-/// for every worker count.
+/// for every worker count. A panic in `f` reaches the caller once every
+/// worker has drained the remaining items.
 pub fn parallel_map_with<I, O, F>(workers: usize, items: &[I], f: F) -> Vec<O>
 where
     I: Sync,
@@ -69,20 +74,35 @@ where
     if n <= 1 || workers <= 1 {
         return items.iter().map(f).collect();
     }
-    let workers = workers.min(n);
+    // Each worker — the calling thread is one of them — claims indices
+    // until none is left and keeps every result next to its index.
+    let next = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            match items.get(i) {
+                Some(item) => done.push((i, f(item))),
+                None => return done,
+            }
+        }
+    };
     let mut slots: Vec<Option<O>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    let chunk = n.div_ceil(workers);
     std::thread::scope(|scope| {
-        // Pair each output chunk with the input chunk it mirrors; every
-        // worker owns one disjoint pair, so input order is preserved.
-        for (out_chunk, in_chunk) in slots.chunks_mut(chunk).zip(items.chunks(chunk)) {
-            let f = &f;
-            scope.spawn(move || {
-                for (slot, item) in out_chunk.iter_mut().zip(in_chunk) {
-                    *slot = Some(f(item));
-                }
-            });
+        let helpers: Vec<_> = (1..workers.min(n)).map(|_| scope.spawn(claim)).collect();
+        let own = claim();
+        for done in helpers
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .chain([own])
+        {
+            for (i, out) in done {
+                slots[i] = Some(out);
+            }
         }
     });
     slots
@@ -162,7 +182,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
 
     #[test]
     fn parallel_map_preserves_order() {
@@ -185,9 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn forced_multi_worker_chunking_matches_serial() {
+    fn forced_multi_worker_sweep_matches_serial() {
         // `worker_count` collapses to 1 on a single-core host, which would
-        // leave the chunked path untested there — so drive it directly.
+        // leave the multi-worker path untested there — so drive it directly.
         let items: Vec<u64> = (0..101).collect();
         let serial: Vec<u64> = items.iter().map(|&x| x * 7 + 3).collect();
         for workers in [2, 3, 8, 101, 500] {
@@ -201,14 +221,59 @@ mod tests {
 
     #[test]
     fn forced_multi_worker_runs_every_item_once() {
-        let counter = AtomicUsize::new(0);
-        let items: Vec<u32> = (0..97).collect();
-        let out = parallel_map_with(4, &items, |&x| {
-            counter.fetch_add(1, Ordering::Relaxed);
-            x + 1
-        });
-        assert_eq!(out, (1..98).collect::<Vec<_>>());
-        assert_eq!(counter.load(Ordering::Relaxed), 97);
+        for workers in [2, 3, 8] {
+            let runs: Vec<AtomicUsize> = (0..203).map(|_| AtomicUsize::new(0)).collect();
+            let indices: Vec<usize> = (0..runs.len()).collect();
+            let out = parallel_map_with(workers, &indices, |&i| {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                i
+            });
+            assert_eq!(out, indices);
+            for (i, count) in runs.iter().enumerate() {
+                assert_eq!(
+                    count.load(Ordering::Relaxed),
+                    1,
+                    "item {i} at {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn uneven_item_costs_come_back_in_input_order() {
+        // One slow item early on: the other workers take the items
+        // behind it, and the slots still reassemble input order.
+        let items: Vec<u64> = (0..64).collect();
+        let serial: Vec<u64> = items.iter().map(|&x| x * 3 + 1).collect();
+        for workers in [2, 3, 8] {
+            let out = parallel_map_with(workers, &items, |&x| {
+                if x == 2 {
+                    std::thread::sleep(Duration::from_millis(50));
+                }
+                x * 3 + 1
+            });
+            assert_eq!(out, serial, "worker count {workers}");
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller() {
+        let items: Vec<u32> = (0..50).collect();
+        // The first item usually runs on the calling thread, the last on
+        // a helper: both panics must surface, payload intact.
+        for bad in [0, 49] {
+            let caught = std::panic::catch_unwind(|| {
+                parallel_map_with(4, &items, |&x| {
+                    assert_ne!(x, bad, "item {bad} fails");
+                    x
+                })
+            });
+            let payload = caught.expect_err("the panic propagates");
+            let message = payload
+                .downcast_ref::<String>()
+                .expect("a formatted panic message");
+            assert!(message.contains(&format!("item {bad} fails")), "{message}");
+        }
     }
 
     #[test]

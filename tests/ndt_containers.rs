@@ -378,3 +378,113 @@ fn a_container_corrupted_after_boot_is_an_uncached_500_and_the_worker_keeps_serv
     );
     handle.shutdown();
 }
+
+/// Swap each `(rel, bytes)` into `root`, load the archive, put every
+/// original back, and hand back the load's error.
+fn load_with_files(root: &Path, files: &[(&str, &[u8])]) -> Error {
+    let originals: Vec<Vec<u8>> = files
+        .iter()
+        .map(|(rel, _)| std::fs::read(root.join(rel)).expect("archive file exists"))
+        .collect();
+    for (rel, bytes) in files {
+        std::fs::write(root.join(rel), bytes).expect("write hostile file");
+    }
+    let loaded = ArchiveWorld::load(root);
+    for ((rel, _), original) in files.iter().zip(originals) {
+        std::fs::write(root.join(rel), original).expect("restore archive file");
+    }
+    match loaded {
+        Ok(_) => panic!("a tree with hostile files loaded"),
+        Err(e) => e,
+    }
+}
+
+/// The manifest's entries under `dir`, in manifest order.
+fn manifest_entries(root: &Path, dir: &str) -> Vec<String> {
+    let manifest = std::fs::read_to_string(root.join("MANIFEST.txt")).expect("manifest");
+    manifest
+        .lines()
+        .filter(|l| l.starts_with(dir))
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn unreadable_archive_files_are_parse_errors_naming_the_file() {
+    let root = tree(ShardFormat::Columnar)
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    let dump = manifest_entries(&root, "peeringdb/").swap_remove(0);
+    let not_utf8: &[u8] = b"{\"fac\": [\xff\xfe]}";
+    let names = |e: &Error, rel: &str| match e {
+        Error::Parse { expected, input } => {
+            *expected == "readable archive file" && input.contains(rel)
+        }
+        _ => false,
+    };
+
+    // A PeeringDB dump that is there but is not UTF-8.
+    let e = load_with_files(&root, &[(&dump, not_utf8)]);
+    assert!(names(&e, &dump), "{e:?}");
+
+    // The same bytes in an NDT container fail its decode, typed; a
+    // container path that cannot be read at all (a directory) names it.
+    let container = "mlab/AR.ndtc";
+    let e = load_with_files(&root, &[(container, not_utf8)]);
+    assert!(matches!(e, Error::Parse { .. }), "{e:?}");
+    let path = root.join(container);
+    let good = std::fs::read(&path).expect("AR container");
+    std::fs::remove_file(&path).expect("remove AR container");
+    std::fs::create_dir(&path).expect("directory in its place");
+    let loaded = ArchiveWorld::load(&root);
+    std::fs::remove_dir(&path).expect("remove the directory");
+    std::fs::write(&path, good).expect("restore AR container");
+    let e = loaded
+        .err()
+        .expect("an unreadable container fails the load");
+    assert!(names(&e, container), "{e:?}");
+
+    // Only a file that is not there is missing.
+    let aside = root.join("peeringdb-aside.json");
+    std::fs::rename(root.join(&dump), &aside).expect("move the dump aside");
+    let loaded = ArchiveWorld::load(&root);
+    std::fs::rename(&aside, root.join(&dump)).expect("put the dump back");
+    match loaded.err().expect("a missing dump fails the load") {
+        Error::Missing { what, key } => {
+            assert_eq!(what, "archive file");
+            assert!(key.ends_with(&dump), "{key}");
+        }
+        other => panic!("expected a missing-file error, got {other:?}"),
+    }
+    ArchiveWorld::load(&root).expect("restored tree loads");
+}
+
+#[test]
+fn a_load_with_several_bad_files_fails_on_the_first_in_manifest_order() {
+    let root = tree(ShardFormat::Columnar)
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    // The newest PeeringDB dump, a top-sites scrape listed after it, and
+    // an NDT container, which decodes only after the manifest's files.
+    let dump = manifest_entries(&root, "peeringdb/").pop().expect("a dump");
+    let sites = manifest_entries(&root, "topsites/")
+        .pop()
+        .expect("a scrape");
+    let manifest = std::fs::read_to_string(root.join("MANIFEST.txt")).expect("manifest");
+    assert!(manifest.find(dump.as_str()) < manifest.find(sites.as_str()));
+    let bad_dump = "{\"fac\": not json";
+    let expected = match lacnet::peeringdb::Snapshot::from_json(bad_dump) {
+        Ok(_) => panic!("the bad dump parses"),
+        Err(e) => e,
+    };
+    let files: [(&str, &[u8]); 3] = [
+        (&dump, bad_dump.as_bytes()),
+        (&sites, b"[\"not a scrape\""),
+        ("mlab/BR.ndtc", b"NDTC\x02 not a container"),
+    ];
+    // However the sweep's workers interleave, every load returns the
+    // serial loop's error: the dump's.
+    for _ in 0..6 {
+        assert_eq!(load_with_files(&root, &files), expected);
+    }
+}
