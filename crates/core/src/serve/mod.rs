@@ -26,12 +26,11 @@ use lacnet_types::http::{self, Limits, Request, Response};
 use lacnet_types::json::Json;
 use lacnet_types::lru::LruCache;
 use metrics::{Metrics, Outcome};
-use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for one server instance.
@@ -79,46 +78,16 @@ pub struct ServerState {
     /// Each entry carries its own fingerprint, so scenario-scoped
     /// responses occupy distinct LRU slots.
     scenario_sources: Mutex<std::collections::BTreeMap<String, (Arc<DataSource<'static>>, String)>>,
-    runs: Runs,
+    /// The latest experiment results, keyed by endpoint id and source
+    /// fingerprint, which an endpoint's JSON and TSV renders share.
+    results: LruCache<(&'static str, String), Arc<ExperimentResult>>,
 }
 
-/// The experiment runs in progress, keyed by endpoint id and source
-/// fingerprint. A JSON or TSV render that misses the cache while the
-/// other render of the same endpoint is computing waits for that run
-/// instead of starting a second one. An entry lives only as long as its
-/// run, so no result stays resident beside the cached bodies.
-#[derive(Default)]
-struct Runs(Mutex<BTreeMap<(&'static str, String), Run>>);
-
-/// One experiment run's result, set once by the render that started it.
-type Run = Arc<OnceLock<Arc<ExperimentResult>>>;
-
-impl Runs {
-    fn run(
-        &self,
-        endpoint: &registry::Endpoint,
-        fingerprint: &str,
-        source: &DataSource,
-    ) -> Arc<ExperimentResult> {
-        let key = (endpoint.id, fingerprint.to_owned());
-        let (cell, leader) = {
-            let mut runs = self.0.lock().expect("runs lock");
-            match runs.get(&key) {
-                Some(cell) => (Arc::clone(cell), false),
-                None => {
-                    let cell = Arc::new(OnceLock::new());
-                    runs.insert(key.clone(), Arc::clone(&cell));
-                    (cell, true)
-                }
-            }
-        };
-        let result = Arc::clone(cell.get_or_init(|| Arc::new((endpoint.run)(source))));
-        if leader {
-            self.0.lock().expect("runs lock").remove(&key);
-        }
-        result
-    }
-}
+/// How many experiment results a [`ServerState`] keeps for the other
+/// render of their endpoint. That render is almost always requested
+/// right beside the first, with at most a few other runs finishing in
+/// between; a result evicted before it comes costs one more run.
+const RESULT_SLOTS: usize = 4;
 
 /// The archive fingerprint a source serves under: the FNV-1a hash of
 /// `mlab/manifest.tsv` for archive backends (a re-dump rewrites the
@@ -267,8 +236,23 @@ impl ServerState {
             endpoints_body,
             scenarios_body,
             scenario_sources: Mutex::new(std::collections::BTreeMap::new()),
-            runs: Runs::default(),
+            results: LruCache::new(RESULT_SLOTS),
         }
+    }
+
+    /// `endpoint`'s result over `source`. A render that misses while the
+    /// other render of the same endpoint runs waits for that run, and one
+    /// that comes after it reuses the result, so the pair costs one run
+    /// however the two requests interleave.
+    fn result(
+        &self,
+        endpoint: &registry::Endpoint,
+        fingerprint: &str,
+        source: &DataSource,
+    ) -> Arc<ExperimentResult> {
+        let key = (endpoint.id, fingerprint.to_owned());
+        let run = || Arc::new((endpoint.run)(source));
+        self.results.get_or_compute(key, run).0
     }
 
     /// The fingerprint responses are currently keyed under.
@@ -468,7 +452,7 @@ fn route_data(
                 fingerprint.to_owned(),
             );
             let (cached, hit) = state.cache.get_or_compute(key, || {
-                let result = state.runs.run(endpoint, fingerprint, source);
+                let result = state.result(endpoint, fingerprint, source);
                 let bytes = if tsv {
                     canonical_tsv(&result).into_bytes()
                 } else {
@@ -969,28 +953,36 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_renders_of_one_endpoint_share_one_run() {
+    fn renders_of_one_endpoint_share_one_run_however_they_interleave() {
         let state = fresh_state();
-        let endpoint = registry::Endpoint {
-            id: "fig01",
+        let endpoint = |id, run| registry::Endpoint {
+            id,
             kind: registry::Kind::Paper,
-            run: slow_fig01,
+            run,
             ndt_columns: lacnet_mlab::ColumnSet::NONE,
         };
-        let run = || state.runs.run(&endpoint, &state.fingerprint, &state.source);
+        let slow = endpoint("fig01", slow_fig01);
+        let result = || state.result(&slow, &state.fingerprint, &state.source);
+        // A render that arrives mid-run waits for it.
         let (first, second) = std::thread::scope(|scope| {
-            let first = scope.spawn(run);
+            let first = scope.spawn(result);
             while SLOW_RUNS.load(Ordering::SeqCst) == 0 {
                 std::thread::yield_now();
             }
-            let second = scope.spawn(run);
+            let second = scope.spawn(result);
             (first.join().unwrap(), second.join().unwrap())
         });
         assert_eq!(SLOW_RUNS.load(Ordering::SeqCst), 1);
         assert!(Arc::ptr_eq(&first, &second));
-        // The entry left with its run: a later miss runs afresh.
-        assert!(state.runs.0.lock().unwrap().is_empty());
-        assert_eq!(*run(), *first);
+        // One that arrives after the run reuses its result.
+        assert!(Arc::ptr_eq(&result(), &first));
+        assert_eq!(SLOW_RUNS.load(Ordering::SeqCst), 1);
+        // Once newer results have filled every slot, a miss runs afresh.
+        for other in registry::ENDPOINTS.iter().skip(1).take(RESULT_SLOTS) {
+            let other = endpoint(other.id, crate::experiments::fig01_macro::run);
+            state.result(&other, &state.fingerprint, &state.source);
+        }
+        assert_eq!(*result(), *first);
         assert_eq!(SLOW_RUNS.load(Ordering::SeqCst), 2);
     }
 
