@@ -9,7 +9,7 @@
 
 use criterion::{criterion_group, Criterion};
 use lacnet_bench::bench_world;
-use lacnet_core::{datasets, ArchiveWorld, DumpOptions};
+use lacnet_core::{datasets, DataSource, DumpOptions};
 use lacnet_crisis::World;
 use lacnet_mlab::ShardFormat;
 use lacnet_types::{country, CountryCode, MonthStamp};
@@ -60,7 +60,7 @@ impl Drop for RemoveDumps {
     }
 }
 
-fn assert_equivalent(world: &World, reloaded: &ArchiveWorld) {
+fn assert_equivalent(world: &World, reloaded: &DataSource) {
     assert_eq!(reloaded.config, world.config);
     assert_eq!(reloaded.topology.len(), world.topology.len());
     let m = MonthStamp::new(2020, 6);
@@ -85,11 +85,14 @@ fn assert_equivalent(world: &World, reloaded: &ArchiveWorld) {
 fn bench_archive_load(c: &mut Criterion) {
     let world = bench_world();
     let dir = dump_dir();
-    assert_equivalent(world, &ArchiveWorld::load(&dir).expect("archive loads"));
+    assert_equivalent(
+        world,
+        &DataSource::from_archive(&dir).expect("archive loads"),
+    );
     let mut group = c.benchmark_group("archive");
     group.sample_size(10);
     group.bench_function("load", |b| {
-        b.iter(|| black_box(ArchiveWorld::load(&dir).expect("archive loads")))
+        b.iter(|| black_box(DataSource::from_archive(&dir).expect("archive loads")))
     });
     group.bench_function("generate", |b| {
         b.iter(|| black_box(World::generate(world.config)))
@@ -124,9 +127,10 @@ fn aggregate_whole_archive(ndtc_dir: &std::path::Path) -> lacnet_mlab::MonthlyAg
 fn bench_cold_load(c: &mut Criterion) {
     let text_dir = dump_dir();
     let ndtc_dir = columnar_dump_dir();
-    let text = ArchiveWorld::load_with(&text_dir, Some(ShardFormat::Text)).expect("text loads");
-    let ndtc =
-        ArchiveWorld::load_with(&ndtc_dir, Some(ShardFormat::Columnar)).expect("columnar loads");
+    let text =
+        DataSource::from_archive_with(&text_dir, Some(ShardFormat::Text)).expect("text loads");
+    let ndtc = DataSource::from_archive_with(&ndtc_dir, Some(ShardFormat::Columnar))
+        .expect("columnar loads");
     assert_eq!(text.mlab.group_count(), ndtc.mlab.group_count());
     assert_eq!(
         text.mlab.median_series(country::VE),
@@ -197,13 +201,16 @@ fn bench_cold_load(c: &mut Criterion) {
     group.bench_function("ndt/columnar", |b| b.iter(|| black_box(ingest_columnar())));
     group.bench_function("text", |b| {
         b.iter(|| {
-            black_box(ArchiveWorld::load_with(&text_dir, Some(ShardFormat::Text)).expect("loads"))
+            black_box(
+                DataSource::from_archive_with(&text_dir, Some(ShardFormat::Text)).expect("loads"),
+            )
         })
     });
     group.bench_function("columnar", |b| {
         b.iter(|| {
             black_box(
-                ArchiveWorld::load_with(&ndtc_dir, Some(ShardFormat::Columnar)).expect("loads"),
+                DataSource::from_archive_with(&ndtc_dir, Some(ShardFormat::Columnar))
+                    .expect("loads"),
             )
         })
     });
@@ -218,8 +225,8 @@ fn bench_cold_load(c: &mut Criterion) {
 /// bit-identical P² median — before any timing starts.
 fn bench_cold_query(c: &mut Criterion) {
     let ndtc_dir = columnar_dump_dir();
-    let ndtc =
-        ArchiveWorld::load_with(&ndtc_dir, Some(ShardFormat::Columnar)).expect("columnar loads");
+    let ndtc = DataSource::from_archive_with(&ndtc_dir, Some(ShardFormat::Columnar))
+        .expect("columnar loads");
     let (month, _) = ndtc
         .mlab
         .median_series(country::VE)
@@ -263,8 +270,8 @@ fn bench_cold_query(c: &mut Criterion) {
 /// download sum, and the bit-exact P² median before timing.
 fn bench_range_query(c: &mut Criterion) {
     let ndtc_dir = columnar_dump_dir();
-    let ndtc =
-        ArchiveWorld::load_with(&ndtc_dir, Some(ShardFormat::Columnar)).expect("columnar loads");
+    let ndtc = DataSource::from_archive_with(&ndtc_dir, Some(ShardFormat::Columnar))
+        .expect("columnar loads");
     let series: Vec<_> = ndtc.mlab.median_series(country::VE).iter().collect();
     assert!(series.len() >= 6, "bench world spans months");
     let (from, _) = series[series.len() - 6];

@@ -7,15 +7,14 @@
 //! experiment compute it replaces.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lacnet_bench::bench_world;
+use lacnet_bench::bench_source;
 use lacnet_core::serve::{respond, ServerState};
-use lacnet_core::DataSource;
 use lacnet_types::http::Request;
 use std::hint::black_box;
 use std::sync::Arc;
 
 fn state() -> ServerState {
-    ServerState::new(Arc::new(DataSource::in_memory(bench_world())), 128)
+    ServerState::new(Arc::clone(bench_source()), 128)
 }
 
 fn get(target: &str) -> Request {

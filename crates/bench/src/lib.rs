@@ -6,23 +6,27 @@
 
 use lacnet_core::DataSource;
 use lacnet_crisis::{World, WorldConfig};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-/// The world all benches run against (reduced M-Lab volume keeps world
-/// generation itself out of the measured loops' setup time).
-pub fn bench_world() -> &'static World {
-    static WORLD: OnceLock<World> = OnceLock::new();
-    WORLD.get_or_init(|| {
-        World::generate(WorldConfig {
-            mlab_volume_scale: 0.2,
-            ..WorldConfig::default()
-        })
-    })
+/// The config every bench world is generated from (reduced M-Lab volume
+/// keeps world generation itself out of the measured loops' setup time).
+fn bench_config() -> WorldConfig {
+    WorldConfig {
+        mlab_volume_scale: 0.2,
+        ..WorldConfig::default()
+    }
 }
 
-/// [`bench_world`] behind the in-memory battery interface, for the
-/// per-artifact experiment benches.
-pub fn bench_source() -> &'static DataSource<'static> {
-    static SOURCE: OnceLock<DataSource<'static>> = OnceLock::new();
-    SOURCE.get_or_init(|| DataSource::in_memory(bench_world()))
+/// The world all benches run against.
+pub fn bench_world() -> &'static World {
+    static WORLD: OnceLock<World> = OnceLock::new();
+    WORLD.get_or_init(|| World::generate(bench_config()))
+}
+
+/// The same world, generated on its own and moved into the in-memory
+/// battery interface, for the per-artifact experiment and serving
+/// benches.
+pub fn bench_source() -> &'static Arc<DataSource> {
+    static SOURCE: OnceLock<Arc<DataSource>> = OnceLock::new();
+    SOURCE.get_or_init(|| Arc::new(DataSource::from(World::generate(bench_config()))))
 }

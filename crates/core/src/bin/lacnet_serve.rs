@@ -98,7 +98,7 @@ fn main() {
         i += 1;
     }
 
-    let source: Arc<DataSource<'static>> = match (&archive, in_memory) {
+    let source: Arc<DataSource> = match (&archive, in_memory) {
         (Some(_), true) => die("--archive and --in-memory are mutually exclusive"),
         (Some(dir), false) => {
             eprintln!("loading archive from {} …", dir.display());
@@ -108,18 +108,16 @@ fn main() {
             eprintln!(
                 "archive parsed in {:.1?} (seed {:#x})",
                 t0.elapsed(),
-                src.config().seed
+                src.config.seed
             );
             Arc::new(src)
         }
         (None, true) => {
             eprintln!("generating world (seed {:#x}) …", config.seed);
             let t0 = std::time::Instant::now();
-            // A server lives for the process; leaking the world gives the
-            // borrowed backend the 'static lifetime it needs.
-            let world: &'static World = Box::leak(Box::new(World::generate(config)));
+            let world = World::generate(config);
             eprintln!("world ready in {:.1?}", t0.elapsed());
-            Arc::new(DataSource::in_memory(world))
+            Arc::new(DataSource::from(world))
         }
         (None, false) => die("pass --archive DIR or --in-memory"),
     };

@@ -146,8 +146,7 @@ fn main() {
             sweep::worker_count(scenarios.len()),
             &scenarios,
             |sc: &Scenario| {
-                let world = World::generate_with(config, sc.clone());
-                let source = DataSource::in_memory(&world);
+                let source = DataSource::from(World::generate_with(config, sc.clone()));
                 let mut results = experiments::all(&source);
                 results.extend(lacnet_core::extensions::all(&source));
                 let ok = results.iter().filter(|r| r.all_match()).count();
@@ -170,7 +169,6 @@ fn main() {
 
     // Either backend feeds the identical battery: the world held in
     // memory, or the same datasets parsed back from a `lacnet-gen` dump.
-    let world; // keeps the borrowed backend alive across the run
     let source = match &archive {
         Some(dir) => {
             eprintln!("loading archive from {} …", dir.display());
@@ -180,8 +178,8 @@ fn main() {
             eprintln!(
                 "archive parsed in {:.1?} (seed {:#x}, scenario {}); running experiments …",
                 t0.elapsed(),
-                src.config().seed,
-                src.scenario().name,
+                src.config.seed,
+                src.scenario.name,
             );
             src
         }
@@ -191,7 +189,7 @@ fn main() {
                 config.seed, scenario.name
             );
             let t0 = std::time::Instant::now();
-            world = World::generate_with(config, scenario);
+            let world = World::generate_with(config, scenario);
             eprintln!(
                 "world ready in {:.1?}; prewarming pfx2as snapshots and CANTV cones …",
                 t0.elapsed()
@@ -208,12 +206,12 @@ fn main() {
                 world.cone_computations(),
                 t1.elapsed()
             );
-            DataSource::in_memory(&world)
+            DataSource::from(world)
         }
     };
 
-    let seed = source.config().seed;
-    let default_scenario = source.scenario().is_default();
+    let seed = source.config.seed;
+    let default_scenario = source.scenario.is_default();
     // `--only` runs just its experiments — unless `--markdown` asks for
     // the whole battery's report, which needs every result.
     let results = match &selected {

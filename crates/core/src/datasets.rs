@@ -2,7 +2,7 @@
 //! each dataset's native format — the shape of the artifact bundle the
 //! paper publishes ("we make available all datasets and code").
 //!
-//! The tree is complete enough to *reload*: [`crate::source::ArchiveWorld`]
+//! The tree is complete enough to *reload*: [`crate::DataSource::from_archive`]
 //! rebuilds every dataset the battery consumes from these files alone,
 //! and the round-trip suite proves the reloaded battery byte-identical to
 //! the in-memory one.
@@ -340,7 +340,7 @@ pub fn dump(world: &World, root: &Path) -> io::Result<DumpSummary> {
 
 /// Export the world's datasets under `root`. Monthly resolution for every
 /// archive the battery reads monthly (serial-1, pfx2as, PeeringDB, NDT
-/// months), so an [`crate::source::ArchiveWorld`] reload reproduces the
+/// months), so a [`crate::DataSource::from_archive`] reload reproduces the
 /// in-memory battery byte for byte.
 ///
 /// NDT containers refresh incrementally: countries whose

@@ -7,7 +7,7 @@ use lacnet_types::country;
 
 /// Run the experiment.
 pub fn run(src: &DataSource) -> ExperimentResult {
-    let e = src.economy();
+    let e = &src.economy;
     let oil = e.oil_production_ve().clone();
     let gdp = e.gdp_per_capita(country::VE).cloned().unwrap_or_default();
     let inflation = e.inflation_ve().clone();

@@ -10,7 +10,7 @@ use lacnet_types::{sweep, Asn, TimeSeries};
 /// the delegation ledger (allocated) the way §4 describes.
 pub fn run(src: &DataSource) -> ExperimentResult {
     let start = windows::pfx2as_start();
-    let end = src.config().end;
+    let end = src.config.end;
     let cantv = Asn(8048);
     let telefonica = Asn(6306);
 
@@ -20,7 +20,7 @@ pub fn run(src: &DataSource) -> ExperimentResult {
     // scan does not depend on the month, so it runs once.
     let ve_holders: Vec<Asn> = {
         let mut holders: Vec<Asn> = src
-            .ledger()
+            .ledger
             .entries()
             .iter()
             .filter(|a| a.country == lacnet_types::country::VE)

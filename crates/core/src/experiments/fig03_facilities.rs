@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 /// Run the experiment.
 pub fn run(src: &DataSource) -> ExperimentResult {
-    let archive = src.peeringdb();
+    let archive = &src.peeringdb;
     let mut series = BTreeMap::new();
     for cc in country::lacnic_codes() {
         series.insert(cc, analytics::facility_count_series(archive, cc));

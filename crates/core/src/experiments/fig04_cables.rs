@@ -8,9 +8,9 @@ use std::collections::BTreeMap;
 
 /// Run the experiment.
 pub fn run(src: &DataSource) -> ExperimentResult {
-    let map = src.cables();
+    let map = &src.cables;
     let start = MonthStamp::new(1990, 1);
-    let end = src.config().end;
+    let end = src.config.end;
 
     let mut series = BTreeMap::new();
     for cc in country::lacnic_codes() {

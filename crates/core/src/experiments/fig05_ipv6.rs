@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 /// Run the experiment.
 pub fn run(src: &DataSource) -> ExperimentResult {
     let start = windows::ipv6_start();
-    let end = MonthStamp::new(2023, 7).min(src.config().end);
+    let end = MonthStamp::new(2023, 7).min(src.config.end);
 
     let mut series = BTreeMap::new();
     for cc in country::lacnic_codes() {

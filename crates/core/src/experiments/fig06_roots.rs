@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 /// twice a year rather than monthly; endpoints are exact months.
 pub fn run(src: &DataSource) -> ExperimentResult {
     let start = windows::chaos_start();
-    let end = src.config().end;
+    let end = src.config.end;
 
     // Sample months: January and July each year, plus the exact endpoints.
     let mut months: Vec<MonthStamp> = start
@@ -25,7 +25,7 @@ pub fn run(src: &DataSource) -> ExperimentResult {
 
     // Each sample month's campaign is independent; sweep them across
     // worker threads and merge in month order.
-    let camp = campaign::ChaosCampaign::new(&src.dns().probes, &src.dns().roots);
+    let camp = campaign::ChaosCampaign::new(&src.dns.probes, &src.dns.roots);
     let sampled = sweep::months_sweep(&months, |m| {
         let obs = camp.run_month(m);
         campaign::replicas_by_country(&obs)

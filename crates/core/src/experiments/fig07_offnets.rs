@@ -31,11 +31,11 @@ pub fn run(src: &DataSource) -> ExperimentResult {
     for name in FIG7_PROVIDERS {
         let hg = by_name(name).expect("catalogued hypergiant");
         let table = detect::coverage_table(
-            src.cert_scans(),
+            &src.cert_scans,
             hg,
             &countries,
-            src.operators().populations(),
-            src.operators().as2org(),
+            src.operators.populations(),
+            src.operators.as2org(),
         );
         let lines = countries
             .iter()
@@ -52,8 +52,7 @@ pub fn run(src: &DataSource) -> ExperimentResult {
         ("Facebook", 28.33, 0.25),
         ("Netflix", 5.87, 0.4),
     ] {
-        let measured =
-            lacnet_crisis::cdn::ve_mean_coverage(src.operators(), src.cert_scans(), name);
+        let measured = lacnet_crisis::cdn::ve_mean_coverage(&src.operators, &src.cert_scans, name);
         findings.push(Finding::numeric(
             format!("VE mean coverage, {name} (%)"),
             paper_mean,
@@ -64,19 +63,19 @@ pub fn run(src: &DataSource) -> ExperimentResult {
     // The dual trend: early providers in VE pre-crisis, late ones modest.
     let netflix = by_name("Netflix").unwrap();
     let google = by_name("Google").unwrap();
-    let hosts_2014 = detect::detect_offnets(&src.cert_scans()[1], google);
+    let hosts_2014 = detect::detect_offnets(&src.cert_scans[1], google);
     let ve_google_2014 = detect::population_coverage(
         &hosts_2014,
         country::VE,
-        src.operators().populations(),
-        src.operators().as2org(),
+        src.operators.populations(),
+        src.operators.as2org(),
     );
-    let hosts_2016 = detect::detect_offnets(&src.cert_scans()[3], netflix);
+    let hosts_2016 = detect::detect_offnets(&src.cert_scans[3], netflix);
     let ve_netflix_2016 = detect::population_coverage(
         &hosts_2016,
         country::VE,
-        src.operators().populations(),
-        src.operators().as2org(),
+        src.operators.populations(),
+        src.operators.as2org(),
     );
     findings.push(Finding::claim(
         "dual trend: Google established pre-crisis, Netflix delayed",

@@ -8,8 +8,8 @@ use lacnet_types::{Asn, MonthStamp};
 /// Run the experiment.
 pub fn run(src: &DataSource) -> ExperimentResult {
     let cantv = Asn(8048);
-    let up = analytics::upstream_series(src.topology(), cantv);
-    let down = analytics::downstream_series(src.topology(), cantv);
+    let up = analytics::upstream_series(&src.topology, cantv);
+    let down = analytics::downstream_series(&src.topology, cantv);
     // AS-rank's transit-size view of the same exodus: CANTV's customer
     // cone, served through the world's shared ConeCache.
     let cone = src.cone_size_series(cantv);

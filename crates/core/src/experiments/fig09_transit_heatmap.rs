@@ -11,7 +11,7 @@ pub fn run(src: &DataSource) -> ExperimentResult {
     // The presence matrix runs through the backend's shared ConeCache, so
     // the per-month transit-neighbour sets are computed once per process
     // however many times the battery (or Fig. 8) touches them.
-    let pp = ProviderPresence::compute_cached(src.topology(), Asn(8048), 12, src.cone_cache());
+    let pp = ProviderPresence::compute_cached(&src.topology, Asn(8048), 12, src.cone_cache());
 
     let heat = Heatmap {
         id: "fig09".into(),
@@ -97,7 +97,7 @@ pub fn run(src: &DataSource) -> ExperimentResult {
             // transit *down* to CANTV, so none of the heatmap's providers
             // may appear inside CANTV's own customer cone at the end of
             // the window.
-            let last = src.topology().last_month().expect("non-empty archive");
+            let last = src.topology.last_month().expect("non-empty archive");
             let cone = src.customer_cone_at(last, Asn(8048));
             let inside: Vec<&Asn> = pp.providers.iter().filter(|p| cone.contains(p)).collect();
             Finding::claim(

@@ -10,8 +10,8 @@ use std::collections::BTreeSet;
 /// Run the experiment.
 pub fn run(src: &DataSource) -> ExperimentResult {
     let region: Vec<CountryCode> = country::lacnic_codes().collect();
-    let largest = analytics::largest_ixp_members(src.peeringdb(), &region);
-    let pops = src.operators().populations();
+    let largest = analytics::largest_ixp_members(&src.peeringdb, &region);
+    let pops = src.operators.populations();
 
     // Columns: the IXPs, ordered by name. Rows: eyeball countries.
     let mut cols: Vec<(String, Vec<Asn>)> = largest.values().cloned().collect();

@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 /// Run the experiment over the streamed month-country aggregate.
 pub fn run(src: &DataSource) -> ExperimentResult {
-    let agg = src.mlab();
+    let agg = &src.mlab;
     let mut series: BTreeMap<_, TimeSeries> = BTreeMap::new();
     for cc in agg.countries() {
         series.insert(cc, agg.median_series(cc));

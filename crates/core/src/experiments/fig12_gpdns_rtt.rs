@@ -12,13 +12,13 @@ use std::collections::BTreeMap;
 /// medians, with the paper's last-6-months comparisons.
 pub fn run(src: &DataSource) -> ExperimentResult {
     let campaign = GpdnsCampaign::new(
-        &src.dns().probes,
-        &src.dns().gpdns_sites,
+        &src.dns.probes,
+        &src.dns.gpdns_sites,
         LatencyModel::default(),
-        src.config().seed,
+        src.config.seed,
     );
     let start = windows::gpdns_start();
-    let end = src.config().end;
+    let end = src.config.end;
     let series: BTreeMap<_, TimeSeries> = campaign
         .median_series(start, end)
         .into_iter()

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 /// Run the experiment.
 pub fn run(src: &DataSource) -> ExperimentResult {
-    let e = src.economy();
+    let e = &src.economy;
     let mut series: BTreeMap<_, TimeSeries> = BTreeMap::new();
     for &cc in e.imf_countries() {
         if let Some(s) = e.gdp_per_capita(cc) {

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 pub fn run(src: &DataSource) -> ExperimentResult {
     let telefonica = Asn(6306);
     let start = MonthStamp::new(2016, 1);
-    let end = src.config().end;
+    let end = src.config.end;
     let months: Vec<MonthStamp> = start
         .through(end)
         .filter(|m| matches!(m.month(), 3 | 6 | 9 | 12))
@@ -98,7 +98,7 @@ pub fn run(src: &DataSource) -> ExperimentResult {
             "ledger shows no contraction",
             "ledger is append-only",
             {
-                let l = src.ledger();
+                let l = &src.ledger;
                 l.space_of_holder(telefonica, addressing::withdrawal_end().first_day())
                     >= l.space_of_holder(telefonica, addressing::withdrawal_start().first_day())
             },

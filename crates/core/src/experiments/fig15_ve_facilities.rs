@@ -8,7 +8,7 @@ use lacnet_types::country;
 
 /// Run the experiment.
 pub fn run(src: &DataSource) -> ExperimentResult {
-    let fp = analytics::FacilityPresence::compute(src.peeringdb(), country::VE);
+    let fp = analytics::FacilityPresence::compute(&src.peeringdb, country::VE);
 
     let heat = Heatmap {
         id: "fig15".into(),
@@ -22,16 +22,16 @@ pub fn run(src: &DataSource) -> ExperimentResult {
             .collect(),
     };
 
-    let roster = analytics::facility_roster(src.peeringdb(), country::VE);
+    let roster = analytics::facility_roster(&src.peeringdb, country::VE);
     let mut rows = Vec::new();
     for (fac, asns) in &roster {
         for asn in asns {
             let name = src
-                .operators()
+                .operators
                 .by_asn(*asn)
                 .map(|o| o.name.clone())
                 .or_else(|| {
-                    src.peeringdb()
+                    src.peeringdb
                         .latest()
                         .and_then(|(_, s)| s.network_by_asn(*asn).map(|n| n.name.clone()))
                 })

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 /// Run the experiment (quarterly sampling).
 pub fn run(src: &DataSource) -> ExperimentResult {
     let start = windows::chaos_start();
-    let end = src.config().end;
+    let end = src.config.end;
     let months: Vec<MonthStamp> = start
         .through(end)
         .filter(|m| matches!(m.month(), 1 | 4 | 7 | 10))
@@ -20,7 +20,7 @@ pub fn run(src: &DataSource) -> ExperimentResult {
     // One origin sample per quarter, swept across worker threads and
     // merged in month order.
     let sampled = sweep::months_sweep(&months, |m| {
-        campaign::origin_heatmap(&src.dns().probes, &src.dns().roots, country::VE, m, m)
+        campaign::origin_heatmap(&src.dns.probes, &src.dns.roots, country::VE, m, m)
     });
     let mut heat_data: BTreeMap<CountryCode, TimeSeries> = BTreeMap::new();
     for (m, partial) in sampled {

@@ -10,8 +10,8 @@ use std::collections::BTreeMap;
 /// Run the experiment.
 pub fn run(src: &DataSource) -> ExperimentResult {
     let start = windows::chaos_start();
-    let end = src.config().end;
-    let probes = &src.dns().probes;
+    let end = src.config.end;
+    let probes = &src.dns.probes;
 
     let mut series: BTreeMap<_, TimeSeries> = BTreeMap::new();
     for cc in country::lacnic_codes() {

@@ -19,11 +19,11 @@ pub fn run(src: &DataSource) -> ExperimentResult {
 
     for (i, hg) in HYPERGIANTS.iter().enumerate() {
         let table = detect::coverage_table(
-            src.cert_scans(),
+            &src.cert_scans,
             hg,
             &countries,
-            src.operators().populations(),
-            src.operators().as2org(),
+            src.operators.populations(),
+            src.operators.as2org(),
         );
         // The minor six must have zero Venezuelan presence throughout.
         if i >= 4 {

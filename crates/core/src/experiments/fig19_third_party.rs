@@ -9,7 +9,7 @@ use lacnet_webmeas::thirdparty::{AdoptionReport, ServiceKind};
 
 /// Run the experiment.
 pub fn run(src: &DataSource) -> ExperimentResult {
-    let unique = unique_sites(src.top_sites());
+    let unique = unique_sites(&src.top_sites);
     let report = AdoptionReport::compute(&unique);
 
     let mut artifacts = Vec::new();

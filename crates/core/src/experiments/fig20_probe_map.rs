@@ -9,12 +9,12 @@ use lacnet_types::country;
 /// Run the experiment on the latest monthly snapshot.
 pub fn run(src: &DataSource) -> ExperimentResult {
     let campaign = GpdnsCampaign::new(
-        &src.dns().probes,
-        &src.dns().gpdns_sites,
+        &src.dns.probes,
+        &src.dns.gpdns_sites,
         LatencyModel::default(),
-        src.config().seed,
+        src.config.seed,
     );
-    let month = src.config().end;
+    let month = src.config.end;
     let mut ve: Vec<_> = campaign
         .run_month(month)
         .into_iter()
@@ -89,7 +89,7 @@ pub fn run(src: &DataSource) -> ExperimentResult {
             "none of the <20 ms probes are CANTV-hosted",
             "checked against the probe registry",
             fast.iter().all(|o| {
-                src.dns()
+                src.dns
                     .probes
                     .all()
                     .iter()

@@ -9,12 +9,12 @@ use std::collections::BTreeSet;
 
 /// Run the experiment.
 pub fn run(src: &DataSource) -> ExperimentResult {
-    let us_ixps = analytics::ixp_members_in(src.peeringdb(), country::US);
-    let pops = src.operators().populations();
+    let us_ixps = analytics::ixp_members_in(&src.peeringdb, country::US);
+    let pops = src.operators.populations();
     let region: Vec<CountryCode> = country::lacnic_codes().collect();
 
     // Country of each member AS, from the operator cast.
-    let country_of = |asn: Asn| src.operators().by_asn(asn).map(|o| o.country);
+    let country_of = |asn: Asn| src.operators.by_asn(asn).map(|o| o.country);
 
     let mut rows: Vec<CountryCode> = Vec::new();
     let mut share_cells: Vec<Vec<Option<f64>>> = Vec::new();

@@ -82,19 +82,20 @@ pub fn all_serial(source: &DataSource) -> Vec<ExperimentResult> {
 pub(crate) mod testworld {
     use crate::source::DataSource;
     use lacnet_crisis::{World, WorldConfig};
-    use std::sync::OnceLock;
+    use std::sync::{Arc, OnceLock};
 
     static WORLD: OnceLock<World> = OnceLock::new();
-    static SOURCE: OnceLock<DataSource<'static>> = OnceLock::new();
+    static SOURCE: OnceLock<Arc<DataSource>> = OnceLock::new();
 
-    /// The shared test world.
+    /// The shared test world, for the tests that dump or inspect a
+    /// [`World`] itself.
     pub fn world() -> &'static World {
         WORLD.get_or_init(|| World::generate(WorldConfig::test()))
     }
 
-    /// The shared test world behind the in-memory [`DataSource`] the
-    /// experiment tests run against.
-    pub fn source() -> &'static DataSource<'static> {
-        SOURCE.get_or_init(|| DataSource::in_memory(world()))
+    /// The in-memory [`DataSource`] the experiment tests run against: the
+    /// same test world, generated on its own and moved in.
+    pub fn source() -> &'static Arc<DataSource> {
+        SOURCE.get_or_init(|| Arc::new(DataSource::from(World::generate(WorldConfig::test()))))
     }
 }

@@ -7,7 +7,7 @@ use lacnet_types::{country, Asn};
 
 /// Run the experiment.
 pub fn run(src: &DataSource) -> ExperimentResult {
-    let pops = src.operators().populations();
+    let pops = src.operators.populations();
     let ranked = pops.ranked(country::VE);
     let total = pops.country_total(country::VE);
     let top10: Vec<(Asn, u64)> = ranked.iter().take(10).copied().collect();
@@ -17,7 +17,7 @@ pub fn run(src: &DataSource) -> ExperimentResult {
         .iter()
         .map(|&(asn, users)| {
             let name = src
-                .operators()
+                .operators
                 .by_asn(asn)
                 .map(|o| o.name.clone())
                 .unwrap_or_else(|| "?".into());

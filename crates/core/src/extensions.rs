@@ -28,7 +28,7 @@ pub fn all(source: &DataSource) -> Vec<ExperimentResult> {
 pub fn ext_blackouts(src: &DataSource) -> ExperimentResult {
     use lacnet_atlas::outages::{detect_all, DetectorConfig};
     let series = src.reachability_2019();
-    let detected = detect_all(&series, DetectorConfig::default());
+    let detected = detect_all(series, DetectorConfig::default());
     let ve = detected.get(&country::VE).cloned().unwrap_or_default();
 
     let rows: Vec<Vec<String>> = ve
@@ -84,14 +84,14 @@ pub fn ext_blackouts(src: &DataSource) -> ExperimentResult {
 /// Relationship-inference accuracy against the world's ground truth.
 pub fn ext_inference(src: &DataSource) -> ExperimentResult {
     let m = MonthStamp::new(2020, 6);
-    let graph = src.topology().get(m).expect("snapshot exists");
+    let graph = src.topology.get(m).expect("snapshot exists");
     // Collector RIB: paths from propagating every Venezuelan origin plus
     // the transit cast (a realistic partial view, not the full mesh).
     // Route trees come through the backend's shared ConeCache, so origins
     // Fig. 9's transit matrix already expanded are free here.
     let cache = src.cone_cache();
     let mut paths = Vec::new();
-    for op in src.operators().in_country(country::VE) {
+    for op in src.operators.in_country(country::VE) {
         if graph.contains(op.asn) {
             paths.extend(cache.paths(m, graph, op.asn).all_paths());
         }
@@ -145,18 +145,18 @@ pub fn ext_inference(src: &DataSource) -> ExperimentResult {
                 && e.rel == lacnet_bgp::AsRelationship::ProviderToCustomer
         })
     });
-    let enterprise_edges_clean = src
-        .operators()
-        .enterprises(country::VE)
-        .iter()
-        .take(10)
-        .all(|ent| {
-            inferred.iter().any(|e| {
-                e.a == Asn(8048)
-                    && e.b == ent.asn
-                    && e.rel == lacnet_bgp::AsRelationship::ProviderToCustomer
-            })
-        });
+    let enterprise_edges_clean =
+        src.operators
+            .enterprises(country::VE)
+            .iter()
+            .take(10)
+            .all(|ent| {
+                inferred.iter().any(|e| {
+                    e.a == Asn(8048)
+                        && e.b == ent.asn
+                        && e.rel == lacnet_bgp::AsRelationship::ProviderToCustomer
+                })
+            });
     let findings = vec![
         Finding::claim(
             "degree-heuristic inference recovers most covered edges",
@@ -196,9 +196,9 @@ pub fn ext_inference(src: &DataSource) -> ExperimentResult {
 pub fn ext_network_split(src: &DataSource) -> ExperimentResult {
     let m = MonthStamp::new(2023, 7);
     let agg = bandwidth::build_multi_aggregate(
-        src.operators(),
-        src.config().seed,
-        src.config().mlab_volume_scale.max(1.0) * 8.0,
+        &src.operators,
+        src.config.seed,
+        src.config.mlab_volume_scale.max(1.0) * 8.0,
         m,
         m,
     );
@@ -209,7 +209,7 @@ pub fn ext_network_split(src: &DataSource) -> ExperimentResult {
             .unwrap_or(0.0)
     };
     let mut rows: Vec<(u32, String, f64)> = src
-        .operators()
+        .operators
         .eyeballs(country::VE)
         .iter()
         .map(|o| (o.asn.raw(), o.name.clone(), med(o.asn.raw())))

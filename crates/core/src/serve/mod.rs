@@ -66,18 +66,19 @@ struct CachedBody {
 /// Everything the worker threads share: the resident data source, the
 /// response cache, the metrics registry and the precomputed info bodies.
 pub struct ServerState {
-    source: Arc<DataSource<'static>>,
+    source: Arc<DataSource>,
     fingerprint: String,
     cache: LruCache<(String, String, String), CachedBody>,
     metrics: Metrics,
     archive_body: String,
     endpoints_body: String,
     scenarios_body: String,
-    /// Lazily generated worlds backing `/scenario/{name}/…` routes for
-    /// scenarios other than the resident one, keyed by scenario name.
-    /// Each entry carries its own fingerprint, so scenario-scoped
-    /// responses occupy distinct LRU slots.
-    scenario_sources: Mutex<std::collections::BTreeMap<String, (Arc<DataSource<'static>>, String)>>,
+    /// Lazily generated sources backing `/scenario/{name}/…` routes for
+    /// scenarios other than the resident one, keyed by scenario name —
+    /// one slot per built-in, so none is ever evicted. Each entry carries
+    /// its own fingerprint, so scenario-scoped responses occupy distinct
+    /// LRU slots.
+    scenario_sources: LruCache<String, (Arc<DataSource>, String)>,
     /// The latest experiment results, keyed by endpoint id and source
     /// fingerprint, which an endpoint's JSON and TSV renders share.
     results: LruCache<(&'static str, String), Arc<ExperimentResult>>,
@@ -96,53 +97,36 @@ const RESULT_SLOTS: usize = 4;
 /// the generating config — folded with the scenario fingerprint for
 /// non-default scenarios — for in-memory backends.
 pub fn source_fingerprint(source: &DataSource) -> String {
-    match source {
-        DataSource::Archive(a) => {
-            let manifest =
-                std::fs::read(a.root().join(datasets::MLAB_MANIFEST)).unwrap_or_default();
+    match source.root() {
+        Some(root) => {
+            let manifest = std::fs::read(root.join(datasets::MLAB_MANIFEST)).unwrap_or_default();
             format!("{:016x}", codec::fnv1a64(&manifest))
         }
-        DataSource::InMemory(w) => {
-            let mut key = w.config.to_text();
-            if !w.scenario.is_default() {
-                key.push_str(&format!("scenario\t{:016x}\n", w.scenario.fingerprint()));
+        None => {
+            let mut key = source.config.to_text();
+            if !source.scenario.is_default() {
+                key.push_str(&format!(
+                    "scenario\t{:016x}\n",
+                    source.scenario.fingerprint()
+                ));
             }
             format!("{:016x}", codec::fnv1a64(key.as_bytes()))
         }
     }
 }
 
-/// NDT shard inventory of a source: total `(country, month)` shard
-/// count and per-format breakdown (`text`/`columnar` for archives; the
-/// shard plan, counted as in-memory, otherwise).
-fn shard_inventory(source: &DataSource) -> Vec<(String, usize)> {
-    match source {
-        DataSource::Archive(a) => {
-            let (text, columnar) = a.ndt_shard_counts();
-            vec![("text".into(), text), ("columnar".into(), columnar)]
-        }
-        DataSource::InMemory(w) => {
-            let plan = lacnet_crisis::bandwidth::shard_plan(
-                lacnet_crisis::config::windows::mlab_start(),
-                w.config.end,
-            );
-            vec![("in-memory".into(), plan.len())]
-        }
-    }
-}
-
 impl ServerState {
     /// Build the shared state around a resident source.
-    pub fn new(source: Arc<DataSource<'static>>, cache_capacity: usize) -> Self {
+    pub fn new(source: Arc<DataSource>, cache_capacity: usize) -> Self {
         let fingerprint = source_fingerprint(&source);
-        let shards = shard_inventory(&source);
+        let shards = source.ndt_shards();
         let archive_body = Json::Obj(vec![
             ("backend".into(), Json::Str(source.backend().into())),
             (
                 "seed".into(),
-                Json::Str(format!("{:#x}", source.config().seed)),
+                Json::Str(format!("{:#x}", source.config.seed)),
             ),
-            ("end".into(), Json::Str(source.config().end.to_string())),
+            ("end".into(), Json::Str(source.config.end.to_string())),
             ("fingerprint".into(), Json::Str(fingerprint.clone())),
             (
                 "endpoints".into(),
@@ -157,7 +141,7 @@ impl ServerState {
                 Json::Obj(
                     shards
                         .into_iter()
-                        .map(|(fmt, n)| (fmt, Json::Num(n as f64)))
+                        .map(|(fmt, n)| (fmt.into(), Json::Num(n as f64)))
                         .collect(),
                 ),
             ),
@@ -193,7 +177,7 @@ impl ServerState {
                 .collect(),
         )
         .to_text();
-        let resident = source.scenario().name.clone();
+        let resident = source.scenario.name.clone();
         let mut scenario_rows: Vec<Json> = Vec::new();
         let mut listed_resident = false;
         for name in lacnet_crisis::Scenario::builtin_names() {
@@ -214,7 +198,7 @@ impl ServerState {
             // The resident source runs a custom (file-loaded) scenario:
             // list it too, so the inventory always covers every routable
             // name.
-            let s = source.scenario();
+            let s = &source.scenario;
             scenario_rows.push(Json::Obj(vec![
                 ("name".into(), Json::Str(s.name.clone())),
                 ("description".into(), Json::Str(s.description.clone())),
@@ -235,7 +219,7 @@ impl ServerState {
             archive_body,
             endpoints_body,
             scenarios_body,
-            scenario_sources: Mutex::new(std::collections::BTreeMap::new()),
+            scenario_sources: LruCache::new(lacnet_crisis::Scenario::builtin_names().len()),
             results: LruCache::new(RESULT_SLOTS),
         }
     }
@@ -269,25 +253,25 @@ impl ServerState {
     /// scenario answers from the resident source (sharing its cache
     /// slots — the bytes are the same); any other built-in scenario gets
     /// an in-memory world generated lazily at the resident configuration
-    /// on first touch and kept for the server's lifetime. The map lock
-    /// doubles as single-flight: two racing first requests generate once.
-    /// Unknown names resolve to `None` (a 404).
-    fn resolve_scenario(&self, name: &str) -> Option<(Arc<DataSource<'static>>, String)> {
-        if name == self.source.scenario().name {
+    /// on first touch and kept for the server's lifetime. Generation is
+    /// single-flight per name and runs outside any lock: two racing first
+    /// requests for one scenario generate once, and a scenario being
+    /// generated does not hold up requests for another. Unknown names
+    /// resolve to `None` (a 404).
+    fn resolve_scenario(&self, name: &str) -> Option<(Arc<DataSource>, String)> {
+        if name == self.source.scenario.name {
             return Some((Arc::clone(&self.source), self.fingerprint.clone()));
         }
         let scenario = lacnet_crisis::Scenario::builtin(name).ok()?;
-        let mut map = self.scenario_sources.lock().expect("scenario source lock");
-        if let Some((source, fingerprint)) = map.get(name) {
-            return Some((Arc::clone(source), fingerprint.clone()));
-        }
-        let world: &'static lacnet_crisis::World = Box::leak(Box::new(
-            lacnet_crisis::World::generate_with(*self.source.config(), scenario),
-        ));
-        let source = Arc::new(DataSource::in_memory(world));
-        let fingerprint = source_fingerprint(&source);
-        map.insert(name.to_owned(), (Arc::clone(&source), fingerprint.clone()));
-        Some((source, fingerprint))
+        let config = self.source.config;
+        let (resolved, _) = self.scenario_sources.get_or_compute(name.to_owned(), || {
+            let source = Arc::new(DataSource::from(lacnet_crisis::World::generate_with(
+                config, scenario,
+            )));
+            let fingerprint = source_fingerprint(&source);
+            (source, fingerprint)
+        });
+        Some(resolved)
     }
 }
 
@@ -296,107 +280,94 @@ fn json_error(status: u16, message: &str) -> Response {
     Response::new(status, "application/json", body.into_bytes())
 }
 
+/// What a routing function hands back to [`respond`]: the response, the
+/// metrics label it counts under, and its cache outcome.
+type Routed = (Response, &'static str, Outcome);
+
+/// A response that never touches the response cache.
+fn uncached(response: Response, label: &'static str) -> Routed {
+    (response, label, Outcome::Uncached)
+}
+
 /// Compute the response for one parsed request — the pure routing core,
-/// shared by the socket workers, the unit tests and the benches.
+/// shared by the socket workers, the unit tests and the benches. Every
+/// request is recorded in the metrics exactly once, here.
 pub fn respond(state: &ServerState, request: &Request) -> Response {
     let t0 = Instant::now();
+    let (response, label, outcome) = route(state, request);
+    state
+        .metrics
+        .record(label, outcome, t0.elapsed().as_secs_f64());
+    response
+}
+
+/// Route one request to its handler.
+fn route(state: &ServerState, request: &Request) -> Routed {
     if request.method != "GET" {
-        state
-            .metrics
-            .record("unmatched", Outcome::Uncached, t0.elapsed().as_secs_f64());
-        return json_error(405, "only GET is supported");
+        return uncached(json_error(405, "only GET is supported"), "unmatched");
     }
+    let info = |body: &String, label| {
+        let response = Response::new(200, "application/json", body.clone().into_bytes());
+        uncached(response, label)
+    };
     match request.path.as_str() {
-        "/healthz" => {
-            state
-                .metrics
-                .record("healthz", Outcome::Uncached, t0.elapsed().as_secs_f64());
-            Response::new(200, "application/json", b"{\"status\":\"ok\"}".to_vec())
-        }
-        "/metrics" => {
-            let body = state.metrics.render();
-            state
-                .metrics
-                .record("metrics", Outcome::Uncached, t0.elapsed().as_secs_f64());
+        "/healthz" => uncached(
+            Response::new(200, "application/json", b"{\"status\":\"ok\"}".to_vec()),
+            "healthz",
+        ),
+        "/metrics" => uncached(
             Response::new(
                 200,
                 "text/plain; version=0.0.4; charset=utf-8",
-                body.into_bytes(),
-            )
-        }
-        "/archive" => {
-            state
-                .metrics
-                .record("archive", Outcome::Uncached, t0.elapsed().as_secs_f64());
-            Response::new(
-                200,
-                "application/json",
-                state.archive_body.clone().into_bytes(),
-            )
-        }
-        "/endpoints" => {
-            state
-                .metrics
-                .record("endpoints", Outcome::Uncached, t0.elapsed().as_secs_f64());
-            Response::new(
-                200,
-                "application/json",
-                state.endpoints_body.clone().into_bytes(),
-            )
-        }
-        "/scenarios" => {
-            state
-                .metrics
-                .record("scenarios", Outcome::Uncached, t0.elapsed().as_secs_f64());
-            Response::new(
-                200,
-                "application/json",
-                state.scenarios_body.clone().into_bytes(),
-            )
-        }
-        path => {
-            if let Some(rest) = path.strip_prefix("/scenario/") {
-                let (name, sub) = match rest.split_once('/') {
-                    Some((name, sub)) => (name, format!("/{sub}")),
-                    None => (rest, String::new()),
-                };
-                let Some((source, fingerprint)) = state.resolve_scenario(name) else {
-                    state.metrics.record(
-                        "unmatched",
-                        Outcome::Uncached,
-                        t0.elapsed().as_secs_f64(),
-                    );
-                    return json_error(404, "no such scenario; see /scenarios");
-                };
-                if sub.is_empty() {
-                    let s = source.scenario();
-                    let body = Json::Obj(vec![
-                        ("name".into(), Json::Str(s.name.clone())),
-                        ("description".into(), Json::Str(s.description.clone())),
-                        ("fingerprint".into(), Json::Str(fingerprint)),
-                        ("default".into(), Json::Bool(s.is_default())),
-                        ("backend".into(), Json::Str(source.backend().into())),
-                    ])
-                    .to_text();
-                    state.metrics.record(
-                        "scenarios",
-                        Outcome::Uncached,
-                        t0.elapsed().as_secs_f64(),
-                    );
-                    return Response::new(200, "application/json", body.into_bytes());
-                }
-                return route_data(state, &source, &fingerprint, &sub, &request.query, t0);
-            }
-            route_data(
+                state.metrics.render().into_bytes(),
+            ),
+            "metrics",
+        ),
+        "/archive" => info(&state.archive_body, "archive"),
+        "/endpoints" => info(&state.endpoints_body, "endpoints"),
+        "/scenarios" => info(&state.scenarios_body, "scenarios"),
+        path => match path.strip_prefix("/scenario/") {
+            Some(rest) => scenario_route(state, rest, &request.query),
+            None => route_data(
                 state,
                 &state.source,
                 &state.fingerprint,
                 path,
                 &request.query,
-                t0,
-            )
-        }
+            ),
+        },
     }
+}
+
+/// Serve `/scenario/{name}` (the scenario's description) and
+/// `/scenario/{name}/…` (any data path, against the scenario's source).
+fn scenario_route(state: &ServerState, rest: &str, query: &str) -> Routed {
+    let (name, sub) = match rest.split_once('/') {
+        Some((name, sub)) => (name, format!("/{sub}")),
+        None => (rest, String::new()),
+    };
+    let Some((source, fingerprint)) = state.resolve_scenario(name) else {
+        return uncached(
+            json_error(404, "no such scenario; see /scenarios"),
+            "unmatched",
+        );
+    };
+    if !sub.is_empty() {
+        return route_data(state, &source, &fingerprint, &sub, query);
+    }
+    let s = &source.scenario;
+    let body = Json::Obj(vec![
+        ("name".into(), Json::Str(s.name.clone())),
+        ("description".into(), Json::Str(s.description.clone())),
+        ("fingerprint".into(), Json::Str(fingerprint)),
+        ("default".into(), Json::Bool(s.is_default())),
+        ("backend".into(), Json::Str(source.backend().into())),
+    ])
+    .to_text();
+    uncached(
+        Response::new(200, "application/json", body.into_bytes()),
+        "scenarios",
+    )
 }
 
 /// Route one data path (`/ndt/…` or a registry endpoint) against an
@@ -406,78 +377,70 @@ pub fn respond(state: &ServerState, request: &Request) -> Response {
 /// responses occupy distinct LRU slots from the resident scenario's.
 fn route_data(
     state: &ServerState,
-    source: &Arc<DataSource<'static>>,
+    source: &DataSource,
     fingerprint: &str,
     path: &str,
     query: &str,
-    t0: Instant,
-) -> Response {
+) -> Routed {
     if let Some(rest) = path.strip_prefix("/ndt/") {
-        return ndt_query(state, source, fingerprint, rest, query, t0);
+        return ndt_query(state, source, fingerprint, rest, query);
     }
-    match registry::find_by_path(path) {
-        Some(endpoint) => {
-            // Normalize before anything touches the query: strict
-            // percent-decoding (malformed escapes are a typed 400,
-            // not a silently mangled value), duplicate keys
-            // resolved last-key-wins, keys sorted — so every
-            // spelling of one query shares one cache slot.
-            let Some(pairs) = http::normalize_query(query) else {
-                state
-                    .metrics
-                    .record(endpoint.id, Outcome::Uncached, t0.elapsed().as_secs_f64());
-                return json_error(400, "malformed percent-escape in query");
-            };
-            let format = pairs
-                .iter()
-                .find(|(k, _)| k == "format")
-                .map(|(_, v)| v.as_str())
-                .unwrap_or("json");
-            let (content_type, tsv) = match format {
-                "json" => ("application/json", false),
-                "tsv" => ("text/tab-separated-values; charset=utf-8", true),
-                _ => {
-                    state.metrics.record(
-                        endpoint.id,
-                        Outcome::Uncached,
-                        t0.elapsed().as_secs_f64(),
-                    );
-                    return json_error(400, "format must be `json` or `tsv`");
-                }
-            };
-            let canonical: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            let key = (
-                endpoint.id.to_owned(),
-                canonical.join("&"),
-                fingerprint.to_owned(),
-            );
-            let (cached, hit) = state.cache.get_or_compute(key, || {
-                let result = state.result(endpoint, fingerprint, source);
-                let bytes = if tsv {
-                    canonical_tsv(&result).into_bytes()
-                } else {
-                    result_json(&result).to_text().into_bytes()
-                };
-                CachedBody {
-                    status: 200,
-                    content_type,
-                    bytes: Arc::from(bytes),
-                }
-            });
-            state.metrics.record(
+    let Some(endpoint) = registry::find_by_path(path) else {
+        return uncached(
+            json_error(404, "no such endpoint; see /endpoints"),
+            "unmatched",
+        );
+    };
+    // Normalize before anything touches the query: strict
+    // percent-decoding (malformed escapes are a typed 400, not a silently
+    // mangled value), duplicate keys resolved last-key-wins, keys sorted —
+    // so every spelling of one query shares one cache slot.
+    let Some(pairs) = http::normalize_query(query) else {
+        return uncached(
+            json_error(400, "malformed percent-escape in query"),
+            endpoint.id,
+        );
+    };
+    let format = pairs
+        .iter()
+        .find(|(k, _)| k == "format")
+        .map(|(_, v)| v.as_str())
+        .unwrap_or("json");
+    let (content_type, tsv) = match format {
+        "json" => ("application/json", false),
+        "tsv" => ("text/tab-separated-values; charset=utf-8", true),
+        _ => {
+            return uncached(
+                json_error(400, "format must be `json` or `tsv`"),
                 endpoint.id,
-                if hit { Outcome::Hit } else { Outcome::Miss },
-                t0.elapsed().as_secs_f64(),
-            );
-            Response::shared(cached.status, cached.content_type, cached.bytes)
+            )
         }
-        None => {
-            state
-                .metrics
-                .record("unmatched", Outcome::Uncached, t0.elapsed().as_secs_f64());
-            json_error(404, "no such endpoint; see /endpoints")
+    };
+    let canonical: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+    let key = (
+        endpoint.id.to_owned(),
+        canonical.join("&"),
+        fingerprint.to_owned(),
+    );
+    let (cached, hit) = state.cache.get_or_compute(key, || {
+        let result = state.result(endpoint, fingerprint, source);
+        let bytes = if tsv {
+            canonical_tsv(&result).into_bytes()
+        } else {
+            result_json(&result).to_text().into_bytes()
+        };
+        CachedBody {
+            status: 200,
+            content_type,
+            bytes: Arc::from(bytes),
         }
-    }
+    });
+    let outcome = if hit { Outcome::Hit } else { Outcome::Miss };
+    (
+        Response::shared(cached.status, cached.content_type, cached.bytes),
+        endpoint.id,
+        outcome,
+    )
 }
 
 /// The `read` object every NDT response carries: how much of the
@@ -513,15 +476,14 @@ fn read_stats_json(read: &lacnet_mlab::ReadStats) -> Json {
 /// errors are 500s that are never cached.
 fn ndt_query(
     state: &ServerState,
-    source: &Arc<DataSource<'static>>,
+    source: &DataSource,
     fingerprint: &str,
     rest: &str,
     query: &str,
-    t0: Instant,
-) -> Response {
+) -> Routed {
     use lacnet_types::{CountryCode, MonthStamp};
     if !rest.contains('/') {
-        return ndt_range_query(state, source, fingerprint, rest, query, t0);
+        return ndt_range_query(state, source, fingerprint, rest, query);
     }
     let parsed = rest.split_once('/').and_then(|(cc, month)| {
         Some((
@@ -530,17 +492,17 @@ fn ndt_query(
         ))
     });
     let Some((cc, month)) = parsed else {
-        state
-            .metrics
-            .record("ndt", Outcome::Uncached, t0.elapsed().as_secs_f64());
-        return json_error(400, "ndt query path must be /ndt/{CC}/{YYYY-MM}");
+        return uncached(
+            json_error(400, "ndt query path must be /ndt/{CC}/{YYYY-MM}"),
+            "ndt",
+        );
     };
     let key = (
         "ndt".to_owned(),
         format!("{cc}/{month}"),
         fingerprint.to_owned(),
     );
-    cached_ndt(state, "ndt", key, t0, || {
+    cached_ndt(state, "ndt", key, || {
         Ok(match source.ndt_month_stats(cc, month)? {
             None => json_error(404, "no NDT shard for that country and month"),
             Some(stats) => {
@@ -570,9 +532,8 @@ fn cached_ndt(
     state: &ServerState,
     label: &'static str,
     key: (String, String, String),
-    t0: Instant,
     answer: impl FnOnce() -> lacnet_types::Result<Response>,
-) -> Response {
+) -> Routed {
     let computed = state.cache.get_or_try_compute(key, || {
         answer().map(|response| CachedBody {
             status: response.status,
@@ -581,19 +542,12 @@ fn cached_ndt(
         })
     });
     match computed {
-        Ok((cached, hit)) => {
-            let outcome = if hit { Outcome::Hit } else { Outcome::Miss };
-            state
-                .metrics
-                .record(label, outcome, t0.elapsed().as_secs_f64());
-            Response::shared(cached.status, cached.content_type, cached.bytes)
-        }
-        Err(e) => {
-            state
-                .metrics
-                .record(label, Outcome::Uncached, t0.elapsed().as_secs_f64());
-            json_error(500, &e.to_string())
-        }
+        Ok((cached, hit)) => (
+            Response::shared(cached.status, cached.content_type, cached.bytes),
+            label,
+            if hit { Outcome::Hit } else { Outcome::Miss },
+        ),
+        Err(e) => uncached(json_error(500, &e.to_string()), label),
     }
 }
 
@@ -606,19 +560,13 @@ fn cached_ndt(
 /// an LRU slot.
 fn ndt_range_query(
     state: &ServerState,
-    source: &Arc<DataSource<'static>>,
+    source: &DataSource,
     fingerprint: &str,
     rest: &str,
     query: &str,
-    t0: Instant,
-) -> Response {
+) -> Routed {
     use lacnet_types::{CountryCode, MonthStamp};
-    let reject = |message: &str| -> Response {
-        state
-            .metrics
-            .record("ndt-range", Outcome::Uncached, t0.elapsed().as_secs_f64());
-        json_error(400, message)
-    };
+    let reject = |message: &str| uncached(json_error(400, message), "ndt-range");
     let Ok(cc) = CountryCode::new(rest) else {
         return reject("ndt range path must be /ndt/{CC}?from=YYYY-MM&to=YYYY-MM");
     };
@@ -650,7 +598,7 @@ fn ndt_range_query(
         format!("{cc}/{from}/{to}"),
         fingerprint.to_owned(),
     );
-    cached_ndt(state, "ndt-range", key, t0, || {
+    cached_ndt(state, "ndt-range", key, || {
         let stats = source.ndt_range_stats(cc, from, to)?;
         if stats.months.is_empty() {
             return Ok(json_error(
@@ -764,7 +712,7 @@ impl Server {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) around a
     /// resident source. The server does not accept until [`Server::run`].
     pub fn bind(
-        source: Arc<DataSource<'static>>,
+        source: Arc<DataSource>,
         addr: &str,
         options: ServeOptions,
     ) -> std::io::Result<Server> {
@@ -842,7 +790,7 @@ impl Server {
 fn _assert_thread_safe() {
     fn assert_sync<T: Send + Sync>() {}
     assert_sync::<ServerState>();
-    assert_sync::<DataSource<'static>>();
+    assert_sync::<DataSource>();
 }
 
 #[cfg(test)]
@@ -853,8 +801,7 @@ mod tests {
         use std::sync::OnceLock;
         static STATE: OnceLock<ServerState> = OnceLock::new();
         STATE.get_or_init(|| {
-            let source = Arc::new(DataSource::in_memory(crate::experiments::testworld::world()));
-            ServerState::new(source, 8)
+            ServerState::new(Arc::clone(crate::experiments::testworld::source()), 8)
         })
     }
 
@@ -938,8 +885,7 @@ mod tests {
     /// A fresh (non-shared) state, so cache and metrics counters are
     /// exactly one test's traffic.
     fn fresh_state() -> ServerState {
-        let source = Arc::new(DataSource::in_memory(crate::experiments::testworld::world()));
-        ServerState::new(source, 8)
+        ServerState::new(Arc::clone(crate::experiments::testworld::source()), 8)
     }
 
     /// How many times [`slow_fig01`] has run.
@@ -987,6 +933,30 @@ mod tests {
     }
 
     #[test]
+    fn a_scenario_being_generated_does_not_block_another() {
+        let state = fresh_state();
+        let (cut, _) = state.resolve_scenario("cable-cut").expect("built-in");
+        std::thread::scope(|scope| {
+            // A first request for another scenario generates its world...
+            let generating = scope.spawn(|| {
+                let resolved = state.resolve_scenario("sudden-displacement");
+                (resolved, Instant::now())
+            });
+            std::thread::sleep(Duration::from_millis(20));
+            // ...while a request for the generated one is answered at once.
+            let (again, _) = state.resolve_scenario("cable-cut").expect("built-in");
+            let answered = Instant::now();
+            let (displaced, generated) = generating.join().unwrap();
+            assert!(displaced.is_some());
+            assert!(
+                answered < generated,
+                "resolving a generated scenario waited for another's generation"
+            );
+            assert!(Arc::ptr_eq(&again, &cut));
+        });
+    }
+
+    #[test]
     fn query_normalization_makes_escape_spellings_share_a_cache_slot() {
         let state = fresh_state();
         // Three spellings of `format=tsv`: plain, hex-escaped, and a
@@ -1021,7 +991,7 @@ mod tests {
         let state = fresh_state();
         let (month, median) = state
             .source
-            .mlab()
+            .mlab
             .median_series(country::VE)
             .last()
             .expect("test world has VE data");
@@ -1067,7 +1037,7 @@ mod tests {
         let state = fresh_state();
         let series: Vec<_> = state
             .source
-            .mlab()
+            .mlab
             .median_series(country::VE)
             .iter()
             .collect();

@@ -1,28 +1,32 @@
-//! The `DataSource` abstraction: one access surface for the experiment
-//! battery, served by two interchangeable backends.
+//! The `DataSource`: one owned access surface for every dataset the
+//! experiment battery consumes, whichever origin filled it.
 //!
-//! * [`DataSource::InMemory`] borrows a generated [`World`] — the fast
-//!   path every unit test and the default `vzla-report` run use.
-//! * [`DataSource::Archive`] owns an [`ArchiveWorld`] reloaded from a
-//!   [`crate::datasets::dump`] tree: every dataset is rebuilt by parsing
-//!   the dumped native-format files (serial-1 relationship files,
-//!   RouteViews pfx2as, NRO delegations, PeeringDB v2 JSON dumps, the
-//!   Telegeography cable map, yearly TLS scans, top-site scrapes,
-//!   per-country M-Lab NDT containers, Atlas reachability TSVs), exactly
-//!   as the pipeline would parse the real archives.
+//! * `DataSource::from(world)` moves a generated [`World`] in, warm
+//!   pfx2as and cone caches included — the fast path every unit test
+//!   and the default `vzla-report` run use.
+//! * [`DataSource::from_archive`] reloads a [`crate::datasets::dump`]
+//!   tree: every dataset is rebuilt by parsing the dumped native-format
+//!   files (serial-1 relationship files, RouteViews pfx2as, NRO
+//!   delegations, PeeringDB v2 JSON dumps, the Telegeography cable map,
+//!   yearly TLS scans, top-site scrapes, per-country M-Lab NDT
+//!   containers, Atlas reachability TSVs), exactly as the pipeline would
+//!   parse the real archives.
 //!
-//! Both backends carry their own pfx2as `SnapshotCache` and `ConeCache`,
-//! so month-table and cone memoization behave identically on either
-//! path. The round-trip suite (`tests/archive_roundtrip.rs`) proves the
-//! full battery renders byte-identically from both.
+//! Both origins fill the same fields and share one pfx2as
+//! `SnapshotCache` and one `ConeCache`. The origin is consulted only
+//! where the two answer differently: deriving or parsing a pfx2as month,
+//! answering an NDT query from the aggregate or from a container, and
+//! naming the backend. The round-trip suite (`tests/archive_roundtrip.rs`)
+//! proves the full battery renders byte-identically from both.
 
 use lacnet_atlas::outages::ReachabilitySeries;
 use lacnet_bgp::{AsGraph, ConeCache, PfxToAs, TopologyArchive};
+use lacnet_crisis::addressing::Addressing;
 use lacnet_crisis::config::windows;
 use lacnet_crisis::dns::{self, DnsWorld};
 use lacnet_crisis::operators::Operators;
 use lacnet_crisis::world::SnapshotCache;
-use lacnet_crisis::{blackouts, Economy, World, WorldConfig};
+use lacnet_crisis::{blackouts, Economy, Scenario, World, WorldConfig};
 use lacnet_mlab::aggregate::{Mode, MonthlyAggregator};
 use lacnet_mlab::columnar::{
     BlockEntry, ColumnReader, ColumnSelection, ColumnSet, DecodeScratch, ReadStats, ShardFormat,
@@ -39,47 +43,71 @@ use std::fs;
 use std::io::{ErrorKind, Read, Seek, SeekFrom};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// A world reloaded from a dumped archive tree: the model roots
-/// (economy, operators, DNS world) regenerated from the config sidecar,
-/// every measured dataset parsed from its native-format files.
-pub struct ArchiveWorld {
-    /// The configuration read from `world/config.tsv`.
+/// Every dataset the battery consumes, generated or parsed from a dump
+/// tree. An archive regenerates the model roots (economy, operators, DNS
+/// world) from its config sidecar and parses every measured dataset from
+/// its native-format files.
+pub struct DataSource {
+    /// The world configuration (an archive's `world/config.tsv`).
     pub config: WorldConfig,
-    /// The scenario read from `world/scenario.toml`; a tree without the
-    /// sidecar is a default (Venezuela) dump.
-    pub scenario: lacnet_crisis::Scenario,
-    /// Regenerated macro-economy (a pure function of the config).
+    /// The scenario the world was generated under; an archive without a
+    /// `world/scenario.toml` sidecar is a default (Venezuela) dump.
+    pub scenario: Scenario,
+    /// The macro-economy (Figs. 1, 13), a pure function of the config.
     pub economy: Economy,
-    /// Regenerated operator cast (a pure function of the seed).
+    /// The operator cast, as2org mapping and populations, a pure
+    /// function of the seed.
     pub operators: Operators,
-    /// Regenerated probes/roots/GPDNS world (a pure function of the seed).
+    /// Probes, root deployment and GPDNS sites (Figs. 6, 12, 16, 17,
+    /// 20), a pure function of the seed.
     pub dns: DnsWorld,
-    /// Topology parsed from the monthly serial-1 files.
+    /// Monthly AS-relationship snapshots (Figs. 8, 9); an archive's
+    /// monthly serial-1 files.
     pub topology: TopologyArchive,
-    /// Allocation ledger rebuilt from the full-history delegation file.
+    /// The allocation ledger (Figs. 2, 14); an archive rebuilds it from
+    /// the full-history delegation file.
     pub ledger: AllocationLedger,
-    /// PeeringDB snapshots parsed from the monthly JSON dumps.
+    /// Monthly PeeringDB snapshots (Figs. 3, 10, 15, 21).
     pub peeringdb: SnapshotArchive,
-    /// Cable map parsed from the Telegeography-style export.
+    /// The submarine cable map (Fig. 4).
     pub cables: CableMap,
-    /// M-Lab aggregation decoded from the per-country NDT containers.
+    /// The streamed M-Lab aggregation (Fig. 11); an archive decodes it
+    /// from the per-country NDT containers.
     pub mlab: MonthlyAggregator,
-    /// TLS scans parsed from the yearly off-net exports, manifest order.
+    /// Yearly TLS scans 2013–2021 (Figs. 7, 18), manifest order.
     pub cert_scans: Vec<CertScan>,
-    /// Top-site scrapes parsed per country, manifest order.
+    /// Top-site scrapes, January 2024 (Fig. 19), manifest order.
     pub top_sites: Vec<CountryTopSites>,
-    /// Daily reachability parsed from the per-country Atlas TSVs.
-    pub reachability: BTreeMap<CountryCode, ReachabilitySeries>,
-    /// Every NDT container's resident month table, built at load —
-    /// what `/ndt` queries plan and read from without touching the
-    /// filesystem until the one read a query needs.
-    ndt: BTreeMap<CountryCode, NdtContainer>,
-    root: PathBuf,
+    /// Daily 2019 reachability: an archive parses its Atlas TSVs at
+    /// load, a generated source simulates it on first use.
+    reachability: OnceLock<BTreeMap<CountryCode, ReachabilitySeries>>,
     pfx2as_cache: SnapshotCache,
     cone_cache: ConeCache,
+    origin: Origin,
 }
+
+/// Where a [`DataSource`]'s datasets came from, for the few answers that
+/// differ by origin.
+enum Origin {
+    /// Moved in from a generated [`World`]: pfx2as months derive from
+    /// its announcement policy, NDT queries walk the resident aggregate.
+    Generated { addressing: Addressing },
+    /// Parsed from the dump tree at `root`: pfx2as months parse from
+    /// their monthly files, NDT queries read the resident containers —
+    /// every container's month table, built at load, so a query plans
+    /// without touching the filesystem until the one read it needs.
+    Archive {
+        root: PathBuf,
+        ndt: BTreeMap<CountryCode, NdtContainer>,
+    },
+}
+
+/// The former name of an archive-backed [`DataSource`], kept only
+/// because `benchmark/` still compiles against `ArchiveWorld::load`; new
+/// code says [`DataSource`].
+pub type ArchiveWorld = DataSource;
 
 /// Window size from which an NDT query decodes its months on sweep
 /// workers instead of inline: about where the decode saved outweighs a
@@ -365,7 +393,7 @@ fn load_container(
 }
 
 /// One manifest entry parsed into the dataset it holds, ready to fold
-/// into an [`ArchiveWorld`].
+/// into a [`DataSource`].
 enum Parsed {
     Topology(MonthStamp, AsGraph),
     PeeringDb(MonthStamp, Snapshot),
@@ -424,13 +452,19 @@ fn read_error(e: std::io::Error, what: &'static str, file: String) -> Error {
     }
 }
 
-impl ArchiveWorld {
+impl DataSource {
     /// Load an archive dumped by [`crate::datasets::dump`] from `root`,
     /// parsing every dataset from its native format, taking each NDT
     /// container's encoding from the dump manifest. See
-    /// [`ArchiveWorld::load_with`].
-    pub fn load(root: &Path) -> Result<ArchiveWorld> {
-        ArchiveWorld::load_with(root, None)
+    /// [`DataSource::from_archive_with`].
+    pub fn from_archive(root: &Path) -> Result<DataSource> {
+        DataSource::from_archive_with(root, None)
+    }
+
+    /// [`DataSource::from_archive`], kept only for `benchmark/`, which
+    /// still calls it as `ArchiveWorld::load`.
+    pub fn load(root: &Path) -> Result<DataSource> {
+        DataSource::from_archive(root)
     }
 
     /// Load an archive dumped by [`crate::datasets::dump_with`] from
@@ -450,11 +484,11 @@ impl ArchiveWorld {
     /// container's encoding is the one the dump manifest lists; passing
     /// `Some(format)` in `expect` instead demands that every container
     /// be in that format and fails on the first that is not.
-    pub fn load_with(root: &Path, expect: Option<ShardFormat>) -> Result<ArchiveWorld> {
+    pub fn from_archive_with(root: &Path, expect: Option<ShardFormat>) -> Result<DataSource> {
         let config = WorldConfig::parse(&read_text(root, "world/config.tsv")?)?;
         let scenario = match fs::read_to_string(root.join("world/scenario.toml")) {
-            Ok(text) => lacnet_crisis::Scenario::parse(&text).map_err(Error::from)?,
-            Err(e) if e.kind() == ErrorKind::NotFound => lacnet_crisis::Scenario::venezuela(),
+            Ok(text) => Scenario::parse(&text).map_err(Error::from)?,
+            Err(e) if e.kind() == ErrorKind::NotFound => Scenario::venezuela(),
             Err(e) => {
                 let file = format!("{}/world/scenario.toml", root.display());
                 return Err(read_error(e, "archive file", file));
@@ -569,7 +603,7 @@ impl ArchiveWorld {
             );
         }
 
-        Ok(ArchiveWorld {
+        Ok(DataSource {
             config,
             scenario,
             economy,
@@ -582,315 +616,62 @@ impl ArchiveWorld {
             mlab,
             cert_scans,
             top_sites,
-            reachability,
-            ndt,
-            root: root.to_owned(),
+            reachability: OnceLock::from(reachability),
             pfx2as_cache: SnapshotCache::new(),
             cone_cache: ConeCache::new(),
+            origin: Origin::Archive {
+                root: root.to_owned(),
+                ndt,
+            },
         })
-    }
-
-    /// Answer one `(country, month)` NDT query straight off the archive
-    /// — the one-month case of [`ArchiveWorld::ndt_range_stats`].
-    /// `Ok(None)` when the archive holds no such month.
-    pub fn ndt_month_stats(
-        &self,
-        cc: CountryCode,
-        month: MonthStamp,
-    ) -> Result<Option<NdtMonthStats>> {
-        Ok(self
-            .ndt_range_stats(cc, month, month)?
-            .months
-            .pop()
-            .map(|(_, stats)| stats))
-    }
-
-    /// Answer a `(country, [from, to])` NDT range query: plan the window
-    /// from the country's resident month table (pruning months whose
-    /// day span cannot intersect it), read the planned months' bytes with
-    /// one open, one seek and one contiguous read, and decode each month
-    /// (on sweep workers for large windows), folding in month order. A
-    /// `.ndtc` container decodes only the download
-    /// column of each month's blocks, straight off borrowed
-    /// [`lacnet_mlab::ColumnSlice`] views. `Err` on a reversed range or a
-    /// container that no longer matches its resident table; months the
-    /// archive does not hold simply don't appear in the result.
-    pub fn ndt_range_stats(
-        &self,
-        cc: CountryCode,
-        from: MonthStamp,
-        to: MonthStamp,
-    ) -> Result<NdtRangeStats> {
-        if from > to {
-            return Err(Error::invalid("NDT range: from month after to month"));
-        }
-        let months_queried = (from.months_until(to) + 1) as usize;
-        let Some(container) = self.ndt.get(&cc) else {
-            return Ok(NdtRangeStats::merge(
-                Vec::new(),
-                months_queried,
-                0,
-                NdtIo::default(),
-            ));
-        };
-        let (plan, shards_pruned) = container.plan(from, to);
-        let (months, io) = self.read_months(cc, container, &plan)?;
-        Ok(NdtRangeStats::merge(
-            months,
-            months_queried,
-            shards_pruned,
-            io,
-        ))
-    }
-
-    /// Read and decode the planned months of one container, ascending.
-    fn read_months(
-        &self,
-        cc: CountryCode,
-        container: &NdtContainer,
-        plan: &[&MonthSpan],
-    ) -> Result<(Vec<(MonthStamp, NdtMonthStats)>, NdtIo)> {
-        let (Some(first), Some(last)) = (plan.first(), plan.last()) else {
-            return Ok((Vec::new(), NdtIo::default()));
-        };
-        let span = first.bytes.start..last.bytes.end;
-        let unread = |e| read_error(e, "NDT archive container", container.rel.clone());
-        let mut file = fs::File::open(self.root.join(&container.rel)).map_err(unread)?;
-        // Size the buffer only once the file proves long enough for it.
-        let file_len = file.metadata().map_err(unread)?.len();
-        if span.end as u64 > file_len {
-            return Err(Error::parse(
-                "NDT container at least as long as its resident month table",
-                &container.rel,
-            ));
-        }
-        let mut buf = vec![0u8; span.len()];
-        file.seek(SeekFrom::Start(span.start as u64))
-            .and_then(|_| file.read_exact(&mut buf))
-            .map_err(|e| Error::parse("NDT container read", &e.to_string()))?;
-        let io = NdtIo {
-            files_opened: 1,
-            bytes_read: buf.len(),
-        };
-        // Decoding (block CRCs, P² updates) costs more than the read, so
-        // a window large enough to amortise a thread spawn decodes its
-        // months on sweep workers; the answers stay in month order.
-        let workers = if buf.len() >= PARALLEL_DECODE_BYTES {
-            sweep::worker_count(plan.len())
-        } else {
-            1
-        };
-        let months = sweep::parallel_map_with(workers, plan, |m| {
-            let mut p2 = P2Quantile::median();
-            let mut rows = 0usize;
-            let bytes = &buf[m.bytes.start - span.start..m.bytes.end - span.start];
-            let (format, read) = match container.format {
-                ShardFormat::Columnar => {
-                    let blocks = &container.blocks[m.blocks.clone()];
-                    let reader = ColumnReader::window(bytes, m.bytes.start, blocks)?;
-                    let selection = ColumnSelection::columns(ColumnSet::DOWNLOAD).with_country(cc);
-                    let mut scratch = DecodeScratch::new();
-                    let read = reader.scan_counted(&selection, &mut scratch, |view| {
-                        rows += view.download().len();
-                        for v in view.download().iter() {
-                            p2.observe(v);
-                        }
-                        Ok(())
-                    })?;
-                    ("columnar-v2", read)
-                }
-                ShardFormat::Text => {
-                    for row in lacnet_mlab::ndt::stream_rows(bytes) {
-                        let row = row?;
-                        if row.country == cc && row.date.month_stamp() == m.month {
-                            rows += 1;
-                            p2.observe(row.download_mbps);
-                        }
-                    }
-                    ("text", ReadStats::default())
-                }
-            };
-            let stats = NdtMonthStats {
-                rows,
-                median_download: p2.value(),
-                format,
-                read,
-            };
-            Ok((m.month, stats))
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?;
-        Ok((months, io))
-    }
-
-    /// Planned NDT months the archive holds per encoding:
-    /// `(text, columnar)`.
-    pub fn ndt_shard_counts(&self) -> (usize, usize) {
-        self.ndt
-            .values()
-            .fold((0, 0), |(text, columnar), c| match c.format {
-                ShardFormat::Text => (text + c.months.len(), columnar),
-                ShardFormat::Columnar => (text, columnar + c.months.len()),
-            })
-    }
-
-    /// The pfx2as table for `month`, parsed lazily from the monthly dump
-    /// and memoized. Months outside the dumped window serve the empty
-    /// table (the archive, like the real one, starts in 2008).
-    pub fn pfx2as_at(&self, month: MonthStamp) -> Arc<PfxToAs> {
-        self.pfx2as_cache.get_or_compute(month, || {
-            let rel = format!(
-                "pfx2as/routeviews-rv2-{}{:02}01.pfx2as",
-                month.year(),
-                month.month()
-            );
-            match fs::read_to_string(self.root.join(&rel)) {
-                Ok(text) => PfxToAs::parse(&text).unwrap_or_else(|e| {
-                    panic!("archive pfx2as {rel} does not parse: {e}");
-                }),
-                Err(_) => PfxToAs::new(),
-            }
-        })
-    }
-
-    /// The directory this archive was loaded from.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    /// The customer cone of `asn` at `month`, memoized in the archive's
-    /// own [`ConeCache`] — same contract as [`World::customer_cone_at`].
-    pub fn customer_cone_at(&self, month: MonthStamp, asn: Asn) -> Arc<BTreeSet<Asn>> {
-        self.cone_cache
-            .get_or_compute(month, asn, || match self.topology.get(month) {
-                Some(graph) => graph.customer_cone(asn),
-                None => BTreeSet::from([asn]),
-            })
-    }
-}
-
-/// One access surface for every dataset the battery consumes, backed
-/// either by a borrowed in-memory [`World`] or by an owned
-/// [`ArchiveWorld`] parsed from disk.
-pub enum DataSource<'w> {
-    /// Borrow a generated world.
-    InMemory(&'w World),
-    /// Own a world reloaded from a dumped archive tree.
-    Archive(Box<ArchiveWorld>),
-}
-
-impl<'w> DataSource<'w> {
-    /// Wrap a generated world.
-    pub fn in_memory(world: &'w World) -> Self {
-        DataSource::InMemory(world)
-    }
-
-    /// Load the archive backend from a dump tree (see
-    /// [`ArchiveWorld::load`]).
-    pub fn from_archive(root: &Path) -> Result<Self> {
-        Ok(DataSource::Archive(Box::new(ArchiveWorld::load(root)?)))
-    }
-
-    /// Load the archive backend, demanding a specific NDT format (see
-    /// [`ArchiveWorld::load_with`]). `None` takes it from the manifest.
-    pub fn from_archive_with(root: &Path, expect: Option<ShardFormat>) -> Result<Self> {
-        Ok(DataSource::Archive(Box::new(ArchiveWorld::load_with(
-            root, expect,
-        )?)))
     }
 
     /// The backend's name, for progress reporting.
     pub fn backend(&self) -> &'static str {
-        match self {
-            DataSource::InMemory(_) => "in-memory",
-            DataSource::Archive(_) => "archive",
+        match self.origin {
+            Origin::Generated { .. } => "in-memory",
+            Origin::Archive { .. } => "archive",
         }
     }
 
-    /// The world configuration.
-    pub fn config(&self) -> &WorldConfig {
-        match self {
-            DataSource::InMemory(w) => &w.config,
-            DataSource::Archive(a) => &a.config,
+    /// The directory an archive source was loaded from; `None` for a
+    /// generated one.
+    pub fn root(&self) -> Option<&Path> {
+        match &self.origin {
+            Origin::Generated { .. } => None,
+            Origin::Archive { root, .. } => Some(root),
         }
     }
 
-    /// The scenario the backend's world was generated under.
-    pub fn scenario(&self) -> &lacnet_crisis::Scenario {
-        match self {
-            DataSource::InMemory(w) => &w.scenario,
-            DataSource::Archive(a) => &a.scenario,
-        }
-    }
-
-    /// The macro-economy (Fig. 1, Fig. 13).
-    pub fn economy(&self) -> &Economy {
-        match self {
-            DataSource::InMemory(w) => &w.economy,
-            DataSource::Archive(a) => &a.economy,
-        }
-    }
-
-    /// The operator cast, as2org mapping and populations.
-    pub fn operators(&self) -> &Operators {
-        match self {
-            DataSource::InMemory(w) => &w.operators,
-            DataSource::Archive(a) => &a.operators,
-        }
-    }
-
-    /// Monthly AS-relationship snapshots (Figs. 8, 9).
-    pub fn topology(&self) -> &TopologyArchive {
-        match self {
-            DataSource::InMemory(w) => &w.topology,
-            DataSource::Archive(a) => &a.topology,
-        }
-    }
-
-    /// The allocation ledger (Figs. 2, 14).
-    pub fn ledger(&self) -> &AllocationLedger {
-        match self {
-            DataSource::InMemory(w) => w.addressing.ledger(),
-            DataSource::Archive(a) => &a.ledger,
-        }
-    }
-
-    /// Monthly PeeringDB snapshots (Figs. 3, 10, 15, 21).
-    pub fn peeringdb(&self) -> &SnapshotArchive {
-        match self {
-            DataSource::InMemory(w) => &w.peeringdb,
-            DataSource::Archive(a) => &a.peeringdb,
-        }
-    }
-
-    /// The submarine cable map (Fig. 4).
-    pub fn cables(&self) -> &CableMap {
-        match self {
-            DataSource::InMemory(w) => &w.cables,
-            DataSource::Archive(a) => &a.cables,
-        }
-    }
-
-    /// Probes, root deployment and GPDNS sites (Figs. 6, 12, 16, 17, 20).
-    pub fn dns(&self) -> &DnsWorld {
-        match self {
-            DataSource::InMemory(w) => &w.dns,
-            DataSource::Archive(a) => &a.dns,
-        }
-    }
-
-    /// The streamed M-Lab aggregation (Fig. 11).
-    pub fn mlab(&self) -> &MonthlyAggregator {
-        match self {
-            DataSource::InMemory(w) => &w.mlab,
-            DataSource::Archive(a) => &a.mlab,
+    /// Planned NDT months per backing: `text` and `columnar` for an
+    /// archive, the generated shard plan counted as `in-memory`
+    /// otherwise.
+    pub fn ndt_shards(&self) -> Vec<(&'static str, usize)> {
+        match &self.origin {
+            Origin::Generated { .. } => {
+                let plan =
+                    lacnet_crisis::bandwidth::shard_plan(windows::mlab_start(), self.config.end);
+                vec![("in-memory", plan.len())]
+            }
+            Origin::Archive { ndt, .. } => {
+                let count = |format: ShardFormat| -> usize {
+                    ndt.values()
+                        .filter(|c| c.format == format)
+                        .map(|c| c.months.len())
+                        .sum()
+                };
+                vec![
+                    ("text", count(ShardFormat::Text)),
+                    ("columnar", count(ShardFormat::Columnar)),
+                ]
+            }
         }
     }
 
     /// One `(country, month)` NDT query — the `/ndt/{cc}/{month}` serve
     /// endpoint, and the one-month case of
-    /// [`DataSource::ndt_range_stats`]. `Ok(None)` when the backend
-    /// holds no such month.
+    /// [`DataSource::ndt_range_stats`]. `Ok(None)` when the source holds
+    /// no such month.
     pub fn ndt_month_stats(
         &self,
         cc: CountryCode,
@@ -904,27 +685,34 @@ impl<'w> DataSource<'w> {
     }
 
     /// A `(country, [from, to])` NDT range query — the
-    /// `/ndt/{cc}?from=&to=` serve endpoint. The in-memory backend
-    /// walks the resident aggregate's groups; the archive backend reads
-    /// the window off its country's container (see
-    /// [`ArchiveWorld::ndt_range_stats`]). Both return per-month entries
-    /// equal to the corresponding single-month query. `Err` on a
-    /// reversed range.
+    /// `/ndt/{cc}?from=&to=` serve endpoint. A generated source walks
+    /// the resident aggregate's groups. An archive plans the window from
+    /// the country's resident month table (pruning months whose day span
+    /// cannot intersect it), reads the planned months' bytes with one
+    /// open, one seek and one contiguous read, and decodes each month (on
+    /// sweep workers for large windows), folding in month order; a
+    /// `.ndtc` container decodes only the download column of each
+    /// month's blocks, straight off borrowed
+    /// [`lacnet_mlab::ColumnSlice`] views. Either way each per-month
+    /// entry equals the corresponding single-month query, and months the
+    /// source does not hold simply don't appear. `Err` on a reversed
+    /// range or a container that no longer matches its resident table.
     pub fn ndt_range_stats(
         &self,
         cc: CountryCode,
         from: MonthStamp,
         to: MonthStamp,
     ) -> Result<NdtRangeStats> {
-        match self {
-            DataSource::InMemory(w) => {
-                if from > to {
-                    return Err(Error::invalid("NDT range: from month after to month"));
-                }
+        if from > to {
+            return Err(Error::invalid("NDT range: from month after to month"));
+        }
+        let months_queried = (from.months_until(to) + 1) as usize;
+        let (months, shards_pruned, io) = match &self.origin {
+            Origin::Generated { .. } => {
                 let months = from
                     .through(to)
                     .filter_map(|month| {
-                        let g = w.mlab.group(cc, month)?;
+                        let g = self.mlab.group(cc, month)?;
                         let stats = NdtMonthStats {
                             rows: g.count(),
                             median_download: g.median(),
@@ -934,100 +722,234 @@ impl<'w> DataSource<'w> {
                         Some((month, stats))
                     })
                     .collect();
-                let months_queried = (from.months_until(to) + 1) as usize;
-                Ok(NdtRangeStats::merge(
-                    months,
-                    months_queried,
-                    0,
-                    NdtIo::default(),
-                ))
+                (months, 0, NdtIo::default())
             }
-            DataSource::Archive(a) => a.ndt_range_stats(cc, from, to),
-        }
+            Origin::Archive { root, ndt } => match ndt.get(&cc) {
+                None => (Vec::new(), 0, NdtIo::default()),
+                Some(container) => {
+                    let (plan, pruned) = container.plan(from, to);
+                    let (months, io) = read_months(root, cc, container, &plan)?;
+                    (months, pruned, io)
+                }
+            },
+        };
+        Ok(NdtRangeStats::merge(
+            months,
+            months_queried,
+            shards_pruned,
+            io,
+        ))
     }
 
-    /// The inclusive month window the backend's NDT data can cover:
+    /// The inclusive month window the source's NDT data can cover:
     /// `[mlab_start, config.end]` — the dataset's own generation window.
     /// The serve layer rejects range queries entirely outside it as
     /// client errors before touching the cache or any container.
     pub fn ndt_month_bounds(&self) -> (MonthStamp, MonthStamp) {
-        (windows::mlab_start(), self.config().end)
+        (windows::mlab_start(), self.config.end)
     }
 
-    /// Yearly TLS scans 2013–2021 (Figs. 7, 18).
-    pub fn cert_scans(&self) -> &[CertScan] {
-        match self {
-            DataSource::InMemory(w) => &w.cert_scans,
-            DataSource::Archive(a) => &a.cert_scans,
-        }
-    }
-
-    /// Top-site scrapes, January 2024 (Fig. 19).
-    pub fn top_sites(&self) -> &[CountryTopSites] {
-        match self {
-            DataSource::InMemory(w) => &w.top_sites,
-            DataSource::Archive(a) => &a.top_sites,
-        }
-    }
-
-    /// The announced-prefix table for `month`, memoized per backend —
-    /// derived from the topology in memory, parsed from the monthly dump
-    /// on the archive path.
+    /// The announced-prefix table for `month`, memoized — derived from
+    /// the topology for a generated source, parsed from the monthly dump
+    /// for an archive.
     pub fn pfx2as_at(&self, month: MonthStamp) -> Arc<PfxToAs> {
-        match self {
-            DataSource::InMemory(w) => w.pfx2as_at(month),
-            DataSource::Archive(a) => a.pfx2as_at(month),
-        }
+        self.pfx2as_cache
+            .get_or_compute(month, || match &self.origin {
+                Origin::Generated { addressing } => match self.topology.get(month) {
+                    Some(graph) => addressing.pfx2as_at(month, graph),
+                    None => PfxToAs::new(),
+                },
+                Origin::Archive { root, .. } => parse_pfx2as(root, month),
+            })
     }
 
-    /// The customer cone of `asn` at `month`, memoized in the backend's
-    /// [`ConeCache`].
+    /// How many pfx2as months have actually been derived or parsed
+    /// (cache misses) so far.
+    pub fn pfx2as_computations(&self) -> usize {
+        self.pfx2as_cache.computations()
+    }
+
+    /// The customer cone of `asn` at `month`, memoized in the source's
+    /// [`ConeCache`]. A month outside the topology archive yields the
+    /// singleton `{asn}`.
     pub fn customer_cone_at(&self, month: MonthStamp, asn: Asn) -> Arc<BTreeSet<Asn>> {
-        match self {
-            DataSource::InMemory(w) => w.customer_cone_at(month, asn),
-            DataSource::Archive(a) => a.customer_cone_at(month, asn),
-        }
+        self.cone_cache
+            .get_or_compute(month, asn, || match self.topology.get(month) {
+                Some(graph) => graph.customer_cone(asn),
+                None => BTreeSet::from([asn]),
+            })
     }
 
     /// `asn`'s cone size for every month of the topology archive, served
-    /// through the backend's cache on sweep workers.
+    /// through the source's cache on sweep workers.
     pub fn cone_size_series(&self, asn: Asn) -> TimeSeries {
-        match self {
-            DataSource::InMemory(w) => w.cone_size_series(asn),
-            DataSource::Archive(a) => {
-                let months: Vec<MonthStamp> = a.topology.iter().map(|(m, _)| m).collect();
-                sweep::months_sweep(&months, |m| a.customer_cone_at(m, asn).len() as f64)
-                    .into_iter()
-                    .collect()
-            }
-        }
+        let months: Vec<MonthStamp> = self.topology.iter().map(|(m, _)| m).collect();
+        sweep::months_sweep(&months, |m| self.customer_cone_at(m, asn).len() as f64)
+            .into_iter()
+            .collect()
     }
 
-    /// The backend's shared [`ConeCache`] handle, for cache-aware
+    /// The source's shared [`ConeCache`] handle, for cache-aware
     /// analytics: the Fig. 9 transit matrix and the inference extension's
     /// path computations memoize through it.
     pub fn cone_cache(&self) -> &ConeCache {
-        match self {
-            DataSource::InMemory(w) => w.cone_cache(),
-            DataSource::Archive(a) => &a.cone_cache,
-        }
+        &self.cone_cache
     }
 
     /// Daily per-country probe reachability for the 2019 blackout year —
-    /// simulated from the DNS world in memory, parsed from the Atlas
-    /// TSVs on the archive path.
-    pub fn reachability_2019(&self) -> BTreeMap<CountryCode, ReachabilitySeries> {
-        match self {
-            DataSource::InMemory(w) => blackouts::daily_reachability_with(
-                &w.dns,
+    /// parsed from the Atlas TSVs at load for an archive, simulated from
+    /// the DNS world on first use otherwise.
+    pub fn reachability_2019(&self) -> &BTreeMap<CountryCode, ReachabilitySeries> {
+        self.reachability.get_or_init(|| {
+            blackouts::daily_reachability_with(
+                &self.dns,
                 Date::ymd(2019, 1, 1),
                 Date::ymd(2019, 12, 31),
-                w.config.seed,
-                &w.scenario,
-            ),
-            DataSource::Archive(a) => a.reachability.clone(),
+                self.config.seed,
+                &self.scenario,
+            )
+        })
+    }
+}
+
+impl From<World> for DataSource {
+    /// Move a generated world in, its warm pfx2as and cone caches
+    /// included, so a prewarm before the conversion is not wasted.
+    fn from(world: World) -> DataSource {
+        let World {
+            config,
+            scenario,
+            economy,
+            operators,
+            topology,
+            addressing,
+            peeringdb,
+            cables,
+            dns,
+            mlab,
+            cert_scans,
+            top_sites,
+            pfx2as_cache,
+            cone_cache,
+        } = world;
+        DataSource {
+            config,
+            scenario,
+            economy,
+            operators,
+            dns,
+            topology,
+            ledger: addressing.ledger().clone(),
+            peeringdb,
+            cables,
+            mlab,
+            cert_scans,
+            top_sites,
+            reachability: OnceLock::new(),
+            pfx2as_cache,
+            cone_cache,
+            origin: Origin::Generated { addressing },
         }
     }
+}
+
+/// Parse the dumped pfx2as table for `month` under `root`. A month the
+/// dump does not hold serves the empty table (the archive, like the real
+/// one, starts in 2008); a file that is there but cannot be read or
+/// parsed panics naming it.
+fn parse_pfx2as(root: &Path, month: MonthStamp) -> PfxToAs {
+    let rel = format!(
+        "pfx2as/routeviews-rv2-{}{:02}01.pfx2as",
+        month.year(),
+        month.month()
+    );
+    let text = match fs::read_to_string(root.join(&rel)) {
+        Ok(text) => text,
+        Err(e) if e.kind() == ErrorKind::NotFound => return PfxToAs::new(),
+        Err(e) => panic!("archive pfx2as {rel} cannot be read: {e}"),
+    };
+    PfxToAs::parse(&text).unwrap_or_else(|e| panic!("archive pfx2as {rel} does not parse: {e}"))
+}
+
+/// Read and decode the planned months of one resident container under
+/// `root`, ascending.
+fn read_months(
+    root: &Path,
+    cc: CountryCode,
+    container: &NdtContainer,
+    plan: &[&MonthSpan],
+) -> Result<(Vec<(MonthStamp, NdtMonthStats)>, NdtIo)> {
+    let (Some(first), Some(last)) = (plan.first(), plan.last()) else {
+        return Ok((Vec::new(), NdtIo::default()));
+    };
+    let span = first.bytes.start..last.bytes.end;
+    let unread = |e| read_error(e, "NDT archive container", container.rel.clone());
+    let mut file = fs::File::open(root.join(&container.rel)).map_err(unread)?;
+    // Size the buffer only once the file proves long enough for it.
+    let file_len = file.metadata().map_err(unread)?.len();
+    if span.end as u64 > file_len {
+        return Err(Error::parse(
+            "NDT container at least as long as its resident month table",
+            &container.rel,
+        ));
+    }
+    let mut buf = vec![0u8; span.len()];
+    file.seek(SeekFrom::Start(span.start as u64))
+        .and_then(|_| file.read_exact(&mut buf))
+        .map_err(|e| Error::parse("NDT container read", &e.to_string()))?;
+    let io = NdtIo {
+        files_opened: 1,
+        bytes_read: buf.len(),
+    };
+    // Decoding (block CRCs, P² updates) costs more than the read, so a
+    // window large enough to amortise a thread spawn decodes its months
+    // on sweep workers; the answers stay in month order.
+    let workers = if buf.len() >= PARALLEL_DECODE_BYTES {
+        sweep::worker_count(plan.len())
+    } else {
+        1
+    };
+    let months = sweep::parallel_map_with(workers, plan, |m| {
+        let mut p2 = P2Quantile::median();
+        let mut rows = 0usize;
+        let bytes = &buf[m.bytes.start - span.start..m.bytes.end - span.start];
+        let (format, read) = match container.format {
+            ShardFormat::Columnar => {
+                let blocks = &container.blocks[m.blocks.clone()];
+                let reader = ColumnReader::window(bytes, m.bytes.start, blocks)?;
+                let selection = ColumnSelection::columns(ColumnSet::DOWNLOAD).with_country(cc);
+                let mut scratch = DecodeScratch::new();
+                let read = reader.scan_counted(&selection, &mut scratch, |view| {
+                    rows += view.download().len();
+                    for v in view.download().iter() {
+                        p2.observe(v);
+                    }
+                    Ok(())
+                })?;
+                ("columnar-v2", read)
+            }
+            ShardFormat::Text => {
+                for row in lacnet_mlab::ndt::stream_rows(bytes) {
+                    let row = row?;
+                    if row.country == cc && row.date.month_stamp() == m.month {
+                        rows += 1;
+                        p2.observe(row.download_mbps);
+                    }
+                }
+                ("text", ReadStats::default())
+            }
+        };
+        let stats = NdtMonthStats {
+            rows,
+            median_download: p2.value(),
+            format,
+            read,
+        };
+        Ok((m.month, stats))
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
+    Ok((months, io))
 }
 
 #[cfg(test)]
@@ -1038,18 +960,35 @@ mod tests {
     #[test]
     fn in_memory_source_mirrors_the_world() {
         let world = crate::experiments::testworld::world();
-        let src = DataSource::in_memory(world);
+        let src = crate::experiments::testworld::source();
         assert_eq!(src.backend(), "in-memory");
-        assert_eq!(src.config(), &world.config);
-        assert_eq!(src.topology().len(), world.topology.len());
-        assert_eq!(src.cert_scans().len(), world.cert_scans.len());
+        assert_eq!(src.root(), None);
+        assert_eq!(src.config, world.config);
+        assert_eq!(src.topology.len(), world.topology.len());
+        assert_eq!(src.cert_scans.len(), world.cert_scans.len());
         let m = MonthStamp::new(2020, 6);
-        assert!(Arc::ptr_eq(&src.pfx2as_at(m), &world.pfx2as_at(m)));
-        assert!(Arc::ptr_eq(
-            &src.customer_cone_at(m, lacnet_crisis::world::FOCAL_AS),
-            &world.customer_cone_at(m, lacnet_crisis::world::FOCAL_AS)
-        ));
+        assert_eq!(src.pfx2as_at(m).to_text(), world.pfx2as_at(m).to_text());
+        assert_eq!(
+            *src.customer_cone_at(m, lacnet_crisis::world::FOCAL_AS),
+            *world.customer_cone_at(m, lacnet_crisis::world::FOCAL_AS)
+        );
         assert!(src.reachability_2019().contains_key(&country::VE));
+    }
+
+    #[test]
+    fn conversion_keeps_the_caches_warm() {
+        let world = World::generate(WorldConfig::test());
+        let (start, end) = (MonthStamp::new(2019, 1), MonthStamp::new(2020, 12));
+        world.prewarm(start, end);
+        let (tables, cones) = (world.pfx2as_computations(), world.cone_computations());
+        assert!(tables > 0 && cones > 0);
+        let src = DataSource::from(world);
+        for m in start.through(end) {
+            src.pfx2as_at(m);
+            src.customer_cone_at(m, lacnet_crisis::world::FOCAL_AS);
+        }
+        assert_eq!(src.pfx2as_computations(), tables);
+        assert_eq!(src.cone_cache().computations(), cones);
     }
 
     #[test]
@@ -1059,12 +998,12 @@ mod tests {
         crate::datasets::dump(world, &dir).expect("dump succeeds");
         let src = DataSource::from_archive(&dir).expect("archive loads");
         assert_eq!(src.backend(), "archive");
-        assert_eq!(src.config(), &world.config);
-        assert_eq!(src.topology().len(), world.topology.len());
-        assert_eq!(src.peeringdb().len(), world.peeringdb.len());
-        assert_eq!(src.cert_scans().len(), world.cert_scans.len());
-        assert_eq!(src.top_sites().len(), world.top_sites.len());
-        assert_eq!(src.mlab().group_count(), world.mlab.group_count());
+        assert_eq!(src.config, world.config);
+        assert_eq!(src.topology.len(), world.topology.len());
+        assert_eq!(src.peeringdb.len(), world.peeringdb.len());
+        assert_eq!(src.cert_scans.len(), world.cert_scans.len());
+        assert_eq!(src.top_sites.len(), world.top_sites.len());
+        assert_eq!(src.mlab.group_count(), world.mlab.group_count());
         let m = MonthStamp::new(2020, 6);
         assert_eq!(src.pfx2as_at(m).to_text(), world.pfx2as_at(m).to_text());
         assert_eq!(
@@ -1074,7 +1013,7 @@ mod tests {
         // The ledger answers queries identically after the rebuild.
         let cutoff = world.config.end.last_day();
         assert_eq!(
-            src.ledger().space_of_country(country::VE, cutoff),
+            src.ledger.space_of_country(country::VE, cutoff),
             world
                 .addressing
                 .ledger()
@@ -1111,14 +1050,11 @@ mod tests {
         // The columnar path lands the order-sensitive P² estimators in
         // byte-identical state to the in-memory aggregation.
         assert_eq!(
-            format!("{:?}", src.mlab()),
+            format!("{:?}", src.mlab),
             format!("{:?}", world.mlab),
             "columnar archive aggregation diverged from in-memory state"
         );
-        assert_eq!(
-            format!("{:?}", demanded.mlab()),
-            format!("{:?}", src.mlab())
-        );
+        assert_eq!(format!("{:?}", demanded.mlab), format!("{:?}", src.mlab));
         // A single-(country, month) query decodes selectively and agrees
         // with the in-memory aggregate's group state bit for bit.
         let month = MonthStamp::new(2023, 7);
@@ -1153,7 +1089,7 @@ mod tests {
         let io = src.ndt_range_stats(country::VE, month, month).unwrap().io;
         assert_eq!(io.files_opened, 1);
         assert_eq!(io.bytes_read, month_bytes);
-        let in_memory = DataSource::in_memory(world)
+        let in_memory = crate::experiments::testworld::source()
             .ndt_month_stats(country::VE, month)
             .unwrap()
             .unwrap();
@@ -1223,7 +1159,7 @@ mod tests {
 
         // The in-memory backend answers the same shape with the same
         // per-month rows and medians.
-        let mem = DataSource::in_memory(world)
+        let mem = crate::experiments::testworld::source()
             .ndt_range_stats(country::VE, from, to)
             .unwrap();
         assert_eq!(mem.months.len(), range.months.len());
@@ -1237,7 +1173,7 @@ mod tests {
 
         // A reversed range is a typed error on both backends.
         assert!(src.ndt_range_stats(country::VE, to, from).is_err());
-        assert!(DataSource::in_memory(world)
+        assert!(crate::experiments::testworld::source()
             .ndt_range_stats(country::VE, to, from)
             .is_err());
 

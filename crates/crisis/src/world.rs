@@ -102,11 +102,12 @@ pub struct World {
     pub cert_scans: Vec<CertScan>,
     /// Top-site scrapes, January 2024 (Fig. 19).
     pub top_sites: Vec<CountryTopSites>,
-    /// Shared per-month pfx2as tables (see [`SnapshotCache`]).
-    pfx2as_cache: SnapshotCache,
+    /// Shared per-month pfx2as tables (see [`SnapshotCache`]); public so
+    /// a consumer that takes the world apart keeps them warm.
+    pub pfx2as_cache: SnapshotCache,
     /// Shared per-`(month, asn)` customer cones (see
-    /// [`lacnet_bgp::ConeCache`]).
-    cone_cache: ConeCache,
+    /// [`lacnet_bgp::ConeCache`]); public for the same reason.
+    pub cone_cache: ConeCache,
 }
 
 /// The study's focal AS: CANTV (AS8048), whose cones and degrees the
@@ -249,14 +250,6 @@ impl World {
     /// How many cones have actually been computed (cache misses) so far.
     pub fn cone_computations(&self) -> usize {
         self.cone_cache.computations()
-    }
-
-    /// The world's shared [`ConeCache`] handle — the same memo the cone
-    /// accessors use, exposed so cache-aware analytics (the Fig. 9
-    /// transit matrix, the inference extension's path computations) can
-    /// share their walks with everything else in the process.
-    pub fn cone_cache(&self) -> &ConeCache {
-        &self.cone_cache
     }
 
     /// `asn`'s cone size for every month of the topology archive, served

@@ -111,7 +111,7 @@ pub const DEFAULT_BLOCK_ROWS: usize = 2048;
 const TAGS: [u8; 7] = [1, 2, 3, 4, 5, 6, 7];
 
 /// On-disk NDT shard encodings `lacnet-gen` can write and
-/// `ArchiveWorld` can read.
+/// an archive-backed `DataSource` can read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardFormat {
     /// One `to_row` line per test (`.tsv`) — the native text format.

@@ -12,10 +12,9 @@ fn main() {
     // A generated world stands in for the study's gated datasets: one
     // macro-economy drives every infrastructure signal, and each dataset
     // is emitted in its real format. Everything is deterministic in the
-    // seed.
+    // seed. The world moves into the source the experiments read.
     println!("generating the world (this builds ~26 years of monthly datasets)…");
-    let world = World::generate(WorldConfig::default());
-    let src = DataSource::in_memory(&world);
+    let src = DataSource::from(World::generate(WorldConfig::default()));
 
     // Reproduce three headline artifacts.
     let headline = [

@@ -23,8 +23,9 @@
 //! use lacnet::core::{experiments, render, DataSource};
 //! use lacnet::crisis::{World, WorldConfig};
 //!
-//! let world = World::generate(WorldConfig::default());
-//! let source = DataSource::in_memory(&world);
+//! // The generated world moves into the source the battery reads; a
+//! // dumped archive loads with `DataSource::from_archive(dir)` instead.
+//! let source = DataSource::from(World::generate(WorldConfig::default()));
 //! for result in experiments::all(&source) {
 //!     print!("{}", render::render_result(&result));
 //! }

@@ -59,9 +59,9 @@ extern "C" fn remove_roundtrip_dirs() {
 /// Dump the test world once per NDT format and keep the archive-backed
 /// source for every test in the binary, so the suite parses each tree a
 /// single time.
-fn archive_source_for(format: ShardFormat) -> &'static DataSource<'static> {
-    static TEXT: OnceLock<DataSource<'static>> = OnceLock::new();
-    static COLUMNAR: OnceLock<DataSource<'static>> = OnceLock::new();
+fn archive_source_for(format: ShardFormat) -> &'static DataSource {
+    static TEXT: OnceLock<DataSource> = OnceLock::new();
+    static COLUMNAR: OnceLock<DataSource> = OnceLock::new();
     let cell = match format {
         ShardFormat::Text => &TEXT,
         ShardFormat::Columnar => &COLUMNAR,
@@ -77,7 +77,7 @@ fn archive_source_for(format: ShardFormat) -> &'static DataSource<'static> {
     })
 }
 
-fn archive_source() -> &'static DataSource<'static> {
+fn archive_source() -> &'static DataSource {
     archive_source_for(ShardFormat::Text)
 }
 
@@ -99,7 +99,7 @@ fn archive_results() -> Vec<lacnet::core::ExperimentResult> {
 
 #[test]
 fn archive_battery_matches_in_memory_byte_for_byte() {
-    let in_memory = DataSource::in_memory(world());
+    let in_memory = DataSource::from(World::generate(WorldConfig::test()));
     let mut reference = experiments::all(&in_memory);
     reference.extend(extensions::all(&in_memory));
     let reloaded = archive_results();
@@ -180,7 +180,7 @@ fn single_month_query_decodes_only_the_matching_shard_bytes() {
     use lacnet::types::country;
     let src = archive_source_for(ShardFormat::Columnar);
     let (month, _) = src
-        .mlab()
+        .mlab
         .median_series(country::VE)
         .last()
         .expect("test world has VE data");
@@ -198,10 +198,8 @@ fn single_month_query_decodes_only_the_matching_shard_bytes() {
     // The decoded bytes are a strict subset of the month's blocks in
     // its country's container and a sliver of the tree's whole columnar
     // payload.
-    let DataSource::Archive(archive) = src else {
-        panic!("columnar source is archive-backed");
-    };
-    let container = std::fs::read(archive.root().join("mlab/VE.ndtc")).expect("VE container");
+    let root = src.root().expect("columnar source is archive-backed");
+    let container = std::fs::read(root.join("mlab/VE.ndtc")).expect("VE container");
     let reader = lacnet::mlab::ColumnReader::open(&container).expect("container opens");
     let (lo, hi) = (
         month.first_day().days_since_epoch(),
@@ -214,7 +212,7 @@ fn single_month_query_decodes_only_the_matching_shard_bytes() {
         .map(|b| b.byte_len())
         .sum();
     let mut tree_total = 0usize;
-    for entry in std::fs::read_dir(archive.root().join("mlab")).expect("mlab dir") {
+    for entry in std::fs::read_dir(root.join("mlab")).expect("mlab dir") {
         let path = entry.expect("entry").path();
         if path.extension().and_then(|e| e.to_str()) == Some("ndtc") {
             tree_total += std::fs::metadata(&path).expect("metadata").len() as usize;
@@ -248,7 +246,7 @@ fn single_month_query_decodes_only_the_matching_shard_bytes() {
 fn range_query_equals_the_merge_of_its_single_month_queries() {
     use lacnet::types::country;
     let src = archive_source_for(ShardFormat::Columnar);
-    let series: Vec<_> = src.mlab().median_series(country::VE).iter().collect();
+    let series: Vec<_> = src.mlab.median_series(country::VE).iter().collect();
     assert!(series.len() >= 4, "test world spans months");
     let (from, _) = series[series.len() - 4];
     let (to, _) = *series.last().unwrap();
@@ -311,7 +309,7 @@ fn range_query_equals_the_merge_of_its_single_month_queries() {
 #[test]
 fn archive_backend_reports_itself() {
     assert_eq!(archive_source().backend(), "archive");
-    assert_eq!(archive_source().config(), &world().config);
+    assert_eq!(archive_source().config, world().config);
     assert_eq!(
         archive_source_for(ShardFormat::Columnar).backend(),
         "archive"

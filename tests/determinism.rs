@@ -24,8 +24,8 @@ fn same_seed_same_artifacts() {
             .to_text()
     );
     // And the figure series themselves.
-    let fa = experiments::fig11_bandwidth::run(&DataSource::in_memory(&a));
-    let fb = experiments::fig11_bandwidth::run(&DataSource::in_memory(&b));
+    let fa = experiments::fig11_bandwidth::run(&DataSource::from(a));
+    let fb = experiments::fig11_bandwidth::run(&DataSource::from(b));
     assert_eq!(fa.artifacts, fb.artifacts);
 }
 
@@ -77,8 +77,7 @@ fn different_seed_still_reproduces_headlines() {
         mlab_volume_scale: 0.4,
         ..WorldConfig::default()
     };
-    let world = World::generate(config);
-    let src = DataSource::in_memory(&world);
+    let src = DataSource::from(World::generate(config));
     for result in [
         experiments::fig01_macro::run(&src),
         experiments::fig03_facilities::run(&src),

@@ -5,14 +5,9 @@ use lacnet::core::{experiments, render, DataSource};
 use lacnet::crisis::{World, WorldConfig};
 use std::sync::OnceLock;
 
-fn world() -> &'static World {
-    static WORLD: OnceLock<World> = OnceLock::new();
-    WORLD.get_or_init(|| World::generate(WorldConfig::test()))
-}
-
-fn source() -> &'static DataSource<'static> {
-    static SOURCE: OnceLock<DataSource<'static>> = OnceLock::new();
-    SOURCE.get_or_init(|| DataSource::in_memory(world()))
+fn source() -> &'static DataSource {
+    static SOURCE: OnceLock<DataSource> = OnceLock::new();
+    SOURCE.get_or_init(|| DataSource::from(World::generate(WorldConfig::test())))
 }
 
 #[test]

@@ -23,12 +23,9 @@ use std::sync::OnceLock;
 
 /// The suite's fixed world: the same seed/config the unit tests use,
 /// behind the in-memory battery interface.
-fn source() -> &'static DataSource<'static> {
-    static WORLD: OnceLock<World> = OnceLock::new();
-    static SOURCE: OnceLock<DataSource<'static>> = OnceLock::new();
-    SOURCE.get_or_init(|| {
-        DataSource::in_memory(WORLD.get_or_init(|| World::generate(WorldConfig::test())))
-    })
+fn source() -> &'static DataSource {
+    static SOURCE: OnceLock<DataSource> = OnceLock::new();
+    SOURCE.get_or_init(|| DataSource::from(World::generate(WorldConfig::test())))
 }
 
 fn fixture_dir() -> PathBuf {

@@ -19,14 +19,11 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 /// The fixed-seed test world under the cable-cut scenario.
-fn source() -> &'static DataSource<'static> {
-    static WORLD: OnceLock<World> = OnceLock::new();
-    static SOURCE: OnceLock<DataSource<'static>> = OnceLock::new();
+fn source() -> &'static DataSource {
+    static SOURCE: OnceLock<DataSource> = OnceLock::new();
     SOURCE.get_or_init(|| {
-        DataSource::in_memory(WORLD.get_or_init(|| {
-            let scenario = Scenario::builtin("cable-cut").expect("builtin scenario");
-            World::generate_with(WorldConfig::test(), scenario)
-        }))
+        let scenario = Scenario::builtin("cable-cut").expect("builtin scenario");
+        DataSource::from(World::generate_with(WorldConfig::test(), scenario))
     })
 }
 

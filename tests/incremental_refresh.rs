@@ -180,9 +180,9 @@ fn scenario_switch_refreshes_every_shard_and_default_is_byte_identical() {
     // The loader reapplies the sidecar: the reloaded archive reports the
     // non-default scenario and reproduces its battery output.
     let reloaded = DataSource::from_archive(&dir).expect("scenario tree loads");
-    assert_eq!(reloaded.scenario().name, "cable-cut");
-    assert!(!reloaded.scenario().is_default());
-    let in_memory = DataSource::in_memory(&cut);
+    assert_eq!(reloaded.scenario.name, "cable-cut");
+    assert!(!reloaded.scenario.is_default());
+    let in_memory = DataSource::from(cut);
     assert_eq!(
         battery(&reloaded),
         battery(&in_memory),

@@ -6,7 +6,7 @@
 //!
 //! * a truncated container, a footer pointing past the end of the file,
 //!   a bad index checksum, another country's blocks and a retired v1
-//!   container each fail [`ArchiveWorld::load_with`] with a typed error;
+//!   container each fail [`DataSource::from_archive_with`] with a typed error;
 //! * a container corrupted after boot turns its queries into uncached
 //!   500s while the worker keeps serving everything else;
 //! * a month without rows answers 200 with `rows: 0` in both formats,
@@ -16,7 +16,7 @@
 //! a zero-row month, while the other countries carry normal rows.
 
 use lacnet::core::serve::{ServeOptions, Server};
-use lacnet::core::{datasets, ArchiveWorld, DataSource, DumpOptions};
+use lacnet::core::{datasets, DataSource, DumpOptions};
 use lacnet::crisis::{World, WorldConfig};
 use lacnet::mlab::{ColumnReader, ShardFormat};
 use lacnet::types::codec::{crc32, put_ivarint, put_u32, put_u64, put_uvarint};
@@ -88,7 +88,7 @@ fn load_with_replaced(root: &Path, rel: &str, bytes: &[u8]) -> Error {
     let path = root.join(rel);
     let original = std::fs::read(&path).expect("container exists");
     std::fs::write(&path, bytes).expect("write hostile container");
-    let loaded = ArchiveWorld::load_with(root, Some(ShardFormat::Columnar));
+    let loaded = DataSource::from_archive_with(root, Some(ShardFormat::Columnar));
     std::fs::write(&path, original).expect("restore container");
     match loaded {
         Ok(_) => panic!("a hostile {rel} loaded"),
@@ -170,7 +170,7 @@ fn hostile_containers_fail_the_load_typed() {
         .unwrap_or_else(|e| e.into_inner());
     let rel = "mlab/AR.ndtc";
     let good = std::fs::read(root.join(rel)).expect("AR container");
-    ArchiveWorld::load_with(&root, Some(ShardFormat::Columnar)).expect("pristine tree loads");
+    DataSource::from_archive_with(&root, Some(ShardFormat::Columnar)).expect("pristine tree loads");
 
     // Truncated: the tail no longer describes the file.
     let e = load_with_replaced(&root, rel, &good[..good.len() / 2]);
@@ -221,7 +221,7 @@ fn hostile_containers_fail_the_load_typed() {
 
     // Every case restored the original bytes.
     assert_eq!(std::fs::read(root.join(rel)).unwrap(), good);
-    ArchiveWorld::load_with(&root, Some(ShardFormat::Columnar)).expect("restored tree loads");
+    DataSource::from_archive_with(&root, Some(ShardFormat::Columnar)).expect("restored tree loads");
 }
 
 /// Read exactly one HTTP/1.1 response off a buffered socket.
@@ -389,7 +389,7 @@ fn load_with_files(root: &Path, files: &[(&str, &[u8])]) -> Error {
     for (rel, bytes) in files {
         std::fs::write(root.join(rel), bytes).expect("write hostile file");
     }
-    let loaded = ArchiveWorld::load(root);
+    let loaded = DataSource::from_archive(root);
     for ((rel, _), original) in files.iter().zip(originals) {
         std::fs::write(root.join(rel), original).expect("restore archive file");
     }
@@ -436,7 +436,7 @@ fn unreadable_archive_files_are_parse_errors_naming_the_file() {
     let good = std::fs::read(&path).expect("AR container");
     std::fs::remove_file(&path).expect("remove AR container");
     std::fs::create_dir(&path).expect("directory in its place");
-    let loaded = ArchiveWorld::load(&root);
+    let loaded = DataSource::from_archive(&root);
     std::fs::remove_dir(&path).expect("remove the directory");
     std::fs::write(&path, good).expect("restore AR container");
     let e = loaded
@@ -447,7 +447,7 @@ fn unreadable_archive_files_are_parse_errors_naming_the_file() {
     // Only a file that is not there is missing.
     let aside = root.join("peeringdb-aside.json");
     std::fs::rename(root.join(&dump), &aside).expect("move the dump aside");
-    let loaded = ArchiveWorld::load(&root);
+    let loaded = DataSource::from_archive(&root);
     std::fs::rename(&aside, root.join(&dump)).expect("put the dump back");
     match loaded.err().expect("a missing dump fails the load") {
         Error::Missing { what, key } => {
@@ -456,7 +456,7 @@ fn unreadable_archive_files_are_parse_errors_naming_the_file() {
         }
         other => panic!("expected a missing-file error, got {other:?}"),
     }
-    ArchiveWorld::load(&root).expect("restored tree loads");
+    DataSource::from_archive(&root).expect("restored tree loads");
 }
 
 #[test]
@@ -487,4 +487,40 @@ fn a_load_with_several_bad_files_fails_on_the_first_in_manifest_order() {
     for _ in 0..6 {
         assert_eq!(load_with_files(&root, &files), expected);
     }
+}
+
+#[test]
+fn an_unreadable_pfx2as_table_fails_naming_the_file() {
+    let root = tree(ShardFormat::Columnar)
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    let month = MonthStamp::new(2016, 4);
+    let rel = "pfx2as/routeviews-rv2-20160401.pfx2as";
+    let path = root.join(rel);
+    let good = std::fs::read(&path).expect("the month's table is dumped");
+    // The month's table off a freshly loaded source, or the panic
+    // message its lookup failed with. Tables load lazily, so every state
+    // of the file below loads cleanly and fails only on lookup.
+    let lookup = || {
+        let source = DataSource::from_archive(&root).expect("tree loads");
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| source.pfx2as_at(month)))
+            .map_err(|panic| panic.downcast_ref::<String>().cloned().unwrap_or_default())
+    };
+
+    std::fs::write(&path, b"10.0.0.0\t8\t\xff\xfe\n").expect("write non-UTF-8 table");
+    let not_utf8 = lookup();
+    std::fs::remove_file(&path).expect("remove the table");
+    std::fs::create_dir(&path).expect("directory in its place");
+    let directory = lookup();
+    std::fs::remove_dir(&path).expect("remove the directory");
+    let removed = lookup();
+    std::fs::write(&path, &good).expect("restore the table");
+
+    for failed in [not_utf8, directory] {
+        let message = failed.expect_err("an unreadable table must not serve as empty");
+        assert!(message.contains(rel), "{message}");
+    }
+    // Only a table that is not there is the empty out-of-window table.
+    assert!(removed.expect("a missing table is no error").is_empty());
+    assert!(!lookup().expect("restored table parses").is_empty());
 }

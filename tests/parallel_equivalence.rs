@@ -14,10 +14,11 @@ fn world() -> &'static World {
     WORLD.get_or_init(|| World::generate(WorldConfig::test()))
 }
 
-/// The same shared world behind the in-memory battery interface.
-fn source() -> &'static DataSource<'static> {
-    static SOURCE: OnceLock<DataSource<'static>> = OnceLock::new();
-    SOURCE.get_or_init(|| DataSource::in_memory(world()))
+/// The same test world behind the in-memory battery interface,
+/// generated on its own and moved in.
+fn source() -> &'static DataSource {
+    static SOURCE: OnceLock<DataSource> = OnceLock::new();
+    SOURCE.get_or_init(|| DataSource::from(World::generate(WorldConfig::test())))
 }
 
 #[test]
@@ -213,7 +214,6 @@ fn cached_pfx2as_matches_fresh_compute() {
 
 #[test]
 fn pfx2as_months_compute_at_most_once_across_sweeps() {
-    let world = world();
     // Drive the two heavy pfx2as consumers concurrently, twice each.
     let src = source();
     std::thread::scope(|s| {
@@ -222,14 +222,14 @@ fn pfx2as_months_compute_at_most_once_across_sweeps() {
             s.spawn(|| experiments::fig14_prefix_heatmap::run(src));
         }
     });
-    let after_first = world.pfx2as_computations();
+    let after_first = src.pfx2as_computations();
     // The union of both figures' windows is bounded by the full pfx2as
     // window — more computations than distinct months would mean
-    // duplicate work. The other tests in this binary share the world and
+    // duplicate work. The other tests in this binary share the source and
     // touch a handful of months of their own (one outside the window),
     // hence the small slack.
     let window_months = lacnet::crisis::config::windows::pfx2as_start()
-        .through(world.config.end)
+        .through(src.config.end)
         .count();
     assert!(
         after_first <= window_months + 8,
@@ -238,5 +238,5 @@ fn pfx2as_months_compute_at_most_once_across_sweeps() {
     // Re-running the same sweeps adds no computations at all.
     experiments::fig02_address_space::run(src);
     experiments::fig14_prefix_heatmap::run(src);
-    assert_eq!(world.pfx2as_computations(), after_first);
+    assert_eq!(src.pfx2as_computations(), after_first);
 }

@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 /// Dump the fixed-seed test world once and keep the archive-backed
 /// source for every server instance in the binary. The dumped tree is
 /// removed when the test process exits.
-fn archive_source() -> Arc<DataSource<'static>> {
-    static SOURCE: OnceLock<Arc<DataSource<'static>>> = OnceLock::new();
+fn archive_source() -> Arc<DataSource> {
+    static SOURCE: OnceLock<Arc<DataSource>> = OnceLock::new();
     Arc::clone(SOURCE.get_or_init(|| {
         // SAFETY: `atexit` takes any valid function pointer and only
         // records it; the callback uses nothing but `std::fs` and
@@ -306,7 +306,7 @@ fn concurrent_ndt_range_hammer_decodes_once() {
     let (addr, handle) = boot(ServeOptions::default());
     let source = archive_source();
     let series: Vec<_> = source
-        .mlab()
+        .mlab
         .median_series(lacnet::types::country::BR)
         .iter()
         .collect();
@@ -535,7 +535,7 @@ fn ndt_month_query_serves_selective_read_stats() {
     // Pick a real (VE, month) off the resident aggregate.
     let source = archive_source();
     let (month, _) = source
-        .mlab()
+        .mlab
         .median_series(lacnet::types::country::VE)
         .last()
         .expect("test world has VE data");
@@ -575,7 +575,7 @@ fn ndt_range_query_on_the_wire_is_byte_stable_and_shares_cache_slots() {
     let (addr, handle) = boot(ServeOptions::default());
     let source = archive_source();
     let series: Vec<_> = source
-        .mlab()
+        .mlab
         .median_series(lacnet::types::country::VE)
         .iter()
         .collect();
