@@ -9,21 +9,15 @@
 
 use criterion::{criterion_group, Criterion};
 use lacnet_bench::bench_world;
-use lacnet_core::{datasets, DataSource, DumpOptions};
+use lacnet_core::{datasets, DataSource};
 use lacnet_crisis::World;
-use lacnet_mlab::ShardFormat;
 use lacnet_types::{country, CountryCode, MonthStamp};
 use std::hint::black_box;
 use std::path::PathBuf;
 
-/// Where the shared bench world's text tree is dumped.
+/// Where the shared bench world's tree is dumped.
 fn dump_path() -> PathBuf {
     std::env::temp_dir().join(format!("lacnet-bench-archive-{}", std::process::id()))
-}
-
-/// Where the identical world with columnar NDT containers is dumped.
-fn columnar_dump_path() -> PathBuf {
-    std::env::temp_dir().join(format!("lacnet-bench-ndtc-{}", std::process::id()))
 }
 
 /// Dump the shared bench world once; every sample reloads the same tree.
@@ -35,28 +29,13 @@ fn dump_dir() -> PathBuf {
     dir
 }
 
-/// A second tree holding the identical world with columnar NDT
-/// containers.
-fn columnar_dump_dir() -> PathBuf {
-    let dir = columnar_dump_path();
-    if !dir.join("MANIFEST.txt").exists() {
-        let options = DumpOptions {
-            shard_format: ShardFormat::Columnar,
-            ..DumpOptions::default()
-        };
-        datasets::dump_with(bench_world(), &dir, options).expect("columnar dump succeeds");
-    }
-    dir
-}
-
-/// Removes both dump trees when the run ends, a failed equivalence
+/// Removes the dump tree when the run ends, a failed equivalence
 /// assertion included.
-struct RemoveDumps;
+struct RemoveDump;
 
-impl Drop for RemoveDumps {
+impl Drop for RemoveDump {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(dump_path());
-        let _ = std::fs::remove_dir_all(columnar_dump_path());
     }
 }
 
@@ -111,7 +90,7 @@ fn aggregate_whole_archive(ndtc_dir: &std::path::Path) -> lacnet_mlab::MonthlyAg
     let mut agg =
         lacnet_mlab::aggregate::MonthlyAggregator::new(lacnet_mlab::aggregate::Mode::Streaming);
     for cc in countries() {
-        let rel = datasets::mlab_container_path(cc, ShardFormat::Columnar);
+        let rel = datasets::mlab_container_path(cc);
         let bytes = std::fs::read(ndtc_dir.join(rel)).expect("columnar container");
         let batch = lacnet_mlab::columnar::decode(&bytes).expect("columnar container decodes");
         agg.observe_columns(&batch);
@@ -119,45 +98,16 @@ fn aggregate_whole_archive(ndtc_dir: &std::path::Path) -> lacnet_mlab::MonthlyAg
     agg
 }
 
-/// Cold NDT ingestion, text vs columnar: the full container set loaded
-/// into a fresh `MonthlyAggregator` through each on-disk format. Before
-/// timing, both archives are asserted to produce the same monthly
-/// medians (and the same group census) — the formats must be two
-/// encodings of one dataset, not two datasets.
+/// Cold NDT ingestion: the full container set read once each and
+/// scanned into per-country partial aggregates on sweep workers, merged
+/// in plan order, as the archive loader does; and the whole-archive load
+/// around it, which adds every other dataset's parse cost. Before timing,
+/// the ingestion is asserted to land the P² estimators in the archive
+/// source's exact state.
 fn bench_cold_load(c: &mut Criterion) {
-    let text_dir = dump_dir();
-    let ndtc_dir = columnar_dump_dir();
-    let text =
-        DataSource::from_archive_with(&text_dir, Some(ShardFormat::Text)).expect("text loads");
-    let ndtc = DataSource::from_archive_with(&ndtc_dir, Some(ShardFormat::Columnar))
-        .expect("columnar loads");
-    assert_eq!(text.mlab.group_count(), ndtc.mlab.group_count());
-    assert_eq!(
-        text.mlab.median_series(country::VE),
-        ndtc.mlab.median_series(country::VE)
-    );
-    assert_eq!(
-        text.mlab.median_series(country::BR),
-        ndtc.mlab.median_series(country::BR)
-    );
-    // NDT-only ingestion through each format, mirroring the archive
-    // loader's paths: text containers streamed through
-    // `observe_reader`, columnar containers read once each and scanned
-    // into per-country partial aggregates on sweep workers, merged in
-    // plan order. The whole-archive loads below include every other
-    // dataset's parse cost, which dilutes the format difference.
+    let ndtc_dir = dump_dir();
+    let ndtc = DataSource::from_archive(&ndtc_dir).expect("archive loads");
     let countries = countries();
-    let ingest_text = || {
-        let mut agg =
-            lacnet_mlab::aggregate::MonthlyAggregator::new(lacnet_mlab::aggregate::Mode::Streaming);
-        for &cc in &countries {
-            let rel = datasets::mlab_container_path(cc, ShardFormat::Text);
-            let file = std::fs::File::open(text_dir.join(rel)).expect("text container");
-            agg.observe_reader(std::io::BufReader::new(file))
-                .expect("text container parses");
-        }
-        agg
-    };
     let ingest_columnar = || {
         let selection =
             lacnet_mlab::ColumnSelection::columns(lacnet_mlab::MonthlyAggregator::REQUIRED_COLUMNS);
@@ -165,7 +115,7 @@ fn bench_cold_load(c: &mut Criterion) {
             lacnet_types::sweep::worker_count(countries.len()),
             &countries,
             |&cc| {
-                let rel = datasets::mlab_container_path(cc, ShardFormat::Columnar);
+                let rel = datasets::mlab_container_path(cc);
                 let bytes = std::fs::read(ndtc_dir.join(rel)).expect("columnar container");
                 let reader = lacnet_mlab::ColumnReader::open(&bytes).expect("container opens");
                 let mut part = lacnet_mlab::aggregate::MonthlyAggregator::new(
@@ -188,31 +138,16 @@ fn bench_cold_load(c: &mut Criterion) {
         }
         agg
     };
-    // Both ingestion paths land the P² estimators in byte-identical
-    // state — the formats encode one observation sequence.
     assert_eq!(
-        format!("{:?}", ingest_text()),
-        format!("{:?}", ingest_columnar())
+        format!("{:?}", ingest_columnar()),
+        format!("{:?}", ndtc.mlab)
     );
 
     let mut group = c.benchmark_group("cold_load");
     group.sample_size(10);
-    group.bench_function("ndt/text", |b| b.iter(|| black_box(ingest_text())));
     group.bench_function("ndt/columnar", |b| b.iter(|| black_box(ingest_columnar())));
-    group.bench_function("text", |b| {
-        b.iter(|| {
-            black_box(
-                DataSource::from_archive_with(&text_dir, Some(ShardFormat::Text)).expect("loads"),
-            )
-        })
-    });
     group.bench_function("columnar", |b| {
-        b.iter(|| {
-            black_box(
-                DataSource::from_archive_with(&ndtc_dir, Some(ShardFormat::Columnar))
-                    .expect("loads"),
-            )
-        })
+        b.iter(|| black_box(DataSource::from_archive(&ndtc_dir).expect("loads")))
     });
     group.finish();
 }
@@ -224,9 +159,8 @@ fn bench_cold_load(c: &mut Criterion) {
 /// agree with the resident aggregate's group state — same count,
 /// bit-identical P² median — before any timing starts.
 fn bench_cold_query(c: &mut Criterion) {
-    let ndtc_dir = columnar_dump_dir();
-    let ndtc = DataSource::from_archive_with(&ndtc_dir, Some(ShardFormat::Columnar))
-        .expect("columnar loads");
+    let ndtc_dir = dump_dir();
+    let ndtc = DataSource::from_archive(&ndtc_dir).expect("archive loads");
     let (month, _) = ndtc
         .mlab
         .median_series(country::VE)
@@ -269,9 +203,8 @@ fn bench_cold_query(c: &mut Criterion) {
 /// differ only in materialization; they must agree on row count,
 /// download sum, and the bit-exact P² median before timing.
 fn bench_range_query(c: &mut Criterion) {
-    let ndtc_dir = columnar_dump_dir();
-    let ndtc = DataSource::from_archive_with(&ndtc_dir, Some(ShardFormat::Columnar))
-        .expect("columnar loads");
+    let ndtc_dir = dump_dir();
+    let ndtc = DataSource::from_archive(&ndtc_dir).expect("archive loads");
     let series: Vec<_> = ndtc.mlab.median_series(country::VE).iter().collect();
     assert!(series.len() >= 6, "bench world spans months");
     let (from, _) = series[series.len() - 6];
@@ -402,7 +335,7 @@ criterion_group!(
 );
 
 fn main() {
-    let _cleanup = RemoveDumps;
+    let _cleanup = RemoveDump;
     archive();
     criterion::flush_json_report();
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! lacnet-gen --out DIR [--seed N] [--test-world] [--scenario NAME|FILE]
-//!            [--shard-format text|columnar] [--force] [--verify]
+//!            [--force] [--verify]
 //! lacnet-gen --list-scenarios
 //! ```
 //!
@@ -14,9 +14,11 @@
 //! fingerprint into every `mlab/manifest.tsv` container record and write
 //! a `world/scenario.toml` sidecar the loader reapplies.
 //!
-//! NDT data lands in one container per country — `mlab/{CC}.tsv`, or
-//! the footer-indexed `mlab/{CC}.ndtc` under `--shard-format columnar` —
-//! holding every month of the window in order.
+//! NDT data lands in one footer-indexed `.ndtc` container per country,
+//! `mlab/{CC}.ndtc`, holding every month of the window in order.
+//! `--shard-format columnar` is still accepted, because `benchmark/`
+//! passes it; any other value is an error, since columnar is the only
+//! format.
 //!
 //! `--test-world` dumps the reduced fixed-seed world the test suites
 //! run on — a mini archive that generates and parses in seconds (the CI
@@ -25,14 +27,13 @@
 //!
 //! Re-running over an existing tree refreshes incrementally: NDT
 //! containers whose inputs (seed, per-country volume scale, scenario,
-//! format, month window) are unchanged per `mlab/manifest.tsv` are left
+//! month window) are unchanged per `mlab/manifest.tsv` are left
 //! untouched unless `--force` is given. `mlab/index.tsv` records each
 //! `(country, month)`'s container, row/block census and min/max day
 //! span.
 
 use lacnet_core::datasets::{self, DumpOptions};
 use lacnet_crisis::{Scenario, World, WorldConfig};
-use lacnet_mlab::ShardFormat;
 use std::path::PathBuf;
 
 fn main() {
@@ -77,17 +78,16 @@ fn main() {
             }
             "--shard-format" => {
                 i += 1;
-                options.shard_format = args
-                    .get(i)
-                    .and_then(|s| ShardFormat::parse_flag(s))
-                    .unwrap_or_else(|| die("--shard-format needs `text` or `columnar`"));
+                if args.get(i).map(String::as_str) != Some("columnar") {
+                    die("--shard-format: columnar is the only NDT container format");
+                }
             }
             "--test-world" => config = WorldConfig::test(),
             "--force" => options.force = true,
             "--verify" => verify = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: lacnet-gen --out DIR [--seed N] [--test-world] [--scenario NAME|FILE] [--shard-format text|columnar] [--force] [--verify]\n       lacnet-gen --list-scenarios"
+                    "usage: lacnet-gen --out DIR [--seed N] [--test-world] [--scenario NAME|FILE] [--force] [--verify]\n       lacnet-gen --list-scenarios"
                 );
                 return;
             }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! vzla-report [--seed N] [--test-world] [--from-archive DIR]
-//!             [--shard-format auto|text|columnar] [--scenario NAME|FILE]
+//!             [--scenario NAME|FILE]
 //!             [--matrix NAME|FILE,NAME|FILE,…]
 //!             [--csv DIR] [--markdown FILE] [--only figNN[,figMM…]]
 //! ```
@@ -17,7 +17,6 @@
 
 use lacnet_core::{experiments, registry, render, DataSource};
 use lacnet_crisis::{Scenario, World, WorldConfig};
-use lacnet_mlab::ShardFormat;
 use lacnet_types::sweep;
 use std::io::Write as _;
 
@@ -30,7 +29,6 @@ fn main() {
     let mut markdown: Option<String> = None;
     let mut only: Option<Vec<String>> = None;
     let mut archive: Option<std::path::PathBuf> = None;
-    let mut shard_format: Option<ShardFormat> = None;
 
     let mut i = 1;
     while i < args.len() {
@@ -72,16 +70,6 @@ fn main() {
                         .collect(),
                 );
             }
-            "--shard-format" => {
-                i += 1;
-                shard_format = match args.get(i).map(String::as_str) {
-                    Some("auto") => None,
-                    Some(flag) => Some(ShardFormat::parse_flag(flag).unwrap_or_else(|| {
-                        die("--shard-format needs `auto`, `text` or `columnar`")
-                    })),
-                    None => die("--shard-format needs `auto`, `text` or `columnar`"),
-                };
-            }
             "--csv" => {
                 i += 1;
                 csv_dir = Some(
@@ -109,7 +97,7 @@ fn main() {
                 );
             }
             "--help" | "-h" => {
-                println!("usage: vzla-report [--seed N] [--test-world] [--from-archive DIR] [--shard-format auto|text|columnar] [--scenario NAME|FILE] [--matrix LIST] [--csv DIR] [--markdown FILE] [--only figNN,...]");
+                println!("usage: vzla-report [--seed N] [--test-world] [--from-archive DIR] [--scenario NAME|FILE] [--matrix LIST] [--csv DIR] [--markdown FILE] [--only figNN,...]");
                 return;
             }
             other => die(&format!("unknown argument {other}")),
@@ -173,7 +161,7 @@ fn main() {
         Some(dir) => {
             eprintln!("loading archive from {} …", dir.display());
             let t0 = std::time::Instant::now();
-            let src = DataSource::from_archive_with(dir, shard_format)
+            let src = DataSource::from_archive(dir)
                 .unwrap_or_else(|e| die(&format!("archive load failed: {e}")));
             eprintln!(
                 "archive parsed in {:.1?} (seed {:#x}, scenario {}); running experiments …",

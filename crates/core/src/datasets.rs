@@ -18,11 +18,9 @@
 //!   cables/cable-map.json                Telegeography-style export
 //!   offnets/scan-2013.json …             yearly TLS scans
 //!   topsites/VE.json …                   per-country scrapes
-//!   mlab/VE.tsv …                        one NDT container per country,
+//!   mlab/VE.ndtc …                       one NDT container per country,
 //!                                        every month of the window in
-//!                                        plan order (`mlab/VE.ndtc`
-//!                                        under `--shard-format
-//!                                        columnar`)
+//!                                        plan order
 //!   mlab/manifest.tsv                    per-container (country,
 //!                                        fingerprint, content hash,
 //!                                        path) — incremental refresh
@@ -36,17 +34,18 @@
 //!
 //! NDT rows are the bulk of the tree, so they get three optimisations:
 //! one container per country instead of one file per (country, month),
-//! so a dump creates ~30 NDT files rather than thousands; a binary
-//! columnar encoding ([`lacnet_mlab::columnar`]) selected via
-//! [`DumpOptions::shard_format`]; and *incremental refresh* — each dump
-//! records every container's input fingerprint (seed, effective
-//! per-country volume scale, format, month window) in
-//! `mlab/manifest.tsv`, and a re-dump over the same tree regenerates
+//! so a dump creates ~30 NDT files rather than thousands; the binary
+//! columnar `.ndtc` encoding ([`lacnet_mlab::columnar`]); and
+//! *incremental refresh* — each dump records every container's input
+//! fingerprint (seed, effective per-country volume scale, month window)
+//! in `mlab/manifest.tsv`, and a re-dump over the same tree regenerates
 //! only the countries whose fingerprints changed.
 
+use crate::source::{read_error, read_text};
 use lacnet_crisis::config::windows;
 use lacnet_crisis::{bandwidth, blackouts, World, WorldConfig};
-use lacnet_mlab::columnar::{self, ShardFormat};
+use lacnet_mlab::aggregate::{Mode, MonthlyAggregator};
+use lacnet_mlab::columnar::{self, ColumnReader, ColumnSelection, DecodeScratch, ShardFormat};
 use lacnet_mlab::BlockRun;
 use lacnet_types::rng::Rng;
 use lacnet_types::{codec, country, sweep, CountryCode, Date, MonthStamp, Result};
@@ -75,7 +74,8 @@ pub struct DumpSummary {
 /// Options for one export.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DumpOptions {
-    /// On-disk NDT encoding (`text` `.tsv` rows by default).
+    /// Benchmark-only: `.ndtc` is the only NDT encoding, and this field
+    /// stays only because `benchmark/` still sets it.
     pub shard_format: ShardFormat,
     /// Rewrite every container even when the manifest says its inputs
     /// are unchanged.
@@ -102,15 +102,16 @@ fn write(root: &Path, rel: &str, contents: &str, summary: &mut DumpSummary) -> i
     write_bytes(root, rel, contents.as_bytes(), summary)
 }
 
-/// The archive-relative path of one country's NDT container in `format`.
-pub fn mlab_container_path(cc: CountryCode, format: ShardFormat) -> String {
-    format!("mlab/{cc}.{}", format.extension())
+/// The archive-relative path of one country's NDT container.
+pub fn mlab_container_path(cc: CountryCode) -> String {
+    format!("mlab/{cc}.ndtc")
 }
 
 /// The archive-relative path of the container holding one NDT shard's
-/// rows in `format` — every month of a country shares one file.
-pub fn mlab_shard_path_with(shard: bandwidth::NdtShard, format: ShardFormat) -> String {
-    mlab_container_path(shard.0, format)
+/// rows — every month of a country shares one file. Benchmark-only: the
+/// format argument stays only because `benchmark/` still passes it.
+pub fn mlab_shard_path_with(shard: bandwidth::NdtShard, _format: ShardFormat) -> String {
+    mlab_container_path(shard.0)
 }
 
 /// The archive-relative path of the NDT container manifest.
@@ -130,7 +131,7 @@ pub struct ShardIndexRecord {
     pub path: String,
     /// Rows in the shard.
     pub rows: u64,
-    /// Independently decodable blocks of the shard (1 for text).
+    /// Independently decodable blocks of the shard.
     pub blocks: u64,
     /// Min/max test day (days since epoch) across the shard's rows;
     /// `None` for a month without rows.
@@ -183,20 +184,20 @@ pub fn read_shard_index(root: &Path) -> BTreeMap<String, ShardIndexRecord> {
 const SHARD_GEN_VERSION: &str = "v3";
 
 /// The fingerprint of everything a country's container depends on:
-/// writer version, on-disk format, seed, the country's effective volume
-/// scale, the month window, and — for non-default scenarios only — the
-/// scenario fingerprint. The default (Venezuela) scenario adds nothing;
-/// switching scenarios changes every container's fingerprint and forces
-/// a full rewrite.
+/// writer version, seed, the country's effective volume scale, the month
+/// window, and — for non-default scenarios only — the scenario
+/// fingerprint. The default (Venezuela) scenario adds nothing; switching
+/// scenarios changes every container's fingerprint and forces a full
+/// rewrite. The key still names the `columnar` encoding, so `.ndtc`
+/// trees dumped while a text encoding existed stay up to date.
 fn container_fingerprint(
     config: &WorldConfig,
     scenario: &lacnet_crisis::Scenario,
-    format: ShardFormat,
     cc: CountryCode,
     (start, end): (MonthStamp, MonthStamp),
 ) -> u64 {
     let mut key = format!(
-        "ndt-container/{SHARD_GEN_VERSION}/{format}/{}/{}/{cc}/{start}/{end}",
+        "ndt-container/{SHARD_GEN_VERSION}/columnar/{}/{}/{cc}/{start}/{end}",
         config.seed,
         config.mlab_scale_for(cc),
     );
@@ -262,44 +263,17 @@ pub struct EncodedContainer {
     pub months: Vec<MonthCensus>,
 }
 
-/// One `(country, month)` encoded for its container: text rows or
-/// columnar blocks, plus the month's index census.
-struct EncodedMonth {
-    text: Vec<u8>,
-    run: BlockRun,
-    census: MonthCensus,
-}
-
-/// Generate and encode one shard's rows — one sweep job of a dump.
-fn encode_month(world: &World, format: ShardFormat, shard: bandwidth::NdtShard) -> EncodedMonth {
+/// Generate one shard's rows and encode them as `.ndtc` blocks — one
+/// sweep job of a dump.
+fn encode_month(world: &World, shard: bandwidth::NdtShard) -> BlockRun {
     let (cc, month) = shard;
     let scale = world.config.mlab_scale_for(cc) * world.scenario.mlab_factor(cc, month);
-    let rows = bandwidth::generate_shard(&world.operators, world.config.seed, scale, shard);
-    match format {
-        ShardFormat::Text => {
-            let mut text = String::new();
-            let mut days: Option<(i64, i64)> = None;
-            for test in &rows {
-                text.push_str(&test.to_row());
-                text.push('\n');
-                let d = test.date.days_since_epoch();
-                days = Some(days.map_or((d, d), |(lo, hi)| (lo.min(d), hi.max(d))));
-            }
-            EncodedMonth {
-                text: text.into_bytes(),
-                run: BlockRun::default(),
-                census: (rows.len() as u64, 1, days),
-            }
-        }
-        ShardFormat::Columnar => {
-            let run = BlockRun::encode(&rows);
-            EncodedMonth {
-                text: Vec::new(),
-                census: (run.rows() as u64, run.blocks().len() as u64, run.day_span()),
-                run,
-            }
-        }
-    }
+    BlockRun::encode(&bandwidth::generate_shard(
+        &world.operators,
+        world.config.seed,
+        scale,
+        shard,
+    ))
 }
 
 /// Encode the NDT containers of `countries` over the world's month
@@ -309,7 +283,6 @@ fn encode_month(world: &World, format: ShardFormat, shard: bandwidth::NdtShard) 
 /// so the bytes do not depend on `workers`.
 pub fn encode_ndt_containers(
     world: &World,
-    format: ShardFormat,
     countries: &[CountryCode],
     workers: usize,
 ) -> Vec<EncodedContainer> {
@@ -318,22 +291,21 @@ pub fn encode_ndt_containers(
         .iter()
         .flat_map(|&cc| months.iter().map(move |&m| (cc, m)))
         .collect();
-    let encoded =
-        sweep::parallel_map_with(workers, &jobs, |&shard| encode_month(world, format, shard));
+    let encoded = sweep::parallel_map_with(workers, &jobs, |&shard| encode_month(world, shard));
     encoded
         .chunks(months.len().max(1))
-        .map(|parts| EncodedContainer {
-            bytes: match format {
-                ShardFormat::Text => parts.iter().flat_map(|p| p.text.iter().copied()).collect(),
-                ShardFormat::Columnar => columnar::assemble(parts.iter().map(|p| &p.run)),
-            },
-            months: parts.iter().map(|p| p.census).collect(),
+        .map(|runs| EncodedContainer {
+            bytes: columnar::assemble(runs),
+            months: runs
+                .iter()
+                .map(|run| (run.rows() as u64, run.blocks().len() as u64, run.day_span()))
+                .collect(),
         })
         .collect()
 }
 
-/// Export the world's datasets under `root` with default options (text
-/// NDT shards, incremental refresh on). See [`dump_with`].
+/// Export the world's datasets under `root` with default options
+/// (incremental refresh on). See [`dump_with`].
 pub fn dump(world: &World, root: &Path) -> io::Result<DumpSummary> {
     dump_with(world, root, DumpOptions::default())
 }
@@ -584,7 +556,6 @@ struct BuiltContainer {
 /// containers are rebuilt is decided from the previous dump's manifest
 /// and shard index before anything is written.
 struct NdtRefresh {
-    format: ShardFormat,
     window: (MonthStamp, MonthStamp),
     /// Months per country in the window.
     months: usize,
@@ -606,7 +577,6 @@ impl NdtRefresh {
     /// container exists and every one of its months has an index record
     /// — or always, under [`DumpOptions::force`].
     fn plan(world: &World, root: &Path, options: DumpOptions) -> NdtRefresh {
-        let format = options.shard_format;
         let window = (windows::mlab_start(), world.config.end);
         let plan = bandwidth::shard_plan(window.0, window.1);
         let months = window.0.months_until(window.1) as usize + 1;
@@ -617,9 +587,8 @@ impl NdtRefresh {
             .iter()
             .zip(plan.chunks(months))
             .map(|(&cc, shards)| {
-                let rel = mlab_container_path(cc, format);
-                let fingerprint =
-                    container_fingerprint(&world.config, &world.scenario, format, cc, window);
+                let rel = mlab_container_path(cc);
+                let fingerprint = container_fingerprint(&world.config, &world.scenario, cc, window);
                 let fresh = !options.force
                     && previous.get(cc.as_str()).is_some_and(|rec| {
                         rec.fingerprint == fingerprint
@@ -635,7 +604,6 @@ impl NdtRefresh {
             })
             .collect();
         NdtRefresh {
-            format,
             window,
             months,
             plan,
@@ -658,23 +626,13 @@ impl NdtRefresh {
             .filter_map(|(&cc, &rebuild)| rebuild.then_some(cc))
             .collect();
         let workers = sweep::worker_count(stale.len() * self.months);
-        let containers = encode_ndt_containers(world, self.format, &stale, workers);
+        let containers = encode_ndt_containers(world, &stale, workers);
         fs::create_dir_all(root.join("mlab"))?;
-        let other = match self.format {
-            ShardFormat::Text => ShardFormat::Columnar,
-            ShardFormat::Columnar => ShardFormat::Text,
-        };
         stale
             .iter()
             .zip(containers)
             .map(|(&cc, container)| {
-                fs::write(
-                    root.join(mlab_container_path(cc, self.format)),
-                    &container.bytes,
-                )?;
-                // Drop a stale sibling left by a dump in the other format
-                // so the tree never holds two encodings of one country.
-                let _ = fs::remove_file(root.join(mlab_container_path(cc, other)));
+                fs::write(root.join(mlab_container_path(cc)), &container.bytes)?;
                 Ok(BuiltContainer {
                     len: container.bytes.len() as u64,
                     content_hash: codec::fnv1a64(&container.bytes),
@@ -694,7 +652,6 @@ impl NdtRefresh {
         built: Vec<BuiltContainer>,
         summary: &mut DumpSummary,
     ) -> io::Result<()> {
-        let fmt = self.format;
         let mut built = built.into_iter();
         let mut container_manifest =
             format!("# lacnet NDT container manifest ({SHARD_GEN_VERSION})\n");
@@ -708,7 +665,7 @@ impl NdtRefresh {
             .zip(self.plan.chunks(self.months))
             .zip(&self.rebuild);
         for ((&cc, shards), &rebuild) in per_country {
-            let rel = mlab_container_path(cc, fmt);
+            let rel = mlab_container_path(cc);
             summary.files.push(rel.clone());
             let (content_hash, census) = if rebuild {
                 let container = built.next().expect("one container per rebuilt country");
@@ -729,7 +686,7 @@ impl NdtRefresh {
             let _ = writeln!(
                 container_manifest,
                 "{cc}\t{:016x}\t{content_hash:016x}\t{rel}",
-                container_fingerprint(&world.config, &world.scenario, fmt, cc, self.window),
+                container_fingerprint(&world.config, &world.scenario, cc, self.window),
             );
             for (&shard, (rows, blocks, days)) in shards.iter().zip(census) {
                 let (min_day, max_day) = match days {
@@ -751,18 +708,18 @@ impl NdtRefresh {
 /// Re-parse every exported file, proving the tree is consumable by the
 /// substrate parsers alone (no access to the in-memory world).
 ///
-/// NDT containers are the one archive that is unbounded at real scale,
-/// so text containers are *streamed* through `ndt::stream_rows` into an
-/// aggregator without materializing the file; columnar `.ndtc`
-/// containers are read whole and decoded with every structural check
-/// applied. The container manifest and the shard index are verified
-/// structurally: every container they name must exist.
+/// Each `.ndtc` container is read whole and scanned block by block into
+/// an aggregator, as the archive loader decodes it, but with every column
+/// decoded and range-checked. The container manifest and the shard index
+/// are verified structurally: every container they name must exist. A
+/// listed file that is not there is [`lacnet_types::Error::Missing`]; one
+/// that is there but cannot be read is a parse error naming it.
 pub fn verify(root: &Path) -> Result<usize> {
     let mut checked = 0usize;
-    let read = |rel: &str| -> String { fs::read_to_string(root.join(rel)).unwrap_or_default() };
-    let manifest = read("MANIFEST.txt");
-    let mut agg =
-        lacnet_mlab::aggregate::MonthlyAggregator::new(lacnet_mlab::aggregate::Mode::Streaming);
+    let manifest = read_text(root, "MANIFEST.txt")?;
+    let mut agg = MonthlyAggregator::new(Mode::Streaming);
+    let selection = ColumnSelection::all();
+    let mut scratch = DecodeScratch::new();
     for rel in manifest.lines().filter(|l| !l.starts_with('#')) {
         if rel == MLAB_MANIFEST || rel == MLAB_INDEX {
             let paths: Vec<(String, String)> = if rel == MLAB_MANIFEST {
@@ -785,19 +742,21 @@ pub fn verify(root: &Path) -> Result<usize> {
             continue;
         }
         if rel.starts_with("mlab/") {
-            if rel.ends_with(".ndtc") {
-                let bytes = fs::read(root.join(rel))
-                    .map_err(|_| lacnet_types::Error::missing("NDT archive container", rel))?;
-                agg.observe_columns(&columnar::decode(&bytes)?);
-            } else {
-                let file = fs::File::open(root.join(rel))
-                    .map_err(|_| lacnet_types::Error::missing("NDT archive container", rel))?;
-                agg.observe_reader(io::BufReader::new(file))?;
-            }
+            let bytes = fs::read(root.join(rel)).map_err(|e| {
+                read_error(
+                    e,
+                    "NDT archive container",
+                    format!("{}/{rel}", root.display()),
+                )
+            })?;
+            ColumnReader::open(&bytes)?.scan_counted(&selection, &mut scratch, |view| {
+                agg.observe_block(view);
+                Ok(())
+            })?;
             checked += 1;
             continue;
         }
-        let text = read(rel);
+        let text = read_text(root, rel)?;
         if rel.starts_with("serial1/") {
             lacnet_bgp::serial1::parse(&text)?;
         } else if rel.starts_with("pfx2as/") {
@@ -831,11 +790,13 @@ pub fn verify(root: &Path) -> Result<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lacnet_types::Error;
 
     #[test]
     fn dump_and_verify_roundtrip() {
         let world = crate::experiments::testworld::world();
         let dir = std::env::temp_dir().join(format!("lacnet-dump-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         let summary = dump(world, &dir).expect("dump succeeds");
         assert!(summary.files.len() > 500, "{} files", summary.files.len());
         assert!(summary.bytes > 1_000_000, "{} bytes", summary.bytes);
@@ -845,23 +806,29 @@ mod tests {
         let serial = std::fs::read_to_string(dir.join("serial1/20130101.as-rel.txt")).unwrap();
         assert!(serial.contains("|8048|-1"), "CANTV has providers in 2013");
         // One container per country covers the full per-(country, month)
-        // plan, every month in order.
+        // plan, every month in order, and the index census matches the
+        // container's footer month by month.
         let countries = country::lacnic_codes().count();
-        let ve = std::fs::read_to_string(dir.join("mlab/VE.tsv")).unwrap();
-        assert!(ve.lines().filter(|l| l.starts_with("2023-07-")).count() > 10);
         let plan = bandwidth::shard_plan(windows::mlab_start(), world.config.end);
         let index = read_shard_index(&dir);
         assert_eq!(index.len(), plan.len());
-        assert!(index
-            .values()
-            .all(|r| r.path.starts_with("mlab/") && r.blocks == 1));
+        assert!(index["VE/2023-07"].rows > 10);
+        let ve = std::fs::read(dir.join("mlab/VE.ndtc")).unwrap();
+        assert_eq!(ve[4], columnar::VERSION);
+        let reader = ColumnReader::open(&ve).unwrap();
+        let ve_records: Vec<&ShardIndexRecord> = index
+            .iter()
+            .filter(|(label, _)| label.starts_with("VE/"))
+            .map(|(_, r)| r)
+            .collect();
+        assert!(ve_records.iter().all(|r| r.path == "mlab/VE.ndtc"));
         assert_eq!(
-            ve.lines().count() as u64,
-            index
-                .iter()
-                .filter(|(label, _)| label.starts_with("VE/"))
-                .map(|(_, r)| r.rows)
-                .sum::<u64>()
+            ve_records.iter().map(|r| r.blocks).sum::<u64>(),
+            reader.block_count() as u64
+        );
+        assert_eq!(
+            ve_records.iter().map(|r| r.rows).sum::<u64>(),
+            reader.rows() as u64
         );
         // A fresh dump writes every container; a re-dump of the same
         // config skips every one.
@@ -886,63 +853,60 @@ mod tests {
             std::fs::read_to_string(dir.join(MLAB_INDEX)).unwrap(),
             index_text
         );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn columnar_dump_verifies_and_switches_formats_cleanly() {
-        let world = crate::experiments::testworld::world();
-        let dir = std::env::temp_dir().join(format!("lacnet-dump-col-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let columnar = DumpOptions {
-            shard_format: ShardFormat::Columnar,
-            ..DumpOptions::default()
-        };
-        let summary = dump_with(world, &dir, columnar).expect("columnar dump succeeds");
-        assert!(summary.containers_written > 0);
-        let checked = verify(&dir).expect("columnar tree verifies");
-        assert_eq!(checked, summary.files.len());
-        let ve = dir.join("mlab/VE.ndtc");
-        assert_eq!(std::fs::read(&ve).unwrap()[4], columnar::VERSION);
-        // The index census matches the container's footer month by month.
-        let index = read_shard_index(&dir);
-        let bytes = std::fs::read(&ve).unwrap();
-        let reader = columnar::ColumnReader::open(&bytes).unwrap();
-        let ve_records: Vec<&ShardIndexRecord> = index
-            .iter()
-            .filter(|(label, _)| label.starts_with("VE/"))
-            .map(|(_, r)| r)
-            .collect();
-        assert!(ve_records.iter().all(|r| r.path == "mlab/VE.ndtc"));
-        assert_eq!(
-            ve_records.iter().map(|r| r.blocks).sum::<u64>(),
-            reader.block_count() as u64
-        );
-        assert_eq!(
-            ve_records.iter().map(|r| r.rows).sum::<u64>(),
-            reader.rows() as u64
-        );
-        // A no-op re-dump reproduces the index from reused records.
-        dump_with(world, &dir, columnar).expect("re-dump succeeds");
-        assert_eq!(read_shard_index(&dir), index);
-        // Re-dumping in text format rewrites everything (fingerprints
-        // change with the format) and removes the columnar siblings.
-        let text = dump_with(world, &dir, DumpOptions::default()).expect("text re-dump");
-        assert_eq!(text.containers_skipped, 0);
-        assert!(!ve.exists(), "stale columnar sibling removed");
-        assert!(dir.join("mlab/VE.tsv").exists());
         // `--force` rewrites even an up-to-date tree.
         let forced = dump_with(
             world,
             &dir,
             DumpOptions {
-                shard_format: ShardFormat::Text,
                 force: true,
+                ..DumpOptions::default()
             },
         )
         .expect("forced re-dump");
         assert_eq!(forced.containers_skipped, 0);
-        assert_eq!(forced.containers_written, text.containers_written);
+        assert_eq!(forced.containers_written, countries);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn verify_fails_on_listed_files_it_cannot_read() {
+        let world = crate::experiments::testworld::world();
+        let dir = std::env::temp_dir().join(format!("lacnet-verify-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dump(world, &dir).expect("dump succeeds");
+        let serial = "serial1/20130101.as-rel.txt";
+        let pfx2as = "pfx2as/routeviews-rv2-20160401.pfx2as";
+        let unreadable = |e: Error, rel: &str| match e {
+            Error::Parse { expected, input } => {
+                expected == "readable archive file" && input.contains(rel)
+            }
+            _ => false,
+        };
+        let missing =
+            |e: Error, rel: &str| matches!(e, Error::Missing { key, .. } if key.ends_with(rel));
+
+        let good = std::fs::read(dir.join(serial)).unwrap();
+        std::fs::write(dir.join(serial), b"1|8048|-1\xff\xfe\n").unwrap();
+        let not_utf8 = verify(&dir).expect_err("a non-UTF-8 file fails");
+        assert!(unreadable(not_utf8.clone(), serial), "{not_utf8:?}");
+
+        std::fs::remove_file(dir.join(serial)).unwrap();
+        std::fs::create_dir(dir.join(serial)).unwrap();
+        let directory = verify(&dir).expect_err("a directory fails");
+        assert!(unreadable(directory.clone(), serial), "{directory:?}");
+
+        std::fs::remove_dir(dir.join(serial)).unwrap();
+        let removed = verify(&dir).expect_err("a removed file fails");
+        assert!(missing(removed.clone(), serial), "{removed:?}");
+        std::fs::write(dir.join(serial), good).unwrap();
+
+        let good = std::fs::read(dir.join(pfx2as)).unwrap();
+        std::fs::remove_file(dir.join(pfx2as)).unwrap();
+        let removed = verify(&dir).expect_err("a removed pfx2as table fails");
+        assert!(missing(removed.clone(), pfx2as), "{removed:?}");
+        std::fs::write(dir.join(pfx2as), good).unwrap();
+
+        verify(&dir).expect("the restored tree verifies");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

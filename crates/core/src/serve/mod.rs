@@ -28,6 +28,7 @@ use lacnet_types::lru::LruCache;
 use metrics::{Metrics, Outcome};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -119,7 +120,7 @@ impl ServerState {
     /// Build the shared state around a resident source.
     pub fn new(source: Arc<DataSource>, cache_capacity: usize) -> Self {
         let fingerprint = source_fingerprint(&source);
-        let shards = source.ndt_shards();
+        let (backing, shards) = source.ndt_shards();
         let archive_body = Json::Obj(vec![
             ("backend".into(), Json::Str(source.backend().into())),
             (
@@ -132,18 +133,10 @@ impl ServerState {
                 "endpoints".into(),
                 Json::Num(registry::ENDPOINTS.len() as f64),
             ),
-            (
-                "ndt_shards".into(),
-                Json::Num(shards.iter().map(|(_, n)| n).sum::<usize>() as f64),
-            ),
+            ("ndt_shards".into(), Json::Num(shards as f64)),
             (
                 "shard_formats".into(),
-                Json::Obj(
-                    shards
-                        .into_iter()
-                        .map(|(fmt, n)| (fmt.into(), Json::Num(n as f64)))
-                        .collect(),
-                ),
+                Json::Obj(vec![(backing.into(), Json::Num(shards as f64))]),
             ),
             (
                 "ndt_query".into(),
@@ -292,9 +285,22 @@ fn uncached(response: Response, label: &'static str) -> Routed {
 /// Compute the response for one parsed request — the pure routing core,
 /// shared by the socket workers, the unit tests and the benches. Every
 /// request is recorded in the metrics exactly once, here.
+///
+/// A request whose computation panics answers an uncached JSON 500 and
+/// counts under its registry endpoint (`unmatched` off the registry);
+/// the caches it was filling roll back, and the worker keeps serving.
 pub fn respond(state: &ServerState, request: &Request) -> Response {
     let t0 = Instant::now();
-    let (response, label, outcome) = route(state, request);
+    let routed = panic::catch_unwind(AssertUnwindSafe(|| route(state, request)));
+    let (response, label, outcome) = routed.unwrap_or_else(|payload| {
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or("request handler panicked");
+        let label = registry::find_by_path(&request.path).map_or("unmatched", |e| e.id);
+        uncached(json_error(500, message), label)
+    });
     state
         .metrics
         .record(label, outcome, t0.elapsed().as_secs_f64());

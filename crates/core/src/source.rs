@@ -29,7 +29,7 @@ use lacnet_crisis::world::SnapshotCache;
 use lacnet_crisis::{blackouts, Economy, Scenario, World, WorldConfig};
 use lacnet_mlab::aggregate::{Mode, MonthlyAggregator};
 use lacnet_mlab::columnar::{
-    BlockEntry, ColumnReader, ColumnSelection, ColumnSet, DecodeScratch, ReadStats, ShardFormat,
+    BlockEntry, ColumnReader, ColumnSelection, ColumnSet, DecodeScratch, ReadStats,
 };
 use lacnet_offnets::certs::CertScan;
 use lacnet_peeringdb::{Snapshot, SnapshotArchive};
@@ -121,22 +121,20 @@ const PARALLEL_DECODE_BYTES: usize = 128 * 1024;
 #[derive(Debug, Clone)]
 struct MonthSpan {
     month: MonthStamp,
-    /// Byte range of the month's text lines or row-group blocks.
+    /// Byte range of the month's row-group blocks.
     bytes: Range<usize>,
     /// Min/max test day across the month's rows; `None` without rows.
     days: Option<(i64, i64)>,
-    /// The month's entries in [`NdtContainer::blocks`] (columnar only).
+    /// The month's entries in [`NdtContainer::blocks`].
     blocks: Range<usize>,
 }
 
-/// One country's NDT container as an archive keeps it resident: its
-/// path and encoding, the month table, and — for `.ndtc` — the validated
-/// footer entries, so a query decodes a month window without re-reading
-/// the footer.
+/// One country's `.ndtc` container as an archive keeps it resident: its
+/// path, the month table and the validated footer entries, so a query
+/// decodes a month window without re-reading the footer.
 #[derive(Debug)]
 struct NdtContainer {
     rel: String,
-    format: ShardFormat,
     months: Vec<MonthSpan>,
     blocks: Vec<BlockEntry>,
 }
@@ -176,11 +174,9 @@ pub struct NdtMonthStats {
     /// P² median download (Mbit/s) over those tests, in row order — the
     /// same estimator state the resident aggregate holds for the group.
     pub median_download: Option<f64>,
-    /// The backing the answer came from (`columnar-v2`, `text`, or
-    /// `in-memory`).
+    /// The backing the answer came from (`columnar-v2` or `in-memory`).
     pub format: &'static str,
-    /// Decode accounting for the month's own blocks (zero for text and
-    /// in-memory backings).
+    /// Decode accounting for the month's own blocks (zero in memory).
     pub read: ReadStats,
 }
 
@@ -265,14 +261,13 @@ fn month_from_name(name: &str, prefix: &str, suffix: &str) -> Option<MonthStamp>
         .then(|| MonthStamp::new(year, month))
 }
 
-/// Decode one country's NDT container: its resident month table, its
-/// footer entries (columnar) and the partial aggregate of its rows, in
-/// file order. A typed error unless the container holds only `cc`'s rows,
-/// only `months`, ascending, and no `.ndtc` block straddles a month.
+/// Decode one country's `.ndtc` container: its resident month table, its
+/// footer entries and the partial aggregate of its rows, in file order.
+/// A typed error unless the container holds only `cc`'s rows, only
+/// `months`, ascending, and no block straddles a month.
 fn load_container(
     cc: CountryCode,
     bytes: &[u8],
-    format: ShardFormat,
     months: &[MonthStamp],
     selection: &ColumnSelection,
 ) -> Result<(Vec<MonthSpan>, Vec<BlockEntry>, MonthlyAggregator)> {
@@ -285,13 +280,26 @@ fn load_container(
             blocks: 0..0,
         })
         .collect();
-    // Months arrive ascending, so a cursor walks the table once.
+    let reader = ColumnReader::open(bytes)?;
+    let (first, last) = (months[0].first_day(), months[months.len() - 1].last_day());
+    let window = first.days_since_epoch()..=last.days_since_epoch();
+    // Blocks arrive in month order, so a cursor walks the table once.
     let mut cursor = 0usize;
-    let mut place = |month: MonthStamp,
-                     bytes: Range<usize>,
-                     days: (i64, i64),
-                     block: Option<usize>|
-     -> Result<()> {
+    for (i, block) in reader.blocks().iter().enumerate() {
+        if block.countries() != [cc] {
+            return Err(Error::parse(
+                "ndtc block country summary naming only the container's country",
+                cc.as_str(),
+            ));
+        }
+        let (lo, hi) = block.day_span();
+        if !window.contains(&lo) || !window.contains(&hi) {
+            return Err(Error::parse("ndtc block dates inside the plan", ""));
+        }
+        let month = Date::from_days_since_epoch(lo).month_stamp();
+        if Date::from_days_since_epoch(hi).month_stamp() != month {
+            return Err(Error::parse("ndtc block inside one month", ""));
+        }
         while spans.get(cursor).is_some_and(|s| s.month < month) {
             cursor += 1;
         }
@@ -304,80 +312,29 @@ fn load_container(
                     &month.to_string(),
                 )
             })?;
-        if let Some(i) = block {
-            span.blocks = if span.days.is_none() {
-                i
-            } else {
-                span.blocks.start
-            }..i + 1;
-        }
-        span.days = Some(match span.days {
+        let end = block.offset() + block.byte_len();
+        match span.days {
             None => {
-                span.bytes = bytes;
-                days
+                span.bytes = block.offset()..end;
+                span.blocks = i..i + 1;
+                span.days = Some((lo, hi));
             }
-            Some((lo, hi)) => {
-                span.bytes.end = bytes.end;
-                (lo.min(days.0), hi.max(days.1))
+            Some((min, max)) => {
+                span.bytes.end = end;
+                span.blocks.end = i + 1;
+                span.days = Some((min.min(lo), max.max(hi)));
             }
-        });
-        Ok(())
-    };
+        }
+    }
+    // The scan cross-checks every footer claim used above (day span,
+    // country summary) against the decoded columns.
     let mut agg = MonthlyAggregator::new(Mode::Streaming);
-    let blocks = match format {
-        ShardFormat::Columnar => {
-            let reader = ColumnReader::open(bytes)?;
-            let (first, last) = (months[0].first_day(), months[months.len() - 1].last_day());
-            let window = first.days_since_epoch()..=last.days_since_epoch();
-            for (i, block) in reader.blocks().iter().enumerate() {
-                if block.countries() != [cc] {
-                    return Err(Error::parse(
-                        "ndtc block country summary naming only the container's country",
-                        cc.as_str(),
-                    ));
-                }
-                let (lo, hi) = block.day_span();
-                if !window.contains(&lo) || !window.contains(&hi) {
-                    return Err(Error::parse("ndtc block dates inside the plan", ""));
-                }
-                let month = Date::from_days_since_epoch(lo).month_stamp();
-                if Date::from_days_since_epoch(hi).month_stamp() != month {
-                    return Err(Error::parse("ndtc block inside one month", ""));
-                }
-                let at = block.offset();
-                place(month, at..at + block.byte_len(), (lo, hi), Some(i))?;
-            }
-            // The scan cross-checks every footer claim used above (day
-            // span, country summary) against the decoded columns.
-            let mut scratch = DecodeScratch::new();
-            reader.scan_counted(selection, &mut scratch, |view| {
-                agg.observe_block(view);
-                Ok(())
-            })?;
-            reader.into_blocks()
-        }
-        ShardFormat::Text => {
-            let mut pos = 0usize;
-            for line in bytes.split_inclusive(|&b| b == b'\n') {
-                let start = pos;
-                pos += line.len();
-                let text = std::str::from_utf8(line)
-                    .map_err(|_| Error::parse("NDT row (utf-8)", ""))?
-                    .trim();
-                if text.is_empty() || text.starts_with('#') {
-                    continue;
-                }
-                let row: lacnet_mlab::NdtTest = text.parse()?;
-                if row.country != cc {
-                    return Err(Error::parse("NDT row of the container's country", text));
-                }
-                let day = row.date.days_since_epoch();
-                place(row.date.month_stamp(), start..pos, (day, day), None)?;
-                agg.observe(&row);
-            }
-            Vec::new()
-        }
-    };
+    let mut scratch = DecodeScratch::new();
+    reader.scan_counted(selection, &mut scratch, |view| {
+        agg.observe_block(view);
+        Ok(())
+    })?;
+    let blocks = reader.into_blocks();
     // Months without rows sit, empty, where their rows would have gone.
     let (mut at, mut block) = (blocks.first().map_or(0, BlockEntry::offset), 0);
     for span in &mut spans {
@@ -435,7 +392,7 @@ fn parse_entry(root: &Path, rel: &str) -> Result<Option<Parsed>> {
 }
 
 /// Read the archive file `rel` under `root` as UTF-8 text.
-fn read_text(root: &Path, rel: &str) -> Result<String> {
+pub(crate) fn read_text(root: &Path, rel: &str) -> Result<String> {
     fs::read_to_string(root.join(rel))
         .map_err(|e| read_error(e, "archive file", format!("{}/{rel}", root.display())))
 }
@@ -444,7 +401,7 @@ fn read_text(root: &Path, rel: &str) -> Result<String> {
 /// file that is not there is [`Error::Missing`] (`what`); one that is
 /// there but cannot be read — a directory, no permission, not UTF-8 —
 /// is a parse error naming the file.
-fn read_error(e: std::io::Error, what: &'static str, file: String) -> Error {
+pub(crate) fn read_error(e: std::io::Error, what: &'static str, file: String) -> Error {
     if e.kind() == ErrorKind::NotFound {
         Error::missing(what, file)
     } else {
@@ -453,14 +410,6 @@ fn read_error(e: std::io::Error, what: &'static str, file: String) -> Error {
 }
 
 impl DataSource {
-    /// Load an archive dumped by [`crate::datasets::dump`] from `root`,
-    /// parsing every dataset from its native format, taking each NDT
-    /// container's encoding from the dump manifest. See
-    /// [`DataSource::from_archive_with`].
-    pub fn from_archive(root: &Path) -> Result<DataSource> {
-        DataSource::from_archive_with(root, None)
-    }
-
     /// [`DataSource::from_archive`], kept only for `benchmark/`, which
     /// still calls it as `ArchiveWorld::load`.
     pub fn load(root: &Path) -> Result<DataSource> {
@@ -474,17 +423,14 @@ impl DataSource {
     /// reachability files parse in one sweep, each on whichever worker
     /// claims it, and fold in manifest order; a load that fails returns
     /// the first failing file in manifest order, then the first failing
-    /// NDT container in plan order. Each country's NDT container is read
-    /// once and decoded on a sweep worker — `.ndtc` blocks through
-    /// borrowed `scan_counted` views, text rows parsed in file order —
-    /// into a partial aggregate and the
-    /// resident month table `/ndt` queries read from. Every group sees
-    /// the exact observation sequence the in-memory aggregator saw, so
-    /// the order-sensitive P² estimators land in identical state. Each
-    /// container's encoding is the one the dump manifest lists; passing
-    /// `Some(format)` in `expect` instead demands that every container
-    /// be in that format and fails on the first that is not.
-    pub fn from_archive_with(root: &Path, expect: Option<ShardFormat>) -> Result<DataSource> {
+    /// NDT container in plan order. Each country's `mlab/{CC}.ndtc`
+    /// container must be listed in the manifest; it is read once and its
+    /// blocks are scanned on a sweep worker through borrowed
+    /// `scan_counted` views into a partial aggregate and the resident
+    /// month table `/ndt` queries read from. Every group sees the exact
+    /// observation sequence the in-memory aggregator saw, so the
+    /// order-sensitive P² estimators land in identical state.
+    pub fn from_archive(root: &Path) -> Result<DataSource> {
         let config = WorldConfig::parse(&read_text(root, "world/config.tsv")?)?;
         let scenario = match fs::read_to_string(root.join("world/scenario.toml")) {
             Ok(text) => Scenario::parse(&text).map_err(Error::from)?,
@@ -547,29 +493,23 @@ impl DataSource {
             last_delegations,
         )?)?)?;
 
-        // One NDT container per planned country, named in the manifest —
-        // nothing is probed on disk. Each is read once and decoded on a
-        // sweep worker into its resident month table and a partial
-        // aggregate; the partials merge in plan order. Decoding checks
-        // that a container holds only its own country's planned months,
-        // so its groups are exactly its own and every group's P²
-        // estimator sees the observation sequence the in-memory
-        // aggregator saw.
+        // One `mlab/{CC}.ndtc` container per planned country, named in the
+        // manifest — nothing is probed on disk, and a tree that lists
+        // anything else for a country is missing its container. Each is
+        // read once and decoded on a sweep worker into its resident month
+        // table and a partial aggregate; the partials merge in plan order.
+        // Decoding checks that a container holds only its own country's
+        // planned months, so its groups are exactly its own and every
+        // group's P² estimator sees the observation sequence the
+        // in-memory aggregator saw.
         let listed: BTreeSet<&str> = entries.iter().copied().collect();
         let containers = country::lacnic_codes()
-            .map(|cc| -> Result<(CountryCode, String, ShardFormat)> {
-                let mut found = [ShardFormat::Columnar, ShardFormat::Text]
-                    .into_iter()
-                    .filter(|&f| expect.is_none() || expect == Some(f))
-                    .map(|f| (crate::datasets::mlab_container_path(cc, f), f))
-                    .filter(|(rel, _)| listed.contains(rel.as_str()));
-                match (found.next(), found.next()) {
-                    (Some((rel, format)), None) => Ok((cc, rel, format)),
-                    (None, _) => Err(Error::missing(
-                        "NDT archive container",
-                        crate::datasets::mlab_container_path(cc, expect.unwrap_or_default()),
-                    )),
-                    (Some(_), Some(_)) => Err(Error::invalid("two NDT containers for one country")),
+            .map(|cc| {
+                let rel = crate::datasets::mlab_container_path(cc);
+                if listed.contains(rel.as_str()) {
+                    Ok((cc, rel))
+                } else {
+                    Err(Error::missing("NDT archive container", rel))
                 }
             })
             .collect::<Result<Vec<_>>>()?;
@@ -581,22 +521,21 @@ impl DataSource {
         let loaded = sweep::parallel_map_with(
             sweep::worker_count(containers.len()),
             &containers,
-            |(cc, rel, format)| {
+            |(cc, rel)| {
                 let bytes = fs::read(root.join(rel))
                     .map_err(|e| read_error(e, "NDT archive container", rel.clone()))?;
-                load_container(*cc, &bytes, *format, &months, &selection)
+                load_container(*cc, &bytes, &months, &selection)
             },
         );
         let mut mlab = MonthlyAggregator::new(Mode::Streaming);
         let mut ndt = BTreeMap::new();
-        for ((cc, rel, format), loaded) in containers.into_iter().zip(loaded) {
+        for ((cc, rel), loaded) in containers.into_iter().zip(loaded) {
             let (months, blocks, part) = loaded?;
             mlab.merge(part)?;
             ndt.insert(
                 cc,
                 NdtContainer {
                     rel,
-                    format,
                     months,
                     blocks,
                 },
@@ -643,28 +582,17 @@ impl DataSource {
         }
     }
 
-    /// Planned NDT months per backing: `text` and `columnar` for an
+    /// Planned NDT months and their one backing: `columnar` for an
     /// archive, the generated shard plan counted as `in-memory`
     /// otherwise.
-    pub fn ndt_shards(&self) -> Vec<(&'static str, usize)> {
+    pub fn ndt_shards(&self) -> (&'static str, usize) {
         match &self.origin {
             Origin::Generated { .. } => {
                 let plan =
                     lacnet_crisis::bandwidth::shard_plan(windows::mlab_start(), self.config.end);
-                vec![("in-memory", plan.len())]
+                ("in-memory", plan.len())
             }
-            Origin::Archive { ndt, .. } => {
-                let count = |format: ShardFormat| -> usize {
-                    ndt.values()
-                        .filter(|c| c.format == format)
-                        .map(|c| c.months.len())
-                        .sum()
-                };
-                vec![
-                    ("text", count(ShardFormat::Text)),
-                    ("columnar", count(ShardFormat::Columnar)),
-                ]
-            }
+            Origin::Archive { ndt, .. } => ("columnar", ndt.values().map(|c| c.months.len()).sum()),
         }
     }
 
@@ -913,36 +841,21 @@ fn read_months(
         let mut p2 = P2Quantile::median();
         let mut rows = 0usize;
         let bytes = &buf[m.bytes.start - span.start..m.bytes.end - span.start];
-        let (format, read) = match container.format {
-            ShardFormat::Columnar => {
-                let blocks = &container.blocks[m.blocks.clone()];
-                let reader = ColumnReader::window(bytes, m.bytes.start, blocks)?;
-                let selection = ColumnSelection::columns(ColumnSet::DOWNLOAD).with_country(cc);
-                let mut scratch = DecodeScratch::new();
-                let read = reader.scan_counted(&selection, &mut scratch, |view| {
-                    rows += view.download().len();
-                    for v in view.download().iter() {
-                        p2.observe(v);
-                    }
-                    Ok(())
-                })?;
-                ("columnar-v2", read)
+        let blocks = &container.blocks[m.blocks.clone()];
+        let reader = ColumnReader::window(bytes, m.bytes.start, blocks)?;
+        let selection = ColumnSelection::columns(ColumnSet::DOWNLOAD).with_country(cc);
+        let mut scratch = DecodeScratch::new();
+        let read = reader.scan_counted(&selection, &mut scratch, |view| {
+            rows += view.download().len();
+            for v in view.download().iter() {
+                p2.observe(v);
             }
-            ShardFormat::Text => {
-                for row in lacnet_mlab::ndt::stream_rows(bytes) {
-                    let row = row?;
-                    if row.country == cc && row.date.month_stamp() == m.month {
-                        rows += 1;
-                        p2.observe(row.download_mbps);
-                    }
-                }
-                ("text", ReadStats::default())
-            }
-        };
+            Ok(())
+        })?;
         let stats = NdtMonthStats {
             rows,
             median_download: p2.value(),
-            format,
+            format: "columnar-v2",
             read,
         };
         Ok((m.month, stats))
@@ -1028,33 +941,19 @@ mod tests {
     }
 
     #[test]
-    fn columnar_archive_matches_text_archive_exactly() {
+    fn archive_aggregate_and_month_query_match_in_memory_exactly() {
         let world = crate::experiments::testworld::world();
         let dir = std::env::temp_dir().join(format!("lacnet-src-col-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        crate::datasets::dump_with(
-            world,
-            &dir,
-            crate::datasets::DumpOptions {
-                shard_format: ShardFormat::Columnar,
-                ..crate::datasets::DumpOptions::default()
-            },
-        )
-        .expect("columnar dump succeeds");
-        // Auto-detection and an explicit format demand both load it; a
-        // wrong demand fails typed.
-        let src = DataSource::from_archive(&dir).expect("auto-detected load");
-        let demanded = DataSource::from_archive_with(&dir, Some(ShardFormat::Columnar))
-            .expect("demanded columnar load");
-        assert!(DataSource::from_archive_with(&dir, Some(ShardFormat::Text)).is_err());
-        // The columnar path lands the order-sensitive P² estimators in
+        crate::datasets::dump(world, &dir).expect("dump succeeds");
+        let src = DataSource::from_archive(&dir).expect("archive loads");
+        // The `.ndtc` load lands the order-sensitive P² estimators in
         // byte-identical state to the in-memory aggregation.
         assert_eq!(
             format!("{:?}", src.mlab),
             format!("{:?}", world.mlab),
-            "columnar archive aggregation diverged from in-memory state"
+            "archive aggregation diverged from in-memory state"
         );
-        assert_eq!(format!("{:?}", demanded.mlab), format!("{:?}", src.mlab));
         // A single-(country, month) query decodes selectively and agrees
         // with the in-memory aggregate's group state bit for bit.
         let month = MonthStamp::new(2023, 7);
@@ -1117,15 +1016,7 @@ mod tests {
         let world = crate::experiments::testworld::world();
         let dir = std::env::temp_dir().join(format!("lacnet-src-range-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        crate::datasets::dump_with(
-            world,
-            &dir,
-            crate::datasets::DumpOptions {
-                shard_format: ShardFormat::Columnar,
-                ..crate::datasets::DumpOptions::default()
-            },
-        )
-        .expect("columnar dump succeeds");
+        crate::datasets::dump(world, &dir).expect("dump succeeds");
         let src = DataSource::from_archive(&dir).expect("archive loads");
         let (from, to) = (MonthStamp::new(2023, 3), MonthStamp::new(2023, 7));
 
@@ -1198,7 +1089,6 @@ mod tests {
         );
         let container = NdtContainer {
             rel: "mlab/VE.ndtc".into(),
-            format: ShardFormat::Columnar,
             months: vec![
                 span(jan, Some((day(2020, 1, 2), day(2020, 1, 30)))),
                 // A span that provably misses any window inside 2020.

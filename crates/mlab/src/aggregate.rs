@@ -94,30 +94,15 @@ impl MonthlyAggregator {
         }
     }
 
-    /// Reduce an archive shard straight off a reader via
-    /// [`crate::ndt::stream_rows`], without materializing the file.
-    /// Returns the number of rows observed.
-    pub fn observe_reader<R: std::io::BufRead>(
-        &mut self,
-        reader: R,
-    ) -> lacnet_types::Result<usize> {
-        let mut n = 0;
-        for row in crate::ndt::stream_rows(reader) {
-            self.observe(&row?);
-            n += 1;
-        }
-        Ok(n)
-    }
-
     /// Reduce a decoded columnar shard, row order. Reads the country,
     /// date and download columns directly — no `NdtTest` is ever
     /// materialized — yet feeds each group's P² estimator the exact
-    /// observation sequence [`observe_reader`] feeds it from the text
-    /// rendering of the same shard, so the estimator state is
-    /// byte-identical between the two paths (asserted by this module's
-    /// tests and the archive round-trip suite).
+    /// observation sequence [`observe`] feeds it from the same rows, so
+    /// the estimator state is byte-identical between the two paths
+    /// (asserted by this module's tests and the archive round-trip
+    /// suite).
     ///
-    /// [`observe_reader`]: MonthlyAggregator::observe_reader
+    /// [`observe`]: MonthlyAggregator::observe
     pub fn observe_columns(&mut self, batch: &crate::columnar::ColumnBatch) -> usize {
         let mode = self.mode;
         for ((&cc, &date), &down) in batch
@@ -309,37 +294,7 @@ mod tests {
     }
 
     #[test]
-    fn observe_reader_equals_in_memory_path() {
-        let rows = [
-            test(country::VE, 2019, 7, 1, 0.5),
-            test(country::VE, 2019, 7, 10, 0.9),
-            test(country::BR, 2019, 7, 1, 20.0),
-        ];
-        let mut text = String::from("# shard header\n");
-        for r in &rows {
-            text.push_str(&r.to_row());
-            text.push('\n');
-        }
-        let mut streamed = MonthlyAggregator::new(Mode::Exact);
-        let n = streamed.observe_reader(text.as_bytes()).unwrap();
-        assert_eq!(n, rows.len());
-        let mut direct = MonthlyAggregator::new(Mode::Exact);
-        direct.observe_all(&rows);
-        assert_eq!(streamed.group_count(), direct.group_count());
-        assert_eq!(
-            streamed
-                .median_series(country::VE)
-                .get(MonthStamp::new(2019, 7)),
-            direct
-                .median_series(country::VE)
-                .get(MonthStamp::new(2019, 7)),
-        );
-        let mut broken = MonthlyAggregator::new(Mode::Exact);
-        assert!(broken.observe_reader("bad\trow\n".as_bytes()).is_err());
-    }
-
-    #[test]
-    fn observe_columns_state_is_byte_identical_to_observe_reader() {
+    fn observe_columns_state_is_byte_identical_to_parsed_rows() {
         use lacnet_types::rng::Rng;
         let mut rng = Rng::seeded(11);
         let mut rows = Vec::new();
@@ -364,7 +319,7 @@ mod tests {
         let batch = crate::columnar::decode(&bytes).unwrap();
 
         let mut from_text = MonthlyAggregator::new(Mode::Streaming);
-        from_text.observe_reader(text.as_bytes()).unwrap();
+        from_text.observe_all(&crate::ndt::parse_rows(&text).unwrap());
         let mut from_columns = MonthlyAggregator::new(Mode::Streaming);
         assert_eq!(from_columns.observe_columns(&batch), rows.len());
 

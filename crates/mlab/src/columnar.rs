@@ -64,7 +64,7 @@
 //! * **download / upload / min_rtt / loss** (tags 4–7) — `n` IEEE-754
 //!   doubles, fixed-width little-endian. Bit patterns are preserved
 //!   exactly, so the order-sensitive P² estimators observe the very same
-//!   values the text path parses from shortest-roundtrip decimal.
+//!   values an `NdtTest` row holds in memory.
 //!
 //! **Format evolution rule:** bump the version, reject unknown versions,
 //! keep the frozen-header guard. A layout change — new column, different
@@ -110,42 +110,19 @@ pub const DEFAULT_BLOCK_ROWS: usize = 2048;
 /// Column tags, in the order blocks appear in the container.
 const TAGS: [u8; 7] = [1, 2, 3, 4, 5, 6, 7];
 
-/// On-disk NDT shard encodings `lacnet-gen` can write and
-/// an archive-backed `DataSource` can read.
+/// The on-disk NDT container encoding: `.ndtc`, the only one. Kept as a
+/// one-variant enum only because `benchmark/` compiles against
+/// `ShardFormat::Columnar`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardFormat {
-    /// One `to_row` line per test (`.tsv`) — the native text format.
-    #[default]
-    Text,
     /// The `.ndtc` columnar container defined by this module.
+    #[default]
     Columnar,
-}
-
-impl ShardFormat {
-    /// The shard file extension (without the dot).
-    pub fn extension(self) -> &'static str {
-        match self {
-            ShardFormat::Text => "tsv",
-            ShardFormat::Columnar => "ndtc",
-        }
-    }
-
-    /// Parse a CLI flag value (`text` / `columnar`).
-    pub fn parse_flag(s: &str) -> Option<ShardFormat> {
-        match s {
-            "text" => Some(ShardFormat::Text),
-            "columnar" => Some(ShardFormat::Columnar),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for ShardFormat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ShardFormat::Text => "text",
-            ShardFormat::Columnar => "columnar",
-        })
+        f.write_str("columnar")
     }
 }
 
@@ -207,7 +184,7 @@ impl ColumnSet {
 /// optional block-pruning predicates on the footer index. Predicates are
 /// conservative — a block is decoded iff its index entry *may* contain
 /// matching rows — so row-level filtering (if any) stays the caller's
-/// job, exactly as with the text path.
+/// job.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnSelection {
     columns: ColumnSet,
@@ -1796,15 +1773,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_format_flags() {
-        assert_eq!(ShardFormat::parse_flag("text"), Some(ShardFormat::Text));
-        assert_eq!(
-            ShardFormat::parse_flag("columnar"),
-            Some(ShardFormat::Columnar)
-        );
-        assert_eq!(ShardFormat::parse_flag("parquet"), None);
-        assert_eq!(ShardFormat::Text.extension(), "tsv");
-        assert_eq!(ShardFormat::Columnar.extension(), "ndtc");
+    fn shard_format_name() {
         assert_eq!(ShardFormat::Columnar.to_string(), "columnar");
     }
 

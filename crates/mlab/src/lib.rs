@@ -8,9 +8,10 @@
 //! The aggregator offers both an exact (sort-based) and a P² streaming
 //! median per group; the `lacnet-bench` ablation compares them.
 //!
-//! Archives store NDT rows in two on-disk encodings: the native text rows
-//! and the [`columnar`] `.ndtc` container, whose cold load is bounded by
-//! disk bandwidth instead of per-row text parsing.
+//! Archives store NDT rows in one on-disk encoding, the [`columnar`]
+//! `.ndtc` container, whose cold load is bounded by disk bandwidth
+//! instead of per-row text parsing. [`ndt`] keeps the one-line text row
+//! of a test as a reference rendering for tests and examples.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

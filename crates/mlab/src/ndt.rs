@@ -94,49 +94,14 @@ impl FromStr for NdtTest {
     }
 }
 
-/// Parse a whole archive shard (one row per line; `#` comments allowed).
+/// Parse a whole archive shard (one row per line; blank lines and `#`
+/// comments are skipped, rows are range-validated).
 pub fn parse_rows(text: &str) -> Result<Vec<NdtTest>> {
-    stream_rows(text.as_bytes()).collect()
-}
-
-/// Stream-parse an archive shard from any [`std::io::BufRead`], one row at
-/// a time — real shards are hundreds of megabytes, so consumers (e.g.
-/// [`crate::aggregate::MonthlyAggregator::observe_reader`]) reduce them
-/// without materializing the file. Same grammar as [`parse_rows`]: blank
-/// lines and `#` comments are skipped, rows are range-validated.
-pub fn stream_rows<R: std::io::BufRead>(reader: R) -> RowStream<R> {
-    RowStream {
-        reader,
-        buf: String::new(),
-    }
-}
-
-/// Iterator over parsed rows of an archive shard; see [`stream_rows`].
-#[derive(Debug)]
-pub struct RowStream<R> {
-    reader: R,
-    buf: String,
-}
-
-impl<R: std::io::BufRead> Iterator for RowStream<R> {
-    type Item = Result<NdtTest>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            self.buf.clear();
-            match self.reader.read_line(&mut self.buf) {
-                Ok(0) => return None,
-                Ok(_) => {
-                    let line = self.buf.trim();
-                    if line.is_empty() || line.starts_with('#') {
-                        continue;
-                    }
-                    return Some(line.parse());
-                }
-                Err(e) => return Some(Err(Error::parse("NDT shard read", &e.to_string()))),
-            }
-        }
-    }
+    text.lines()
+        .map(str::trim)
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .map(str::parse)
+        .collect()
 }
 
 #[cfg(test)]
@@ -207,16 +172,6 @@ mod tests {
         let mut t = sample();
         t.min_rtt_ms = -0.1;
         assert!(t.validate().is_err());
-    }
-
-    #[test]
-    fn stream_rows_matches_parse_rows() {
-        let text = format!("# header\n{}\n\n{}\n", sample().to_row(), sample().to_row());
-        let streamed: Vec<NdtTest> = stream_rows(text.as_bytes()).map(|r| r.unwrap()).collect();
-        assert_eq!(streamed, parse_rows(&text).unwrap());
-        let mut bad = stream_rows("not\ta\trow\n".as_bytes());
-        assert!(bad.next().unwrap().is_err());
-        assert!(bad.next().is_none());
     }
 
     #[test]

@@ -5,80 +5,53 @@
 //! analysis depends on *how* the datasets arrived — a freshly generated
 //! world and the same world dumped to its native archive formats and
 //! parsed back must drive every experiment to identical output. This
-//! suite dumps the fixed-seed test world once *per NDT shard format*
-//! (text `.tsv` and columnar `.ndtc`), reloads each tree through
-//! [`DataSource::from_archive`], and requires the canonical TSV render
-//! of all 22 paper artifacts *and* the three extensions to match both
-//! the in-memory run and the checked-in `tests/golden/` fixtures.
+//! suite dumps the fixed-seed test world once, its NDT data in `.ndtc`
+//! containers, reloads the tree through [`DataSource::from_archive`],
+//! and requires the canonical TSV render of all 22 paper artifacts *and*
+//! the three extensions to match both the in-memory run and the
+//! checked-in `tests/golden/` fixtures.
 
 use lacnet::core::render::canonical_tsv;
-use lacnet::core::{datasets, experiments, extensions, DataSource, DumpOptions};
+use lacnet::core::{datasets, experiments, extensions, DataSource};
 use lacnet::crisis::{World, WorldConfig};
-use lacnet::mlab::ShardFormat;
 use std::path::PathBuf;
-use std::sync::{Once, OnceLock};
+use std::sync::OnceLock;
 
 fn world() -> &'static World {
     static WORLD: OnceLock<World> = OnceLock::new();
     WORLD.get_or_init(|| World::generate(WorldConfig::test()))
 }
 
-/// The labels of the dump trees this suite writes.
-const TREES: [&str; 2] = ["text", "columnar"];
-
-/// Where the `label` dump tree lives. The first call registers an exit
-/// hook that removes every tree in [`TREES`] when the test binary ends.
-fn roundtrip_dir(label: &str) -> PathBuf {
-    static CLEANUP: Once = Once::new();
-    // SAFETY: `atexit` takes any valid function pointer and only records
-    // it; the callback uses nothing but `std::fs` and `std::env`, which
-    // stay usable while the process exits.
-    CLEANUP.call_once(|| unsafe {
-        atexit(remove_roundtrip_dirs);
-    });
-    tree_path(label)
-}
-
-fn tree_path(label: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("lacnet-roundtrip-{label}-{}", std::process::id()))
+fn tree_path() -> PathBuf {
+    std::env::temp_dir().join(format!("lacnet-roundtrip-{}", std::process::id()))
 }
 
 extern "C" {
-    /// The C runtime's exit hook. The archive sources live in statics and
-    /// read containers lazily, so no destructor runs when the test binary
-    /// ends; an exit hook is where the dumped trees can go.
+    /// The C runtime's exit hook. The archive source lives in a static
+    /// and reads containers lazily, so no destructor runs when the test
+    /// binary ends; an exit hook is where the dumped tree can go.
     fn atexit(callback: extern "C" fn()) -> std::os::raw::c_int;
 }
 
-extern "C" fn remove_roundtrip_dirs() {
-    for label in TREES {
-        let _ = std::fs::remove_dir_all(tree_path(label));
-    }
+extern "C" fn remove_roundtrip_dir() {
+    let _ = std::fs::remove_dir_all(tree_path());
 }
 
-/// Dump the test world once per NDT format and keep the archive-backed
-/// source for every test in the binary, so the suite parses each tree a
-/// single time.
-fn archive_source_for(format: ShardFormat) -> &'static DataSource {
-    static TEXT: OnceLock<DataSource> = OnceLock::new();
-    static COLUMNAR: OnceLock<DataSource> = OnceLock::new();
-    let cell = match format {
-        ShardFormat::Text => &TEXT,
-        ShardFormat::Columnar => &COLUMNAR,
-    };
-    cell.get_or_init(|| {
-        let dir = roundtrip_dir(&format.to_string());
-        let options = DumpOptions {
-            shard_format: format,
-            ..DumpOptions::default()
-        };
-        datasets::dump_with(world(), &dir, options).expect("dump succeeds");
-        DataSource::from_archive_with(&dir, Some(format)).expect("archive loads")
-    })
-}
-
+/// Dump the test world once and keep the archive-backed source for every
+/// test in the binary, so the suite parses the tree a single time. The
+/// first call registers an exit hook that removes the tree when the test
+/// binary ends.
 fn archive_source() -> &'static DataSource {
-    archive_source_for(ShardFormat::Text)
+    static SOURCE: OnceLock<DataSource> = OnceLock::new();
+    SOURCE.get_or_init(|| {
+        // SAFETY: `atexit` takes any valid function pointer and only
+        // records it; the callback uses nothing but `std::fs` and
+        // `std::env`, which stay usable while the process exits.
+        unsafe { atexit(remove_roundtrip_dir) };
+        let dir = tree_path();
+        datasets::dump(world(), &dir).expect("dump succeeds");
+        DataSource::from_archive(&dir).expect("archive loads")
+    })
 }
 
 fn fixture_dir() -> PathBuf {
@@ -86,15 +59,11 @@ fn fixture_dir() -> PathBuf {
 }
 
 /// Battery + extensions from the archive backend, render order stable.
-fn archive_results_for(format: ShardFormat) -> Vec<lacnet::core::ExperimentResult> {
-    let src = archive_source_for(format);
+fn archive_results() -> Vec<lacnet::core::ExperimentResult> {
+    let src = archive_source();
     let mut results = experiments::all(src);
     results.extend(extensions::all(src));
     results
-}
-
-fn archive_results() -> Vec<lacnet::core::ExperimentResult> {
-    archive_results_for(ShardFormat::Text)
 }
 
 #[test]
@@ -138,47 +107,9 @@ fn archive_battery_matches_golden_fixtures() {
 }
 
 #[test]
-fn columnar_archive_battery_matches_text_archive_byte_for_byte() {
-    // The columnar `.ndtc` shard encoding must be invisible to the
-    // battery: both formats decode into the identical observation
-    // sequence, so every artifact renders byte-for-byte the same.
-    let text = archive_results_for(ShardFormat::Text);
-    let columnar = archive_results_for(ShardFormat::Columnar);
-    assert_eq!(text.len(), columnar.len());
-    for (t, c) in text.iter().zip(&columnar) {
-        assert_eq!(t.id, c.id);
-        assert_eq!(
-            canonical_tsv(t),
-            canonical_tsv(c),
-            "{} diverges between text and columnar NDT shards",
-            t.id
-        );
-    }
-}
-
-#[test]
-fn columnar_archive_battery_matches_golden_fixtures() {
-    for result in archive_results_for(ShardFormat::Columnar) {
-        let path = fixture_dir().join(format!("{}.tsv", result.id));
-        let expected = std::fs::read_to_string(&path).unwrap_or_else(|_| {
-            panic!(
-                "missing golden fixture {}; run `UPDATE_GOLDEN=1 cargo test --test golden`",
-                path.display()
-            )
-        });
-        assert_eq!(
-            canonical_tsv(&result),
-            expected,
-            "{} from the columnar archive diverges from its golden fixture",
-            result.id
-        );
-    }
-}
-
-#[test]
 fn single_month_query_decodes_only_the_matching_shard_bytes() {
     use lacnet::types::country;
-    let src = archive_source_for(ShardFormat::Columnar);
+    let src = archive_source();
     let (month, _) = src
         .mlab
         .median_series(country::VE)
@@ -228,24 +159,19 @@ fn single_month_query_decodes_only_the_matching_shard_bytes() {
         "query decoded {} of the {tree_total}-byte tree",
         stats.read.bytes_decoded
     );
-    // The text rows take their full-decode path and still land on the
-    // identical count and bit-identical P² median.
-    let answer = archive_source_for(ShardFormat::Text)
-        .ndt_month_stats(country::VE, month)
-        .expect("query succeeds")
-        .expect("month exists");
-    assert_eq!(answer.format, "text");
-    assert_eq!(answer.rows, stats.rows, "text row count diverges");
+    // The answer is the resident aggregate's group: the same count and a
+    // bit-identical P² median.
+    let group = src.mlab.group(country::VE, month).expect("group exists");
     assert_eq!(
-        answer.median_download, stats.median_download,
-        "text median diverges"
+        (stats.rows, stats.median_download),
+        (group.count(), group.median())
     );
 }
 
 #[test]
 fn range_query_equals_the_merge_of_its_single_month_queries() {
     use lacnet::types::country;
-    let src = archive_source_for(ShardFormat::Columnar);
+    let src = archive_source();
     let series: Vec<_> = src.mlab.median_series(country::VE).iter().collect();
     assert!(series.len() >= 4, "test world spans months");
     let (from, _) = series[series.len() - 4];
@@ -289,29 +215,10 @@ fn range_query_equals_the_merge_of_its_single_month_queries() {
     assert!(range.read.blocks_decoded >= 4);
     assert_eq!(range.read.columns_decoded, range.read.blocks_decoded);
     assert_eq!(range.io.files_opened, 1);
-
-    // The text format answers the same numbers through the same range
-    // entry point.
-    let answer = archive_source_for(ShardFormat::Text)
-        .ndt_range_stats(country::VE, from, to)
-        .expect("range query succeeds");
-    assert_eq!(answer.rows, range.rows);
-    assert_eq!(answer.months.len(), range.months.len());
-    for ((m_a, a), (m_b, b)) in answer.months.iter().zip(&range.months) {
-        assert_eq!(m_a, m_b);
-        assert_eq!(a.rows, b.rows, "{m_a}");
-        assert_eq!(a.median_download, b.median_download, "{m_a}");
-    }
-    assert_eq!(answer.mean_monthly_median, range.mean_monthly_median);
-    assert_eq!(answer.io.files_opened, 1);
 }
 
 #[test]
 fn archive_backend_reports_itself() {
     assert_eq!(archive_source().backend(), "archive");
     assert_eq!(archive_source().config, world().config);
-    assert_eq!(
-        archive_source_for(ShardFormat::Columnar).backend(),
-        "archive"
-    );
 }

@@ -2,7 +2,7 @@
 //! containers whose inputs changed.
 //!
 //! The dump records every country container's input fingerprint (seed,
-//! effective per-country volume scale, on-disk format, month window) in
+//! effective per-country volume scale, month window) in
 //! `mlab/manifest.tsv`. This suite proves the three properties that make
 //! the manifest trustworthy:
 //!
@@ -18,7 +18,6 @@
 use lacnet::core::render::canonical_tsv;
 use lacnet::core::{datasets, experiments, extensions, DataSource};
 use lacnet::crisis::{Scenario, World, WorldConfig};
-use lacnet::mlab::ShardFormat;
 use lacnet::types::country;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -29,7 +28,7 @@ use std::time::SystemTime;
 fn container_mtimes(root: &Path) -> BTreeMap<String, SystemTime> {
     country::lacnic_codes()
         .map(|cc| {
-            let rel = datasets::mlab_container_path(cc, ShardFormat::Text);
+            let rel = datasets::mlab_container_path(cc);
             let mtime = std::fs::metadata(root.join(&rel))
                 .and_then(|m| m.modified())
                 .expect("container exists with a readable mtime");
@@ -75,7 +74,7 @@ fn touching_one_country_refreshes_only_its_shards() {
         "an unchanged re-dump must not touch any container"
     );
 
-    // Property 2: boosting VE's volume rewrites exactly `mlab/VE.*`.
+    // Property 2: boosting VE's volume rewrites exactly `mlab/VE.ndtc`.
     let boosted = World::generate(boosted_config);
     let before_bytes: BTreeMap<String, Vec<u8>> = before
         .keys()
@@ -97,7 +96,7 @@ fn touching_one_country_refreshes_only_its_shards() {
         );
         assert_eq!(bytes, before_bytes[rel], "{rel} changed bytes");
     }
-    let ve_sample = "mlab/VE.tsv";
+    let ve_sample = "mlab/VE.ndtc";
 
     // Property 3: the refreshed tree and a from-scratch dump of the
     // boosted world agree on every battery artifact, byte for byte.

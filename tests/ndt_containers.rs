@@ -6,26 +6,30 @@
 //!
 //! * a truncated container, a footer pointing past the end of the file,
 //!   a bad index checksum, another country's blocks and a retired v1
-//!   container each fail [`DataSource::from_archive_with`] with a typed error;
+//!   container each fail [`DataSource::from_archive`] with a typed error;
+//! * a tree from before the text encoding was retired, whose manifest
+//!   lists `mlab/{CC}.tsv`, fails the load as a missing `.ndtc`;
 //! * a container corrupted after boot turns its queries into uncached
 //!   500s while the worker keeps serving everything else;
-//! * a month without rows answers 200 with `rows: 0` in both formats,
-//!   exactly like any other month, never 404.
+//! * a request whose computation panics answers a 500 and leaves its
+//!   worker serving;
+//! * a month without rows answers 200 with `rows: 0`, exactly like any
+//!   other month, never 404.
 //!
 //! The fixture world zeroes Venezuela's NDT volume, so every VE month is
 //! a zero-row month, while the other countries carry normal rows.
 
 use lacnet::core::serve::{ServeOptions, Server};
-use lacnet::core::{datasets, DataSource, DumpOptions};
+use lacnet::core::{datasets, DataSource};
 use lacnet::crisis::{World, WorldConfig};
-use lacnet::mlab::{ColumnReader, ShardFormat};
+use lacnet::mlab::ColumnReader;
 use lacnet::types::codec::{crc32, put_ivarint, put_u32, put_u64, put_uvarint};
 use lacnet::types::json::Json;
 use lacnet::types::{country, Error, MonthStamp};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
 /// The test world with Venezuela's NDT volume scaled to zero.
@@ -39,61 +43,42 @@ fn world() -> &'static World {
     })
 }
 
-/// The world dumped once per format; tests that mutate a tree hold its
-/// lock and restore every byte they touched.
-fn tree(format: ShardFormat) -> &'static Mutex<PathBuf> {
-    static TEXT: OnceLock<Mutex<PathBuf>> = OnceLock::new();
-    static COLUMNAR: OnceLock<Mutex<PathBuf>> = OnceLock::new();
-    let cell = match format {
-        ShardFormat::Text => &TEXT,
-        ShardFormat::Columnar => &COLUMNAR,
-    };
-    cell.get_or_init(|| {
+/// The world dumped once, locked for one test; tests that mutate the
+/// tree hold the lock and restore every byte they touched.
+fn locked_tree() -> MutexGuard<'static, PathBuf> {
+    static TREE: OnceLock<Mutex<PathBuf>> = OnceLock::new();
+    let tree = TREE.get_or_init(|| {
         // SAFETY: `atexit` only records the function pointer; the
         // callback uses nothing but `std::fs` and `std::env`.
-        static HOOK: std::sync::Once = std::sync::Once::new();
-        HOOK.call_once(|| unsafe {
-            atexit(remove_trees);
-        });
-        let dir = tree_path(format);
+        unsafe {
+            atexit(remove_tree);
+        }
+        let dir = tree_path();
         let _ = std::fs::remove_dir_all(&dir);
-        let options = DumpOptions {
-            shard_format: format,
-            ..DumpOptions::default()
-        };
-        datasets::dump_with(world(), &dir, options).expect("dump succeeds");
+        datasets::dump(world(), &dir).expect("dump succeeds");
         Mutex::new(dir)
-    })
+    });
+    tree.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn tree_path(format: ShardFormat) -> PathBuf {
-    std::env::temp_dir().join(format!("lacnet-ndtc-{format}-{}", std::process::id()))
+fn tree_path() -> PathBuf {
+    std::env::temp_dir().join(format!("lacnet-ndtc-{}", std::process::id()))
 }
 
 extern "C" {
-    /// The C runtime's exit hook: the trees live in statics, so no
+    /// The C runtime's exit hook: the tree lives in a static, so no
     /// destructor runs when the test binary ends.
     fn atexit(callback: extern "C" fn()) -> std::os::raw::c_int;
 }
 
-extern "C" fn remove_trees() {
-    for format in [ShardFormat::Text, ShardFormat::Columnar] {
-        let _ = std::fs::remove_dir_all(tree_path(format));
-    }
+extern "C" fn remove_tree() {
+    let _ = std::fs::remove_dir_all(tree_path());
 }
 
 /// Replace `rel` under `root` with `bytes`, try a load, restore the
 /// original bytes, and hand back the load's error.
 fn load_with_replaced(root: &Path, rel: &str, bytes: &[u8]) -> Error {
-    let path = root.join(rel);
-    let original = std::fs::read(&path).expect("container exists");
-    std::fs::write(&path, bytes).expect("write hostile container");
-    let loaded = DataSource::from_archive_with(root, Some(ShardFormat::Columnar));
-    std::fs::write(&path, original).expect("restore container");
-    match loaded {
-        Ok(_) => panic!("a hostile {rel} loaded"),
-        Err(e) => e,
-    }
+    load_with_files(root, &[(rel, bytes)])
 }
 
 /// Re-seal `container` with a rewritten footer: `edit` changes the
@@ -165,12 +150,10 @@ fn assert_parse_error(e: &Error, fragment: &str) {
 
 #[test]
 fn hostile_containers_fail_the_load_typed() {
-    let root = tree(ShardFormat::Columnar)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
+    let root = locked_tree();
     let rel = "mlab/AR.ndtc";
     let good = std::fs::read(root.join(rel)).expect("AR container");
-    DataSource::from_archive_with(&root, Some(ShardFormat::Columnar)).expect("pristine tree loads");
+    DataSource::from_archive(&root).expect("pristine tree loads");
 
     // Truncated: the tail no longer describes the file.
     let e = load_with_replaced(&root, rel, &good[..good.len() / 2]);
@@ -221,7 +204,23 @@ fn hostile_containers_fail_the_load_typed() {
 
     // Every case restored the original bytes.
     assert_eq!(std::fs::read(root.join(rel)).unwrap(), good);
-    DataSource::from_archive_with(&root, Some(ShardFormat::Columnar)).expect("restored tree loads");
+    DataSource::from_archive(&root).expect("restored tree loads");
+}
+
+#[test]
+fn a_tree_listing_a_text_container_is_missing_its_ndtc() {
+    let root = locked_tree();
+    // A tree dumped while the text encoding existed lists `mlab/AR.tsv`
+    // where `mlab/AR.ndtc` now stands.
+    let manifest = std::fs::read_to_string(root.join("MANIFEST.txt")).expect("manifest");
+    assert!(manifest.lines().any(|l| l == "mlab/AR.ndtc"));
+    let text_tree = manifest.replace("mlab/AR.ndtc\n", "mlab/AR.tsv\n");
+    let e = load_with_files(&root, &[("MANIFEST.txt", text_tree.as_bytes())]);
+    assert_eq!(
+        e,
+        Error::missing("NDT archive container", "mlab/AR.ndtc"),
+        "{e:?}"
+    );
 }
 
 /// Read exactly one HTTP/1.1 response off a buffered socket.
@@ -271,54 +270,50 @@ fn json(body: &[u8]) -> Json {
 
 #[test]
 fn zero_row_months_answer_200_with_zero_rows() {
-    for (format, label) in [
-        (ShardFormat::Columnar, "columnar-v2"),
-        (ShardFormat::Text, "text"),
-    ] {
-        let root = tree(format).lock().unwrap_or_else(|e| e.into_inner());
-        let source = DataSource::from_archive_with(&root, Some(format)).expect("archive loads");
-        let (first, last) = source.ndt_month_bounds();
-        let month = MonthStamp::new(2019, 3);
-        let stats = source
-            .ndt_month_stats(country::VE, month)
-            .expect("query succeeds")
-            .expect("a zero-row month is still a month of the archive");
-        assert_eq!((stats.rows, stats.median_download), (0, None));
-        assert_eq!(stats.format, label);
-        assert_eq!(stats.read, Default::default());
-        let range = source
-            .ndt_range_stats(country::VE, first, last)
-            .expect("range succeeds");
-        assert_eq!(range.months.len(), range.months_queried);
-        assert_eq!(range.rows, 0);
+    let root = locked_tree();
+    let source = DataSource::from_archive(&root).expect("archive loads");
+    let (first, last) = source.ndt_month_bounds();
+    let month = MonthStamp::new(2019, 3);
+    let stats = source
+        .ndt_month_stats(country::VE, month)
+        .expect("query succeeds")
+        .expect("a zero-row month is still a month of the archive");
+    assert_eq!((stats.rows, stats.median_download), (0, None));
+    assert_eq!(stats.format, "columnar-v2");
+    assert_eq!(stats.read, Default::default());
+    let range = source
+        .ndt_range_stats(country::VE, first, last)
+        .expect("range succeeds");
+    assert_eq!(range.months.len(), range.months_queried);
+    assert_eq!(range.rows, 0);
 
-        let server =
-            Server::bind(Arc::new(source), "127.0.0.1:0", ServeOptions::default()).expect("bind");
-        let addr = server.local_addr().expect("addr");
-        let handle = server.handle().expect("handle");
-        std::thread::spawn(move || server.run().expect("server run"));
-        let (status, body) = http_get(addr, &format!("/ndt/VE/{month}"));
-        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-        let answer = json(&body);
-        assert_eq!(answer.get("rows").and_then(Json::as_f64), Some(0.0));
-        assert_eq!(answer.get("median_download_mbps"), Some(&Json::Null));
-        assert_eq!(answer.get("format").and_then(Json::as_str), Some(label));
-        let (status, body) = http_get(addr, &format!("/ndt/VE?from={first}&to={month}"));
-        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
-        assert_eq!(json(&body).get("rows").and_then(Json::as_f64), Some(0.0));
-        // A month the archive does not hold is still a 404.
-        let (status, _) = http_get(addr, "/ndt/VE/1805-12");
-        assert_eq!(status, 404);
-        handle.shutdown();
-    }
+    let server =
+        Server::bind(Arc::new(source), "127.0.0.1:0", ServeOptions::default()).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.handle().expect("handle");
+    std::thread::spawn(move || server.run().expect("server run"));
+    let (status, body) = http_get(addr, &format!("/ndt/VE/{month}"));
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    let answer = json(&body);
+    assert_eq!(answer.get("rows").and_then(Json::as_f64), Some(0.0));
+    assert_eq!(answer.get("median_download_mbps"), Some(&Json::Null));
+    assert_eq!(
+        answer.get("format").and_then(Json::as_str),
+        Some("columnar-v2")
+    );
+    let (status, body) = http_get(addr, &format!("/ndt/VE?from={first}&to={month}"));
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    assert_eq!(json(&body).get("rows").and_then(Json::as_f64), Some(0.0));
+    // A month the archive does not hold is still a 404.
+    let (status, _) = http_get(addr, "/ndt/VE/1805-12");
+    assert_eq!(status, 404);
+    handle.shutdown();
 }
 
 #[test]
 fn a_container_corrupted_after_boot_is_an_uncached_500_and_the_worker_keeps_serving() {
-    let root = tree(ShardFormat::Columnar)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let source = DataSource::from_archive_with(&root, Some(ShardFormat::Columnar)).expect("loads");
+    let root = locked_tree();
+    let source = DataSource::from_archive(&root).expect("loads");
     let server =
         Server::bind(Arc::new(source), "127.0.0.1:0", ServeOptions::default()).expect("bind");
     let addr = server.local_addr().expect("addr");
@@ -411,9 +406,7 @@ fn manifest_entries(root: &Path, dir: &str) -> Vec<String> {
 
 #[test]
 fn unreadable_archive_files_are_parse_errors_naming_the_file() {
-    let root = tree(ShardFormat::Columnar)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
+    let root = locked_tree();
     let dump = manifest_entries(&root, "peeringdb/").swap_remove(0);
     let not_utf8: &[u8] = b"{\"fac\": [\xff\xfe]}";
     let names = |e: &Error, rel: &str| match e {
@@ -461,9 +454,7 @@ fn unreadable_archive_files_are_parse_errors_naming_the_file() {
 
 #[test]
 fn a_load_with_several_bad_files_fails_on_the_first_in_manifest_order() {
-    let root = tree(ShardFormat::Columnar)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
+    let root = locked_tree();
     // The newest PeeringDB dump, a top-sites scrape listed after it, and
     // an NDT container, which decodes only after the manifest's files.
     let dump = manifest_entries(&root, "peeringdb/").pop().expect("a dump");
@@ -491,9 +482,7 @@ fn a_load_with_several_bad_files_fails_on_the_first_in_manifest_order() {
 
 #[test]
 fn an_unreadable_pfx2as_table_fails_naming_the_file() {
-    let root = tree(ShardFormat::Columnar)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
+    let root = locked_tree();
     let month = MonthStamp::new(2016, 4);
     let rel = "pfx2as/routeviews-rv2-20160401.pfx2as";
     let path = root.join(rel);
@@ -523,4 +512,46 @@ fn an_unreadable_pfx2as_table_fails_naming_the_file() {
     // Only a table that is not there is the empty out-of-window table.
     assert!(removed.expect("a missing table is no error").is_empty());
     assert!(!lookup().expect("restored table parses").is_empty());
+}
+
+#[test]
+fn a_panicking_request_answers_500_and_its_worker_keeps_serving() {
+    let root = locked_tree();
+    let rel = "pfx2as/routeviews-rv2-20160401.pfx2as";
+    let path = root.join(rel);
+    let good = std::fs::read(&path).expect("the month's table is dumped");
+    // Tables parse lazily, so the tree loads cleanly and fig02's lookup
+    // of the unreadable month panics on each worker that computes it.
+    let source = DataSource::from_archive(&root).expect("tree loads");
+    std::fs::write(&path, b"10.0.0.0\t8\t\xff\xfe\n").expect("write non-UTF-8 table");
+    let options = ServeOptions {
+        threads: 2,
+        ..ServeOptions::default()
+    };
+    let server = Server::bind(Arc::new(source), "127.0.0.1:0", options).expect("bind");
+    let addr = server.local_addr().expect("addr");
+    let handle = server.handle().expect("handle");
+    std::thread::spawn(move || server.run().expect("server run"));
+    let panicked: Vec<(u16, Vec<u8>)> = (0..3)
+        .map(|_| http_get(addr, "/fig/02?format=tsv"))
+        .collect();
+    let healthz = http_get(addr, "/healthz");
+    let fig01 = http_get(addr, "/fig/01?format=tsv");
+    let metrics = http_get(addr, "/metrics");
+    std::fs::write(&path, &good).expect("restore the table");
+    handle.shutdown();
+
+    for (status, body) in &panicked {
+        assert_eq!(*status, 500, "{}", String::from_utf8_lossy(body));
+        let error = json(body);
+        let message = error.get("error").and_then(Json::as_str).expect("error");
+        assert!(message.contains(rel), "{message}");
+    }
+    assert_eq!(healthz.0, 200);
+    assert_eq!(fig01.0, 200, "{}", String::from_utf8_lossy(&fig01.1));
+    let text = String::from_utf8(metrics.1).expect("utf8");
+    assert!(
+        text.contains("lacnet_requests_total{endpoint=\"fig02\"} 3"),
+        "{text}"
+    );
 }

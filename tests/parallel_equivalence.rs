@@ -102,26 +102,23 @@ fn sharded_ndt_build_is_worker_count_invariant() {
 #[test]
 fn ndt_container_bytes_are_worker_count_invariant() {
     use lacnet::core::datasets;
-    use lacnet::mlab::{ColumnReader, ShardFormat};
+    use lacnet::mlab::ColumnReader;
     use lacnet::types::country;
     let world = world();
     // BR holds most rows; VE and AR are ordinary.
     let countries = [country::BR, country::VE, country::AR];
-    for format in [ShardFormat::Columnar, ShardFormat::Text] {
-        let serial = datasets::encode_ndt_containers(world, format, &countries, 1);
-        assert_eq!(serial.len(), countries.len());
-        for workers in [2, 7] {
-            assert_eq!(
-                datasets::encode_ndt_containers(world, format, &countries, workers),
-                serial,
-                "{format} container bytes must not depend on worker count ({workers})"
-            );
-        }
+    let serial = datasets::encode_ndt_containers(world, &countries, 1);
+    assert_eq!(serial.len(), countries.len());
+    for workers in [2, 7] {
+        assert_eq!(
+            datasets::encode_ndt_containers(world, &countries, workers),
+            serial,
+            "container bytes must not depend on worker count ({workers})"
+        );
     }
     // The assembled container holds every planned month's blocks in
     // order, and its footer agrees with the per-month census.
-    let columnar = datasets::encode_ndt_containers(world, ShardFormat::Columnar, &countries, 2);
-    for container in &columnar {
+    for container in &serial {
         let reader = ColumnReader::open(&container.bytes).expect("container opens");
         let census_blocks: u64 = container.months.iter().map(|m| m.1).sum();
         let census_rows: u64 = container.months.iter().map(|m| m.0).sum();

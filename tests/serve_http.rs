@@ -548,12 +548,11 @@ fn ndt_month_query_serves_selective_read_stats() {
         lacnet::types::json::Json::parse(std::str::from_utf8(&body).expect("utf8")).expect("json");
     assert_eq!(json.get("country").and_then(|v| v.as_str()), Some("VE"));
     assert!(json.get("rows").and_then(|v| v.as_f64()).unwrap() > 0.0);
-    // The archive serves the dumped tree's native format and reports
-    // what the read touched.
-    let fmt = json.get("format").and_then(|v| v.as_str()).expect("format");
-    assert!(
-        fmt == "text" || fmt.starts_with("columnar"),
-        "unexpected backing format {fmt}"
+    // The archive serves its `.ndtc` containers and reports what the
+    // read touched.
+    assert_eq!(
+        json.get("format").and_then(|v| v.as_str()),
+        Some("columnar-v2")
     );
     assert!(json.get("read").is_some());
     // The repeat serves byte-identical cached bytes.
