@@ -107,6 +107,49 @@ fn archive_battery_matches_golden_fixtures() {
 }
 
 #[test]
+fn columnar_archive_battery_matches_golden_fixtures() {
+    // The dumped tree's NDT data is columnar through and through: apart
+    // from the manifest and the month index, every file under `mlab/` is
+    // an `.ndtc` container, so the battery below read its measurements
+    // from no other shard format.
+    let root = archive_source().root().expect("source is archive-backed");
+    let metadata = [
+        root.join(datasets::MLAB_MANIFEST),
+        root.join(datasets::MLAB_INDEX),
+    ];
+    let mut containers = 0usize;
+    for entry in std::fs::read_dir(root.join("mlab")).expect("mlab dir") {
+        let path = entry.expect("entry").path();
+        if metadata.contains(&path) {
+            continue;
+        }
+        assert_eq!(
+            path.extension().and_then(|e| e.to_str()),
+            Some("ndtc"),
+            "{} is not a columnar NDT container",
+            path.display()
+        );
+        containers += 1;
+    }
+    assert!(containers > 0, "the tree holds NDT containers");
+    for result in archive_results() {
+        let path = fixture_dir().join(format!("{}.tsv", result.id));
+        let expected = std::fs::read_to_string(&path).unwrap_or_else(|_| {
+            panic!(
+                "missing golden fixture {}; run `UPDATE_GOLDEN=1 cargo test --test golden`",
+                path.display()
+            )
+        });
+        assert_eq!(
+            canonical_tsv(&result),
+            expected,
+            "{} from the columnar archive diverges from its golden fixture",
+            result.id
+        );
+    }
+}
+
+#[test]
 fn single_month_query_decodes_only_the_matching_shard_bytes() {
     use lacnet::types::country;
     let src = archive_source();
