@@ -48,13 +48,46 @@ impl AnycastSite {
     /// The path length in km the probe's packets travel to this site,
     /// honouring the probe's forced egress for non-domestic sites.
     pub fn path_km(&self, probe: &Probe) -> f64 {
+        self.path_km_via(probe, egress_leg(probe))
+    }
+
+    /// [`AnycastSite::path_km`] with the probe's [`egress_leg`] already
+    /// computed, so a caller measuring many sites pays for it once.
+    fn path_km_via(&self, probe: &Probe, egress: Option<(GeoPoint, f64)>) -> f64 {
         let domestic = matches!(self.scope, SiteScope::Domestic(cc) if cc == probe.country);
-        match (domestic, probe.egress) {
+        match (domestic, egress) {
             // Domestic traffic stays domestic.
             (true, _) | (false, None) => probe.location.distance_km(self.location),
-            (false, Some(gw)) => probe.location.distance_km(gw) + gw.distance_km(self.location),
+            (false, Some((gw, to_gw))) => to_gw + gw.distance_km(self.location),
         }
     }
+}
+
+/// The probe's forced gateway and its distance to it: the site-independent
+/// first leg of every non-domestic path.
+fn egress_leg(probe: &Probe) -> Option<(GeoPoint, f64)> {
+    probe.egress.map(|gw| (gw, probe.location.distance_km(gw)))
+}
+
+/// The catchment rule: among `(path km, site id, item)` candidates the
+/// shortest path wins, ties broken by site id; of candidates equal in
+/// both, the first is kept. Every catchment in the crate —
+/// [`AnycastFleet::catch`] and the campaigns' [`PathTable`] lookups —
+/// goes through this one function.
+fn nearest<'s, T>(candidates: impl IntoIterator<Item = (f64, &'s str, T)>) -> Option<T> {
+    let mut best: Option<(f64, &str, T)> = None;
+    for (km, id, item) in candidates {
+        let wins = best.as_ref().is_none_or(|(best_km, best_id, _)| {
+            km.partial_cmp(best_km)
+                .expect("path lengths are finite")
+                .then_with(|| id.cmp(best_id))
+                .is_lt()
+        });
+        if wins {
+            best = Some((km, id, item));
+        }
+    }
+    best.map(|(_, _, item)| item)
 }
 
 /// A set of simultaneously announced sites for one anycast service.
@@ -74,24 +107,59 @@ impl AnycastFleet {
         &self.sites
     }
 
-    /// Whether the fleet is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sites.is_empty()
-    }
-
     /// The site that catches `probe`: the visible site with the shortest
     /// path, ties broken by site id for determinism. `None` when no site
     /// is visible.
     pub fn catch(&self, probe: &Probe) -> Option<&AnycastSite> {
-        self.sites
-            .iter()
-            .filter(|s| s.visible_to(probe))
-            .min_by(|a, b| {
-                a.path_km(probe)
-                    .partial_cmp(&b.path_km(probe))
-                    .expect("path lengths are finite")
-                    .then_with(|| a.id.cmp(&b.id))
-            })
+        let egress = egress_leg(probe);
+        nearest(
+            self.sites
+                .iter()
+                .filter(|s| s.visible_to(probe))
+                .map(|s| (s.path_km_via(probe, egress), s.id.as_str(), s)),
+        )
+    }
+}
+
+/// Every probe's path length to every site of a campaign, computed once.
+///
+/// A campaign's probes and sites are fixed; only which of them are active
+/// changes from month to month. The table holds, per probe, the
+/// [`AnycastSite::path_km`] to each site — or `None` where the site's
+/// scope hides it from the probe — so a monthly catchment is an argmin
+/// over table entries instead of fresh great-circle distances.
+#[derive(Debug, Clone)]
+pub(crate) struct PathTable {
+    sites: Vec<AnycastSite>,
+    km: Vec<Option<f64>>,
+}
+
+impl PathTable {
+    /// Measure every probe against every site. Row `p` belongs to
+    /// `probes[p]`, column `s` to `sites[s]`.
+    pub(crate) fn new(probes: &[&Probe], sites: Vec<AnycastSite>) -> Self {
+        let mut km = Vec::with_capacity(probes.len() * sites.len());
+        for probe in probes {
+            let egress = egress_leg(probe);
+            km.extend(sites.iter().map(|site| {
+                site.visible_to(probe)
+                    .then(|| site.path_km_via(probe, egress))
+            }));
+        }
+        PathTable { sites, km }
+    }
+
+    /// The site among `active` that catches probe `probe`, with its path
+    /// length: [`AnycastFleet::catch`] over the fleet of `active` sites.
+    /// `None` when none of them is visible.
+    pub(crate) fn catch(&self, probe: usize, active: &[usize]) -> Option<(usize, f64)> {
+        let n = self.sites.len();
+        let row = &self.km[probe * n..(probe + 1) * n];
+        nearest(
+            active
+                .iter()
+                .filter_map(|&s| row[s].map(|km| (km, self.sites[s].id.as_str(), (s, km)))),
+        )
     }
 }
 

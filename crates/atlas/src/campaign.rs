@@ -6,9 +6,9 @@
 //! catchments are stable within a month in the model — what varies is the
 //! deployment and the probe population.
 
-use crate::anycast::{AnycastFleet, AnycastSite, SiteScope};
+use crate::anycast::{AnycastSite, PathTable, SiteScope};
 use crate::chaos;
-use crate::probes::{ProbeId, ProbeRegistry};
+use crate::probes::{Probe, ProbeId, ProbeRegistry};
 use crate::roots::{RootDeployment, RootInstance, RootLetter};
 use lacnet_types::{sweep, CountryCode, MonthStamp, TimeSeries};
 use std::collections::{BTreeMap, BTreeSet};
@@ -29,68 +29,124 @@ pub struct ChaosObservation {
 }
 
 /// The campaign driver: probes × letters × months over a deployment.
+///
+/// Probes and root instances do not move, so every probe's path to every
+/// instance the deployment ever announces is measured once, when the
+/// campaign is built. A monthly round then only picks, per probe and
+/// letter, the nearest of that month's active instances from the table.
 pub struct ChaosCampaign<'a> {
-    probes: &'a ProbeRegistry,
-    deployment: &'a RootDeployment,
+    probes: Vec<&'a Probe>,
+    instances: &'a [RootInstance],
+    paths: PathTable,
 }
 
 impl<'a> ChaosCampaign<'a> {
     /// Create a campaign over the given probe registry and deployment.
     pub fn new(probes: &'a ProbeRegistry, deployment: &'a RootDeployment) -> Self {
-        ChaosCampaign { probes, deployment }
+        Self::over(probes.all().iter().collect(), deployment)
     }
 
-    /// Build the anycast fleet for `letter` as announced in `month`.
-    fn fleet_for(
-        &self,
-        letter: RootLetter,
-        month: MonthStamp,
-    ) -> (AnycastFleet, BTreeMap<String, &'a RootInstance>) {
-        let mut sites = Vec::new();
-        let mut by_id = BTreeMap::new();
-        for inst in self.deployment.active(letter, month) {
-            let id = inst.identity();
-            sites.push(AnycastSite {
-                id: id.clone(),
+    /// A campaign run only from the probes hosted in `vantage`: its
+    /// rounds are the full campaign's rounds restricted to those probes,
+    /// without simulating the others.
+    pub fn from_country(
+        probes: &'a ProbeRegistry,
+        deployment: &'a RootDeployment,
+        vantage: CountryCode,
+    ) -> Self {
+        Self::over(
+            probes
+                .all()
+                .iter()
+                .filter(|p| p.country == vantage)
+                .collect(),
+            deployment,
+        )
+    }
+
+    fn over(probes: Vec<&'a Probe>, deployment: &'a RootDeployment) -> Self {
+        let instances = deployment.all();
+        let sites: Vec<AnycastSite> = instances
+            .iter()
+            .map(|inst| AnycastSite {
+                id: inst.identity(),
                 location: inst.location,
                 scope: if inst.global {
                     SiteScope::Global
                 } else {
                     SiteScope::Domestic(inst.country)
                 },
-            });
-            by_id.insert(id, inst);
+            })
+            .collect();
+        ChaosCampaign {
+            paths: PathTable::new(&probes, sites),
+            probes,
+            instances,
         }
-        (AnycastFleet::new(sites), by_id)
     }
 
-    /// Run one monthly round: every active probe queries every letter.
-    /// Payloads are encoded once per active instance, not once per probe
-    /// — the generation-side half of the batched-decoding contract.
-    pub fn run_month(&self, month: MonthStamp) -> Vec<ChaosObservation> {
-        let mut out = Vec::new();
+    /// The catchment of one monthly round: `caught(probe, i)` for every
+    /// active probe and every letter with a visible active instance, `i`
+    /// indexing the deployment's instances — letters in
+    /// [`RootLetter::ALL`] order, then probes in registry order.
+    fn round(&self, month: MonthStamp, mut caught: impl FnMut(&'a Probe, usize)) {
+        let probes: Vec<usize> = (0..self.probes.len())
+            .filter(|&p| self.probes[p].active_in(month))
+            .collect();
         for letter in RootLetter::ALL {
-            let (fleet, by_id) = self.fleet_for(letter, month);
-            if fleet.is_empty() {
+            let active: Vec<usize> = (0..self.instances.len())
+                .filter(|&i| {
+                    self.instances[i].letter == letter && self.instances[i].active_in(month)
+                })
+                .collect();
+            if active.is_empty() {
                 continue;
             }
-            let txt_by_id: BTreeMap<&str, String> = by_id
-                .iter()
-                .map(|(id, inst)| (id.as_str(), chaos::encode(inst)))
-                .collect();
-            for probe in self.probes.active_in(month) {
-                if let Some(site) = fleet.catch(probe) {
-                    out.push(ChaosObservation {
-                        month,
-                        probe: probe.id,
-                        probe_country: probe.country,
-                        letter,
-                        txt: txt_by_id[site.id.as_str()].clone(),
-                    });
+            for &p in &probes {
+                if let Some((i, _)) = self.paths.catch(p, &active) {
+                    caught(self.probes[p], i);
                 }
             }
         }
+    }
+
+    /// Run one monthly round: every active probe queries every letter.
+    /// Payloads are encoded once per answering instance, not once per
+    /// probe — the generation-side half of the batched-decoding contract.
+    pub fn run_month(&self, month: MonthStamp) -> Vec<ChaosObservation> {
+        let mut payloads: Vec<Option<String>> = vec![None; self.instances.len()];
+        let mut out = Vec::new();
+        self.round(month, |probe, i| {
+            let inst = &self.instances[i];
+            let txt = payloads[i].get_or_insert_with(|| chaos::encode(inst));
+            out.push(ChaosObservation {
+                month,
+                probe: probe.id,
+                probe_country: probe.country,
+                letter: inst.letter,
+                txt: txt.clone(),
+            });
+        });
         out
+    }
+
+    /// [`replicas_by_country`] of this month's round, without building
+    /// the round's observations: each distinct answering instance is
+    /// encoded and decoded once, however many probes it caught.
+    pub fn replicas_by_country(
+        &self,
+        month: MonthStamp,
+    ) -> BTreeMap<CountryCode, BTreeSet<String>> {
+        let mut answering = vec![false; self.instances.len()];
+        self.round(month, |_, i| answering[i] = true);
+        let payloads: Vec<(RootLetter, String)> = self
+            .instances
+            .iter()
+            .zip(answering)
+            .filter(|(_, answered)| *answered)
+            .map(|(inst, _)| (inst.letter, chaos::encode(inst)))
+            .collect();
+        decode_replicas(payloads.iter().map(|(letter, txt)| (*letter, txt.as_str())))
     }
 }
 
@@ -105,10 +161,16 @@ impl<'a> ChaosCampaign<'a> {
 pub fn replicas_by_country(
     observations: &[ChaosObservation],
 ) -> BTreeMap<CountryCode, BTreeSet<String>> {
+    decode_replicas(observations.iter().map(|o| (o.letter, o.txt.as_str())))
+}
+
+fn decode_replicas<'t>(
+    payloads: impl Iterator<Item = (RootLetter, &'t str)>,
+) -> BTreeMap<CountryCode, BTreeSet<String>> {
     let mut batch = chaos::BatchDecoder::new();
     let mut out: BTreeMap<CountryCode, BTreeSet<String>> = BTreeMap::new();
-    for obs in observations {
-        if let Some(decoded) = batch.decode(obs.letter, &obs.txt) {
+    for (letter, txt) in payloads {
+        if let Some(decoded) = batch.decode(letter, txt) {
             if let Some(cc) = decoded.country {
                 out.entry(cc).or_default().insert(decoded.identity.clone());
             }
@@ -135,7 +197,7 @@ fn fold_monthly_counts(
 
 /// Monthly unique-replica counts for each country over `[start, end]` —
 /// the Fig. 6 lines (and, summed, its regional panel). Months run on
-/// sweep workers, each round decoded in one batch.
+/// sweep workers over one campaign.
 pub fn replica_count_series(
     probes: &ProbeRegistry,
     deployment: &RootDeployment,
@@ -144,12 +206,13 @@ pub fn replica_count_series(
 ) -> BTreeMap<CountryCode, TimeSeries> {
     let campaign = ChaosCampaign::new(probes, deployment);
     fold_monthly_counts(sweep::month_range(start, end, |m| {
-        replicas_by_country(&campaign.run_month(m))
+        campaign.replicas_by_country(m)
     }))
 }
 
 /// The Fig. 16 heatmap: from the probes of `vantage_country`, how many
 /// distinct replicas in each hosting country were reached each month.
+/// Only the vantage country's probes are simulated.
 pub fn origin_heatmap(
     probes: &ProbeRegistry,
     deployment: &RootDeployment,
@@ -157,14 +220,9 @@ pub fn origin_heatmap(
     start: MonthStamp,
     end: MonthStamp,
 ) -> BTreeMap<CountryCode, TimeSeries> {
-    let campaign = ChaosCampaign::new(probes, deployment);
+    let campaign = ChaosCampaign::from_country(probes, deployment, vantage_country);
     fold_monthly_counts(sweep::month_range(start, end, |m| {
-        let obs: Vec<ChaosObservation> = campaign
-            .run_month(m)
-            .into_iter()
-            .filter(|o| o.probe_country == vantage_country)
-            .collect();
-        replicas_by_country(&obs)
+        campaign.replicas_by_country(m)
     }))
 }
 

@@ -7,7 +7,7 @@
 //! a per-probe last-mile access delay, and log-normal congestion noise
 //! that the min() mostly removes.
 
-use crate::anycast::{AnycastFleet, AnycastSite, SiteScope};
+use crate::anycast::{AnycastSite, PathTable, SiteScope};
 use crate::probes::{Probe, ProbeId, ProbeRegistry};
 use lacnet_types::rng::Rng;
 use lacnet_types::stats;
@@ -65,7 +65,11 @@ impl LatencyModel {
     /// The deterministic floor RTT for `probe` hitting `site` (no noise):
     /// round-trip propagation plus the last mile.
     pub fn base_rtt_ms(&self, probe: &Probe, site: &AnycastSite) -> f64 {
-        let km = site.path_km(probe);
+        self.base_rtt_at_km(site.path_km(probe))
+    }
+
+    /// The floor RTT over a path of `km` kilometres.
+    fn base_rtt_at_km(&self, km: f64) -> f64 {
         2.0 * km * self.stretch / geo::FIBER_KM_PER_MS + self.last_mile_ms
     }
 
@@ -76,7 +80,11 @@ impl LatencyModel {
 
     /// The monthly min-RTT as the campaign records it.
     pub fn monthly_min_rtt(&self, probe: &Probe, site: &AnycastSite, rng: &mut Rng) -> f64 {
-        let base = self.base_rtt_ms(probe, site);
+        self.min_rtt_over(self.base_rtt_ms(probe, site), rng)
+    }
+
+    /// The minimum of one window's samples over a floor of `base` ms.
+    fn min_rtt_over(&self, base: f64, rng: &mut Rng) -> f64 {
         (0..self.samples.max(1))
             .map(|_| self.sample_rtt_ms(base, rng))
             .fold(f64::INFINITY, f64::min)
@@ -100,10 +108,13 @@ pub struct RttObservation {
     pub site_id: String,
 }
 
-/// The campaign driver.
+/// The campaign driver. Every probe's path to every site is measured
+/// once, when the campaign is built; a monthly window then only picks the
+/// nearest active site from that table.
 pub struct GpdnsCampaign<'a> {
     probes: &'a ProbeRegistry,
     sites: &'a [GpdnsSite],
+    paths: PathTable,
     model: LatencyModel,
     seed: u64,
 }
@@ -116,42 +127,53 @@ impl<'a> GpdnsCampaign<'a> {
         model: LatencyModel,
         seed: u64,
     ) -> Self {
+        let anycast: Vec<AnycastSite> = sites
+            .iter()
+            .map(|s| AnycastSite {
+                id: s.id.clone(),
+                location: s.location,
+                scope: SiteScope::Global,
+            })
+            .collect();
+        let population: Vec<&Probe> = probes.all().iter().collect();
         GpdnsCampaign {
             probes,
             sites,
+            paths: PathTable::new(&population, anycast),
             model,
             seed,
         }
     }
 
-    fn fleet_for(&self, month: MonthStamp) -> AnycastFleet {
-        AnycastFleet::new(
-            self.sites
-                .iter()
-                .filter(|s| s.active_in(month))
-                .map(|s| AnycastSite {
-                    id: s.id.clone(),
-                    location: s.location,
-                    scope: SiteScope::Global,
-                })
-                .collect(),
-        )
+    /// Simulate one monthly window: `record(probe, site, min_rtt_ms)` for
+    /// every active probe a site catches, in registry order.
+    fn window(&self, month: MonthStamp, mut record: impl FnMut(&'a Probe, &'a GpdnsSite, f64)) {
+        let active: Vec<usize> = (0..self.sites.len())
+            .filter(|&s| self.sites[s].active_in(month))
+            .collect();
+        if active.is_empty() {
+            return;
+        }
+        let root = Rng::seeded(self.seed);
+        for (p, probe) in self.probes.all().iter().enumerate() {
+            if !probe.active_in(month) {
+                continue;
+            }
+            let Some((site, km)) = self.paths.catch(p, &active) else {
+                continue;
+            };
+            let mut rng = root.fork(&format!("gpdns/{}/{}", probe.id, month.index()));
+            let rtt = self
+                .model
+                .min_rtt_over(self.model.base_rtt_at_km(km), &mut rng);
+            record(probe, &self.sites[site], rtt);
+        }
     }
 
     /// Run one monthly window across all active probes.
     pub fn run_month(&self, month: MonthStamp) -> Vec<RttObservation> {
-        let fleet = self.fleet_for(month);
-        if fleet.is_empty() {
-            return Vec::new();
-        }
-        let root = Rng::seeded(self.seed);
         let mut out = Vec::new();
-        for probe in self.probes.active_in(month) {
-            let Some(site) = fleet.catch(probe) else {
-                continue;
-            };
-            let mut rng = root.fork(&format!("gpdns/{}/{}", probe.id, month.index()));
-            let rtt = self.model.monthly_min_rtt(probe, site, &mut rng);
+        self.window(month, |probe, site, rtt| {
             out.push(RttObservation {
                 month,
                 probe: probe.id,
@@ -159,8 +181,8 @@ impl<'a> GpdnsCampaign<'a> {
                 location: probe.location,
                 rtt_ms: rtt,
                 site_id: site.id.clone(),
-            });
-        }
+            })
+        });
         out
     }
 
@@ -177,12 +199,9 @@ impl<'a> GpdnsCampaign<'a> {
     ) -> BTreeMap<CountryCode, TimeSeries> {
         let monthly = sweep::month_range(start, end, |m| {
             let mut by_country: BTreeMap<CountryCode, Vec<f64>> = BTreeMap::new();
-            for obs in self.run_month(m) {
-                by_country
-                    .entry(obs.probe_country)
-                    .or_default()
-                    .push(obs.rtt_ms);
-            }
+            self.window(m, |probe, _, rtt| {
+                by_country.entry(probe.country).or_default().push(rtt)
+            });
             by_country
                 .into_iter()
                 .filter_map(|(cc, mut rtts)| stats::median(&mut rtts).map(|med| (cc, med)))

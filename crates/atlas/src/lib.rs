@@ -23,6 +23,7 @@ pub mod chaos;
 pub mod gpdns;
 pub mod outages;
 pub mod probes;
+mod proptests;
 pub mod roots;
 pub mod traceroute;
 

@@ -100,10 +100,9 @@ fn aggregate_whole_archive(ndtc_dir: &std::path::Path) -> lacnet_mlab::MonthlyAg
 
 /// Cold NDT ingestion: the full container set read once each and
 /// scanned into per-country partial aggregates on sweep workers, merged
-/// in plan order, as the archive loader does; and the whole-archive load
-/// around it, which adds every other dataset's parse cost. Before timing,
-/// the ingestion is asserted to land the P² estimators in the archive
-/// source's exact state.
+/// in plan order, as the archive loader does. (The whole-archive load
+/// around it is `archive/load`.) Before timing, the ingestion is asserted
+/// to land the P² estimators in the archive source's exact state.
 fn bench_cold_load(c: &mut Criterion) {
     let ndtc_dir = dump_dir();
     let ndtc = DataSource::from_archive(&ndtc_dir).expect("archive loads");
@@ -146,9 +145,6 @@ fn bench_cold_load(c: &mut Criterion) {
     let mut group = c.benchmark_group("cold_load");
     group.sample_size(10);
     group.bench_function("ndt/columnar", |b| b.iter(|| black_box(ingest_columnar())));
-    group.bench_function("columnar", |b| {
-        b.iter(|| black_box(DataSource::from_archive(&ndtc_dir).expect("loads")))
-    });
     group.finish();
 }
 

@@ -618,7 +618,17 @@ impl NdtRefresh {
     /// tree — the part of a dump that runs beside the leading datasets.
     /// Returns, per rebuilt country in registry order, the container's
     /// size, content hash and month census.
+    ///
+    /// Text containers (`mlab/{CC}.tsv`) of the retired row encoding are
+    /// removed: a tree dumped over one would otherwise keep files its
+    /// manifest does not list.
     fn build(&self, world: &World, root: &Path) -> io::Result<Vec<BuiltContainer>> {
+        for cc in &self.countries {
+            match fs::remove_file(root.join(format!("mlab/{cc}.tsv"))) {
+                Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+                _ => {}
+            }
+        }
         let stale: Vec<CountryCode> = self
             .countries
             .iter()

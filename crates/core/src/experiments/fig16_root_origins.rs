@@ -3,7 +3,7 @@
 
 use crate::artifact::{Artifact, ExperimentResult, Finding, Heatmap};
 use crate::source::DataSource;
-use lacnet_atlas::campaign;
+use lacnet_atlas::ChaosCampaign;
 use lacnet_crisis::config::windows;
 use lacnet_types::{country, sweep, CountryCode, MonthStamp, TimeSeries};
 use std::collections::BTreeMap;
@@ -17,17 +17,17 @@ pub fn run(src: &DataSource) -> ExperimentResult {
         .filter(|m| matches!(m.month(), 1 | 4 | 7 | 10))
         .collect();
 
-    // One origin sample per quarter, swept across worker threads and
-    // merged in month order.
-    let sampled = sweep::months_sweep(&months, |m| {
-        campaign::origin_heatmap(&src.dns.probes, &src.dns.roots, country::VE, m, m)
-    });
+    // One campaign from the Venezuelan probes; one origin sample per
+    // quarter, swept across worker threads and merged in month order.
+    let camp = ChaosCampaign::from_country(&src.dns.probes, &src.dns.roots, country::VE);
+    let sampled = sweep::months_sweep(&months, |m| camp.replicas_by_country(m));
     let mut heat_data: BTreeMap<CountryCode, TimeSeries> = BTreeMap::new();
-    for (m, partial) in sampled {
-        for (cc, s) in partial {
-            if let Some(v) = s.get(m) {
-                heat_data.entry(cc).or_default().insert(m, v);
-            }
+    for (m, origins) in sampled {
+        for (cc, replicas) in origins {
+            heat_data
+                .entry(cc)
+                .or_default()
+                .insert(m, replicas.len() as f64);
         }
     }
 

@@ -529,6 +529,24 @@ mod tests {
         assert_eq!(cantv, 8);
     }
 
+    /// Every root instance carries its own `letter/site/unit` identity:
+    /// replica counts key on it, and the catchment breaks distance ties
+    /// by it, so a repeated identity would merge two instances into one
+    /// replica.
+    #[test]
+    fn root_instance_identities_are_unique() {
+        let w = world();
+        let mut seen = std::collections::BTreeSet::new();
+        for inst in w.roots.all() {
+            assert!(
+                seen.insert(inst.identity()),
+                "duplicate root identity {}",
+                inst.identity()
+            );
+        }
+        assert!(seen.len() > 100, "{} instances", seen.len());
+    }
+
     #[test]
     fn fig6_replica_counts() {
         let w = world();

@@ -200,3 +200,38 @@ fn scenario_switch_refreshes_every_shard_and_default_is_byte_identical() {
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&explicit).ok();
 }
+
+/// A tree once dumped with the retired text row encoding holds
+/// `mlab/{CC}.tsv` containers; dumping over it removes them, so the
+/// `mlab/` directory holds nothing the tree's manifest does not list.
+#[test]
+fn redump_removes_text_containers_left_in_the_tree() {
+    let dir = std::env::temp_dir().join(format!("lacnet-stale-tsv-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let world = World::generate(WorldConfig::test());
+    datasets::dump(&world, &dir).expect("initial dump");
+    let planted = ["mlab/VE.tsv", "mlab/AR.tsv"];
+    for rel in planted {
+        std::fs::write(dir.join(rel), "month\tday\tdownload\n").unwrap();
+    }
+
+    let again = datasets::dump(&world, &dir).expect("re-dump over the planted tree");
+    assert_eq!(
+        again.containers_written, 0,
+        "the .ndtc containers are fresh"
+    );
+    for rel in planted {
+        assert!(!dir.join(rel).exists(), "{rel} survived the re-dump");
+    }
+    let manifest = std::fs::read_to_string(dir.join("MANIFEST.txt")).unwrap();
+    let listed: Vec<&str> = manifest.lines().filter(|l| !l.starts_with('#')).collect();
+    for entry in std::fs::read_dir(dir.join("mlab")).unwrap() {
+        let rel = format!("mlab/{}", entry.unwrap().file_name().to_string_lossy());
+        assert!(
+            listed.contains(&rel.as_str()) || rel == datasets::MLAB_INDEX,
+            "{rel} is in the tree but not in its manifest"
+        );
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
