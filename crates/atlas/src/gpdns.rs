@@ -162,7 +162,7 @@ impl<'a> GpdnsCampaign<'a> {
             let Some((site, km)) = self.paths.catch(p, &active) else {
                 continue;
             };
-            let mut rng = root.fork(&format!("gpdns/{}/{}", probe.id, month.index()));
+            let mut rng = root.fork_fmt(format_args!("gpdns/{}/{}", probe.id, month.index()));
             let rtt = self
                 .model
                 .min_rtt_over(self.model.base_rtt_at_km(km), &mut rng);

@@ -14,7 +14,7 @@ use lacnet_bgp::propagation::RouteSim;
 use lacnet_crisis::topology::TopologyBuilder;
 use lacnet_types::rng::Rng;
 use lacnet_types::stats::{self, P2Quantile};
-use lacnet_types::{geo, Asn, GeoPoint, MonthStamp};
+use lacnet_types::{Asn, MonthStamp};
 use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::net::Ipv4Addr;
@@ -211,10 +211,6 @@ fn ablation_catchment(c: &mut Criterion) {
         .zip(&blind)
         .filter(|(a, b)| fleet.catch(a).map(|s| &s.id) != fleet.catch(b).map(|s| &s.id))
         .count();
-    let miami = geo::airport("mia")
-        .map(|a| a.location)
-        .unwrap_or(GeoPoint::new(0.0, 0.0));
-    let _ = miami;
     eprintln!(
         "[ablation_catchment] {moved} of {} probes change site without egress modelling",
         probes.len()

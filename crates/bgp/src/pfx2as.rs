@@ -12,13 +12,23 @@ use std::net::Ipv4Addr;
 use std::str::FromStr;
 
 /// The origin(s) of a prefix: usually one AS, occasionally a MOAS set.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct OriginSet(Vec<Asn>);
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct OriginSet(Origins);
+
+/// A single origin is held inline, so the common table entry allocates
+/// nothing. Each set has one representation, so derived equality is
+/// equality of the ASN lists.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Origins {
+    One(Asn),
+    /// Two or more, sorted ascending and distinct.
+    Many(Box<[Asn]>),
+}
 
 impl OriginSet {
     /// A single-origin set.
     pub fn single(asn: Asn) -> Self {
-        OriginSet(vec![asn])
+        OriginSet(Origins::One(asn))
     }
 
     /// A multi-origin set; deduplicated and sorted.
@@ -26,32 +36,36 @@ impl OriginSet {
         let mut v: Vec<Asn> = asns.into_iter().collect();
         v.sort_unstable();
         v.dedup();
-        if v.is_empty() {
-            return Err(Error::invalid("origin set must be non-empty"));
+        match *v {
+            [] => Err(Error::invalid("origin set must be non-empty")),
+            [one] => Ok(OriginSet::single(one)),
+            _ => Ok(OriginSet(Origins::Many(v.into_boxed_slice()))),
         }
-        Ok(OriginSet(v))
     }
 
     /// The origins, sorted ascending.
     pub fn asns(&self) -> &[Asn] {
-        &self.0
+        match &self.0 {
+            Origins::One(asn) => std::slice::from_ref(asn),
+            Origins::Many(asns) => asns,
+        }
     }
 
     /// Whether `asn` is among the origins.
     pub fn contains(&self, asn: Asn) -> bool {
-        self.0.binary_search(&asn).is_ok()
+        self.asns().binary_search(&asn).is_ok()
     }
 
     /// Whether this is a multi-origin (MOAS) announcement.
     pub fn is_moas(&self) -> bool {
-        self.0.len() > 1
+        matches!(self.0, Origins::Many(_))
     }
 }
 
 impl std::fmt::Display for OriginSet {
     /// pfx2as origin column format: underscore-joined ASNs.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, a) in self.0.iter().enumerate() {
+        for (i, a) in self.asns().iter().enumerate() {
             if i > 0 {
                 f.write_str("_")?;
             }
@@ -66,16 +80,15 @@ impl FromStr for OriginSet {
 
     /// Parses `8048`, `8048_6306` (MOAS), or `8048,6306` (AS-set).
     fn from_str(s: &str) -> Result<Self> {
-        let parts: Vec<&str> = s.split(['_', ',']).collect();
-        let mut asns = Vec::with_capacity(parts.len());
-        for p in parts {
-            let raw: u32 = p
-                .trim()
-                .parse()
-                .map_err(|_| Error::parse("origin ASN", s))?;
-            asns.push(Asn(raw));
+        let asn = |p: &str| {
+            parse_decimal(p.trim())
+                .map(Asn)
+                .ok_or_else(|| Error::parse("origin ASN", s))
+        };
+        if !s.contains(['_', ',']) {
+            return asn(s).map(OriginSet::single);
         }
-        OriginSet::multi(asns)
+        OriginSet::multi(s.split(['_', ',']).map(asn).collect::<Result<Vec<_>>>()?)
     }
 }
 
@@ -137,16 +150,30 @@ impl PfxToAs {
     /// plus its two /17s is still one /16 of space). This is the Fig. 2
     /// "# addr. space" metric.
     pub fn address_space_of(&self, asn: Asn) -> u64 {
-        let mut intervals: Vec<(u64, u64)> = self
-            .entries
-            .iter()
-            .filter(|(_, o)| o.contains(asn))
-            .map(|(&p, _)| {
-                let start = p.network_u32() as u64;
-                (start, start + p.size())
+        self.address_space_by_origin(&[asn])[0]
+    }
+
+    /// [`PfxToAs::address_space_of`] for each ASN in `asns`, in order, from
+    /// one walk over the table.
+    pub fn address_space_by_origin(&self, asns: &[Asn]) -> Vec<u64> {
+        let mut unions: Vec<(Asn, Union)> = asns.iter().map(|&a| (a, Union::default())).collect();
+        unions.sort_unstable_by_key(|&(a, _)| a);
+        unions.dedup_by_key(|&mut (a, _)| a);
+        // Address order visits each origin's prefixes by ascending start,
+        // which is all the running unions need.
+        for (p, origins) in &self.entries {
+            for asn in origins.asns() {
+                if let Ok(i) = unions.binary_search_by_key(asn, |&(a, _)| a) {
+                    unions[i].1.add(p);
+                }
+            }
+        }
+        asns.iter()
+            .map(|asn| match unions.binary_search_by_key(asn, |&(a, _)| a) {
+                Ok(i) => unions[i].1.total(),
+                Err(_) => 0,
             })
-            .collect();
-        union_length(&mut intervals)
+            .collect()
     }
 
     /// Total announced address space across all origins, each address
@@ -177,8 +204,14 @@ impl PfxToAs {
     }
 
     /// Parse a pfx2as file: `network \t masklen \t origins` per line.
+    ///
+    /// Columns split on any whitespace; columns past the third are ignored.
+    /// The network is a dotted quad as [`Ipv4Addr`] reads it, the length a
+    /// decimal `u8` that with the network forms a canonical prefix. The
+    /// lines are collected and the table built from them in one go; a
+    /// prefix listed twice keeps its later line.
     pub fn parse(text: &str) -> Result<Self> {
-        let mut table = PfxToAs::new();
+        let mut entries = Vec::new();
         for (idx, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -192,18 +225,16 @@ impl PfxToAs {
                     &format!("line {}: {line}", idx + 1),
                 ));
             };
-            let addr: Ipv4Addr = net
-                .parse()
-                .map_err(|_| Error::parse("pfx2as network address", line))?;
-            let len: u8 = len
-                .parse()
-                .map_err(|_| Error::parse("pfx2as mask length", line))?;
+            let addr =
+                parse_octets(net).ok_or_else(|| Error::parse("pfx2as network address", line))?;
+            let len = parse_decimal(len)
+                .and_then(|len| u8::try_from(len).ok())
+                .ok_or_else(|| Error::parse("pfx2as mask length", line))?;
             let prefix = Ipv4Net::new(addr, len)
                 .map_err(|_| Error::parse("canonical pfx2as prefix", line))?;
-            let origins: OriginSet = origins.parse()?;
-            table.insert(prefix, origins);
+            entries.push((prefix, origins.parse()?));
         }
-        Ok(table)
+        Ok(PfxToAs::from_entries(entries))
     }
 
     /// Serialise to pfx2as text (tab-separated, address order).
@@ -216,26 +247,92 @@ impl PfxToAs {
     }
 }
 
+/// `u32::from_str` without the error value: an optional `+`, then one or
+/// more ASCII digits, with no overflow.
+fn parse_decimal(s: &str) -> Option<u32> {
+    let digits = s.strip_prefix('+').unwrap_or(s);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.bytes().try_fold(0u32, |n, b| {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            return None;
+        }
+        n.checked_mul(10)?.checked_add(u32::from(digit))
+    })
+}
+
+/// `Ipv4Addr::from_str` without the error value: four dot-separated
+/// decimal octets of one to three digits, each at most 255 and without a
+/// leading zero.
+fn parse_octets(s: &str) -> Option<Ipv4Addr> {
+    let bytes = s.as_bytes();
+    let mut octets = [0u8; 4];
+    let mut pos = 0;
+    for (i, octet) in octets.iter_mut().enumerate() {
+        if i > 0 {
+            if bytes.get(pos) != Some(&b'.') {
+                return None;
+            }
+            pos += 1;
+        }
+        let start = pos;
+        let mut value = 0u16;
+        while let Some(&b) = bytes.get(pos) {
+            if !b.is_ascii_digit() || pos - start == 3 {
+                break;
+            }
+            value = value * 10 + u16::from(b - b'0');
+            pos += 1;
+        }
+        let digits = pos - start;
+        if digits == 0 || (digits > 1 && bytes[start] == b'0') {
+            return None;
+        }
+        *octet = u8::try_from(value).ok()?;
+    }
+    (pos == bytes.len()).then_some(Ipv4Addr::from(octets))
+}
+
+/// The running union of half-open address intervals fed in ascending
+/// order of start.
+#[derive(Default)]
+struct Union {
+    total: u64,
+    current: Option<(u64, u64)>,
+}
+
+impl Union {
+    fn push(&mut self, (start, end): (u64, u64)) {
+        self.current = match self.current {
+            Some((cs, ce)) if start <= ce => Some((cs, ce.max(end))),
+            Some((cs, ce)) => {
+                self.total += ce - cs;
+                Some((start, end))
+            }
+            None => Some((start, end)),
+        };
+    }
+
+    fn add(&mut self, prefix: &Ipv4Net) {
+        let start = prefix.network_u32() as u64;
+        self.push((start, start + prefix.size()));
+    }
+
+    fn total(&self) -> u64 {
+        self.total + self.current.map_or(0, |(s, e)| e - s)
+    }
+}
+
 /// Total length of the union of half-open intervals. Sorts in place.
 fn union_length(intervals: &mut [(u64, u64)]) -> u64 {
     intervals.sort_unstable();
-    let mut total = 0u64;
-    let mut cur: Option<(u64, u64)> = None;
-    for &(s, e) in intervals.iter() {
-        match cur {
-            Some((cs, ce)) if s <= ce => cur = Some((cs, ce.max(e))),
-            Some((cs, ce)) => {
-                total += ce - cs;
-                cur = Some((s, e));
-                let _ = cs;
-            }
-            None => cur = Some((s, e)),
-        }
+    let mut union = Union::default();
+    for &interval in intervals.iter() {
+        union.push(interval);
     }
-    if let Some((cs, ce)) = cur {
-        total += ce - cs;
-    }
-    total
+    union.total()
 }
 
 #[cfg(test)]

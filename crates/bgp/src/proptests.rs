@@ -1,18 +1,30 @@
-//! Property-based tests over randomly generated valley-free topologies.
+//! Property-based tests over randomly generated valley-free topologies,
+//! and the pfx2as parser and address-space reduction against the code
+//! they replaced.
 //!
 //! The generators build arbitrary layered hierarchies (random tier sizes,
 //! random provider assignments, random peering at the top) and check the
 //! invariants every consumer of the propagation machinery relies on.
+//!
+//! The pfx2as references below are `PfxToAs::parse` as it was (the
+//! standard library's `Ipv4Addr`, `u8` and `u32` parsers, one map insert
+//! per line) and the per-ASN filter-sort-union address space. They live
+//! only here, as oracles: the hand parser must give the same table or the
+//! same error on every input, and the one-walk reduction the same sums.
 
 #![cfg(test)]
 
 use crate::cone::ConeCache;
 use crate::graph::AsGraph;
 use crate::paths::PathOutcome;
+use crate::pfx2as::{OriginSet, PfxToAs};
 use crate::propagation::{RouteKind, RouteSim};
 use crate::relationship::RelEdge;
-use lacnet_types::{Asn, MonthStamp};
+use lacnet_types::rng::Rng;
+use lacnet_types::{Asn, Error, Ipv4Net, MonthStamp, Result};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
 
 /// Strategy: a random 3-layer hierarchy. Tier-1s form a full peering
 /// mesh; every lower node buys transit from 1–2 random nodes one layer
@@ -301,5 +313,275 @@ proptest! {
             fresh.clone()
         );
         prop_assert_eq!(fresh, std::collections::BTreeSet::from([unknown]));
+    }
+}
+
+/// `PfxToAs::parse` as it was, the table as `prefix → sorted origins`.
+fn reference_pfx2as(text: &str) -> Result<BTreeMap<Ipv4Net, Vec<Asn>>> {
+    let mut table = BTreeMap::new();
+    for (idx, line) in text.lines().enumerate() {
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let mut cols = line.split_whitespace();
+        let (Some(net), Some(len), Some(origins)) = (cols.next(), cols.next(), cols.next()) else {
+            return Err(Error::parse(
+                "pfx2as line (network<TAB>len<TAB>origins)",
+                &format!("line {}: {line}", idx + 1),
+            ));
+        };
+        let addr: Ipv4Addr = net
+            .parse()
+            .map_err(|_| Error::parse("pfx2as network address", line))?;
+        let len: u8 = len
+            .parse()
+            .map_err(|_| Error::parse("pfx2as mask length", line))?;
+        let prefix =
+            Ipv4Net::new(addr, len).map_err(|_| Error::parse("canonical pfx2as prefix", line))?;
+        table.insert(prefix, reference_origins(origins)?);
+    }
+    Ok(table)
+}
+
+/// `OriginSet::from_str` as it was.
+fn reference_origins(s: &str) -> Result<Vec<Asn>> {
+    let parts: Vec<&str> = s.split(['_', ',']).collect();
+    let mut asns = Vec::with_capacity(parts.len());
+    for p in parts {
+        let raw: u32 = p
+            .trim()
+            .parse()
+            .map_err(|_| Error::parse("origin ASN", s))?;
+        asns.push(Asn(raw));
+    }
+    asns.sort_unstable();
+    asns.dedup();
+    if asns.is_empty() {
+        return Err(Error::invalid("origin set must be non-empty"));
+    }
+    Ok(asns)
+}
+
+/// The parser and the reference agree on `text`: the same entries in the
+/// same order, or the same error.
+fn agree_pfx2as(text: &str) {
+    let parsed = PfxToAs::parse(text).map(|t| {
+        t.iter()
+            .map(|(p, o)| (p, o.asns().to_vec()))
+            .collect::<Vec<_>>()
+    });
+    let reference = reference_pfx2as(text).map(|t| t.into_iter().collect::<Vec<_>>());
+    assert_eq!(parsed, reference, "{text:?}");
+}
+
+/// Pick one of `options`.
+fn pick<'a>(rng: &mut Rng, options: &[&'a str]) -> &'a str {
+    options[rng.below(options.len() as u64) as usize]
+}
+
+/// A pfx2as file mixing canonical lines with every variant the format's
+/// readers meet: whitespace of all kinds between and around columns, CRLF,
+/// comments and blank lines, extra columns, MOAS and AS-set origins,
+/// signs and leading zeros the integer parsers accept, and a prefix listed
+/// twice. Half the files also hold lines `Ipv4Addr`, `u8` or `u32` reject;
+/// the other half should parse.
+fn pfx2as_text(rng: &mut Rng) -> String {
+    const SEPARATORS: &[&str] = &[
+        "\t", " ", "  ", "\t ", "\u{b}", "\u{c}", "\u{85}", "\u{a0}", "\u{2003}", "\u{3000}",
+    ];
+    const ODD_LENGTHS: &[&str] = &["+24", "024", "00000024"];
+    const ODD_ORIGINS: &[&str] = &[
+        "+8048",
+        "08048",
+        "4294967295",
+        "8048_+6306",
+        "1,2_3",
+        "6306_8048_6306",
+    ];
+    const NETWORKS: &[&str] = &[
+        "010.0.0.0",
+        "256.0.0.0",
+        "1.2.3",
+        "1.2.3.4.5",
+        "+1.2.3.4",
+        "\u{ff11}.2.3.4",
+        "1..2.3",
+        "0.0.0.0",
+        "1.2.3.04",
+        "1.2.3.4.",
+        "1.2.3.1000",
+        "a.b.c.d",
+        "",
+    ];
+    const LENGTHS: &[&str] = &[
+        "+17", "017", "0", "32", "33", "255", "256", "-1", "+", "", "1\u{667}", "00000024",
+    ];
+    const ORIGINS: &[&str] = &[
+        "8048",
+        "8048_6306",
+        "8048,6306",
+        "6306_8048_6306",
+        "+8048",
+        "08048",
+        "4294967295",
+        "4294967296",
+        "8048_",
+        "_",
+        ",",
+        "-1",
+        "x",
+        "8048_+6306",
+        "1,2_3",
+    ];
+    let hostile = rng.chance(0.5);
+    let mut text = String::new();
+    let mut listed: Vec<Ipv4Net> = Vec::new();
+    for _ in 0..rng.below(40) {
+        let sep = match hostile && rng.chance(0.1) {
+            true => "\u{1c}",
+            false => pick(rng, SEPARATORS),
+        };
+        let line = match rng.below(10) {
+            0 => "# comment\tline".to_owned(),
+            1 => pick(rng, &["", " ", "\t"]).to_owned(),
+            2 if !hostile => format!(
+                "{}{sep}{}{sep}{}",
+                Ipv4Net::truncating(Ipv4Addr::from(rng.next_u64() as u32), 24).network(),
+                pick(rng, ODD_LENGTHS),
+                pick(rng, ODD_ORIGINS)
+            ),
+            2 => format!(
+                "{}{sep}{}{sep}{}",
+                pick(rng, NETWORKS),
+                pick(rng, LENGTHS),
+                pick(rng, ORIGINS)
+            ),
+            3 if !listed.is_empty() => {
+                let p = listed[rng.below(listed.len() as u64) as usize];
+                format!(
+                    "{}{sep}{}{sep}{}",
+                    p.network(),
+                    p.len(),
+                    pick(rng, if hostile { ORIGINS } else { ODD_ORIGINS })
+                )
+            }
+            4 if hostile => format!(
+                "{}{sep}{}",
+                Ipv4Addr::from(rng.next_u64() as u32),
+                rng.below(33)
+            ),
+            5 if hostile => format!(
+                "{}{sep}{}{sep}{}",
+                Ipv4Addr::from(rng.next_u64() as u32),
+                rng.below(33),
+                rng.below(70_000)
+            ),
+            _ => {
+                let len = 8 + rng.below(25) as u8;
+                let p = Ipv4Net::truncating(Ipv4Addr::from(rng.next_u64() as u32), len);
+                listed.push(p);
+                let origins = match rng.below(4) {
+                    0 => format!("{}_{}", rng.below(70_000), rng.below(70_000)),
+                    1 => format!("{},{}", rng.below(70_000), rng.below(70_000)),
+                    _ => rng.below(70_000).to_string(),
+                };
+                let extra = if rng.chance(0.2) {
+                    format!("{sep}extra")
+                } else {
+                    String::new()
+                };
+                format!("{}{sep}{}{sep}{origins}{extra}", p.network(), p.len())
+            }
+        };
+        text.push_str(pick(rng, &["", " ", "\t"]));
+        text.push_str(&line);
+        text.push_str(pick(rng, &["\n", "\r\n", " \n"]));
+    }
+    text
+}
+
+/// Announced space of `asn` as it was computed: filter, sort, union.
+fn reference_space(table: &PfxToAs, asn: Asn) -> u64 {
+    let mut intervals: Vec<(u64, u64)> = table
+        .iter()
+        .filter(|(_, o)| o.contains(asn))
+        .map(|(p, _)| {
+            let start = p.network_u32() as u64;
+            (start, start + p.size())
+        })
+        .collect();
+    intervals.sort_unstable();
+    let mut total = 0;
+    let mut current: Option<(u64, u64)> = None;
+    for (s, e) in intervals {
+        current = match current {
+            Some((cs, ce)) if s <= ce => Some((cs, ce.max(e))),
+            Some((cs, ce)) => {
+                total += ce - cs;
+                Some((s, e))
+            }
+            None => Some((s, e)),
+        };
+    }
+    total + current.map_or(0, |(s, e)| e - s)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn pfx2as_parse_matches_the_std_parsers(seed in any::<u64>()) {
+        let mut rng = Rng::seeded(seed);
+        let text = pfx2as_text(&mut rng);
+        agree_pfx2as(&text);
+        // Every origin-column variant on its own.
+        for s in text.split(|c: char| c.is_whitespace()) {
+            prop_assert_eq!(
+                s.parse::<OriginSet>().map(|o| o.asns().to_vec()),
+                reference_origins(s),
+                "{:?}", s
+            );
+        }
+    }
+
+    #[test]
+    fn corrupted_pfx2as_fails_like_the_std_parsers(
+        seed in any::<u64>(),
+        garbage in proptest::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let mut rng = Rng::seeded(seed);
+        let text = pfx2as_text(&mut rng);
+        let mut bytes = text.clone().into_bytes();
+        if !bytes.is_empty() {
+            for _ in 0..1 + rng.below(3) {
+                let i = rng.below(bytes.len() as u64) as usize;
+                bytes[i] ^= 1 << rng.below(8);
+            }
+        }
+        agree_pfx2as(&String::from_utf8_lossy(&bytes));
+        let cut = rng.below(text.len() as u64 + 1) as usize;
+        agree_pfx2as(&String::from_utf8_lossy(&text.as_bytes()[..cut]));
+        agree_pfx2as(&String::from_utf8_lossy(&garbage));
+    }
+
+    #[test]
+    fn one_walk_address_space_equals_the_per_asn_union(
+        entries in proptest::collection::vec((any::<u32>(), 0u8..=32, 1u32..8, 0u32..8), 0..40),
+        asked in proptest::collection::vec(0u32..10, 0..12),
+    ) {
+        // Origins drawn from a small pool so prefixes share them, nest and
+        // overlap; the second origin makes a MOAS set unless it repeats.
+        let table = PfxToAs::from_entries(entries.iter().map(|&(a, l, o1, o2)| {
+            let origins = OriginSet::multi([Asn(o1), Asn(o2.max(1))]).expect("non-empty");
+            (Ipv4Net::truncating(Ipv4Addr::from(a), l), origins)
+        }));
+        let asked: Vec<Asn> = asked.into_iter().map(Asn).collect();
+        let spaces = table.address_space_by_origin(&asked);
+        prop_assert_eq!(spaces.len(), asked.len());
+        for (&asn, &space) in asked.iter().zip(&spaces) {
+            prop_assert_eq!(space, reference_space(&table, asn), "{:?}", asn);
+            prop_assert_eq!(table.address_space_of(asn), space);
+        }
     }
 }

@@ -31,14 +31,13 @@ pub fn run(src: &DataSource) -> ExperimentResult {
         holders
     };
 
+    // One walk per month's table answers every holder and both operators.
+    let holders = ve_holders.len();
+    let asked: Vec<Asn> = ve_holders.into_iter().chain([cantv, telefonica]).collect();
     let monthly = sweep::month_range(start, end, |m| {
-        let table = src.pfx2as_at(m);
-        let ve_total: u64 = ve_holders.iter().map(|&h| table.address_space_of(h)).sum();
-        (
-            ve_total,
-            table.address_space_of(cantv),
-            table.address_space_of(telefonica),
-        )
+        let space = src.pfx2as_at(m).address_space_by_origin(&asked);
+        let (ve, named) = space.split_at(holders);
+        (ve.iter().sum::<u64>(), named[0], named[1])
     });
 
     let mut cantv_share = TimeSeries::new();

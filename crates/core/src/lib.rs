@@ -22,6 +22,7 @@ pub mod datasets;
 pub mod experiments;
 pub mod extensions;
 pub mod markdown;
+mod proptests;
 pub mod registry;
 pub mod render;
 pub mod serve;

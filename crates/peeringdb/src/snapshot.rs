@@ -1,7 +1,7 @@
 //! Snapshots and the monthly snapshot archive.
 
 use crate::model::{Facility, Ix, IxId, NetFac, NetIxLan, Network, PdbId};
-use lacnet_types::json::{FromJson, Json, ToJson};
+use lacnet_types::json::{self, FromJson, Json, Parser, ToJson};
 use lacnet_types::{Asn, CountryCode, Error, MonthStamp, Result};
 use std::collections::BTreeMap;
 
@@ -29,10 +29,25 @@ fn envelope<T: ToJson>(rows: &[T]) -> Json {
     Json::Obj(vec![("data".to_owned(), rows.to_json_value())])
 }
 
-/// Unwrap a `{"data": [...]}` envelope back into a table.
-fn unwrap_envelope<T: FromJson>(v: &Json, table: &str) -> Result<Vec<T>> {
-    match v.get(table) {
-        Some(wrapped) => wrapped.field("data"),
+/// A table read back out of its `{"data": [...]}` envelope.
+struct Envelope<T>(Vec<T>);
+
+impl<T: FromJson> FromJson for Envelope<T> {
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        let mut data = None;
+        p.object(|p, key| match key {
+            "data" => p.member(&mut data),
+            _ => p.skip(),
+        })?;
+        json::take(data, "data").map(Envelope)
+    }
+}
+
+/// The table read from the member named `table`; a dump without it is
+/// missing that table.
+fn unwrap_envelope<T>(slot: Option<Result<Envelope<T>>>, table: &str) -> Result<Vec<T>> {
+    match slot {
+        Some(envelope) => envelope.map(|e| e.0),
         None => Err(Error::missing("PeeringDB dump table", table)),
     }
 }
@@ -50,13 +65,22 @@ impl ToJson for Snapshot {
 }
 
 impl FromJson for Snapshot {
-    fn from_json_value(v: &Json) -> Result<Self> {
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        let (mut net, mut fac, mut ix, mut netfac, mut netixlan) = (None, None, None, None, None);
+        p.object(|p, key| match key {
+            "net" => p.member(&mut net),
+            "fac" => p.member(&mut fac),
+            "ix" => p.member(&mut ix),
+            "netfac" => p.member(&mut netfac),
+            "netixlan" => p.member(&mut netixlan),
+            _ => p.skip(),
+        })?;
         Ok(Snapshot {
-            net: unwrap_envelope(v, "net")?,
-            fac: unwrap_envelope(v, "fac")?,
-            ix: unwrap_envelope(v, "ix")?,
-            netfac: unwrap_envelope(v, "netfac")?,
-            netixlan: unwrap_envelope(v, "netixlan")?,
+            net: unwrap_envelope(net, "net")?,
+            fac: unwrap_envelope(fac, "fac")?,
+            ix: unwrap_envelope(ix, "ix")?,
+            netfac: unwrap_envelope(netfac, "netfac")?,
+            netixlan: unwrap_envelope(netixlan, "netixlan")?,
         })
     }
 }

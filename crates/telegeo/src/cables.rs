@@ -1,6 +1,6 @@
 //! Cable registry, landing points, and RFS-timeline analytics.
 
-use lacnet_types::json::{FromJson, Json, ToJson};
+use lacnet_types::json::{Json, ToJson};
 use lacnet_types::{CountryCode, Date, Error, GeoPoint, MonthStamp, Result, TimeSeries};
 use std::collections::BTreeSet;
 
@@ -181,31 +181,14 @@ impl ToJson for Cable {
     }
 }
 
-impl FromJson for Cable {
-    fn from_json_value(v: &Json) -> Result<Self> {
-        Ok(Cable {
-            name: v.field("name")?,
-            rfs: v.field("rfs")?,
-            landings: v.field("landings")?,
-            length_km: v.field("length_km")?,
-            failure: v.field("failure")?,
-        })
-    }
-}
-
-impl ToJson for CableMap {
-    fn to_json_value(&self) -> Json {
-        Json::Obj(vec![("cables".to_owned(), self.cables.to_json_value())])
-    }
-}
-
-impl FromJson for CableMap {
-    fn from_json_value(v: &Json) -> Result<Self> {
-        Ok(CableMap {
-            cables: v.field("cables")?,
-        })
-    }
-}
+lacnet_types::impl_json_struct!(FromJson for Cable {
+    name,
+    rfs,
+    landings,
+    length_km,
+    failure
+});
+lacnet_types::impl_json_struct!(CableMap { cables });
 
 #[cfg(test)]
 mod tests {

@@ -184,12 +184,41 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 
 /// FNV-1a 64-bit hash — the shard-manifest fingerprint/content hash.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a64::new();
+    h.update(bytes);
+    h.finish()
+}
+
+/// FNV-1a 64-bit state fed piece by piece. As a [`std::fmt::Write`] sink it
+/// hashes formatted text without building it: writing
+/// `format_args!("a/{n}")` into it gives `fnv1a64(format!("a/{n}"))`.
+pub(crate) struct Fnv1a64(u64);
+
+impl Fnv1a64 {
+    /// The empty-input state.
+    pub(crate) const fn new() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+
+    /// Feed `bytes`.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything fed so far.
+    pub(crate) const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -2,16 +2,31 @@
 //!
 //! The workspace builds with no external dependencies, so the JSON-shaped
 //! dataset formats (PeeringDB dumps, the cable map, cert scans, top-site
-//! scrapes) serialise through this module instead of `serde_json`. It is a
-//! deliberately small surface: a [`Json`] value tree, a strict parser, a
-//! compact writer, and [`ToJson`]/[`FromJson`] traits with an
-//! [`impl_json_struct!`] helper macro for plain field-for-field structs.
+//! scrapes) serialise through this module instead of `serde_json`. Input and
+//! output take different shapes:
+//!
+//! * **Input** is a borrowed pull [`Parser`]. A [`FromJson`] type reads
+//!   itself straight off the text: strings come out as `&str` slices of the
+//!   input (a `String` is built only for a value that holds an escape),
+//!   numbers as `f64`, and [`impl_json_struct!`] matches object members by
+//!   name in one pass. No value tree is built on the way.
+//! * **Output** builds a [`Json`] value tree ([`ToJson`]) and writes it
+//!   compactly. [`Json::parse`] reads text back into a tree for callers that
+//!   walk arbitrary JSON; it is one more [`FromJson`] consumer of the same
+//!   parser, so the crate has one tokenizer.
+//!
+//! [`from_str`] gives exactly what parsing the whole text into a tree and
+//! then decoding the tree would give: a syntax error anywhere in the text
+//! wins over a decode error, duplicate object members resolve to the first,
+//! and of several decode errors in one object the first field in declaration
+//! order is reported.
 //!
 //! Output is compact (no whitespace) and field order follows declaration
 //! order, so serialisation is deterministic — a property the cross-crate
 //! determinism tests rely on.
 
 use crate::error::{Error, Result};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -74,16 +89,6 @@ impl Json {
         }
     }
 
-    /// Decode the member `key` of an object. A missing member is treated as
-    /// `null`, which lets `Option` fields default to `None`.
-    pub fn field<T: FromJson>(&self, key: &str) -> Result<T> {
-        match self.get(key) {
-            Some(v) => T::from_json_value(v),
-            None => T::from_json_value(&Json::Null)
-                .map_err(|_| Error::missing("JSON object member", key)),
-        }
-    }
-
     /// Serialise to compact JSON text.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
@@ -125,17 +130,7 @@ impl Json {
 
     /// Parse JSON text. Trailing non-whitespace input is an error.
     pub fn parse(text: &str) -> Result<Json> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let value = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(Error::parse("end of JSON input", text));
-        }
-        Ok(value)
+        from_str(text)
     }
 }
 
@@ -165,24 +160,37 @@ fn write_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A borrowed pull parser over JSON text, driven by [`FromJson`] readers.
+///
+/// Every method that reads a value reads exactly one. Its `Err` is a syntax
+/// error, after which the parse cannot go on; a reader that finds a
+/// well-formed value of the wrong type returns its decode error only after
+/// consuming the whole value, so the enclosing array or object can keep
+/// checking the rest of the text.
+pub struct Parser<'a> {
+    text: &'a str,
     pos: usize,
+    /// Set by the first syntax error.
+    broken: bool,
+}
+
+/// A scalar token. Strings borrow the input unless they hold an escape.
+enum Scalar<'a> {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(Cow<'a, str>),
 }
 
 impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<()> {
@@ -190,68 +198,115 @@ impl<'a> Parser<'a> {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err("JSON syntax"))
+            Err(self.fail("JSON syntax"))
         }
     }
 
-    fn err(&self, expected: &'static str) -> Error {
-        let tail = &self.bytes[self.pos.min(self.bytes.len())..];
+    /// A syntax error at the cursor, echoing up to 40 bytes of what follows.
+    fn fail(&mut self, expected: &'static str) -> Error {
+        self.broken = true;
+        let tail = &self.text.as_bytes()[self.pos.min(self.text.len())..];
         let tail = &tail[..tail.len().min(40)];
         Error::parse(expected, &String::from_utf8_lossy(tail))
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal(&mut self, word: &str) -> Result<()> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
-            Err(self.err("JSON literal"))
+            Err(self.fail("JSON literal"))
         }
     }
 
-    fn value(&mut self) -> Result<Json> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            _ => Err(self.err("JSON value")),
+    /// The next value if it is a scalar; an array or object is left unread.
+    fn scalar(&mut self) -> Result<Option<Scalar<'a>>> {
+        Ok(Some(match self.peek() {
+            Some(b'n') => self.literal("null").map(|()| Scalar::Null)?,
+            Some(b't') => self.literal("true").map(|()| Scalar::Bool(true))?,
+            Some(b'f') => self.literal("false").map(|()| Scalar::Bool(false))?,
+            Some(b'"') => Scalar::Str(self.string()?),
+            Some(b'-' | b'0'..=b'9') => Scalar::Num(self.number()?),
+            Some(b'[' | b'{') => return Ok(None),
+            _ => return Err(self.fail("JSON value")),
+        }))
+    }
+
+    /// The next value if it is a scalar; an array or object is skipped.
+    fn scalar_or_skip(&mut self) -> Result<Option<Scalar<'a>>> {
+        match self.scalar()? {
+            None => self.skip().map(|()| None),
+            scalar => Ok(scalar),
         }
     }
 
-    fn array(&mut self) -> Result<Json> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// The next value if it is a string, else `None` with the value skipped.
+    pub fn read_str(&mut self) -> Result<Option<Cow<'a, str>>> {
+        Ok(match self.scalar_or_skip()? {
+            Some(Scalar::Str(s)) => Some(s),
+            _ => None,
+        })
+    }
+
+    /// The next value if it is a number, else `None` with the value skipped.
+    fn read_num(&mut self) -> Result<Option<f64>> {
+        Ok(match self.scalar_or_skip()? {
+            Some(Scalar::Num(n)) => Some(n),
+            _ => None,
+        })
+    }
+
+    /// Check the next value's syntax and step over it.
+    pub fn skip(&mut self) -> Result<()> {
+        match self.scalar()? {
+            Some(_) => Ok(()),
+            None if self.peek() == Some(b'[') => self.array(Self::skip).map(drop),
+            None => self.object(|p, _| p.skip()).map(drop),
+        }
+    }
+
+    /// Call `each` once per element of the next value, which reads it;
+    /// `false` (with the value skipped) when the value is not an array.
+    fn array(&mut self, mut each: impl FnMut(&mut Self) -> Result<()>) -> Result<bool> {
+        if self.peek() != Some(b'[') {
+            return self.skip().map(|()| false);
+        }
+        self.pos += 1;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Arr(items));
+            return Ok(true);
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            each(self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Arr(items));
+                    return Ok(true);
                 }
-                _ => return Err(self.err("',' or ']'")),
+                _ => return Err(self.fail("',' or ']'")),
             }
         }
     }
 
-    fn object(&mut self) -> Result<Json> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
+    /// Call `member` once per member of the next value with the member's
+    /// name; it reads the member's value (or [`Parser::skip`]s it). `false`
+    /// (with the value skipped) when the value is not an object.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<()>,
+    ) -> Result<bool> {
+        if self.peek() != Some(b'{') {
+            return self.skip().map(|()| false);
+        }
+        self.pos += 1;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Obj(pairs));
+            return Ok(true);
         }
         loop {
             self.skip_ws();
@@ -259,41 +314,70 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
+            member(self, &key)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Obj(pairs));
+                    return Ok(true);
                 }
-                _ => return Err(self.err("',' or '}'")),
+                _ => return Err(self.fail("',' or '}'")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String> {
+    /// Read one `T`. The outer `Err` is a syntax error; the inner result is
+    /// the decode, after which the value has been consumed either way.
+    fn read<T: FromJson>(&mut self) -> Result<Result<T>> {
+        match T::read_json(self) {
+            Err(e) if self.broken => Err(e),
+            value => Ok(value),
+        }
+    }
+
+    /// Read an object member's value into `slot`, keeping its decode error
+    /// for [`take`]. A member whose name already filled the slot is only
+    /// checked and skipped: the first of duplicate names wins.
+    pub fn member<T: FromJson>(&mut self, slot: &mut Option<Result<T>>) -> Result<()> {
+        if slot.is_some() {
+            return self.skip();
+        }
+        *slot = Some(self.read()?);
+        Ok(())
+    }
+
+    fn string(&mut self) -> Result<Cow<'a, str>> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let text = self.text;
+        let bytes = text.as_bytes();
+        // Built only once the string turns out to hold an escape.
+        let mut owned: Option<String> = None;
         loop {
-            let start = self.pos;
-            while let Some(b) = self.peek() {
+            let run = self.pos;
+            while let Some(&b) = bytes.get(self.pos) {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| Error::invalid("JSON string is not UTF-8"))?,
-            );
+            // `run` and `pos` both sit at ASCII bytes or the end, so the
+            // slice falls on character boundaries.
+            let chunk = &text[run..self.pos];
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match owned {
+                        None => Cow::Borrowed(chunk),
+                        Some(mut out) => {
+                            out.push_str(chunk);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(chunk);
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -308,10 +392,10 @@ impl<'a> Parser<'a> {
                             let first = self.unicode_escape()?;
                             let c = if (0xD800..0xDC00).contains(&first) {
                                 // Surrogate pair: expect a low surrogate.
-                                if self.bytes[self.pos + 1..].first() != Some(&b'\\')
-                                    || self.bytes.get(self.pos + 2) != Some(&b'u')
+                                if bytes[self.pos + 1..].first() != Some(&b'\\')
+                                    || bytes.get(self.pos + 2) != Some(&b'u')
                                 {
-                                    return Err(self.err("low surrogate"));
+                                    return Err(self.fail("low surrogate"));
                                 }
                                 self.pos += 2;
                                 let second = self.unicode_escape()?;
@@ -322,13 +406,16 @@ impl<'a> Parser<'a> {
                             } else {
                                 char::from_u32(first)
                             };
-                            out.push(c.ok_or_else(|| self.err("valid unicode escape"))?);
+                            match c {
+                                Some(c) => out.push(c),
+                                None => return Err(self.fail("valid unicode escape")),
+                            }
                         }
-                        _ => return Err(self.err("string escape")),
+                        _ => return Err(self.fail("string escape")),
                     }
                     self.pos += 1;
                 }
-                _ => return Err(self.err("closing '\"'")),
+                _ => return Err(self.fail("closing '\"'")),
             }
         }
     }
@@ -336,44 +423,48 @@ impl<'a> Parser<'a> {
     /// Reads the 4 hex digits after `\u` (cursor on `u`); leaves the
     /// cursor on the final digit so the caller's `pos += 1` pattern holds.
     fn unicode_escape(&mut self) -> Result<u32> {
-        let hex = self
-            .bytes
-            .get(self.pos + 1..self.pos + 5)
-            .ok_or_else(|| self.err("4-digit unicode escape"))?;
-        let hex = std::str::from_utf8(hex).map_err(|_| self.err("hex digits"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("hex digits"))?;
-        self.pos += 4;
-        Ok(code)
+        let Some(hex) = self.text.as_bytes().get(self.pos + 1..self.pos + 5) else {
+            return Err(self.fail("4-digit unicode escape"));
+        };
+        let code = std::str::from_utf8(hex)
+            .ok()
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok());
+        match code {
+            Some(code) => {
+                self.pos += 4;
+                Ok(code)
+            }
+            None => Err(self.fail("hex digits")),
+        }
     }
 
-    fn number(&mut self) -> Result<Json> {
+    fn number(&mut self) -> Result<f64> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        self.digits();
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        if matches!(self.peek(), Some(b'e') | Some(b'E')) {
+        if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+') | Some(b'-')) {
+            if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits();
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| self.err("number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("number"))
+        let text = self.text;
+        text[start..self.pos]
+            .parse::<f64>()
+            .map_err(|_| self.fail("number"))
+    }
+
+    fn digits(&mut self) {
+        while let Some(b'0'..=b'9') = self.peek() {
+            self.pos += 1;
+        }
     }
 }
 
@@ -383,10 +474,24 @@ pub trait ToJson {
     fn to_json_value(&self) -> Json;
 }
 
-/// Conversion from a [`Json`] value tree.
+/// Decoding from the pull [`Parser`].
 pub trait FromJson: Sized {
-    /// Decode `self` from a value tree.
-    fn from_json_value(v: &Json) -> Result<Self>;
+    /// Read exactly one JSON value as `Self`. A decode error (wrong type,
+    /// out of range) is returned only once the whole value is consumed; see
+    /// [`Parser`].
+    fn read_json(p: &mut Parser<'_>) -> Result<Self>;
+
+    /// The value of an object member that is absent. `None`, the default,
+    /// makes absence an error.
+    fn absent() -> Option<Self> {
+        None
+    }
+}
+
+/// The decoded value of object member `key` from its [`Parser::member`]
+/// slot, or [`FromJson::absent`] when the object had no such member.
+pub fn take<T: FromJson>(slot: Option<Result<T>>, key: &str) -> Result<T> {
+    slot.unwrap_or_else(|| T::absent().ok_or_else(|| Error::missing("JSON object member", key)))
 }
 
 /// Serialise any [`ToJson`] value to compact JSON text.
@@ -394,9 +499,48 @@ pub fn to_string<T: ToJson>(value: &T) -> String {
     value.to_json_value().to_text()
 }
 
-/// Parse JSON text into any [`FromJson`] type.
+/// Parse JSON text into any [`FromJson`] type. Trailing non-whitespace
+/// input is an error.
 pub fn from_str<T: FromJson>(text: &str) -> Result<T> {
-    T::from_json_value(&Json::parse(text)?)
+    let mut p = Parser {
+        text,
+        pos: 0,
+        broken: false,
+    };
+    p.skip_ws();
+    let value = p.read()?;
+    p.skip_ws();
+    if p.pos != text.len() {
+        return Err(Error::parse("end of JSON input", text));
+    }
+    value
+}
+
+impl FromJson for Json {
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        Ok(match p.scalar()? {
+            Some(Scalar::Null) => Json::Null,
+            Some(Scalar::Bool(b)) => Json::Bool(b),
+            Some(Scalar::Num(n)) => Json::Num(n),
+            Some(Scalar::Str(s)) => Json::Str(s.into_owned()),
+            None if p.peek() == Some(b'[') => {
+                let mut items = Vec::new();
+                p.array(|p| {
+                    items.push(Json::read_json(p)?);
+                    Ok(())
+                })?;
+                Json::Arr(items)
+            }
+            None => {
+                let mut pairs = Vec::new();
+                p.object(|p, key| {
+                    pairs.push((key.to_owned(), Json::read_json(p)?));
+                    Ok(())
+                })?;
+                Json::Obj(pairs)
+            }
+        })
+    }
 }
 
 macro_rules! impl_json_int {
@@ -408,8 +552,8 @@ macro_rules! impl_json_int {
                 }
             }
             impl FromJson for $ty {
-                fn from_json_value(v: &Json) -> Result<Self> {
-                    let n = v.as_f64().ok_or_else(|| Error::invalid("expected JSON number"))?;
+                fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+                    let n = p.read_num()?.ok_or_else(|| Error::invalid("expected JSON number"))?;
                     if n.fract() != 0.0 || n < <$ty>::MIN as f64 || n > <$ty>::MAX as f64 {
                         return Err(Error::invalid(concat!("number out of range for ", stringify!($ty))));
                     }
@@ -429,8 +573,8 @@ impl ToJson for f64 {
 }
 
 impl FromJson for f64 {
-    fn from_json_value(v: &Json) -> Result<Self> {
-        v.as_f64()
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        p.read_num()?
             .ok_or_else(|| Error::invalid("expected JSON number"))
     }
 }
@@ -442,9 +586,11 @@ impl ToJson for bool {
 }
 
 impl FromJson for bool {
-    fn from_json_value(v: &Json) -> Result<Self> {
-        v.as_bool()
-            .ok_or_else(|| Error::invalid("expected JSON boolean"))
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        match p.scalar_or_skip()? {
+            Some(Scalar::Bool(b)) => Ok(b),
+            _ => Err(Error::invalid("expected JSON boolean")),
+        }
     }
 }
 
@@ -455,9 +601,9 @@ impl ToJson for String {
 }
 
 impl FromJson for String {
-    fn from_json_value(v: &Json) -> Result<Self> {
-        v.as_str()
-            .map(str::to_owned)
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        p.read_str()?
+            .map(Cow::into_owned)
             .ok_or_else(|| Error::invalid("expected JSON string"))
     }
 }
@@ -478,11 +624,15 @@ impl<T: ToJson> ToJson for Option<T> {
 }
 
 impl<T: FromJson> FromJson for Option<T> {
-    fn from_json_value(v: &Json) -> Result<Self> {
-        match v {
-            Json::Null => Ok(None),
-            other => T::from_json_value(other).map(Some),
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        if p.peek() == Some(b'n') {
+            return p.literal("null").map(|()| None);
         }
+        T::read_json(p).map(Some)
+    }
+
+    fn absent() -> Option<Self> {
+        Some(None)
     }
 }
 
@@ -493,12 +643,25 @@ impl<T: ToJson> ToJson for Vec<T> {
 }
 
 impl<T: FromJson> FromJson for Vec<T> {
-    fn from_json_value(v: &Json) -> Result<Self> {
-        v.as_array()
-            .ok_or_else(|| Error::invalid("expected JSON array"))?
-            .iter()
-            .map(T::from_json_value)
-            .collect()
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        let mut items = Vec::new();
+        // The first element that fails to decode; later ones are skipped.
+        let mut bad = None;
+        let is_array = p.array(|p| {
+            if bad.is_some() {
+                return p.skip();
+            }
+            match p.read()? {
+                Ok(item) => items.push(item),
+                Err(e) => bad = Some(e),
+            }
+            Ok(())
+        })?;
+        match bad {
+            Some(e) => Err(e),
+            None if is_array => Ok(items),
+            None => Err(Error::invalid("expected JSON array")),
+        }
     }
 }
 
@@ -527,8 +690,8 @@ impl ToJson for crate::Asn {
 }
 
 impl FromJson for crate::Asn {
-    fn from_json_value(v: &Json) -> Result<Self> {
-        u32::from_json_value(v).map(crate::Asn)
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        u32::read_json(p).map(crate::Asn)
     }
 }
 
@@ -539,8 +702,8 @@ impl ToJson for crate::CountryCode {
 }
 
 impl FromJson for crate::CountryCode {
-    fn from_json_value(v: &Json) -> Result<Self> {
-        v.as_str()
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        p.read_str()?
             .ok_or_else(|| Error::invalid("expected country code string"))?
             .parse()
     }
@@ -553,8 +716,8 @@ impl ToJson for crate::Ipv4Net {
 }
 
 impl FromJson for crate::Ipv4Net {
-    fn from_json_value(v: &Json) -> Result<Self> {
-        v.as_str()
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        p.read_str()?
             .ok_or_else(|| Error::invalid("expected CIDR string"))?
             .parse()
     }
@@ -567,8 +730,8 @@ impl ToJson for crate::MonthStamp {
 }
 
 impl FromJson for crate::MonthStamp {
-    fn from_json_value(v: &Json) -> Result<Self> {
-        i32::from_json_value(v).map(crate::MonthStamp::from_index)
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        i32::read_json(p).map(crate::MonthStamp::from_index)
     }
 }
 
@@ -579,8 +742,8 @@ impl ToJson for crate::Date {
 }
 
 impl FromJson for crate::Date {
-    fn from_json_value(v: &Json) -> Result<Self> {
-        v.as_str()
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        p.read_str()?
             .ok_or_else(|| Error::invalid("expected YYYY-MM-DD string"))?
             .parse()
     }
@@ -596,16 +759,24 @@ impl ToJson for crate::GeoPoint {
 }
 
 impl FromJson for crate::GeoPoint {
-    fn from_json_value(v: &Json) -> Result<Self> {
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        let (mut lat, mut lon) = (None, None);
+        p.object(|p, key| match key {
+            "lat_deg" => p.member(&mut lat),
+            "lon_deg" => p.member(&mut lon),
+            _ => p.skip(),
+        })?;
         Ok(crate::GeoPoint::new(
-            v.field("lat_deg")?,
-            v.field("lon_deg")?,
+            take(lat, "lat_deg")?,
+            take(lon, "lon_deg")?,
         ))
     }
 }
 
 /// Implement [`ToJson`]/[`FromJson`] for a plain struct, field for field,
-/// in declaration order.
+/// in declaration order. `impl_json_struct!(FromJson for T { .. })`
+/// implements the decoding half alone, for a type that writes itself by
+/// hand.
 ///
 /// ```
 /// use lacnet_types::impl_json_struct;
@@ -621,6 +792,20 @@ impl FromJson for crate::GeoPoint {
 /// ```
 #[macro_export]
 macro_rules! impl_json_struct {
+    (FromJson for $ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::json::FromJson for $ty {
+            fn read_json(p: &mut $crate::json::Parser<'_>) -> $crate::Result<Self> {
+                $( let mut $field = None; )+
+                p.object(|p, key| match key {
+                    $( stringify!($field) => p.member(&mut $field), )+
+                    _ => p.skip(),
+                })?;
+                Ok(Self {
+                    $( $field: $crate::json::take($field, stringify!($field))?, )+
+                })
+            }
+        }
+    };
     ($ty:ty { $($field:ident),+ $(,)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json_value(&self) -> $crate::json::Json {
@@ -632,13 +817,7 @@ macro_rules! impl_json_struct {
                 ])
             }
         }
-        impl $crate::json::FromJson for $ty {
-            fn from_json_value(v: &$crate::json::Json) -> $crate::Result<Self> {
-                Ok(Self {
-                    $( $field: v.field(stringify!($field))?, )+
-                })
-            }
-        }
+        $crate::impl_json_struct!(FromJson for $ty { $($field),+ });
     };
 }
 
@@ -662,10 +841,27 @@ mod tests {
         let v = Json::parse(text).unwrap();
         assert_eq!(v.to_text(), text);
         let row = &v.get("data").unwrap().as_array().unwrap()[0];
-        assert_eq!(row.field::<u32>("id").unwrap(), 1);
-        assert_eq!(row.field::<String>("name").unwrap(), "CANTV");
-        assert_eq!(row.field::<Option<String>>("cdn").unwrap(), None);
-        assert_eq!(row.field::<Option<String>>("absent").unwrap(), None);
+        assert_eq!(row.get("id").and_then(Json::as_f64), Some(1.0));
+        assert_eq!(row.get("name").and_then(Json::as_str), Some("CANTV"));
+        assert_eq!(row.get("cdn"), Some(&Json::Null));
+        assert_eq!(row.get("absent"), None);
+
+        #[derive(Debug, PartialEq)]
+        struct Row {
+            id: u32,
+            name: String,
+            cdn: Option<String>,
+            absent: Option<String>,
+        }
+        crate::impl_json_struct!(FromJson for Row { id, name, cdn, absent });
+        let rows: Vec<Row> = from_str(&v.get("data").unwrap().to_text()).unwrap();
+        let expected = Row {
+            id: 1,
+            name: "CANTV".into(),
+            cdn: None,
+            absent: None,
+        };
+        assert_eq!(rows, [expected]);
     }
 
     #[test]
@@ -700,6 +896,46 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn decode_errors_resolve_as_a_whole_tree_decode_would() {
+        #[derive(Debug, PartialEq)]
+        struct Pair {
+            n: u32,
+            s: String,
+        }
+        crate::impl_json_struct!(FromJson for Pair { n, s });
+        let number = Err(Error::invalid("expected JSON number"));
+        // Declaration order picks among decode errors, not text order.
+        assert_eq!(from_str::<Pair>(r#"{"s":1,"n":"x"}"#), number);
+        assert_eq!(
+            from_str::<Pair>(r#"{"s":"ok"}"#),
+            Err(Error::missing("JSON object member", "n"))
+        );
+        // The first of duplicate members wins; the later is only checked.
+        assert_eq!(from_str::<Pair>(r#"{"n":"x","s":"ok","n":1}"#), number);
+        let pair = Pair {
+            n: 1,
+            s: "a\"b".into(),
+        };
+        assert_eq!(
+            from_str::<Pair>(r#"{"n":1,"s":"a\"b","n":"x","z":[{}]}"#),
+            Ok(pair)
+        );
+        // A syntax error anywhere beats a decode error before it.
+        assert!(matches!(
+            from_str::<Pair>(r#"{"n":"x","s":[}"#),
+            Err(Error::Parse { .. })
+        ));
+        assert!(matches!(
+            from_str::<Vec<Pair>>(r#"[{"n":"x"},{"n":1,"s":"a"},{"#),
+            Err(Error::Parse { .. })
+        ));
+        assert_eq!(
+            from_str::<Pair>(r#"{"n":1,"s":"a"} x"#),
+            Err(Error::parse("end of JSON input", r#"{"n":1,"s":"a"} x"#))
+        );
     }
 
     #[test]

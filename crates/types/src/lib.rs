@@ -16,8 +16,9 @@
 //! * [`rng`] — self-contained deterministic PRNGs (SplitMix64,
 //!   xoshiro256**) so generated worlds are bit-stable across dependency
 //!   upgrades.
-//! * [`json`] — dependency-free JSON value tree, parser, and writer for
-//!   the JSON-shaped dataset formats (PeeringDB dumps, cable maps, …).
+//! * [`json`] — dependency-free JSON: a borrowed pull parser the
+//!   JSON-shaped dataset formats (PeeringDB dumps, cable maps, …) decode
+//!   from, and a value tree they write through.
 //! * [`toml`] — a strict TOML-subset parser producing the same [`json`]
 //!   value tree, for the hand-edited scenario sidecars.
 //! * [`codec`] — varints, zigzag, fixed-width little-endian floats,

@@ -54,14 +54,18 @@ impl Rng {
     /// that adding a new consumer of randomness does not shift the values
     /// every *other* consumer sees (each dataset draws from its own stream).
     pub fn fork(&self, label: &str) -> Rng {
+        self.fork_fmt(format_args!("{label}"))
+    }
+
+    /// [`Rng::fork`] for a label given as format arguments, hashed as it is
+    /// formatted: `fork_fmt(format_args!("a/{n}"))` is
+    /// `fork(&format!("a/{n}"))` without building the `String`.
+    pub fn fork_fmt(&self, label: std::fmt::Arguments<'_>) -> Rng {
         // Mix the label into a fresh seed with FNV-1a, then re-seed.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        let mut h = crate::codec::Fnv1a64::new();
+        std::fmt::Write::write_fmt(&mut h, label).expect("label formatting failed");
         // Combine with this stream's state (not advancing it).
-        Rng::seeded(h ^ self.s[0].rotate_left(17) ^ self.s[2])
+        Rng::seeded(h.finish() ^ self.s[0].rotate_left(17) ^ self.s[2])
     }
 
     /// Next raw 64-bit value.
@@ -244,6 +248,23 @@ mod tests {
         // by use: a fresh fork of `root` still matches the first draw.
         let first = Rng::seeded(7).fork("mlab").next_u64();
         assert_eq!(root.fork("mlab").next_u64(), first);
+    }
+
+    proptest! {
+        #[test]
+        fn fork_fmt_is_fork_of_the_formatted_label(
+            seed in any::<u64>(),
+            probe in any::<u32>(),
+            month in -3000i32..3000,
+            word in proptest::collection::vec(any::<u8>(), 0..12),
+        ) {
+            let word = String::from_utf8_lossy(&word);
+            let root = Rng::seeded(seed);
+            let mut built = root.fork(&format!("gpdns/{probe}/{month}/{word}"));
+            let mut hashed = root.fork_fmt(format_args!("gpdns/{probe}/{month}/{word}"));
+            prop_assert_eq!(built.next_u64(), hashed.next_u64());
+            prop_assert_eq!(built.next_u64(), hashed.next_u64());
+        }
     }
 
     #[test]

@@ -354,7 +354,7 @@ mod tests {
              pair = [[1980, 7800.0], [2024, 3900]]\n",
         )
         .unwrap();
-        assert_eq!(doc.field::<String>("name").unwrap(), "cable-cut");
+        assert_eq!(doc.get("name").unwrap().as_str(), Some("cable-cut"));
         assert_eq!(doc.get("factor").unwrap().as_f64(), Some(0.5));
         assert_eq!(doc.get("count").unwrap().as_f64(), Some(3.0));
         assert_eq!(doc.get("active").unwrap().as_bool(), Some(true));

@@ -9,7 +9,7 @@
 //! the original study).
 
 use crate::scrape::Provider;
-use lacnet_types::json::{FromJson, Json, ToJson};
+use lacnet_types::json::{FromJson, Json, Parser, ToJson};
 use lacnet_types::{Error, Result};
 use std::collections::BTreeSet;
 
@@ -57,14 +57,14 @@ impl ToJson for ResourceKind {
 }
 
 impl FromJson for ResourceKind {
-    fn from_json_value(v: &Json) -> Result<Self> {
-        let name = v
-            .as_str()
+    fn read_json(p: &mut Parser<'_>) -> Result<Self> {
+        let name = p
+            .read_str()?
             .ok_or_else(|| Error::invalid("resource kind must be a string"))?;
         ResourceKind::ALL
             .into_iter()
             .find(|k| k.name() == name)
-            .ok_or_else(|| Error::parse("resource kind", name))
+            .ok_or_else(|| Error::parse("resource kind", &name))
     }
 }
 
