@@ -103,6 +103,9 @@ fn aggregate_whole_archive(ndtc_dir: &std::path::Path) -> lacnet_mlab::MonthlyAg
 /// in plan order, as the archive loader does. (The whole-archive load
 /// around it is `archive/load`.) Before timing, the ingestion is asserted
 /// to land the P² estimators in the archive source's exact state.
+///
+/// `cold_load/crc32` times the checksum share of that scan alone: CRC-32
+/// of every block of every container, already in memory, on one thread.
 fn bench_cold_load(c: &mut Criterion) {
     let ndtc_dir = dump_dir();
     let ndtc = DataSource::from_archive(&ndtc_dir).expect("archive loads");
@@ -142,9 +145,35 @@ fn bench_cold_load(c: &mut Criterion) {
         format!("{:?}", ndtc.mlab)
     );
 
+    // Every block's bytes, container by container. The ingestion above
+    // verified each block's CRC against its footer entry.
+    let containers: Vec<Vec<u8>> = countries
+        .iter()
+        .map(|&cc| {
+            std::fs::read(ndtc_dir.join(datasets::mlab_container_path(cc)))
+                .expect("columnar container")
+        })
+        .collect();
+    let blocks: Vec<&[u8]> = containers
+        .iter()
+        .flat_map(|bytes| {
+            let reader = lacnet_mlab::ColumnReader::open(bytes).expect("container opens");
+            reader
+                .into_blocks()
+                .into_iter()
+                .map(|b| &bytes[b.offset()..b.offset() + b.byte_len()])
+        })
+        .collect();
+    let crc_blocks = || {
+        blocks
+            .iter()
+            .fold(0u32, |acc, block| acc ^ lacnet_types::codec::crc32(block))
+    };
+
     let mut group = c.benchmark_group("cold_load");
     group.sample_size(10);
     group.bench_function("ndt/columnar", |b| b.iter(|| black_box(ingest_columnar())));
+    group.bench_function("crc32", |b| b.iter(|| black_box(crc_blocks())));
     group.finish();
 }
 

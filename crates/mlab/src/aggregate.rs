@@ -8,7 +8,7 @@
 
 use crate::ndt::NdtTest;
 use lacnet_types::stats::{self, P2Quantile};
-use lacnet_types::{CountryCode, MonthStamp, TimeSeries};
+use lacnet_types::{CountryCode, Date, MonthStamp, TimeSeries};
 use std::collections::BTreeMap;
 
 /// Aggregation mode.
@@ -30,10 +30,11 @@ pub enum GroupStats {
 }
 
 impl GroupStats {
-    fn observe(&mut self, x: f64) {
+    /// Feed observations in order.
+    fn observe_run(&mut self, xs: impl Iterator<Item = f64>) {
         match self {
-            GroupStats::Streaming(p2) => p2.observe(x),
-            GroupStats::Exact(buf) => buf.push(x),
+            GroupStats::Streaming(p2) => xs.for_each(|x| p2.observe(x)),
+            GroupStats::Exact(buf) => buf.extend(xs),
         }
     }
 
@@ -77,20 +78,53 @@ impl MonthlyAggregator {
         }
     }
 
-    /// Feed one test.
-    pub fn observe(&mut self, test: &NdtTest) {
-        let key = (test.country, test.date.month_stamp());
-        let entry = self.groups.entry(key).or_insert_with(|| match self.mode {
+    /// The state of group `key`, created empty on first sight.
+    fn group_mut(&mut self, key: (CountryCode, MonthStamp)) -> &mut GroupStats {
+        let mode = self.mode;
+        self.groups.entry(key).or_insert_with(|| match mode {
             Mode::Streaming => GroupStats::Streaming(P2Quantile::median()),
             Mode::Exact => GroupStats::Exact(Vec::new()),
-        });
-        entry.observe(test.download_mbps);
+        })
+    }
+
+    /// Feed one test.
+    pub fn observe(&mut self, test: &NdtTest) {
+        self.group_mut((test.country, test.date.month_stamp()))
+            .observe_run(std::iter::once(test.download_mbps));
     }
 
     /// Feed many tests.
     pub fn observe_all<'a>(&mut self, tests: impl IntoIterator<Item = &'a NdtTest>) {
         for t in tests {
             self.observe(t);
+        }
+    }
+
+    /// Feed column-major rows (as far as the shortest column reaches) in
+    /// runs of equal `(country, month)`: one group lookup per run, then
+    /// the run's downloads in row order. Runs come from the columns
+    /// themselves, never from a footer, so any interleaving of groups
+    /// lands each group on the observation sequence [`observe`] gives it.
+    ///
+    /// [`observe`]: MonthlyAggregator::observe
+    fn observe_runs(
+        &mut self,
+        countries: &[CountryCode],
+        dates: &[Date],
+        mut download: impl ExactSizeIterator<Item = f64>,
+    ) {
+        let n = countries.len().min(dates.len()).min(download.len());
+        let mut start = 0;
+        while start < n {
+            let (cc, month) = (countries[start], dates[start].month_stamp());
+            let len = countries[start..n]
+                .iter()
+                .zip(&dates[start..n])
+                .position(|(&c, d)| c != cc || d.month_stamp() != month)
+                .unwrap_or(n - start);
+            self.group_mut((cc, month))
+                .observe_run(download.by_ref().take(len));
+            start += len;
         }
     }
 
@@ -104,22 +138,11 @@ impl MonthlyAggregator {
     ///
     /// [`observe`]: MonthlyAggregator::observe
     pub fn observe_columns(&mut self, batch: &crate::columnar::ColumnBatch) -> usize {
-        let mode = self.mode;
-        for ((&cc, &date), &down) in batch
-            .countries()
-            .iter()
-            .zip(batch.dates())
-            .zip(batch.download())
-        {
-            let entry = self
-                .groups
-                .entry((cc, date.month_stamp()))
-                .or_insert_with(|| match mode {
-                    Mode::Streaming => GroupStats::Streaming(P2Quantile::median()),
-                    Mode::Exact => GroupStats::Exact(Vec::new()),
-                });
-            entry.observe(down);
-        }
+        self.observe_runs(
+            batch.countries(),
+            batch.dates(),
+            batch.download().iter().copied(),
+        );
         batch.len()
     }
 
@@ -129,26 +152,17 @@ impl MonthlyAggregator {
     /// been scanned with at least [`REQUIRED_COLUMNS`]. Returns the rows
     /// observed.
     ///
+    /// The cost is one group lookup per run of rows with equal
+    /// `(country, month)`, not one per row. Runs are found in the decoded
+    /// columns, so any block is reduced correctly; an archive block never
+    /// straddles a month and its container holds one country, so there a
+    /// block is one run and one lookup.
+    ///
     /// [`observe_columns`]: MonthlyAggregator::observe_columns
     /// [`ColumnReader::scan_counted`]: crate::columnar::ColumnReader::scan_counted
     /// [`REQUIRED_COLUMNS`]: MonthlyAggregator::REQUIRED_COLUMNS
     pub fn observe_block(&mut self, view: &crate::columnar::BlockView<'_, '_>) -> usize {
-        let mode = self.mode;
-        for ((&cc, &date), down) in view
-            .countries()
-            .iter()
-            .zip(view.dates())
-            .zip(view.download().iter())
-        {
-            let entry = self
-                .groups
-                .entry((cc, date.month_stamp()))
-                .or_insert_with(|| match mode {
-                    Mode::Streaming => GroupStats::Streaming(P2Quantile::median()),
-                    Mode::Exact => GroupStats::Exact(Vec::new()),
-                });
-            entry.observe(down);
-        }
+        self.observe_runs(view.countries(), view.dates(), view.download().iter());
         view.rows()
     }
 
@@ -352,6 +366,68 @@ mod tests {
         assert_eq!(format!("{from_text:?}"), format!("{merged:?}"));
         // A group on both sides cannot be merged.
         assert!(merged.merge(from_blocks).is_err());
+    }
+
+    mod props {
+        use super::*;
+        use crate::columnar::{self, ColumnBatch, ColumnReader, ColumnSelection, DecodeScratch};
+        use proptest::prelude::*;
+
+        /// Every group's state after `observe_columns` over the batch and
+        /// after `observe_block` over an encoding of it in `block_rows`
+        /// blocks, next to the per-row reference.
+        fn states(rows: &[NdtTest], mode: Mode, block_rows: usize) -> [String; 3] {
+            let mut per_row = MonthlyAggregator::new(mode);
+            per_row.observe_all(rows);
+            let batch = ColumnBatch::from_rows(rows);
+            let mut columns = MonthlyAggregator::new(mode);
+            assert_eq!(columns.observe_columns(&batch), rows.len());
+            let bytes = columnar::encode_v2_with(&batch, block_rows);
+            let selection = ColumnSelection::columns(MonthlyAggregator::REQUIRED_COLUMNS);
+            let mut blocks = MonthlyAggregator::new(mode);
+            let mut observed = 0;
+            ColumnReader::open(&bytes)
+                .unwrap()
+                .scan_counted(&selection, &mut DecodeScratch::new(), |view| {
+                    observed += blocks.observe_block(view);
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(observed, rows.len());
+            [per_row, columns, blocks].map(|agg| format!("{agg:?}"))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Runs of rows that interleave three countries and three
+            /// months — a group recurring after other groups' runs, and
+            /// runs cut across blocks of 1 to 8 rows — leave every group
+            /// of both reductions in the per-row state, in both modes.
+            #[test]
+            fn run_grouping_matches_per_row_observation(
+                runs in proptest::collection::vec(
+                    (0usize..3, 0u8..3, 1usize..7, 0.0f64..100.0),
+                    0..24,
+                ),
+                block_rows in 1usize..9,
+            ) {
+                let codes = [country::VE, country::BR, country::AR];
+                let mut rows = Vec::new();
+                for (cc, month, len, down) in runs {
+                    for i in 0..len {
+                        let day = 1 + (rows.len() % 28) as u8;
+                        let x = down + i as f64 * 0.37;
+                        rows.push(test(codes[cc], 2019, 6 + month, day, x));
+                    }
+                }
+                for mode in [Mode::Streaming, Mode::Exact] {
+                    let [per_row, columns, blocks] = states(&rows, mode, block_rows);
+                    prop_assert_eq!(&columns, &per_row);
+                    prop_assert_eq!(&blocks, &per_row);
+                }
+            }
+        }
     }
 
     #[test]

@@ -460,11 +460,18 @@ fn encode_float_payload(col: &[f64], payload: &mut Vec<u8>) {
 
 /// Decode the date column into a caller-owned vector (cleared first).
 /// Writing into reusable scratch is what keeps the borrowed scan free of
-/// per-block allocations once the vector's capacity is warm.
-fn decode_date_payload_into(block: &[u8], n: usize, out: &mut Vec<Date>) -> Result<()> {
+/// per-block allocations once the vector's capacity is warm. Returns the
+/// min and max days-since-epoch decoded — `None` for an empty column —
+/// so the reader can check the footer's span without a second pass.
+fn decode_date_payload_into(
+    block: &[u8],
+    n: usize,
+    out: &mut Vec<Date>,
+) -> Result<Option<(i64, i64)>> {
     out.clear();
     let mut pos = 0;
     let mut days = 0i64;
+    let (mut lo, mut hi) = (i64::MAX, i64::MIN);
     for _ in 0..n {
         let delta = read_ivarint(block, &mut pos)?;
         days = days
@@ -475,12 +482,14 @@ fn decode_date_payload_into(block: &[u8], n: usize, out: &mut Vec<Date>) -> Resu
         if days.abs() > 4_000_000 {
             return Err(Error::parse("ndtc date (outside civil range)", ""));
         }
+        lo = lo.min(days);
+        hi = hi.max(days);
         out.push(Date::from_days_since_epoch(days));
     }
     if pos != block.len() {
         return Err(Error::parse("ndtc date column (trailing bytes)", ""));
     }
-    Ok(())
+    Ok((n > 0).then_some((lo, hi)))
 }
 
 /// Decode the country column into caller-owned value and dictionary
@@ -784,7 +793,7 @@ impl<'a> ColumnSlice<'a> {
     /// Built on `chunks_exact` so the hot loop carries no per-element
     /// bounds checks — the borrowed scan must not pay per-value for
     /// skipping the owned path's `Vec` materialization.
-    pub fn iter(&self) -> impl Iterator<Item = f64> + 'a {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + 'a {
         self.bytes.chunks_exact(8).map(|raw| {
             let mut le = [0u8; 8];
             le.copy_from_slice(raw);
@@ -1230,12 +1239,10 @@ impl<'a> ColumnReader<'a> {
             };
             if want.contains(ColumnSet::DATES) {
                 touched(sections[0]);
-                decode_date_payload_into(sections[0], n, &mut scratch.dates)?;
+                let span = decode_date_payload_into(sections[0], n, &mut scratch.dates)?;
                 // Cross-check the index span against the decoded column:
                 // a lying index must not silently mis-prune future reads.
-                let days = scratch.dates.iter().map(|d| d.days_since_epoch());
-                if days.clone().min() != Some(entry.min_days) || days.max() != Some(entry.max_days)
-                {
+                if span != Some((entry.min_days, entry.max_days)) {
                     return Err(Error::parse("ndtc index date span (mismatch)", ""));
                 }
             }

@@ -167,12 +167,21 @@ fn write_string(s: &str, out: &mut String) {
 /// well-formed value of the wrong type returns its decode error only after
 /// consuming the whole value, so the enclosing array or object can keep
 /// checking the rest of the text.
+///
+/// Arrays and objects nest at most 512 levels deep: readers recurse once
+/// per level, so a deeper document is a syntax error rather than a stack
+/// overflow.
 pub struct Parser<'a> {
     text: &'a str,
     pos: usize,
     /// Set by the first syntax error.
     broken: bool,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
+
+/// The deepest nesting of arrays and objects a [`Parser`] reads.
+const MAX_DEPTH: usize = 512;
 
 /// A scalar token. Strings borrow the input unless they hold an escape.
 enum Scalar<'a> {
@@ -208,6 +217,22 @@ impl<'a> Parser<'a> {
         let tail = &self.text.as_bytes()[self.pos.min(self.text.len())..];
         let tail = &tail[..tail.len().min(40)];
         Error::parse(expected, &String::from_utf8_lossy(tail))
+    }
+
+    /// Step into the `[` or `{` at the cursor, one level deeper.
+    fn open(&mut self) -> Result<()> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.fail("JSON nesting depth (at most 512 levels)"));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// Step past the `]` or `}` at the cursor, one level back out.
+    fn close(&mut self) {
+        self.depth -= 1;
+        self.pos += 1;
     }
 
     fn literal(&mut self, word: &str) -> Result<()> {
@@ -271,10 +296,10 @@ impl<'a> Parser<'a> {
         if self.peek() != Some(b'[') {
             return self.skip().map(|()| false);
         }
-        self.pos += 1;
+        self.open()?;
         self.skip_ws();
         if self.peek() == Some(b']') {
-            self.pos += 1;
+            self.close();
             return Ok(true);
         }
         loop {
@@ -284,7 +309,7 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
-                    self.pos += 1;
+                    self.close();
                     return Ok(true);
                 }
                 _ => return Err(self.fail("',' or ']'")),
@@ -302,10 +327,10 @@ impl<'a> Parser<'a> {
         if self.peek() != Some(b'{') {
             return self.skip().map(|()| false);
         }
-        self.pos += 1;
+        self.open()?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
-            self.pos += 1;
+            self.close();
             return Ok(true);
         }
         loop {
@@ -319,7 +344,7 @@ impl<'a> Parser<'a> {
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
-                    self.pos += 1;
+                    self.close();
                     return Ok(true);
                 }
                 _ => return Err(self.fail("',' or '}'")),
@@ -506,6 +531,7 @@ pub fn from_str<T: FromJson>(text: &str) -> Result<T> {
         text,
         pos: 0,
         broken: false,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.read()?;
@@ -896,6 +922,39 @@ mod tests {
         ] {
             assert!(Json::parse(text).is_err(), "{text:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_limit_is_a_syntax_error() {
+        // 512 levels of arrays, or of objects, parse.
+        let deep = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        let limit = deep(MAX_DEPTH);
+        assert_eq!(Json::parse(&limit).unwrap().to_text(), limit);
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&objects).is_ok());
+        // One level more is an error, whether the value is built,
+        // skipped as an unknown member or decoded as the wrong type.
+        let over = deep(MAX_DEPTH + 1);
+        let nesting = |r: Result<()>| match r {
+            Err(Error::Parse { expected, .. }) => expected.contains("nesting depth"),
+            _ => false,
+        };
+        assert!(nesting(Json::parse(&over).map(drop)));
+        assert!(nesting(from_str::<Vec<u8>>(&over).map(drop)));
+        let member = format!(r#"{{"x":1,"skipped":{over}}}"#);
+        assert!(nesting(from_str::<crate::GeoPoint>(&member).map(drop)));
+        // 200,000 levels on a thread with the default stack: a typed
+        // error, not a stack overflow.
+        let hostile = "[".repeat(200_000);
+        let outcome = std::thread::spawn(move || {
+            (
+                nesting(Json::parse(&hostile).map(drop)),
+                nesting(from_str::<Vec<String>>(&hostile).map(drop)),
+            )
+        })
+        .join()
+        .expect("the parse returns instead of overflowing its stack");
+        assert_eq!(outcome, (true, true));
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! happens when those files lie or change under a running server:
 //!
 //! * a truncated container, a footer pointing past the end of the file,
-//!   a bad index checksum, another country's blocks and a retired v1
-//!   container each fail [`DataSource::from_archive`] with a typed error;
+//!   a bad index checksum, another country's blocks, a footer day span
+//!   that disagrees with the decoded dates and a retired v1 container
+//!   each fail [`DataSource::from_archive`] with a typed error;
 //! * a tree from before the text encoding was retired, whose manifest
 //!   lists `mlab/{CC}.tsv`, fails the load as a missing `.ndtc`;
 //! * a container corrupted after boot turns its queries into uncached
@@ -188,6 +189,23 @@ fn hostile_containers_fail_the_load_typed() {
         }
     });
     assert_parse_error(&load_with_replaced(&root, rel, &lying), "country summary");
+
+    // A footer whose day span lies about a block's decoded dates: its
+    // first day one later, or its last day one earlier. Both spans stay
+    // inside the block's month, so only the decode's cross-check objects.
+    let spread = ColumnReader::open(&good)
+        .expect("AR opens")
+        .blocks()
+        .iter()
+        .position(|b| b.day_span().0 < b.day_span().1)
+        .expect("AR has a block spanning several days");
+    for shift in [(1, 0), (0, -1)] {
+        let narrowed = reseal_footer(&good, |entries| {
+            let days = &mut entries[spread].days;
+            *days = (days.0 + shift.0, days.1 + shift.1);
+        });
+        assert_parse_error(&load_with_replaced(&root, rel, &narrowed), "date span");
+    }
 
     // A retired v1 container (empty, otherwise well-formed).
     let mut v1 = b"NDTC\x01\x00".to_vec();
