@@ -10,7 +10,7 @@ use crate::anycast::{AnycastSite, PathTable, SiteScope};
 use crate::chaos;
 use crate::probes::{Probe, ProbeId, ProbeRegistry};
 use crate::roots::{RootDeployment, RootInstance, RootLetter};
-use lacnet_types::{sweep, CountryCode, MonthStamp, TimeSeries};
+use lacnet_types::{CountryCode, MonthStamp};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One CHAOS TXT response as the platform would archive it.
@@ -179,53 +179,6 @@ fn decode_replicas<'t>(
     out
 }
 
-/// Per-month unique-replica counts per hosting country, folded into
-/// country time series. The month results arrive in chronological order,
-/// so each series is built by in-order inserts — identical to the serial
-/// month loop this replaces.
-fn fold_monthly_counts(
-    monthly: Vec<(MonthStamp, BTreeMap<CountryCode, BTreeSet<String>>)>,
-) -> BTreeMap<CountryCode, TimeSeries> {
-    let mut out: BTreeMap<CountryCode, TimeSeries> = BTreeMap::new();
-    for (m, per_country) in monthly {
-        for (cc, replicas) in per_country {
-            out.entry(cc).or_default().insert(m, replicas.len() as f64);
-        }
-    }
-    out
-}
-
-/// Monthly unique-replica counts for each country over `[start, end]` —
-/// the Fig. 6 lines (and, summed, its regional panel). Months run on
-/// sweep workers over one campaign.
-pub fn replica_count_series(
-    probes: &ProbeRegistry,
-    deployment: &RootDeployment,
-    start: MonthStamp,
-    end: MonthStamp,
-) -> BTreeMap<CountryCode, TimeSeries> {
-    let campaign = ChaosCampaign::new(probes, deployment);
-    fold_monthly_counts(sweep::month_range(start, end, |m| {
-        campaign.replicas_by_country(m)
-    }))
-}
-
-/// The Fig. 16 heatmap: from the probes of `vantage_country`, how many
-/// distinct replicas in each hosting country were reached each month.
-/// Only the vantage country's probes are simulated.
-pub fn origin_heatmap(
-    probes: &ProbeRegistry,
-    deployment: &RootDeployment,
-    vantage_country: CountryCode,
-    start: MonthStamp,
-    end: MonthStamp,
-) -> BTreeMap<CountryCode, TimeSeries> {
-    let campaign = ChaosCampaign::from_country(probes, deployment, vantage_country);
-    fold_monthly_counts(sweep::month_range(start, end, |m| {
-        campaign.replicas_by_country(m)
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -348,31 +301,42 @@ mod tests {
     #[test]
     fn replica_regression_after_shutdown() {
         let (probes, dep) = world();
-        let series = replica_count_series(&probes, &dep, m(2017, 1), m(2020, 1));
-        let ve = &series[&country::VE];
+        let campaign = ChaosCampaign::new(&probes, &dep);
+        let count = |month, cc| {
+            campaign
+                .replicas_by_country(month)
+                .get(&cc)
+                .map(BTreeSet::len)
+        };
         // 2017: L-ccs + F-ccs = 2 replicas geolocated to VE.
-        assert_eq!(ve.get(m(2017, 1)), Some(2.0));
+        assert_eq!(count(m(2017, 1), country::VE), Some(2));
         // After F retires (2018-04) only L remains.
-        assert_eq!(ve.get(m(2018, 6)), Some(1.0));
+        assert_eq!(count(m(2018, 6), country::VE), Some(1));
         // After L retires (2019-07) VE disappears from the map entirely.
-        assert_eq!(ve.get(m(2020, 1)), None);
+        assert_eq!(count(m(2020, 1), country::VE), None);
         // The US and CO replicas persist.
-        assert!(series[&country::US].get(m(2020, 1)).unwrap() >= 1.0);
-        assert_eq!(series[&country::CO].get(m(2020, 1)), Some(1.0));
+        assert!(count(m(2020, 1), country::US).unwrap() >= 1);
+        assert_eq!(count(m(2020, 1), country::CO), Some(1));
     }
 
     #[test]
     fn origin_heatmap_shifts_to_foreign_sources() {
         let (probes, dep) = world();
-        let heat = origin_heatmap(&probes, &dep, country::VE, m(2017, 1), m(2020, 1));
+        let campaign = ChaosCampaign::from_country(&probes, &dep, country::VE);
+        let count = |month, cc| {
+            campaign
+                .replicas_by_country(month)
+                .get(&cc)
+                .map(BTreeSet::len)
+        };
         // While domestic nodes lived, VE probes saw VE replicas.
-        assert_eq!(heat[&country::VE].get(m(2017, 1)), Some(2.0));
+        assert_eq!(count(m(2017, 1), country::VE), Some(2));
         // After the shutdowns, VE vanishes as an origin and the US/CO
         // replicas serve Venezuela.
-        assert_eq!(heat[&country::VE].get(m(2020, 1)), None);
-        assert!(heat[&country::US].get(m(2020, 1)).is_some());
+        assert_eq!(count(m(2020, 1), country::VE), None);
+        assert!(count(m(2020, 1), country::US).is_some());
         // The Maracaibo probe (no Miami egress) reaches Bogotá for L.
-        assert!(heat[&country::CO].get(m(2020, 1)).is_some());
+        assert!(count(m(2020, 1), country::CO).is_some());
     }
 
     #[test]

@@ -78,11 +78,6 @@ impl LatencyModel {
         base + self.congestion_median_ms * rng.log_normal(0.0, self.congestion_sigma)
     }
 
-    /// The monthly min-RTT as the campaign records it.
-    pub fn monthly_min_rtt(&self, probe: &Probe, site: &AnycastSite, rng: &mut Rng) -> f64 {
-        self.min_rtt_over(self.base_rtt_ms(probe, site), rng)
-    }
-
     /// The minimum of one window's samples over a floor of `base` ms.
     fn min_rtt_over(&self, base: f64, rng: &mut Rng) -> f64 {
         (0..self.samples.max(1))

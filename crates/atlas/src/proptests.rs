@@ -103,11 +103,25 @@ fn reference_gpdns_round(
             probe: probe.id,
             probe_country: probe.country,
             location: probe.location,
-            rtt_ms: model.monthly_min_rtt(probe, site, &mut rng),
+            rtt_ms: monthly_min_rtt(&model, probe, site, &mut rng),
             site_id: site.id.clone(),
         });
     }
     out
+}
+
+/// The monthly min-RTT as the campaign records it: the minimum of the
+/// model's traceroute samples over the probe-site floor.
+fn monthly_min_rtt(model: &LatencyModel, probe: &Probe, site: &AnycastSite, rng: &mut Rng) -> f64 {
+    let base = model.base_rtt_ms(probe, site);
+    (0..model.samples.max(1))
+        .map(|_| base + model.congestion_median_ms * rng.log_normal(0.0, model.congestion_sigma))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// A uniformly random element of a non-empty `slice`.
+fn choice<'a, T>(rng: &mut Rng, slice: &'a [T]) -> &'a T {
+    &slice[rng.below(slice.len() as u64) as usize]
 }
 
 /// Airport sites shared by probes and instances, so exact distance ties
@@ -126,7 +140,7 @@ fn window(rng: &mut Rng) -> (MonthStamp, Option<MonthStamp>) {
 }
 
 fn location(rng: &mut Rng) -> GeoPoint {
-    let code: &&str = rng.choice(&SITES);
+    let code: &&str = choice(rng, &SITES);
     let at = geo::airport(code).unwrap().location;
     if rng.chance(0.5) {
         at
@@ -151,7 +165,7 @@ fn random_probes(rng: &mut Rng, n: usize) -> ProbeRegistry {
         };
         probes.add(Probe {
             id,
-            country: *rng.choice(&COUNTRIES),
+            country: *choice(rng, &COUNTRIES),
             location: location(rng),
             asn: Asn(64_500 + id),
             active_since,
@@ -183,7 +197,7 @@ fn random_deployment(rng: &mut Rng, density: f64) -> RootDeployment {
                     letter,
                     site: site.into(),
                     unit,
-                    country: *rng.choice(&COUNTRIES),
+                    country: *choice(rng, &COUNTRIES),
                     location,
                     active_since,
                     active_until,
@@ -204,7 +218,7 @@ fn random_sites(rng: &mut Rng, n: usize) -> Vec<AnycastSite> {
             location: location(rng),
             scope: match rng.below(3) {
                 0 => SiteScope::Global,
-                _ => SiteScope::Domestic(*rng.choice(&COUNTRIES)),
+                _ => SiteScope::Domestic(*choice(rng, &COUNTRIES)),
             },
         })
         .collect()

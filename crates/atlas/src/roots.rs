@@ -1,6 +1,6 @@
 //! Root DNS letters, instances, and deployments over time.
 
-use lacnet_types::{CountryCode, Error, GeoPoint, MonthStamp, Result};
+use lacnet_types::{CountryCode, GeoPoint, MonthStamp};
 use std::fmt;
 
 /// The thirteen root-server letters.
@@ -56,45 +56,6 @@ impl RootLetter {
             RootLetter::K => 'k',
             RootLetter::L => 'l',
             RootLetter::M => 'm',
-        }
-    }
-
-    /// Parse from a (case-insensitive) letter.
-    pub fn from_char(c: char) -> Result<Self> {
-        match c.to_ascii_lowercase() {
-            'a' => Ok(RootLetter::A),
-            'b' => Ok(RootLetter::B),
-            'c' => Ok(RootLetter::C),
-            'd' => Ok(RootLetter::D),
-            'e' => Ok(RootLetter::E),
-            'f' => Ok(RootLetter::F),
-            'g' => Ok(RootLetter::G),
-            'h' => Ok(RootLetter::H),
-            'i' => Ok(RootLetter::I),
-            'j' => Ok(RootLetter::J),
-            'k' => Ok(RootLetter::K),
-            'l' => Ok(RootLetter::L),
-            'm' => Ok(RootLetter::M),
-            _ => Err(Error::invalid("root letter must be a..=m")),
-        }
-    }
-
-    /// The operator of this letter (informational).
-    pub const fn operator(self) -> &'static str {
-        match self {
-            RootLetter::A => "Verisign",
-            RootLetter::B => "USC-ISI",
-            RootLetter::C => "Cogent",
-            RootLetter::D => "University of Maryland",
-            RootLetter::E => "NASA Ames",
-            RootLetter::F => "Internet Systems Consortium",
-            RootLetter::G => "DISA",
-            RootLetter::H => "US Army Research Lab",
-            RootLetter::I => "Netnod",
-            RootLetter::J => "Verisign",
-            RootLetter::K => "RIPE NCC",
-            RootLetter::L => "ICANN",
-            RootLetter::M => "WIDE Project",
         }
     }
 }
@@ -218,17 +179,9 @@ mod tests {
     }
 
     #[test]
-    fn letters_roundtrip() {
-        for l in RootLetter::ALL {
-            assert_eq!(RootLetter::from_char(l.as_char()).unwrap(), l);
-            assert_eq!(
-                RootLetter::from_char(l.as_char().to_ascii_uppercase()).unwrap(),
-                l
-            );
-            assert!(!l.operator().is_empty());
-        }
-        assert!(RootLetter::from_char('z').is_err());
-        assert_eq!(RootLetter::ALL.len(), 13);
+    fn letters_run_a_to_m() {
+        let chars: String = RootLetter::ALL.iter().map(|l| l.as_char()).collect();
+        assert_eq!(chars, "abcdefghijklm");
     }
 
     #[test]

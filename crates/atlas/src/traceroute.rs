@@ -42,15 +42,6 @@ pub struct Traceroute {
 }
 
 impl Traceroute {
-    /// The destination RTT, if reached.
-    pub fn dst_rtt_ms(&self) -> Option<f64> {
-        if self.dst_reached {
-            self.hops.last().map(|h| h.rtt_ms)
-        } else {
-            None
-        }
-    }
-
     /// Serialise as archive text: a header line
     /// `probe<TAB>month<TAB>target<TAB>reached` followed by one
     /// `hop<TAB>asn|*<TAB>rtt` line per hop and a blank terminator.
@@ -224,6 +215,15 @@ mod tests {
     use lacnet_types::geo;
     use lacnet_types::{country, GeoPoint};
 
+    /// The destination RTT, if reached.
+    fn dst_rtt_ms(tr: &Traceroute) -> Option<f64> {
+        if tr.dst_reached {
+            tr.hops.last().map(|h| h.rtt_ms)
+        } else {
+            None
+        }
+    }
+
     fn probe() -> Probe {
         Probe {
             id: 7,
@@ -259,7 +259,7 @@ mod tests {
         // Hop indices strictly increase.
         assert!(tr.hops.windows(2).all(|w| w[1].hop == w[0].hop + 1));
         if tr.dst_reached {
-            let dst = tr.dst_rtt_ms().unwrap();
+            let dst = dst_rtt_ms(&tr).unwrap();
             assert!(dst >= model.base_rtt_ms(&p, &s), "dst RTT under the floor");
             // RTTs never decrease by more than jitter.
             assert!(tr.hops.windows(2).all(|w| w[1].rtt_ms >= w[0].rtt_ms * 0.8));
@@ -276,7 +276,7 @@ mod tests {
         let mut min = f64::INFINITY;
         for _ in 0..50 {
             let tr = simulate(&p, &s, &model, &path, MonthStamp::new(2020, 6), &mut rng);
-            if let Some(d) = tr.dst_rtt_ms() {
+            if let Some(d) = dst_rtt_ms(&tr) {
                 min = min.min(d);
             }
         }

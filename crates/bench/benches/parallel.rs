@@ -1,6 +1,6 @@
 //! Serial-vs-parallel and cached-vs-uncached ablations for the sweep
 //! engine, the pfx2as snapshot cache, the customer-cone cache and the
-//! sharded NDT archive build.
+//! sharded NDT container encode.
 //!
 //! The serial and parallel sweeps are asserted byte-identical before any
 //! timing starts, so the speedup numbers compare equal outputs.
@@ -94,42 +94,27 @@ fn bench_cone(c: &mut Criterion) {
     group.finish();
 }
 
-/// The NDT archive build over a one-year window: the in-order serial
-/// shard walk vs the sweep-engine fan-out (byte-identical by contract).
+/// The NDT containers of four countries (BR holds most rows): every
+/// `(country, month)` encoded on one worker vs the default worker count
+/// (byte-identical by contract).
 fn bench_ndt_shard(c: &mut Criterion) {
-    use lacnet_crisis::bandwidth;
+    use lacnet_core::datasets::encode_ndt_containers;
+    use lacnet_types::country;
     let world: &World = bench_world();
-    let (ops, seed) = (&world.operators, world.config.seed);
-    let scale = world.config.mlab_volume_scale;
-    let serial = bandwidth::build_archive_serial(ops, seed, scale, SWEEP_START, SWEEP_END);
+    let countries = [country::BR, country::VE, country::AR, country::CL];
+    let workers = sweep::worker_count(usize::MAX);
     assert_eq!(
-        bandwidth::build_archive(ops, seed, scale, SWEEP_START, SWEEP_END),
-        serial,
-        "sharded archive build must be byte-identical to the serial walk"
+        encode_ndt_containers(world, &countries, workers),
+        encode_ndt_containers(world, &countries, 1),
+        "sharded container encode must be byte-identical to the one-worker walk"
     );
     let mut group = c.benchmark_group("ndt_shard");
     group.sample_size(10);
     group.bench_function("serial", |b| {
-        b.iter(|| {
-            black_box(bandwidth::build_archive_serial(
-                ops,
-                seed,
-                scale,
-                SWEEP_START,
-                SWEEP_END,
-            ))
-        })
+        b.iter(|| black_box(encode_ndt_containers(world, &countries, 1)))
     });
     group.bench_function("sharded", |b| {
-        b.iter(|| {
-            black_box(bandwidth::build_archive(
-                ops,
-                seed,
-                scale,
-                SWEEP_START,
-                SWEEP_END,
-            ))
-        })
+        b.iter(|| black_box(encode_ndt_containers(world, &countries, workers)))
     });
     group.finish();
 }

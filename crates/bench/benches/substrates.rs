@@ -8,7 +8,6 @@ use lacnet_atlas::RootLetter;
 use lacnet_bench::bench_world;
 use lacnet_bgp::{serial1, AsGraph, PfxToAs};
 use lacnet_crisis::{World, WorldConfig};
-use lacnet_mlab::ndt;
 use lacnet_types::rng::Rng;
 use lacnet_types::MonthStamp;
 use std::hint::black_box;
@@ -76,12 +75,8 @@ fn bench_ndt_rows(c: &mut Criterion) {
         5.0,
         &mut rng,
     );
-    let text: String = tests.iter().map(|t| t.to_row() + "\n").collect();
     let mut group = c.benchmark_group("ndt");
     group.throughput(Throughput::Elements(tests.len() as u64));
-    group.bench_function("parse_rows", |b| {
-        b.iter(|| black_box(ndt::parse_rows(black_box(&text)).expect("parses")))
-    });
     group.bench_function("aggregate_streaming", |b| {
         b.iter(|| {
             let mut agg = lacnet_mlab::aggregate::MonthlyAggregator::new(

@@ -27,56 +27,11 @@ pub fn downstream_series(archive: &TopologyArchive, asn: Asn) -> TimeSeries {
 }
 
 /// Monthly size of the customer cone of `asn` — AS-rank's transit-size
-/// metric, the quantity behind the Fig. 8 degree narrative. This is the
-/// serial reference; [`cone_size_series_cached`] is the memoized path.
+/// metric, the quantity behind the Fig. 8 degree narrative.
 pub fn cone_size_series(archive: &TopologyArchive, asn: Asn) -> TimeSeries {
     archive
         .iter()
         .map(|(m, g)| (m, g.customer_cone(asn).len() as f64))
-        .collect()
-}
-
-/// [`cone_size_series`] served through a [`ConeCache`]: identical output,
-/// but each `(month, asn)` cone walks the graph at most once per process
-/// however many analytics share the cache.
-pub fn cone_size_series_cached(
-    archive: &TopologyArchive,
-    asn: Asn,
-    cache: &ConeCache,
-) -> TimeSeries {
-    archive
-        .iter()
-        .map(|(m, g)| (m, cache.cone(m, g, asn).len() as f64))
-        .collect()
-}
-
-/// Monthly transit degree of `asn`: distinct transit neighbours, i.e.
-/// providers plus customers — the cone-adjacent analytic the Fig. 8/9
-/// exodus story reads alongside cone size.
-pub fn transit_degree_series(archive: &TopologyArchive, asn: Asn) -> TimeSeries {
-    archive
-        .iter()
-        .map(|(m, g)| (m, (g.upstream_count(asn) + g.downstream_count(asn)) as f64))
-        .collect()
-}
-
-/// [`transit_degree_series`] served through the cache's transit-neighbour
-/// memo: identical output, and the memoized neighbourhoods are the very
-/// rows [`ProviderPresence::compute_cached`] reads, so the Fig. 8 degree
-/// panel and the Fig. 9 matrix share one walk per `(month, asn)`.
-pub fn transit_degree_series_cached(
-    archive: &TopologyArchive,
-    asn: Asn,
-    cache: &ConeCache,
-) -> TimeSeries {
-    archive
-        .iter()
-        .map(|(m, g)| {
-            (
-                m,
-                cache.transit_neighbors(m, g, asn).transit_degree() as f64,
-            )
-        })
         .collect()
 }
 
@@ -98,17 +53,10 @@ pub struct ProviderPresence {
 
 impl ProviderPresence {
     /// Build the matrix from an archive, keeping only providers present in
-    /// at least `min_months` snapshots (the paper uses 12).
-    pub fn compute(archive: &TopologyArchive, customer: Asn, min_months: usize) -> Self {
-        Self::build(archive, customer, min_months, |_, graph| {
-            graph.providers(customer)
-        })
-    }
-
-    /// [`compute`](ProviderPresence::compute) served through the cache's
-    /// transit-neighbour memo: identical output, but the per-month
-    /// provider sets — the full matrix Fig. 9 consumes — are computed at
-    /// most once per process and shared with the degree analytics.
+    /// at least `min_months` snapshots (the paper uses 12). The per-month
+    /// provider sets — the full matrix Fig. 9 consumes — come from the
+    /// cache's transit-neighbour memo, so each is computed at most once
+    /// per process.
     pub fn compute_cached(
         archive: &TopologyArchive,
         customer: Asn,
@@ -263,48 +211,37 @@ mod tests {
     }
 
     #[test]
-    fn cone_and_transit_degree_series() {
+    fn cone_size_series_counts_the_cone() {
         let arch = toy_archive();
         let cones = cone_size_series(&arch, Asn(8048));
         // Month 1: {8048, 27889}; month 3: {8048, 27889, 21826}.
         assert_eq!(cones.get(m(2013, 1)), Some(2.0));
         assert_eq!(cones.get(m(2013, 3)), Some(3.0));
-        let cache = ConeCache::new();
-        assert_eq!(cone_size_series_cached(&arch, Asn(8048), &cache), cones);
-        assert_eq!(cache.computations(), 3);
-        // Serving the series again is pure cache hits.
-        assert_eq!(cone_size_series_cached(&arch, Asn(8048), &cache), cones);
-        assert_eq!(cache.computations(), 3);
-        let deg = transit_degree_series(&arch, Asn(8048));
-        assert_eq!(deg.get(m(2013, 1)), Some(3.0));
-        assert_eq!(deg.get(m(2013, 3)), Some(4.0));
+    }
+
+    /// The uncached reference: each month's providers read straight off
+    /// its graph.
+    fn compute(archive: &TopologyArchive, customer: Asn, min_months: usize) -> ProviderPresence {
+        ProviderPresence::build(archive, customer, min_months, |_, graph| {
+            graph.providers(customer)
+        })
     }
 
     #[test]
-    fn cached_variants_match_serial_and_share_the_memo() {
+    fn cached_matrix_matches_the_uncached_reference() {
         let arch = toy_archive();
         let cache = ConeCache::new();
-        assert_eq!(
-            transit_degree_series_cached(&arch, Asn(8048), &cache),
-            transit_degree_series(&arch, Asn(8048))
-        );
-        assert_eq!(cache.degree_computations(), 3);
         let pp = ProviderPresence::compute_cached(&arch, Asn(8048), 1, &cache);
-        let serial = ProviderPresence::compute(&arch, Asn(8048), 1);
+        let serial = compute(&arch, Asn(8048), 1);
         assert_eq!(pp.providers, serial.providers);
         assert_eq!(pp.months, serial.months);
         assert_eq!(pp.presence, serial.presence);
-        assert_eq!(
-            cache.degree_computations(),
-            3,
-            "the matrix reuses the degree series' memoized neighbourhoods"
-        );
     }
 
     #[test]
     fn presence_matrix() {
         let arch = toy_archive();
-        let pp = ProviderPresence::compute(&arch, Asn(8048), 1);
+        let pp = compute(&arch, Asn(8048), 1);
         assert_eq!(pp.providers, vec![Asn(701), Asn(5511), Asn(23520)]);
         assert_eq!(pp.months.len(), 3);
         assert_eq!(pp.months_served(Asn(701)), 2);
@@ -318,13 +255,13 @@ mod tests {
     #[test]
     fn presence_matrix_min_months_filter() {
         let arch = toy_archive();
-        let pp = ProviderPresence::compute(&arch, Asn(8048), 2);
+        let pp = compute(&arch, Asn(8048), 2);
         assert_eq!(
             pp.providers,
             vec![Asn(701), Asn(23520)],
             "5511 served only 1 month"
         );
-        let pp = ProviderPresence::compute(&arch, Asn(8048), 4);
+        let pp = compute(&arch, Asn(8048), 4);
         assert!(pp.providers.is_empty());
     }
 

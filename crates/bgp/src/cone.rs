@@ -75,13 +75,6 @@ pub struct TransitNeighbors {
     pub customers: BTreeSet<Asn>,
 }
 
-impl TransitNeighbors {
-    /// Distinct transit neighbours (providers plus customers).
-    pub fn transit_degree(&self) -> usize {
-        self.providers.len() + self.customers.len()
-    }
-}
-
 /// Thread-safe, compute-at-most-once cache of per-`(month, asn)` graph
 /// walks: customer cones, transit neighbourhoods, and path outcomes.
 #[derive(Default)]
@@ -141,22 +134,12 @@ impl ConeCache {
             })
     }
 
-    /// How many transit neighbourhoods have actually been computed.
-    pub fn degree_computations(&self) -> usize {
-        self.degrees.computations()
-    }
-
     /// The [`PathOutcome`] for `origin` in the `month` snapshot, computed
     /// at most once per key — the inference extension replays the same
     /// origins across runs, so the route trees are shared.
     pub fn paths(&self, month: MonthStamp, graph: &AsGraph, origin: Asn) -> Arc<PathOutcome> {
         self.paths
             .get_or_compute((month, origin), || PathOutcome::compute(graph, origin))
-    }
-
-    /// How many path outcomes have actually been computed.
-    pub fn path_computations(&self) -> usize {
-        self.paths.computations()
     }
 }
 
@@ -231,10 +214,9 @@ mod tests {
         let n = cache.transit_neighbors(m, &g, Asn(2));
         assert_eq!(n.providers, g.providers(Asn(2)));
         assert_eq!(n.customers, g.customers(Asn(2)));
-        assert_eq!(n.transit_degree(), 2);
         let again = cache.transit_neighbors(m, &g, Asn(2));
         assert!(Arc::ptr_eq(&n, &again));
-        assert_eq!(cache.degree_computations(), 1);
+        assert_eq!(cache.degrees.computations(), 1);
         // Independent of the cone memo's counter.
         assert_eq!(cache.computations(), 0);
     }
@@ -251,6 +233,6 @@ mod tests {
         );
         let again = cache.paths(m, &g, Asn(3));
         assert!(Arc::ptr_eq(&memo, &again));
-        assert_eq!(cache.path_computations(), 1);
+        assert_eq!(cache.paths.computations(), 1);
     }
 }

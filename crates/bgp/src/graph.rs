@@ -147,15 +147,6 @@ impl AsGraph {
         cone
     }
 
-    /// ASes with no providers (the "clique"/top of the hierarchy).
-    pub fn transit_free(&self) -> BTreeSet<Asn> {
-        self.nodes
-            .iter()
-            .filter(|(_, adj)| adj.providers.is_empty() && !adj.customers.is_empty())
-            .map(|(&asn, _)| asn)
-            .collect()
-    }
-
     /// All edges, in canonical form, sorted — suitable for serial-1 output.
     pub fn edges(&self) -> Vec<RelEdge> {
         let mut out = Vec::with_capacity(self.edge_count);
@@ -244,12 +235,6 @@ mod tests {
             RelEdge::transit(Asn(2), Asn(1)),
         ]);
         assert_eq!(g.customer_cone(Asn(1)), BTreeSet::from([Asn(1), Asn(2)]));
-    }
-
-    #[test]
-    fn transit_free_clique() {
-        let g = toy();
-        assert_eq!(g.transit_free(), BTreeSet::from([Asn(701), Asn(1299)]));
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! generated from.
 
 use crate::graph::AsGraph;
-use crate::paths::PathOutcome;
 use crate::relationship::RelEdge;
 use lacnet_types::Asn;
 use std::collections::{BTreeMap, BTreeSet};
@@ -119,45 +118,6 @@ impl RelationshipInference {
             })
             .collect()
     }
-
-    /// Convenience: run both passes over a synthetic collector RIB built
-    /// by propagating every AS of `graph` as an origin, then infer.
-    pub fn infer_from_graph(graph: &AsGraph, peer_ratio_threshold: f64) -> Vec<RelEdge> {
-        let mut paths = Vec::new();
-        for origin in graph.asns() {
-            paths.extend(PathOutcome::compute(graph, origin).all_paths());
-        }
-        Self::infer_from_paths(paths, peer_ratio_threshold)
-    }
-
-    /// [`infer_from_graph`] with the per-origin path computations served
-    /// through a [`ConeCache`]: identical output, but each `(month,
-    /// origin)` route tree is computed at most once per process, however
-    /// many inference runs share the cache.
-    ///
-    /// The caller vouches that `graph` is the `month` snapshot, as with
-    /// every other month-keyed memo on the cache.
-    ///
-    /// [`infer_from_graph`]: RelationshipInference::infer_from_graph
-    pub fn infer_from_graph_cached(
-        graph: &AsGraph,
-        month: lacnet_types::MonthStamp,
-        peer_ratio_threshold: f64,
-        cache: &crate::cone::ConeCache,
-    ) -> Vec<RelEdge> {
-        let mut paths = Vec::new();
-        for origin in graph.asns() {
-            paths.extend(cache.paths(month, graph, origin).all_paths());
-        }
-        Self::infer_from_paths(paths, peer_ratio_threshold)
-    }
-
-    fn infer_from_paths(paths: Vec<Vec<Asn>>, peer_ratio_threshold: f64) -> Vec<RelEdge> {
-        let mut inf = RelationshipInference::new(peer_ratio_threshold);
-        inf.observe_degrees(&paths);
-        inf.observe_paths(&paths);
-        inf.infer()
-    }
 }
 
 /// Accuracy of an inferred edge set against ground truth: the fraction of
@@ -187,7 +147,26 @@ pub fn accuracy(truth: &AsGraph, inferred: &[RelEdge]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paths::PathOutcome;
     use crate::relationship::AsRelationship;
+
+    /// Run both passes over a synthetic collector RIB built by
+    /// propagating every AS of `graph` as an origin, then infer.
+    fn infer_from_graph(graph: &AsGraph, peer_ratio_threshold: f64) -> Vec<RelEdge> {
+        let mut paths = Vec::new();
+        for origin in graph.asns() {
+            paths.extend(PathOutcome::compute(graph, origin).all_paths());
+        }
+        let mut inf = RelationshipInference::new(peer_ratio_threshold);
+        inf.observe_degrees(&paths);
+        inf.observe_paths(&paths);
+        inf.infer()
+    }
+
+    /// Whether the edge touches `asn`.
+    fn touches(e: &RelEdge, asn: Asn) -> bool {
+        e.a == asn || e.b == asn
+    }
 
     /// A clean three-tier hierarchy: two peered tier-1s with four
     /// tier-2 customers each, three stubs per tier-2. Degrees descend
@@ -207,7 +186,7 @@ mod tests {
     #[test]
     fn recovers_clean_hierarchy() {
         let g = hierarchy();
-        let inferred = RelationshipInference::infer_from_graph(&g, 1.1);
+        let inferred = infer_from_graph(&g, 1.1);
         let acc = accuracy(&g, &inferred);
         assert!(acc >= 0.85, "accuracy {acc}");
     }
@@ -215,7 +194,7 @@ mod tests {
     #[test]
     fn transit_orientation_mostly_correct() {
         let g = hierarchy();
-        let inferred = RelationshipInference::infer_from_graph(&g, 1.1);
+        let inferred = infer_from_graph(&g, 1.1);
         // Tier-1 → tier-2 edges must all be oriented downward.
         let mut correct = 0;
         let mut total = 0;
@@ -227,7 +206,7 @@ mod tests {
             {
                 correct += 1;
             }
-            if (e.touches(Asn(1)) || e.touches(Asn(2)))
+            if (touches(e, Asn(1)) || touches(e, Asn(2)))
                 && e.rel == AsRelationship::ProviderToCustomer
             {
                 total += 1;
@@ -243,28 +222,13 @@ mod tests {
     #[test]
     fn peer_edge_found_at_the_top() {
         let g = hierarchy();
-        let inferred = RelationshipInference::infer_from_graph(&g, 1.1);
+        let inferred = infer_from_graph(&g, 1.1);
         assert!(
             inferred.iter().any(|e| e.rel == AsRelationship::PeerToPeer
-                && e.touches(Asn(1))
-                && e.touches(Asn(2))),
+                && touches(e, Asn(1))
+                && touches(e, Asn(2))),
             "tier-1 peering not recovered: {inferred:?}"
         );
-    }
-
-    #[test]
-    fn cached_inference_matches_and_memoizes_paths() {
-        use crate::cone::ConeCache;
-        let g = hierarchy();
-        let cache = ConeCache::new();
-        let month = lacnet_types::MonthStamp::new(2020, 1);
-        let cached = RelationshipInference::infer_from_graph_cached(&g, month, 1.1, &cache);
-        assert_eq!(cached, RelationshipInference::infer_from_graph(&g, 1.1));
-        let n = g.asns().count();
-        assert_eq!(cache.path_computations(), n);
-        // A second run over the same snapshot is pure cache hits.
-        RelationshipInference::infer_from_graph_cached(&g, month, 1.1, &cache);
-        assert_eq!(cache.path_computations(), n);
     }
 
     #[test]

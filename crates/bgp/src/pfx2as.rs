@@ -55,11 +55,6 @@ impl OriginSet {
     pub fn contains(&self, asn: Asn) -> bool {
         self.asns().binary_search(&asn).is_ok()
     }
-
-    /// Whether this is a multi-origin (MOAS) announcement.
-    pub fn is_moas(&self) -> bool {
-        matches!(self.0, Origins::Many(_))
-    }
 }
 
 impl std::fmt::Display for OriginSet {
@@ -126,11 +121,6 @@ impl PfxToAs {
         self.entries.is_empty()
     }
 
-    /// Exact-prefix lookup.
-    pub fn origins_of(&self, prefix: Ipv4Net) -> Option<&OriginSet> {
-        self.entries.get(&prefix)
-    }
-
     /// Iterate over all `(prefix, origins)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (Ipv4Net, &OriginSet)> {
         self.entries.iter().map(|(&p, o)| (p, o))
@@ -145,16 +135,10 @@ impl PfxToAs {
             .collect()
     }
 
-    /// Total announced address space of `asn` in addresses, counting each
-    /// address once even when covered by several announced prefixes (a /16
-    /// plus its two /17s is still one /16 of space). This is the Fig. 2
-    /// "# addr. space" metric.
-    pub fn address_space_of(&self, asn: Asn) -> u64 {
-        self.address_space_by_origin(&[asn])[0]
-    }
-
-    /// [`PfxToAs::address_space_of`] for each ASN in `asns`, in order, from
-    /// one walk over the table.
+    /// Total announced address space of each ASN in `asns`, in order, from
+    /// one walk over the table: addresses, counting each once even when
+    /// covered by several announced prefixes (a /16 plus its two /17s is
+    /// still one /16 of space). This is the Fig. 2 "# addr. space" metric.
     pub fn address_space_by_origin(&self, asns: &[Asn]) -> Vec<u64> {
         let mut unions: Vec<(Asn, Union)> = asns.iter().map(|&a| (a, Union::default())).collect();
         unions.sort_unstable_by_key(|&(a, _)| a);
@@ -176,31 +160,10 @@ impl PfxToAs {
             .collect()
     }
 
-    /// Total announced address space across all origins, each address
-    /// counted once.
-    pub fn total_address_space(&self) -> u64 {
-        let mut intervals: Vec<(u64, u64)> = self
-            .entries
-            .keys()
-            .map(|p| {
-                let start = p.network_u32() as u64;
-                (start, start + p.size())
-            })
-            .collect();
-        union_length(&mut intervals)
-    }
-
     /// Build a longest-prefix-match trie over the table for address-level
     /// origin attribution.
     pub fn build_trie(&self) -> PrefixTrie<OriginSet> {
         self.entries.iter().map(|(&p, o)| (p, o.clone())).collect()
-    }
-
-    /// The origin(s) of the most specific prefix covering `ip`, using a
-    /// freshly built trie. Callers doing many lookups should build the
-    /// trie once via [`PfxToAs::build_trie`].
-    pub fn origin_of_ip(&self, ip: Ipv4Addr) -> Option<OriginSet> {
-        self.build_trie().longest_match(ip).map(|(_, o)| o.clone())
     }
 
     /// Parse a pfx2as file: `network \t masklen \t origins` per line.
@@ -325,16 +288,6 @@ impl Union {
     }
 }
 
-/// Total length of the union of half-open intervals. Sorts in place.
-fn union_length(intervals: &mut [(u64, u64)]) -> u64 {
-    intervals.sort_unstable();
-    let mut union = Union::default();
-    for &interval in intervals.iter() {
-        union.push(interval);
-    }
-    union.total()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,12 +298,10 @@ mod tests {
     fn origin_set_parsing() {
         let single: OriginSet = "8048".parse().unwrap();
         assert_eq!(single.asns(), &[Asn(8048)]);
-        assert!(!single.is_moas());
         let moas: OriginSet = "8048_6306".parse().unwrap();
         assert_eq!(moas.asns(), &[Asn(6306), Asn(8048)]);
-        assert!(moas.is_moas());
         let set: OriginSet = "8048,6306".parse().unwrap();
-        assert!(set.is_moas());
+        assert_eq!(set.asns(), &[Asn(6306), Asn(8048)]);
         assert!("".parse::<OriginSet>().is_err());
         assert!("x_y".parse::<OriginSet>().is_err());
     }
@@ -361,10 +312,7 @@ mod tests {
             "# comment\n186.24.0.0\t17\t8048\n200.35.64.0\t18\t6306\n190.0.0.0\t16\t8048_6306\n";
         let t = PfxToAs::parse(text).unwrap();
         assert_eq!(t.len(), 3);
-        assert_eq!(
-            t.origins_of(net("186.24.0.0/17")).unwrap().asns(),
-            &[Asn(8048)]
-        );
+        assert_eq!(t.entries[&net("186.24.0.0/17")].asns(), &[Asn(8048)]);
         assert_eq!(
             t.prefixes_of(Asn(8048)),
             vec![net("186.24.0.0/17"), net("190.0.0.0/16")]
@@ -393,17 +341,19 @@ mod tests {
             (net("200.35.64.0/18"), OriginSet::single(Asn(8048))),
         ]);
         // /16 plus both /17s counts once; /18 is disjoint.
-        assert_eq!(t.address_space_of(Asn(8048)), 65536 + 16384);
-        assert_eq!(t.total_address_space(), 65536 + 16384);
-        assert_eq!(t.address_space_of(Asn(701)), 0);
+        assert_eq!(
+            t.address_space_by_origin(&[Asn(8048), Asn(701)]),
+            vec![65536 + 16384, 0]
+        );
     }
 
     #[test]
     fn moas_space_counts_for_both_origins() {
         let t = PfxToAs::from_entries([(net("190.0.0.0/16"), "8048_6306".parse().unwrap())]);
-        assert_eq!(t.address_space_of(Asn(8048)), 65536);
-        assert_eq!(t.address_space_of(Asn(6306)), 65536);
-        assert_eq!(t.total_address_space(), 65536);
+        assert_eq!(
+            t.address_space_by_origin(&[Asn(8048), Asn(6306)]),
+            vec![65536, 65536]
+        );
     }
 
     #[test]
@@ -412,11 +362,14 @@ mod tests {
             (net("186.24.0.0/16"), OriginSet::single(Asn(8048))),
             (net("186.24.128.0/17"), OriginSet::single(Asn(6306))),
         ]);
-        let o = t.origin_of_ip(Ipv4Addr::new(186, 24, 200, 1)).unwrap();
-        assert_eq!(o.asns(), &[Asn(6306)]);
-        let o = t.origin_of_ip(Ipv4Addr::new(186, 24, 1, 1)).unwrap();
-        assert_eq!(o.asns(), &[Asn(8048)]);
-        assert!(t.origin_of_ip(Ipv4Addr::new(10, 0, 0, 1)).is_none());
+        let trie = t.build_trie();
+        let origin = |ip| trie.longest_match(ip).map(|(_, o)| o.asns().to_vec());
+        assert_eq!(
+            origin(Ipv4Addr::new(186, 24, 200, 1)),
+            Some(vec![Asn(6306)])
+        );
+        assert_eq!(origin(Ipv4Addr::new(186, 24, 1, 1)), Some(vec![Asn(8048)]));
+        assert_eq!(origin(Ipv4Addr::new(10, 0, 0, 1)), None);
     }
 
     #[test]
@@ -431,19 +384,6 @@ mod tests {
         assert_eq!(back.to_text(), text);
     }
 
-    #[test]
-    fn union_length_edge_cases() {
-        assert_eq!(union_length(&mut []), 0);
-        assert_eq!(union_length(&mut [(0, 10)]), 10);
-        assert_eq!(
-            union_length(&mut [(0, 10), (10, 20)]),
-            20,
-            "touching intervals merge"
-        );
-        assert_eq!(union_length(&mut [(0, 10), (5, 7)]), 10, "nested");
-        assert_eq!(union_length(&mut [(20, 30), (0, 5)]), 15, "unsorted input");
-    }
-
     proptest! {
         #[test]
         fn address_space_bounded_by_sum_of_sizes(
@@ -453,7 +393,7 @@ mod tests {
                 (Ipv4Net::truncating(std::net::Ipv4Addr::from(a), l), OriginSet::single(Asn(1)))
             }));
             let naive: u64 = t.iter().map(|(p, _)| p.size()).sum();
-            let space = t.address_space_of(Asn(1));
+            let space = t.address_space_by_origin(&[Asn(1)])[0];
             prop_assert!(space <= naive);
             prop_assert!(space >= t.iter().map(|(p, _)| p.size()).max().unwrap());
         }
@@ -467,9 +407,7 @@ mod tests {
             }));
             let back = PfxToAs::parse(&t.to_text()).unwrap();
             prop_assert_eq!(back.len(), t.len());
-            for (p, o) in t.iter() {
-                prop_assert_eq!(back.origins_of(p).unwrap(), o);
-            }
+            prop_assert!(back.iter().eq(t.iter()));
         }
     }
 }

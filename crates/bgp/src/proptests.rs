@@ -581,7 +581,6 @@ proptest! {
         prop_assert_eq!(spaces.len(), asked.len());
         for (&asn, &space) in asked.iter().zip(&spaces) {
             prop_assert_eq!(space, reference_space(&table, asn), "{:?}", asn);
-            prop_assert_eq!(table.address_space_of(asn), space);
         }
     }
 }

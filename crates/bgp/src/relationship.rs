@@ -89,11 +89,6 @@ impl RelEdge {
             _ => self,
         }
     }
-
-    /// Whether the edge touches `asn`.
-    pub fn touches(self, asn: Asn) -> bool {
-        self.a == asn || self.b == asn
-    }
 }
 
 impl fmt::Display for RelEdge {
@@ -180,13 +175,5 @@ mod tests {
             (Asn(9), Asn(3)),
             "p2c orientation is meaningful"
         );
-    }
-
-    #[test]
-    fn touches() {
-        let e = RelEdge::transit(Asn(701), Asn(8048));
-        assert!(e.touches(Asn(701)));
-        assert!(e.touches(Asn(8048)));
-        assert!(!e.touches(Asn(1299)));
     }
 }

@@ -45,11 +45,6 @@ impl TopologyArchive {
         self.snapshots.is_empty()
     }
 
-    /// Earliest snapshot month.
-    pub fn first_month(&self) -> Option<MonthStamp> {
-        self.snapshots.keys().next().copied()
-    }
-
     /// Latest snapshot month.
     pub fn last_month(&self) -> Option<MonthStamp> {
         self.snapshots.keys().next_back().copied()
@@ -84,7 +79,6 @@ mod tests {
             AsGraph::from_edges([RelEdge::transit(Asn(23520), Asn(8048))]),
         );
         assert_eq!(arch.len(), 2);
-        assert_eq!(arch.first_month(), Some(m(2013, 1)));
         assert_eq!(arch.last_month(), Some(m(2014, 1)));
         assert!(arch.get(m(2013, 1)).unwrap().contains(Asn(701)));
         assert!(arch.get(m(2013, 2)).is_none());

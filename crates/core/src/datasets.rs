@@ -266,12 +266,10 @@ pub struct EncodedContainer {
 /// Generate one shard's rows and encode them as `.ndtc` blocks — one
 /// sweep job of a dump.
 fn encode_month(world: &World, shard: bandwidth::NdtShard) -> BlockRun {
-    let (cc, month) = shard;
-    let scale = world.config.mlab_scale_for(cc) * world.scenario.mlab_factor(cc, month);
     BlockRun::encode(&bandwidth::generate_shard(
         &world.operators,
-        world.config.seed,
-        scale,
+        &world.config,
+        &world.scenario,
         shard,
     ))
 }
@@ -834,7 +832,7 @@ mod tests {
         assert!(ve_records.iter().all(|r| r.path == "mlab/VE.ndtc"));
         assert_eq!(
             ve_records.iter().map(|r| r.blocks).sum::<u64>(),
-            reader.block_count() as u64
+            reader.blocks().len() as u64
         );
         assert_eq!(
             ve_records.iter().map(|r| r.rows).sum::<u64>(),

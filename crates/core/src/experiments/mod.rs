@@ -62,18 +62,10 @@ pub(crate) mod common {
 /// worker threads. The battery itself lives in [`crate::registry`] — the
 /// one list `vzla-report`, `lacnet-serve` and the golden suite all
 /// consume. The result is identical — byte for byte once rendered — to
-/// [`all_serial`]; `tests/parallel_equivalence.rs` holds that invariant.
+/// running the registry in order on one thread;
+/// `tests/parallel_equivalence.rs` holds that invariant.
 pub fn all(source: &DataSource) -> Vec<ExperimentResult> {
     lacnet_types::sweep::parallel_map(&crate::registry::paper_battery(), |run| run(source))
-}
-
-/// Run every experiment in paper order on the calling thread — the
-/// reference implementation the parallel battery is checked against.
-pub fn all_serial(source: &DataSource) -> Vec<ExperimentResult> {
-    crate::registry::paper_battery()
-        .into_iter()
-        .map(|run| run(source))
-        .collect()
 }
 
 /// Shared lazily-generated world for the experiment test modules — world

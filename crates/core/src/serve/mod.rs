@@ -170,13 +170,9 @@ impl ServerState {
                 .collect(),
         )
         .to_text();
-        let resident = source.scenario.name.clone();
-        let mut scenario_rows: Vec<Json> = Vec::new();
-        let mut listed_resident = false;
-        for name in lacnet_crisis::Scenario::builtin_names() {
-            let s = lacnet_crisis::Scenario::builtin(name).expect("builtin scenario parses");
-            listed_resident |= s.name == resident;
-            scenario_rows.push(Json::Obj(vec![
+        // One `/scenarios` row: a scenario and whether the source runs it.
+        let scenario_row = |s: &lacnet_crisis::Scenario, resident: bool| {
+            Json::Obj(vec![
                 ("name".into(), Json::Str(s.name.clone())),
                 ("description".into(), Json::Str(s.description.clone())),
                 (
@@ -184,24 +180,22 @@ impl ServerState {
                     Json::Str(format!("{:016x}", s.fingerprint())),
                 ),
                 ("default".into(), Json::Bool(s.is_default())),
-                ("resident".into(), Json::Bool(s.name == resident)),
-            ]));
+                ("resident".into(), Json::Bool(resident)),
+            ])
+        };
+        let resident = &source.scenario.name;
+        let mut scenario_rows: Vec<Json> = Vec::new();
+        let mut listed_resident = false;
+        for name in lacnet_crisis::Scenario::builtin_names() {
+            let s = lacnet_crisis::Scenario::builtin(name).expect("builtin scenario parses");
+            listed_resident |= s.name == *resident;
+            scenario_rows.push(scenario_row(&s, s.name == *resident));
         }
         if !listed_resident {
             // The resident source runs a custom (file-loaded) scenario:
             // list it too, so the inventory always covers every routable
             // name.
-            let s = &source.scenario;
-            scenario_rows.push(Json::Obj(vec![
-                ("name".into(), Json::Str(s.name.clone())),
-                ("description".into(), Json::Str(s.description.clone())),
-                (
-                    "fingerprint".into(),
-                    Json::Str(format!("{:016x}", s.fingerprint())),
-                ),
-                ("default".into(), Json::Bool(s.is_default())),
-                ("resident".into(), Json::Bool(true)),
-            ]));
+            scenario_rows.push(scenario_row(&source.scenario, true));
         }
         let scenarios_body = Json::Arr(scenario_rows).to_text();
         ServerState {

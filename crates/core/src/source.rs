@@ -926,11 +926,12 @@ mod tests {
         // The ledger answers queries identically after the rebuild.
         let cutoff = world.config.end.last_day();
         assert_eq!(
-            src.ledger.space_of_country(country::VE, cutoff),
+            src.ledger.to_delegation_file(cutoff).to_text(cutoff),
             world
                 .addressing
                 .ledger()
-                .space_of_country(country::VE, cutoff)
+                .to_delegation_file(cutoff)
+                .to_text(cutoff)
         );
         // Reachability was parsed for every lacnic country.
         assert_eq!(

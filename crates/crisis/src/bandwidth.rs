@@ -13,7 +13,9 @@
 //! these targets — the pipeline then re-estimates the medians from the
 //! rows, exactly as the paper reduces 447M tests.
 
+use crate::config::WorldConfig;
 use crate::operators::Operators;
+use crate::scenario::Scenario;
 use lacnet_mlab::aggregate::{Mode, MonthlyAggregator};
 use lacnet_mlab::multi::MultiAggregator;
 use lacnet_mlab::{NdtTest, SpeedSampler};
@@ -379,14 +381,6 @@ pub fn median_target(cc: CountryCode, month: MonthStamp) -> f64 {
         .unwrap_or(0.0)
 }
 
-/// The target series over a window.
-pub fn target_series(cc: CountryCode, start: MonthStamp, end: MonthStamp) -> TimeSeries {
-    start
-        .through(end)
-        .map(|m| (m, median_target(cc, m)))
-        .collect()
-}
-
 /// Generate one country-month of NDT rows, attributed to the incumbent
 /// (the aggregate view the Fig. 11 reduction uses).
 pub fn generate_month(
@@ -490,13 +484,23 @@ pub fn shard_plan(start: MonthStamp, end: MonthStamp) -> Vec<NdtShard> {
     plan
 }
 
-/// Generate one shard of aggregate-view rows. Every shard owns an
-/// independent RNG substream derived from `(seed, country, month)`, so a
-/// shard's bytes depend on neither the worker that runs it nor the order
-/// shards are claimed in.
-pub fn generate_shard(ops: &Operators, seed: u64, scale: f64, shard: NdtShard) -> Vec<NdtTest> {
+/// Generate one shard of aggregate-view rows — the one place a shard's
+/// RNG label and volume rule are written. Every shard owns an independent
+/// RNG substream derived from `(seed, country, month)`, so a shard's bytes
+/// depend on neither the worker that runs it nor the order shards are
+/// claimed in. Its volume is the config's effective per-country scale
+/// ([`WorldConfig::mlab_scale_for`]) times the scenario's per-month M-Lab
+/// factor ([`Scenario::mlab_factor`]), so the in-memory aggregate and the
+/// dumped containers are built from the very same rows.
+pub fn generate_shard(
+    ops: &Operators,
+    config: &WorldConfig,
+    scenario: &Scenario,
+    shard: NdtShard,
+) -> Vec<NdtTest> {
     let (cc, month) = shard;
-    let mut rng = Rng::seeded(seed).fork(&format!("mlab/{cc}/{month}"));
+    let scale = config.mlab_scale_for(cc) * scenario.mlab_factor(cc, month);
+    let mut rng = Rng::seeded(config.seed).fork(&format!("mlab/{cc}/{month}"));
     generate_month(ops, cc, month, scale, &mut rng)
 }
 
@@ -515,168 +519,29 @@ pub fn generate_network_shard(
 
 /// Generate the full archive into a streaming aggregator (the analysis
 /// half never sees the targets, only the rows). Shards are generated on
-/// [`lacnet_types::sweep`] workers and merged in [`shard_plan`] order.
+/// `workers` [`lacnet_types::sweep`] workers and merged in [`shard_plan`]
+/// order, so the aggregate does not depend on `workers`.
 pub fn build_aggregate(
+    workers: usize,
     ops: &Operators,
-    seed: u64,
-    scale: f64,
+    config: &WorldConfig,
+    scenario: &Scenario,
     start: MonthStamp,
     end: MonthStamp,
 ) -> MonthlyAggregator {
     let plan = shard_plan(start, end);
-    build_aggregate_with_workers(
-        sweep::worker_count(plan.len()),
-        ops,
-        seed,
-        scale,
-        start,
-        end,
-    )
-}
-
-/// [`build_aggregate`] under a full [`crate::config::WorldConfig`]: each
-/// shard's volume is the config's *effective* per-country scale
-/// ([`crate::config::WorldConfig::mlab_scale_for`]), so the per-country
-/// boost knob reaches the in-memory aggregate and the dumped shard set
-/// identically. With the knob unset this is exactly [`build_aggregate`].
-pub fn build_aggregate_config(
-    ops: &Operators,
-    config: &crate::config::WorldConfig,
-    start: MonthStamp,
-    end: MonthStamp,
-) -> MonthlyAggregator {
-    build_aggregate_scenario(
-        ops,
-        config,
-        &crate::scenario::Scenario::venezuela(),
-        start,
-        end,
-    )
-}
-
-/// [`build_aggregate_config`] under an explicit scenario: each shard's
-/// volume is the config's effective scale times the scenario's per-month
-/// M-Lab factor ([`crate::scenario::Scenario::mlab_factor`]). The default
-/// scenario's factor is exactly `1.0` for every cell, so its aggregate is
-/// byte-identical to [`build_aggregate_config`].
-pub fn build_aggregate_scenario(
-    ops: &Operators,
-    config: &crate::config::WorldConfig,
-    scenario: &crate::scenario::Scenario,
-    start: MonthStamp,
-    end: MonthStamp,
-) -> MonthlyAggregator {
-    let plan = shard_plan(start, end);
-    let batches = sweep::parallel_map_with(sweep::worker_count(plan.len()), &plan, |&s| {
-        let scale = config.mlab_scale_for(s.0) * scenario.mlab_factor(s.0, s.1);
-        generate_shard(ops, config.seed, scale, s)
+    let batches = sweep::parallel_map_with(workers, &plan, |&s| {
+        generate_shard(ops, config, scenario, s)
     });
     let mut agg = MonthlyAggregator::new(Mode::Streaming);
     for batch in &batches {
         agg.observe_all(batch);
     }
     agg
-}
-
-/// [`build_aggregate`] with an explicit worker count — the
-/// shard-invariance tests drive 1, 2 and 7 and assert byte-identical
-/// medians.
-pub fn build_aggregate_with_workers(
-    workers: usize,
-    ops: &Operators,
-    seed: u64,
-    scale: f64,
-    start: MonthStamp,
-    end: MonthStamp,
-) -> MonthlyAggregator {
-    let plan = shard_plan(start, end);
-    let batches =
-        sweep::parallel_map_with(workers, &plan, |&s| generate_shard(ops, seed, scale, s));
-    let mut agg = MonthlyAggregator::new(Mode::Streaming);
-    for batch in &batches {
-        agg.observe_all(batch);
-    }
-    agg
-}
-
-/// The serial reference [`build_aggregate`] is byte-checked against: one
-/// thread, shards reduced in plan order.
-pub fn build_aggregate_serial(
-    ops: &Operators,
-    seed: u64,
-    scale: f64,
-    start: MonthStamp,
-    end: MonthStamp,
-) -> MonthlyAggregator {
-    let mut agg = MonthlyAggregator::new(Mode::Streaming);
-    for &shard in &shard_plan(start, end) {
-        agg.observe_all(&generate_shard(ops, seed, scale, shard));
-    }
-    agg
-}
-
-/// Render the NDT archive as TSV text: shards generated on sweep workers,
-/// concatenated in [`shard_plan`] order. Byte-identical to
-/// [`build_archive_serial`] for any worker count.
-pub fn build_archive(
-    ops: &Operators,
-    seed: u64,
-    scale: f64,
-    start: MonthStamp,
-    end: MonthStamp,
-) -> String {
-    let plan = shard_plan(start, end);
-    build_archive_with_workers(
-        sweep::worker_count(plan.len()),
-        ops,
-        seed,
-        scale,
-        start,
-        end,
-    )
-}
-
-/// [`build_archive`] with an explicit worker count.
-pub fn build_archive_with_workers(
-    workers: usize,
-    ops: &Operators,
-    seed: u64,
-    scale: f64,
-    start: MonthStamp,
-    end: MonthStamp,
-) -> String {
-    let plan = shard_plan(start, end);
-    let shards = sweep::parallel_map_with(workers, &plan, |&s| {
-        let mut text = String::new();
-        for test in generate_shard(ops, seed, scale, s) {
-            text.push_str(&test.to_row());
-            text.push('\n');
-        }
-        text
-    });
-    shards.concat()
-}
-
-/// The serial reference [`build_archive`] is byte-checked against.
-pub fn build_archive_serial(
-    ops: &Operators,
-    seed: u64,
-    scale: f64,
-    start: MonthStamp,
-    end: MonthStamp,
-) -> String {
-    let mut text = String::new();
-    for &shard in &shard_plan(start, end) {
-        for test in generate_shard(ops, seed, scale, shard) {
-            text.push_str(&test.to_row());
-            text.push('\n');
-        }
-    }
-    text
 }
 
 /// Build the per-network `multi` archive view into a by-ASN aggregator,
-/// sharded the same way as [`build_aggregate`].
+/// sharded the same way as [`build_aggregate`] on the default worker count.
 pub fn build_multi_aggregate(
     ops: &Operators,
     seed: u64,
@@ -756,10 +621,16 @@ mod tests {
     #[test]
     fn rows_reestimate_the_targets() {
         let ops = Operators::generate(42);
+        let config = WorldConfig {
+            seed: 42,
+            mlab_volume_scale: 2.0,
+            ..WorldConfig::default()
+        };
         let agg = build_aggregate(
+            2,
             &ops,
-            42,
-            2.0,
+            &config,
+            &Scenario::venezuela(),
             MonthStamp::new(2023, 6),
             MonthStamp::new(2023, 8),
         );

@@ -111,11 +111,6 @@ const CABLES: &[Row] = &[
     ("SV Conexion", 2019, 9, &["SV", "CR"], 700.0),
 ];
 
-/// Build the region's cable map with the historical record only.
-pub fn build_cable_map() -> CableMap {
-    build_cable_map_with(&[])
-}
-
 /// Build the region's cable map, applying scenario failure events: each
 /// [`CableFailure`](crate::scenario::CableFailure) whose name matches a
 /// system marks it out of service from that day. An empty slice is the
@@ -192,7 +187,7 @@ mod tests {
 
     #[test]
     fn region_counts_match_fig4() {
-        let map = build_cable_map();
+        let map = build_cable_map_with(&[]);
         let region: Vec<CountryCode> = country::lacnic_codes().collect();
         let s = map.region_series(&region, MonthStamp::new(2000, 12), MonthStamp::new(2024, 2));
         assert_eq!(
@@ -209,7 +204,7 @@ mod tests {
 
     #[test]
     fn venezuela_only_added_alba() {
-        let map = build_cable_map();
+        let map = build_cable_map_with(&[]);
         let added = map.added_between(country::VE, Date::ymd(2001, 1, 1), Date::ymd(2024, 2, 28));
         assert_eq!(added.len(), 1);
         assert_eq!(added[0].name, "ALBA-1");
@@ -221,7 +216,7 @@ mod tests {
 
     #[test]
     fn quoted_country_trajectories() {
-        let map = build_cable_map();
+        let map = build_cable_map_with(&[]);
         let count = |cc, y: i32| map.serving(cc, Date::ymd(y, 12, 31)).len();
         assert_eq!(count(country::BR, 2000), 5);
         assert_eq!(count(country::BR, 2023), 17);
@@ -236,7 +231,7 @@ mod tests {
 
     #[test]
     fn stagnant_countries() {
-        let map = build_cable_map();
+        let map = build_cable_map_with(&[]);
         let ni = CountryCode::of("NI");
         let ht = CountryCode::of("HT");
         for cc in [ni, ht] {
@@ -256,7 +251,7 @@ mod tests {
 
     #[test]
     fn all_landings_are_in_the_region() {
-        let map = build_cable_map();
+        let map = build_cable_map_with(&[]);
         for cable in map.cables() {
             assert!(cable.landings.len() >= 2, "{}", cable.name);
             for l in &cable.landings {
@@ -271,7 +266,7 @@ mod tests {
 
     #[test]
     fn map_roundtrips_through_json() {
-        let map = build_cable_map();
+        let map = build_cable_map_with(&[]);
         let back = CableMap::from_json(&map.to_json()).unwrap();
         assert_eq!(back.len(), map.len());
     }

@@ -172,16 +172,6 @@ pub mod windows {
     pub fn ipv6_start() -> MonthStamp {
         MonthStamp::new(2018, 1)
     }
-
-    /// Off-net artifacts: 2013–2021 (§5.5).
-    pub fn offnets_start() -> MonthStamp {
-        MonthStamp::new(2013, 1)
-    }
-
-    /// Off-net artifacts end (Gigis et al. coverage).
-    pub fn offnets_end() -> MonthStamp {
-        MonthStamp::new(2021, 12)
-    }
 }
 
 #[cfg(test)]
@@ -195,7 +185,6 @@ mod tests {
         assert!(windows::serial1_start() < windows::mlab_start());
         assert!(windows::mlab_start() < windows::pfx2as_start());
         assert!(windows::gpdns_start() < windows::chaos_start());
-        assert!(windows::offnets_end() < cfg.end);
         assert!(cfg.mlab_volume_scale > 0.0);
     }
 

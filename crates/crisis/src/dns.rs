@@ -491,8 +491,9 @@ fn fnv(s: &str) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lacnet_atlas::campaign;
     use lacnet_atlas::gpdns::{GpdnsCampaign, LatencyModel};
+    use lacnet_atlas::ChaosCampaign;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn world() -> DnsWorld {
         build_dns_world(42)
@@ -550,103 +551,56 @@ mod tests {
     #[test]
     fn fig6_replica_counts() {
         let w = world();
-        let series = campaign::replica_count_series(
-            &w.probes,
-            &w.roots,
-            MonthStamp::new(2016, 1),
-            MonthStamp::new(2016, 1),
-        );
-        let total_2016: f64 = country::lacnic_codes()
-            .filter_map(|cc| {
-                series
-                    .get(&cc)
-                    .and_then(|s| s.get(MonthStamp::new(2016, 1)))
-            })
-            .sum();
+        let campaign = ChaosCampaign::new(&w.probes, &w.roots);
+        let counts = |month: MonthStamp| -> BTreeMap<CountryCode, usize> {
+            campaign
+                .replicas_by_country(month)
+                .into_iter()
+                .map(|(cc, replicas)| (cc, replicas.len()))
+                .collect()
+        };
+        let region_total = |counts: &BTreeMap<CountryCode, usize>| -> usize {
+            country::lacnic_codes()
+                .filter_map(|cc| counts.get(&cc))
+                .sum()
+        };
+        let in_2016 = counts(MonthStamp::new(2016, 1));
+        let total_2016 = region_total(&in_2016);
         assert!(
-            (54.0..=64.0).contains(&total_2016),
+            (54..=64).contains(&total_2016),
             "2016 region total {total_2016}"
         );
-        assert_eq!(
-            series[&country::VE].get(MonthStamp::new(2016, 1)),
-            Some(2.0)
-        );
-        assert_eq!(
-            series[&country::BR].get(MonthStamp::new(2016, 1)),
-            Some(18.0)
-        );
+        assert_eq!(in_2016.get(&country::VE), Some(&2));
+        assert_eq!(in_2016.get(&country::BR), Some(&18));
 
-        let series = campaign::replica_count_series(
-            &w.probes,
-            &w.roots,
-            MonthStamp::new(2024, 1),
-            MonthStamp::new(2024, 1),
-        );
-        let total_2024: f64 = country::lacnic_codes()
-            .filter_map(|cc| {
-                series
-                    .get(&cc)
-                    .and_then(|s| s.get(MonthStamp::new(2024, 1)))
-            })
-            .sum();
+        let in_2024 = counts(MonthStamp::new(2024, 1));
+        let total_2024 = region_total(&in_2024);
         assert!(
-            (130.0..=146.0).contains(&total_2024),
+            (130..=146).contains(&total_2024),
             "2024 region total {total_2024}"
         );
-        assert!(
-            series
-                .get(&country::VE)
-                .is_none_or(|s| s.get(MonthStamp::new(2024, 1)).is_none()),
-            "no VE replicas remain"
-        );
-        assert_eq!(
-            series[&country::BR].get(MonthStamp::new(2024, 1)),
-            Some(41.0)
-        );
-        assert_eq!(
-            series[&country::CL].get(MonthStamp::new(2024, 1)),
-            Some(20.0)
-        );
-        assert_eq!(
-            series[&country::MX].get(MonthStamp::new(2024, 1)),
-            Some(16.0)
-        );
-        assert_eq!(
-            series[&country::AR].get(MonthStamp::new(2024, 1)),
-            Some(15.0)
-        );
+        assert_eq!(in_2024.get(&country::VE), None, "no VE replicas remain");
+        assert_eq!(in_2024.get(&country::BR), Some(&41));
+        assert_eq!(in_2024.get(&country::CL), Some(&20));
+        assert_eq!(in_2024.get(&country::MX), Some(&16));
+        assert_eq!(in_2024.get(&country::AR), Some(&15));
     }
 
     #[test]
     fn fig16_origin_shift() {
         let w = world();
-        let heat = campaign::origin_heatmap(
-            &w.probes,
-            &w.roots,
-            country::VE,
-            MonthStamp::new(2017, 1),
-            MonthStamp::new(2017, 1),
-        );
-        assert!(heat[&country::VE].get(MonthStamp::new(2017, 1)).unwrap() >= 2.0);
+        let campaign = ChaosCampaign::from_country(&w.probes, &w.roots, country::VE);
+        let origins = campaign.replicas_by_country(MonthStamp::new(2017, 1));
+        assert!(origins[&country::VE].len() >= 2);
 
-        let heat = campaign::origin_heatmap(
-            &w.probes,
-            &w.roots,
-            country::VE,
-            MonthStamp::new(2023, 1),
-            MonthStamp::new(2023, 1),
-        );
-        let at = |cc: &str| {
-            heat.get(&CountryCode::of(cc))
-                .and_then(|s| s.get(MonthStamp::new(2023, 1)))
-                .unwrap_or(0.0)
-        };
-        assert_eq!(at("VE"), 0.0, "domestic replicas gone");
-        assert!(at("US") >= 4.0, "US dominates: {}", at("US"));
+        let origins = campaign.replicas_by_country(MonthStamp::new(2023, 1));
+        let at = |cc: &str| origins.get(&CountryCode::of(cc)).map_or(0, BTreeSet::len);
+        assert_eq!(at("VE"), 0, "domestic replicas gone");
+        assert!(at("US") >= 4, "US dominates: {}", at("US"));
         for cc in ["GB", "DE", "FR", "NL"] {
-            assert!(at(cc) >= 1.0, "{cc} visible from VE");
+            assert!(at(cc) >= 1, "{cc} visible from VE");
         }
-        assert!(at("CO") >= 1.0, "Colombian fallback");
+        assert!(at("CO") >= 1, "Colombian fallback");
     }
 
     #[test]

@@ -229,14 +229,12 @@ impl Operators {
 
         // Organisations: the Venezuelan state, Telefónica's siblings.
         let mut as2org = AsOrgMap::new();
-        as2org.add_org(1, "Estado Venezolano");
         as2org.assign(Asn(8048), 1);
         as2org.assign(Asn(27889), 1);
         // Off-net presence is a country-local property in the study's
         // method, so organisations group only domestic siblings —
         // Telefónica's Peruvian and Colombian units stay separate from
         // its Venezuelan one.
-        as2org.add_org(2, "Telefonica Venezolana");
         as2org.assign(Asn(6306), 2);
 
         // Populations.
@@ -375,8 +373,9 @@ mod tests {
     #[test]
     fn state_org_groups_cantv_and_movilnet() {
         let ops = ops();
-        assert!(ops.as2org().same_org(Asn(8048), Asn(27889)));
-        assert!(!ops.as2org().same_org(Asn(8048), Asn(6306)));
+        let org = |asn| ops.as2org().org_of(asn);
+        assert_eq!(org(Asn(8048)), org(Asn(27889)));
+        assert_ne!(org(Asn(8048)), org(Asn(6306)));
     }
 
     #[test]

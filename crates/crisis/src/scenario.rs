@@ -297,14 +297,6 @@ impl Scenario {
             .unwrap_or(&[])
     }
 
-    /// GDP anchor override for `cc`, if the scenario rewrites it.
-    pub fn gdp_override(&self, cc: CountryCode) -> Option<&[(i32, f64)]> {
-        self.gdp_anchors
-            .iter()
-            .find(|(c, _)| *c == cc)
-            .map(|(_, anchors)| anchors.as_slice())
-    }
-
     /// The NDT volume multiplier for `(cc, month)`: the product of every
     /// matching adjustment window (1.0 when none match — multiplying a
     /// scale by 1.0 is IEEE-exact, so untouched shards keep their bytes).

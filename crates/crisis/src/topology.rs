@@ -332,7 +332,12 @@ mod tests {
         let (ops, eco) = world();
         let builder = TopologyBuilder::new(&ops, &eco);
         let archive = builder.build(MonthStamp::new(1998, 1), MonthStamp::new(2024, 2));
-        let pp = analytics::ProviderPresence::compute(&archive, Asn(8048), 12);
+        let pp = analytics::ProviderPresence::compute_cached(
+            &archive,
+            Asn(8048),
+            12,
+            &lacnet_bgp::ConeCache::new(),
+        );
         // The Fig. 9 heatmap lists 18 providers.
         assert_eq!(pp.providers.len(), 18, "{:?}", pp.providers);
         // Columbus is the sole remaining US-registered provider.

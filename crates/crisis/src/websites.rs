@@ -8,7 +8,7 @@
 //! drop) with domestic sites sampled from those probabilities.
 
 use lacnet_types::rng::Rng;
-use lacnet_types::{CountryCode, MonthStamp};
+use lacnet_types::CountryCode;
 use lacnet_webmeas::scrape::{CountryTopSites, Provider, SiteObservation};
 
 /// `(country, p_dns, p_https, p_ca, p_cdn)` — the marginal adoption
@@ -47,19 +47,6 @@ const GLOBAL_SITES: &[&str] = &[
 
 /// Number of domestic (unique) sites per country list.
 const DOMESTIC_SITES: usize = 700;
-
-/// The countries Fig. 19 covers.
-pub fn fig19_countries() -> Vec<CountryCode> {
-    ADOPTION
-        .iter()
-        .map(|&(cc, ..)| CountryCode::of(cc))
-        .collect()
-}
-
-/// The scrape month (the paper's snapshot is January 2024).
-pub fn scrape_month() -> MonthStamp {
-    MonthStamp::new(2024, 1)
-}
 
 /// Generate the per-country top-site lists (shared + domestic).
 pub fn build_top_sites(seed: u64) -> Vec<CountryTopSites> {
@@ -237,11 +224,5 @@ mod tests {
         assert_eq!(a, b);
         let c = build_top_sites(8);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn scrape_metadata() {
-        assert_eq!(fig19_countries().len(), 9);
-        assert_eq!(scrape_month(), MonthStamp::new(2024, 1));
     }
 }

@@ -153,12 +153,15 @@ impl World {
                 let cables = s.spawn(|| cables::build_cable_map_with(&scenario_ref.cable_failures));
                 let dns = s.spawn(|| dns::build_dns_world(config.seed));
                 let mlab = s.spawn(|| {
-                    bandwidth::build_aggregate_scenario(
+                    let (start, end) = (windows::mlab_start(), config.end);
+                    let workers = sweep::worker_count(bandwidth::shard_plan(start, end).len());
+                    bandwidth::build_aggregate(
+                        workers,
                         &operators,
                         &config,
                         scenario_ref,
-                        windows::mlab_start(),
-                        config.end,
+                        start,
+                        end,
                     )
                 });
                 let cert_scans = s.spawn(|| cdn::build_cert_scans(&operators));
@@ -323,7 +326,7 @@ mod tests {
                 .space_of_holder(lacnet_types::Asn(8048), m.last_day())
                 > 0
         );
-        assert!(world.mlab.test_count_for(country::VE) > 0);
+        assert!(!world.mlab.median_series(country::VE).is_empty());
         let table = world.pfx2as_at(m);
         assert!(!table.prefixes_of(lacnet_types::Asn(8048)).is_empty());
     }

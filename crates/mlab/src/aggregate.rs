@@ -193,20 +193,6 @@ impl MonthlyAggregator {
         self.groups.get(&(country, month))
     }
 
-    /// Total number of tests observed.
-    pub fn test_count(&self) -> usize {
-        self.groups.values().map(GroupStats::count).sum()
-    }
-
-    /// Tests observed for one country (across months).
-    pub fn test_count_for(&self, country: CountryCode) -> usize {
-        self.groups
-            .iter()
-            .filter(|((cc, _), _)| *cc == country)
-            .map(|(_, g)| g.count())
-            .sum()
-    }
-
     /// The median download series for `country` — one Fig. 11 line.
     pub fn median_series(&self, country: CountryCode) -> TimeSeries {
         self.groups
@@ -265,8 +251,11 @@ mod tests {
             test(country::BR, 2019, 7, 1, 20.0),
         ]);
         assert_eq!(agg.group_count(), 3);
-        assert_eq!(agg.test_count(), 5);
-        assert_eq!(agg.test_count_for(country::VE), 4);
+        assert_eq!(
+            agg.group(country::VE, MonthStamp::new(2019, 7))
+                .map(GroupStats::count),
+            Some(3)
+        );
         let ve = agg.median_series(country::VE);
         assert_eq!(ve.get(MonthStamp::new(2019, 7)), Some(0.7));
         assert_eq!(ve.get(MonthStamp::new(2019, 8)), Some(1.1));
@@ -308,7 +297,7 @@ mod tests {
     }
 
     #[test]
-    fn observe_columns_state_is_byte_identical_to_parsed_rows() {
+    fn observe_columns_state_is_byte_identical_to_observed_rows() {
         use lacnet_types::rng::Rng;
         let mut rng = Rng::seeded(11);
         let mut rows = Vec::new();
@@ -323,17 +312,21 @@ mod tests {
                 rng.log_normal(0.0, 0.9),
             ));
         }
-        let mut text = String::new();
-        for r in &rows {
-            text.push_str(&r.to_row());
-            text.push('\n');
-        }
         let bytes =
             crate::columnar::encode_v2_with(&crate::columnar::ColumnBatch::from_rows(&rows), 64);
         let batch = crate::columnar::decode(&bytes).unwrap();
+        // The decoded columns hold the rows bit for bit …
+        assert_eq!(
+            batch
+                .iter()
+                .map(|r| crate::ndt::row_bits(&r))
+                .collect::<Vec<_>>(),
+            rows.iter().map(crate::ndt::row_bits).collect::<Vec<_>>()
+        );
 
-        let mut from_text = MonthlyAggregator::new(Mode::Streaming);
-        from_text.observe_all(&crate::ndt::parse_rows(&text).unwrap());
+        // … and reduce to the per-row reference state.
+        let mut from_rows = MonthlyAggregator::new(Mode::Streaming);
+        from_rows.observe_all(&rows);
         let mut from_columns = MonthlyAggregator::new(Mode::Streaming);
         assert_eq!(from_columns.observe_columns(&batch), rows.len());
 
@@ -341,7 +334,7 @@ mod tests {
         // and increment with shortest-roundtrip floats (and tells -0.0
         // from 0.0), so string equality here is bit-level equality of
         // the full estimator state.
-        assert_eq!(format!("{from_text:?}"), format!("{from_columns:?}"));
+        assert_eq!(format!("{from_rows:?}"), format!("{from_columns:?}"));
 
         // The borrowed block path lands on the same state, and so do
         // per-country partial aggregates merged afterwards.
@@ -356,14 +349,14 @@ mod tests {
                 Ok(())
             })
             .unwrap();
-        assert_eq!(format!("{from_text:?}"), format!("{from_blocks:?}"));
+        assert_eq!(format!("{from_rows:?}"), format!("{from_blocks:?}"));
         let mut merged = MonthlyAggregator::new(Mode::Streaming);
         for cc in [country::BR, country::VE] {
             let mut part = MonthlyAggregator::new(Mode::Streaming);
             part.observe_all(rows.iter().filter(|r| r.country == cc));
             merged.merge(part).unwrap();
         }
-        assert_eq!(format!("{from_text:?}"), format!("{merged:?}"));
+        assert_eq!(format!("{from_rows:?}"), format!("{merged:?}"));
         // A group on both sides cannot be merged.
         assert!(merged.merge(from_blocks).is_err());
     }

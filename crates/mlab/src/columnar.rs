@@ -188,7 +188,6 @@ impl ColumnSet {
 #[derive(Debug, Clone, Default)]
 pub struct ColumnSelection {
     columns: ColumnSet,
-    date_range: Option<(i64, i64)>,
     country: Option<CountryCode>,
 }
 
@@ -202,15 +201,8 @@ impl ColumnSelection {
     pub fn columns(columns: ColumnSet) -> ColumnSelection {
         ColumnSelection {
             columns,
-            date_range: None,
             country: None,
         }
-    }
-
-    /// Keep only blocks whose date span intersects `[lo, hi]` (inclusive).
-    pub fn with_dates(mut self, lo: Date, hi: Date) -> ColumnSelection {
-        self.date_range = Some((lo.days_since_epoch(), hi.days_since_epoch()));
-        self
     }
 
     /// Keep only blocks whose country dictionary contains `cc`.
@@ -219,24 +211,9 @@ impl ColumnSelection {
         self
     }
 
-    /// The columns this selection decodes.
-    pub fn column_set(&self) -> ColumnSet {
-        self.columns
-    }
-
     /// Whether a block with this index entry can hold matching rows.
     fn matches(&self, entry: &BlockEntry) -> bool {
-        if let Some((lo, hi)) = self.date_range {
-            if entry.max_days < lo || entry.min_days > hi {
-                return false;
-            }
-        }
-        if let Some(cc) = self.country {
-            if !entry.countries.contains(&cc) {
-                return false;
-            }
-        }
-        true
+        self.country.is_none_or(|cc| entry.countries.contains(&cc))
     }
 }
 
@@ -1142,11 +1119,6 @@ impl<'a> ColumnReader<'a> {
         self.rows
     }
 
-    /// Row-group blocks the reader covers.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// The reader's footer-index entries, container order.
     pub fn blocks(&self) -> &[BlockEntry] {
         &self.blocks
@@ -1298,13 +1270,6 @@ impl<'a> ColumnReader<'a> {
     }
 }
 
-/// The borrowed-read spelling of [`ColumnReader`]. The reader has
-/// always been a reference type over a caller-owned (or pre-resident)
-/// byte buffer; this alias names the zero-copy role explicitly at call
-/// sites that drive [`ColumnReader::scan_counted`] with a
-/// [`DecodeScratch`] and consume [`BlockView`]s.
-pub type ColumnReaderRef<'a> = ColumnReader<'a>;
-
 /// Decode one `.ndtc` container fully. Rejects wrong magic, unsupported
 /// versions, truncated or oversized blocks, footer/checksum mismatches
 /// and out-of-range row values — all as typed errors.
@@ -1321,7 +1286,6 @@ pub fn read_batch(bytes: &[u8], selection: &ColumnSelection) -> Result<ColumnBat
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lacnet_types::codec::read_f64;
     use lacnet_types::country;
 
     fn rows() -> Vec<NdtTest> {
@@ -1499,28 +1463,20 @@ mod tests {
     }
 
     #[test]
-    fn block_pruning_by_date_and_country() {
+    fn block_pruning_by_country() {
         // One row per block (block_rows = 1): dates Jul 14 / Jul 2 /
         // Jul 30, countries VE / VE / BR.
         let rows = rows();
         let bytes = encode_v2_with(&ColumnBatch::from_rows(&rows), 1);
         let reader = ColumnReader::open(&bytes).unwrap();
-        assert_eq!(reader.block_count(), 3);
-
-        let sel = ColumnSelection::columns(ColumnSet::ALL)
-            .with_dates(Date::ymd(2019, 7, 1), Date::ymd(2019, 7, 10));
-        let (batch, stats) = reader.read_counted(&sel).unwrap();
-        assert_eq!(stats.blocks_decoded, 1);
-        assert_eq!(batch.iter().collect::<Vec<_>>(), vec![rows[1]]);
+        assert_eq!(reader.blocks().len(), 3);
 
         let sel = ColumnSelection::columns(ColumnSet::ALL).with_country(country::BR);
         let (batch, stats) = reader.read_counted(&sel).unwrap();
         assert_eq!(stats.blocks_decoded, 1);
         assert_eq!(batch.iter().collect::<Vec<_>>(), vec![rows[2]]);
 
-        let sel = ColumnSelection::columns(ColumnSet::ALL)
-            .with_country(country::VE)
-            .with_dates(Date::ymd(2019, 7, 20), Date::ymd(2019, 7, 31));
+        let sel = ColumnSelection::columns(ColumnSet::ALL).with_country(country::UY);
         let (batch, stats) = reader.read_counted(&sel).unwrap();
         assert_eq!(stats.blocks_decoded, 0);
         assert!(batch.is_empty());
@@ -1582,7 +1538,7 @@ mod tests {
         let bytes = assemble(&runs);
         let reader = ColumnReader::open(&bytes).unwrap();
         // 1 + 0 + 2 blocks, tiling the body in month order.
-        assert_eq!(reader.block_count(), 3);
+        assert_eq!(reader.blocks().len(), 3);
         assert_eq!(reader.rows(), 10);
         let all: Vec<NdtTest> = months.concat();
         assert_eq!(
@@ -1606,7 +1562,7 @@ mod tests {
                 );
                 assert_eq!((s.rows, s.crc, s.day_span()), (b.rows, b.crc, b.day_span()));
             }
-            assert_eq!(solo_reader.block_count(), run.blocks().len());
+            assert_eq!(solo_reader.blocks().len(), run.blocks().len());
             at += run.blocks().len();
         }
         // One run is exactly the single-run writer.
@@ -1728,10 +1684,11 @@ mod tests {
                     if section.len() != n * 8 {
                         return Err(Error::parse("ndtc float column (wrong size)", ""));
                     }
-                    let mut pos = 0;
-                    for _ in 0..n {
-                        col.push(read_f64(section, &mut pos)?);
-                    }
+                    col.extend(
+                        section
+                            .chunks_exact(8)
+                            .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+                    );
                 }
             }
         }
@@ -1802,12 +1759,13 @@ mod tests {
         }
 
         proptest! {
-            /// text rows → columnar encode → decode → text is
-            /// byte-identical for arbitrary generated rows, including
-            /// empty and single-row ones (`size 0..` covers both), at a
-            /// block size small enough to split every multi-row batch.
+            /// rows → columnar encode → decode → rows is bit-identical
+            /// (every float compared by `f64::to_bits`) for arbitrary
+            /// generated rows, including empty and single-row ones
+            /// (`size 0..` covers both), at a block size small enough to
+            /// split every multi-row batch.
             #[test]
-            fn text_columnar_text_is_byte_identical(
+            fn rows_columnar_rows_are_bit_identical(
                 specs in proptest::collection::vec(
                     (1u8..=28, 0usize..4, 1u32..400_000,
                      (0.0f64..500.0, 0.0f64..200.0, 0.0f64..900.0, 0.0f64..1.0)),
@@ -1818,18 +1776,18 @@ mod tests {
                     .into_iter()
                     .map(|(day, cc, asn, f)| arb_row(day, cc, asn, f))
                     .collect();
-                let text: String = rows.iter().map(|r| r.to_row() + "\n").collect();
+                let want: Vec<_> = rows.iter().map(crate::ndt::row_bits).collect();
                 let batch = ColumnBatch::from_rows(&rows);
                 for block_rows in [3usize, 4096] {
                     let decoded = decode(&encode_v2_with(&batch, block_rows)).unwrap();
-                    let back: String = decoded.iter().map(|r| r.to_row() + "\n").collect();
-                    prop_assert_eq!(&back, &text);
+                    let back: Vec<_> = decoded.iter().map(|r| crate::ndt::row_bits(&r)).collect();
+                    prop_assert_eq!(&back, &want);
                 }
             }
 
             /// The borrowed scan is bit-identical to the owned decode
             /// for *every* `ColumnSelection` — all 128 column subsets,
-            /// optional date-range and country pruning, rows split at
+            /// optional country pruning, rows split at
             /// arbitrary block sizes. `read_counted` (the thin wrapper
             /// over the scan) and a scan-collected batch must both match
             /// the reference owned implementation, `ReadStats` included.
@@ -1842,7 +1800,6 @@ mod tests {
                 ),
                 col_mask in 0u8..=0x7f,
                 block_rows in 1usize..9,
-                date_window in proptest::option::of((0i64..400, 0i64..400)),
                 country_pick in proptest::option::of(0usize..4),
             ) {
                 let rows: Vec<NdtTest> = specs
@@ -1863,13 +1820,6 @@ mod tests {
                     }
                 }
                 let mut sel = ColumnSelection::columns(columns);
-                if let Some((a, b)) = date_window {
-                    let (lo, hi) = (a.min(b), a.max(b));
-                    sel = sel.with_dates(
-                        Date::from_days_since_epoch(13_500 + lo * 12),
-                        Date::from_days_since_epoch(13_500 + hi * 12),
-                    );
-                }
                 if let Some(i) = country_pick {
                     let codes = [country::VE, country::BR, country::AR, country::UY];
                     sel = sel.with_country(codes[i]);

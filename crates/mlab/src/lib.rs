@@ -10,8 +10,8 @@
 //!
 //! Archives store NDT rows in one on-disk encoding, the [`columnar`]
 //! `.ndtc` container, whose cold load is bounded by disk bandwidth
-//! instead of per-row text parsing. [`ndt`] keeps the one-line text row
-//! of a test as a reference rendering for tests and examples.
+//! instead of per-row text parsing. [`ndt`] holds the in-memory test
+//! record; it has no text rendering of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,8 +24,8 @@ pub mod synth;
 
 pub use aggregate::{GroupStats, MonthlyAggregator};
 pub use columnar::{
-    BlockEntry, BlockRun, BlockView, ColumnBatch, ColumnReader, ColumnReaderRef, ColumnSelection,
-    ColumnSet, ColumnSlice, DecodeScratch, ReadStats, ShardFormat,
+    BlockEntry, BlockRun, BlockView, ColumnBatch, ColumnReader, ColumnSelection, ColumnSet,
+    ColumnSlice, DecodeScratch, ReadStats, ShardFormat,
 };
 pub use multi::{Group, Metric, MultiAggregator};
 pub use ndt::NdtTest;

@@ -119,14 +119,6 @@ impl MultiAggregator {
     pub fn count(&self, group: Group, month: MonthStamp) -> usize {
         self.counts.get(&(group, month)).copied().unwrap_or(0)
     }
-
-    /// All groups observed.
-    pub fn group_list(&self) -> Vec<Group> {
-        let mut v: Vec<Group> = self.counts.keys().map(|(g, _)| *g).collect();
-        v.sort();
-        v.dedup();
-        v
-    }
 }
 
 #[cfg(test)]
@@ -184,13 +176,11 @@ mod tests {
         let r_cantv = agg.median_series(cantv, Metric::MinRtt).get(m).unwrap();
         let r_telemic = agg.median_series(telemic, Metric::MinRtt).get(m).unwrap();
         assert!(r_cantv > r_telemic);
-        assert_eq!(agg.group_list().len(), 2);
     }
 
     #[test]
     fn empty_aggregator() {
         let agg = MultiAggregator::by_country();
-        assert!(agg.group_list().is_empty());
         assert!(agg
             .median_series(Group::Country(country::VE), Metric::Download)
             .is_empty());

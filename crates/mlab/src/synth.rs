@@ -137,7 +137,7 @@ mod tests {
 
     #[test]
     fn pipeline_roundtrip_rows_to_median_series() {
-        // Generate → serialise → parse → aggregate: the full path the
+        // Generate → encode → decode → aggregate: the full path the
         // analysis takes over the archive.
         let sampler = SpeedSampler::default();
         let mut rng = Rng::seeded(13);
@@ -149,11 +149,14 @@ mod tests {
             2000.0,
             &mut rng,
         );
-        let text: String = tests.iter().map(|t| t.to_row() + "\n").collect();
-        let parsed = crate::ndt::parse_rows(&text).unwrap();
-        assert_eq!(parsed.len(), tests.len());
+        let bytes = crate::columnar::encode_v2(&crate::columnar::ColumnBatch::from_rows(&tests));
+        let decoded: Vec<NdtTest> = crate::columnar::decode(&bytes).unwrap().iter().collect();
+        assert_eq!(
+            decoded.iter().map(crate::ndt::row_bits).collect::<Vec<_>>(),
+            tests.iter().map(crate::ndt::row_bits).collect::<Vec<_>>()
+        );
         let mut agg = MonthlyAggregator::new(Mode::Streaming);
-        agg.observe_all(&parsed);
+        agg.observe_all(&decoded);
         let med = agg
             .median_series(country::VE)
             .get(MonthStamp::new(2019, 7))

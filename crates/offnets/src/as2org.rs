@@ -16,18 +16,12 @@ pub type OrgId = u32;
 #[derive(Debug, Clone, Default)]
 pub struct AsOrgMap {
     asn_to_org: BTreeMap<Asn, OrgId>,
-    org_names: BTreeMap<OrgId, String>,
 }
 
 impl AsOrgMap {
     /// An empty mapping.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Register an organisation (idempotent on id).
-    pub fn add_org(&mut self, org: OrgId, name: &str) {
-        self.org_names.entry(org).or_insert_with(|| name.to_owned());
     }
 
     /// Assign an ASN to an organisation.
@@ -40,25 +34,6 @@ impl AsOrgMap {
     pub fn org_of(&self, asn: Asn) -> OrgId {
         self.asn_to_org.get(&asn).copied().unwrap_or(asn.raw())
     }
-
-    /// Organisation display name, if registered.
-    pub fn name_of(&self, org: OrgId) -> Option<&str> {
-        self.org_names.get(&org).map(String::as_str)
-    }
-
-    /// All ASNs mapped to `org` (explicit assignments only).
-    pub fn siblings(&self, org: OrgId) -> Vec<Asn> {
-        self.asn_to_org
-            .iter()
-            .filter(|(_, &o)| o == org)
-            .map(|(&a, _)| a)
-            .collect()
-    }
-
-    /// Whether two ASNs belong to the same organisation.
-    pub fn same_org(&self, a: Asn, b: Asn) -> bool {
-        self.org_of(a) == self.org_of(b)
-    }
 }
 
 #[cfg(test)]
@@ -68,26 +43,11 @@ mod tests {
     #[test]
     fn explicit_and_fallback_orgs() {
         let mut map = AsOrgMap::new();
-        map.add_org(1, "Estado Venezolano");
         map.assign(Asn(8048), 1);
         map.assign(Asn(27889), 1);
         assert_eq!(map.org_of(Asn(8048)), 1);
         assert_eq!(map.org_of(Asn(27889)), 1);
-        assert!(map.same_org(Asn(8048), Asn(27889)));
         // Unmapped: singleton org equal to the ASN.
         assert_eq!(map.org_of(Asn(21826)), 21826);
-        assert!(!map.same_org(Asn(8048), Asn(21826)));
-        assert_eq!(map.name_of(1), Some("Estado Venezolano"));
-        assert_eq!(map.name_of(2), None);
-        assert_eq!(map.siblings(1), vec![Asn(8048), Asn(27889)]);
-        assert!(map.siblings(9).is_empty());
-    }
-
-    #[test]
-    fn add_org_is_idempotent_on_first_name() {
-        let mut map = AsOrgMap::new();
-        map.add_org(1, "First");
-        map.add_org(1, "Second");
-        assert_eq!(map.name_of(1), Some("First"));
     }
 }

@@ -88,38 +88,6 @@ pub fn coverage_series(
         .expect("one country, one series")
 }
 
-/// Mean coverage per country over a scan set, used for the paper's
-/// rankings ("Venezuela ranks 19/27 for Google, …").
-pub fn mean_coverage_ranking(
-    scans: &[CertScan],
-    hg: &Hypergiant,
-    countries: &[CountryCode],
-    populations: &PopulationEstimates,
-    as2org: &AsOrgMap,
-) -> Vec<(CountryCode, f64)> {
-    let table = coverage_table(scans, hg, countries, populations, as2org);
-    let mut means: Vec<(CountryCode, f64)> = countries
-        .iter()
-        .zip(&table)
-        .map(|(&cc, s)| (cc, s.mean().unwrap_or(0.0)))
-        .collect();
-    means.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .expect("coverage is finite")
-            .then(a.0.cmp(&b.0))
-    });
-    means
-}
-
-/// The rank (1-based) of `country` in a ranking produced by
-/// [`mean_coverage_ranking`]; `None` if absent.
-pub fn rank_of(ranking: &[(CountryCode, f64)], country: CountryCode) -> Option<usize> {
-    ranking
-        .iter()
-        .position(|&(cc, _)| cc == country)
-        .map(|i| i + 1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,10 +194,6 @@ mod tests {
         assert_eq!(table.len(), 2, "one series per country, in input order");
         assert_eq!(table[0].get(MonthStamp::new(2019, 1)), Some(0.0));
         assert_eq!(table[1], series);
-        let ranking = mean_coverage_ranking(&scans, google, &[country::VE, country::BR], &p, &map);
-        assert_eq!(ranking[0].0, country::VE);
-        assert_eq!(rank_of(&ranking, country::BR), Some(2));
-        assert_eq!(rank_of(&ranking, country::CL), None);
     }
 
     #[test]
@@ -237,7 +201,6 @@ mod tests {
         let scan = scan_2019();
         let p = pops();
         let mut map = AsOrgMap::new();
-        map.add_org(1, "Estado");
         map.assign(Asn(8048), 1);
         map.assign(Asn(6306), 1); // pretend sibling
         let google = detect_offnets(&scan, by_name("Google").unwrap());

@@ -120,7 +120,6 @@ mod tests {
     fn org_level_share_counts_siblings() {
         let p = table1_like();
         let mut map = AsOrgMap::new();
-        map.add_org(1, "Estado");
         map.assign(Asn(8048), 1);
         map.assign(Asn(264731), 1);
         // Off-net detected only in AS8048's sibling 264731 still credits

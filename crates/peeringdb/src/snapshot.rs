@@ -126,15 +126,6 @@ impl Snapshot {
         self.fac.iter().filter(|f| f.country == country).collect()
     }
 
-    /// Number of facilities per country.
-    pub fn facility_counts(&self) -> BTreeMap<CountryCode, usize> {
-        let mut out = BTreeMap::new();
-        for f in &self.fac {
-            *out.entry(f.country).or_insert(0) += 1;
-        }
-        out
-    }
-
     /// ASNs of networks present at `fac_id`.
     pub fn networks_at_facility(&self, fac_id: PdbId) -> Vec<Asn> {
         let mut asns: Vec<Asn> = self
@@ -159,22 +150,6 @@ impl Snapshot {
         asns.sort_unstable();
         asns.dedup();
         asns
-    }
-
-    /// IXPs at which `asn` has a port.
-    pub fn ixps_of(&self, asn: Asn) -> Vec<&Ix> {
-        let Some(net) = self.network_by_asn(asn) else {
-            return Vec::new();
-        };
-        let mut ids: Vec<IxId> = self
-            .netixlan
-            .iter()
-            .filter(|nl| nl.net_id == net.id)
-            .map(|nl| nl.ix_id)
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.into_iter().filter_map(|id| self.ixp(id)).collect()
     }
 
     /// Basic referential-integrity check: every join row must point at
@@ -346,18 +321,13 @@ mod tests {
         assert_eq!(s.networks_at_facility(10), vec![Asn(8048), Asn(21826)]);
         assert!(s.networks_at_facility(11).is_empty());
         assert_eq!(s.networks_at_ixp(20), vec![Asn(26613)]);
-        assert_eq!(s.ixps_of(Asn(26613)).len(), 1);
-        assert!(s.ixps_of(Asn(8048)).is_empty());
-        assert!(s.ixps_of(Asn(9999)).is_empty());
     }
 
     #[test]
     fn country_queries() {
         let s = toy_snapshot();
         assert_eq!(s.facilities_in(country::VE).len(), 1);
-        let counts = s.facility_counts();
-        assert_eq!(counts[&country::VE], 1);
-        assert_eq!(counts[&country::BR], 1);
+        assert_eq!(s.facilities_in(country::BR).len(), 1);
     }
 
     #[test]

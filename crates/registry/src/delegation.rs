@@ -75,14 +75,6 @@ impl DelegationStatus {
             _ => Err(Error::parse("delegation status", s)),
         }
     }
-
-    /// Whether the block is in use by an operator (allocated or assigned).
-    pub fn is_delegated(self) -> bool {
-        matches!(
-            self,
-            DelegationStatus::Allocated | DelegationStatus::Assigned
-        )
-    }
 }
 
 /// One data record of a delegation file.
@@ -105,14 +97,6 @@ pub struct DelegationRecord {
 }
 
 impl DelegationRecord {
-    /// IPv4 address count (0 for non-IPv4 records).
-    pub fn ipv4_count(&self) -> u64 {
-        match self.resource {
-            NumberResource::Ipv4 { count, .. } => count,
-            _ => 0,
-        }
-    }
-
     /// The record as CIDR prefixes, splitting non-aligned counts into the
     /// maximal aligned blocks (the standard way consumers join delegation
     /// files against routing data).
@@ -313,28 +297,6 @@ impl DelegationFile {
         }
         out
     }
-
-    /// Total delegated (allocated + assigned) IPv4 addresses registered to
-    /// `country` on or before `cutoff`.
-    pub fn ipv4_space(&self, country: CountryCode, cutoff: Date) -> u64 {
-        self.records
-            .iter()
-            .filter(|r| r.country == country && r.status.is_delegated() && r.date <= cutoff)
-            .map(|r| r.ipv4_count())
-            .sum()
-    }
-
-    /// All delegated IPv4 records for `country`.
-    pub fn ipv4_records(&self, country: CountryCode) -> Vec<&DelegationRecord> {
-        self.records
-            .iter()
-            .filter(|r| {
-                r.country == country
-                    && r.status.is_delegated()
-                    && matches!(r.resource, NumberResource::Ipv4 { .. })
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -361,26 +323,12 @@ lacnic|VE|asn|8048|1|19960101|allocated
         assert_eq!(f.records.len(), 4);
         let r = &f.records[0];
         assert_eq!(r.country, country::VE);
-        assert_eq!(r.ipv4_count(), 65536);
+        assert!(matches!(
+            r.resource,
+            NumberResource::Ipv4 { count: 65536, .. }
+        ));
         assert_eq!(r.date, Date::ymd(2008, 3, 5));
         assert_eq!(r.status, DelegationStatus::Allocated);
-    }
-
-    #[test]
-    fn space_accounting_with_cutoff() {
-        let f = DelegationFile::parse(SAMPLE).unwrap();
-        assert_eq!(
-            f.ipv4_space(country::VE, Date::ymd(2024, 1, 1)),
-            65536 + 16384
-        );
-        assert_eq!(f.ipv4_space(country::VE, Date::ymd(2006, 1, 1)), 16384);
-        assert_eq!(f.ipv4_space(country::VE, Date::ymd(2004, 1, 1)), 0);
-        assert_eq!(
-            f.ipv4_space(country::BR, Date::ymd(2024, 1, 1)),
-            0,
-            "ipv6 not counted"
-        );
-        assert_eq!(f.ipv4_records(country::VE).len(), 2);
     }
 
     #[test]
@@ -522,6 +470,5 @@ lacnic|VE|asn|8048|1|19960101|allocated
             holder: None,
         };
         assert!(r.ipv4_prefixes().is_empty());
-        assert_eq!(r.ipv4_count(), 0);
     }
 }

@@ -71,17 +71,6 @@ impl ExhaustionPhase {
         }
     }
 
-    /// Minimum months a member must wait between allocations.
-    pub fn min_interval_months(self) -> u32 {
-        match self {
-            ExhaustionPhase::Phase0 => 0,
-            ExhaustionPhase::Phase1 | ExhaustionPhase::Phase2 => 6,
-            // Phase 3: one block ever; modelled as an effectively
-            // unbounded interval.
-            ExhaustionPhase::Phase3 => u32::MAX,
-        }
-    }
-
     /// Whether established members (as opposed to new entrants) may still
     /// receive space.
     pub fn open_to_existing_members(self) -> bool {
@@ -137,9 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn intervals_and_membership() {
-        assert_eq!(ExhaustionPhase::Phase0.min_interval_months(), 0);
-        assert_eq!(ExhaustionPhase::Phase1.min_interval_months(), 6);
+    fn membership() {
         assert!(ExhaustionPhase::Phase2.open_to_existing_members());
         assert!(!ExhaustionPhase::Phase3.open_to_existing_members());
     }

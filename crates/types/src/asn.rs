@@ -23,16 +23,6 @@ impl Asn {
     pub const fn raw(self) -> u32 {
         self.0
     }
-
-    /// Whether this ASN sits in a private-use range (RFC 6996).
-    pub const fn is_private(self) -> bool {
-        (self.0 >= 64512 && self.0 <= 65534) || (self.0 >= 4_200_000_000 && self.0 <= 4_294_967_294)
-    }
-
-    /// Whether this is a 4-byte-only ASN (> 65535).
-    pub const fn is_four_byte(self) -> bool {
-        self.0 > 65535
-    }
 }
 
 impl fmt::Display for Asn {
@@ -141,21 +131,6 @@ mod tests {
         let asn = Asn(262589);
         assert_eq!(asn.to_string(), "AS262589");
         assert_eq!(asn.to_string().parse::<Asn>().unwrap(), asn);
-    }
-
-    #[test]
-    fn private_ranges() {
-        assert!(Asn(64512).is_private());
-        assert!(Asn(65534).is_private());
-        assert!(!Asn(65535).is_private());
-        assert!(Asn(4_200_000_000).is_private());
-        assert!(!Asn(8048).is_private());
-    }
-
-    #[test]
-    fn four_byte_detection() {
-        assert!(Asn(262589).is_four_byte());
-        assert!(!Asn(8048).is_four_byte());
     }
 
     #[test]

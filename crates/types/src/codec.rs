@@ -67,18 +67,6 @@ pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-/// Read an `f64` stored by [`put_f64`] at `*pos`.
-pub fn read_f64(bytes: &[u8], pos: &mut usize) -> Result<f64> {
-    let end = pos
-        .checked_add(8)
-        .filter(|&e| e <= bytes.len())
-        .ok_or_else(|| Error::parse("f64 (truncated input)", ""))?;
-    let mut raw = [0u8; 8];
-    raw.copy_from_slice(&bytes[*pos..end]);
-    *pos = end;
-    Ok(f64::from_bits(u64::from_le_bytes(raw)))
-}
-
 /// The `i`-th `f64` of a fixed-width little-endian column, without a
 /// cursor — the zero-copy `ColumnSlice` accessor. Callers are expected
 /// to have length-checked the payload once up front (`(i + 1) * 8 <=
@@ -293,8 +281,6 @@ mod tests {
             "unterminated"
         );
         let mut pos = 0;
-        assert!(read_f64(&[1, 2, 3], &mut pos).is_err());
-        let mut pos = 0;
         assert!(read_u32(&[1], &mut pos).is_err());
         let mut pos = 0;
         assert!(read_u64(&[1, 2, 3, 4], &mut pos).is_err());
@@ -313,24 +299,7 @@ mod tests {
         for v in [0.0f64, -0.0, 1.5, f64::MIN_POSITIVE, f64::MAX, f64::NAN] {
             let mut buf = Vec::new();
             put_f64(&mut buf, v);
-            let mut pos = 0;
-            let back = read_f64(&buf, &mut pos).unwrap();
-            assert_eq!(back.to_bits(), v.to_bits());
-        }
-    }
-
-    #[test]
-    fn f64_at_matches_cursor_reads() {
-        let vals = [0.0f64, -1.5, f64::MAX, f64::NAN, 3.25];
-        let mut buf = Vec::new();
-        for v in vals {
-            put_f64(&mut buf, v);
-        }
-        let mut pos = 0;
-        for (i, v) in vals.iter().enumerate() {
-            let cursor = read_f64(&buf, &mut pos).unwrap();
-            assert_eq!(f64_at(&buf, i).to_bits(), v.to_bits());
-            assert_eq!(f64_at(&buf, i).to_bits(), cursor.to_bits());
+            assert_eq!(f64_at(&buf, 0).to_bits(), v.to_bits());
         }
     }
 

@@ -117,12 +117,6 @@ impl Date {
     pub const fn month_stamp(self) -> MonthStamp {
         MonthStamp::new(self.year, self.month)
     }
-
-    /// Day of week, 0 = Monday … 6 = Sunday (ISO).
-    pub fn weekday(self) -> u8 {
-        // 1970-01-01 was a Thursday (ISO index 3).
-        (self.days_since_epoch().rem_euclid(7) as u8 + 3) % 7
-    }
 }
 
 impl fmt::Display for Date {
@@ -286,13 +280,6 @@ mod tests {
         assert!(Date::new(2023, 0, 1).is_err());
         assert!(Date::new(2023, 6, 31).is_err());
         assert!(Date::new(2024, 2, 29).is_ok());
-    }
-
-    #[test]
-    fn weekday_known_values() {
-        assert_eq!(Date::ymd(1970, 1, 1).weekday(), 3); // Thursday
-        assert_eq!(Date::ymd(2024, 8, 4).weekday(), 6); // Sunday
-        assert_eq!(Date::ymd(2026, 7, 6).weekday(), 0); // Monday
     }
 
     #[test]

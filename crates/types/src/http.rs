@@ -62,22 +62,6 @@ impl Request {
             .map(|(_, v)| v.as_str())
     }
 
-    /// Decode the query string into `key=value` pairs (`+` and `%XX`
-    /// unescaped; keys without `=` get an empty value).
-    pub fn query_pairs(&self) -> Vec<(String, String)> {
-        self.query
-            .split('&')
-            .filter(|part| !part.is_empty())
-            .map(|part| {
-                let (k, v) = match part.split_once('=') {
-                    Some((k, v)) => (k, v),
-                    None => (part, ""),
-                };
-                (percent_decode(k), percent_decode(v))
-            })
-            .collect()
-    }
-
     /// Whether the client asked to close the connection after this
     /// exchange (explicit `Connection: close`, or HTTP/1.0 default).
     pub fn wants_close(&self) -> bool {
@@ -88,34 +72,9 @@ impl Request {
     }
 }
 
-fn percent_decode(s: &str) -> String {
-    let bytes = s.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'+' => out.push(b' '),
-            b'%' => {
-                let hex = bytes.get(i + 1..i + 3);
-                match hex.and_then(|h| u8::from_str_radix(std::str::from_utf8(h).ok()?, 16).ok()) {
-                    Some(b) => {
-                        out.push(b);
-                        i += 2;
-                    }
-                    None => out.push(b'%'),
-                }
-            }
-            b => out.push(b),
-        }
-        i += 1;
-    }
-    String::from_utf8_lossy(&out).into_owned()
-}
-
 /// Percent-decode `s`, rejecting malformed escapes instead of passing
 /// them through (`+` still decodes to a space). `None` on a `%` not
-/// followed by two hex digits — the strict counterpart of the lossy
-/// decoding [`Request::query_pairs`] applies.
+/// followed by two hex digits.
 pub fn percent_decode_strict(s: &str) -> Option<String> {
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -543,10 +502,6 @@ mod tests {
         assert_eq!(req.query, "format=tsv");
         assert!(req.http11);
         assert_eq!(req.header("host"), Some("x"));
-        assert_eq!(
-            req.query_pairs(),
-            vec![("format".to_owned(), "tsv".to_owned())]
-        );
         assert!(!req.wants_close());
     }
 
@@ -728,20 +683,6 @@ mod tests {
         // A malformed escape anywhere poisons the whole query.
         assert_eq!(normalize_query("format=%zzv"), None);
         assert_eq!(normalize_query("a=1&%fgkey=2"), None);
-    }
-
-    #[test]
-    fn query_decoding() {
-        let req = parse(b"GET /x?a=1&b=two+words&c=%2Fslash&flag HTTP/1.1\r\n\r\n").unwrap();
-        assert_eq!(
-            req.query_pairs(),
-            vec![
-                ("a".to_owned(), "1".to_owned()),
-                ("b".to_owned(), "two words".to_owned()),
-                ("c".to_owned(), "/slash".to_owned()),
-                ("flag".to_owned(), String::new()),
-            ]
-        );
     }
 
     #[test]

@@ -241,20 +241,6 @@ impl<K: Ord + Clone, V: Clone> LruCache<K, V> {
     pub fn clear(&self) {
         self.evict_where(|_| true);
     }
-
-    /// Ready keys ordered least- to most-recently used — the eviction
-    /// order, exposed for tests and diagnostics.
-    pub fn keys_by_recency(&self) -> Vec<K> {
-        let inner = self.shared.lock().expect("lru lock");
-        let mut keys: Vec<(u64, K)> = inner
-            .entries
-            .iter()
-            .filter(|(_, e)| matches!(e.slot, Slot::Ready(_)))
-            .map(|(k, e)| (e.used, k.clone()))
-            .collect();
-        keys.sort_by_key(|(used, _)| *used);
-        keys.into_iter().map(|(_, k)| k).collect()
-    }
 }
 
 /// Rollback handle for an in-flight reservation; disarmed once the value
@@ -288,6 +274,20 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    /// Ready keys ordered least- to most-recently used — the eviction
+    /// order the tests check against a model.
+    fn keys_by_recency<K: Ord + Clone, V: Clone>(cache: &LruCache<K, V>) -> Vec<K> {
+        let inner = cache.shared.lock().expect("lru lock");
+        let mut keys: Vec<(u64, K)> = inner
+            .entries
+            .iter()
+            .filter(|(_, e)| matches!(e.slot, Slot::Ready(_)))
+            .map(|(k, e)| (e.used, k.clone()))
+            .collect();
+        keys.sort_by_key(|(used, _)| *used);
+        keys.into_iter().map(|(_, k)| k).collect()
+    }
+
     #[test]
     fn capacity_bound_holds() {
         let cache = LruCache::new(3);
@@ -295,7 +295,7 @@ mod tests {
             cache.insert(i, i * 10);
         }
         assert_eq!(cache.len(), 3);
-        assert_eq!(cache.keys_by_recency(), vec![7, 8, 9]);
+        assert_eq!(keys_by_recency(&cache), vec![7, 8, 9]);
         assert_eq!(cache.get(&9), Some(90));
         assert_eq!(cache.get(&0), None, "oldest entries were evicted");
     }
@@ -321,7 +321,7 @@ mod tests {
         }
         cache.get(&"w");
         cache.get(&"y");
-        assert_eq!(cache.keys_by_recency(), vec!["x", "z", "w", "y"]);
+        assert_eq!(keys_by_recency(&cache), vec!["x", "z", "w", "y"]);
     }
 
     #[test]
@@ -481,7 +481,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(
-                    cache.keys_by_recency(),
+                    keys_by_recency(&cache),
                     model.iter().map(|&(k, _)| k).collect::<Vec<_>>()
                 );
             }

@@ -79,16 +79,6 @@ impl Ipv4Net {
         1u64 << (32 - self.len)
     }
 
-    /// The netmask.
-    pub fn netmask(self) -> Ipv4Addr {
-        Ipv4Addr::from(Self::netmask_u32(self.len))
-    }
-
-    /// Last address in the block.
-    pub fn broadcast(self) -> Ipv4Addr {
-        Ipv4Addr::from(self.addr | !Self::netmask_u32(self.len))
-    }
-
     /// Whether `ip` falls inside this prefix.
     pub fn contains(self, ip: Ipv4Addr) -> bool {
         u32::from(ip) & Self::netmask_u32(self.len) == self.addr
@@ -119,40 +109,6 @@ impl Ipv4Net {
             len,
         };
         Some((low, high))
-    }
-
-    /// Enumerate the `2^(new_len - len)` subnets of length `new_len`.
-    /// Returns an error if `new_len` is shorter than `len` or > 32, or if
-    /// the expansion would exceed 2^16 subnets (a guard against runaway
-    /// enumeration in analysis code).
-    pub fn subnets(self, new_len: u8) -> Result<Vec<Ipv4Net>> {
-        if new_len < self.len || new_len > 32 {
-            return Err(Error::invalid("subnet length must be in len..=32"));
-        }
-        let bits = new_len - self.len;
-        if bits > 16 {
-            return Err(Error::invalid("refusing to enumerate > 65536 subnets"));
-        }
-        let count = 1u32 << bits;
-        let step = 1u64 << (32 - new_len);
-        Ok((0..count)
-            .map(|i| Ipv4Net {
-                addr: self.addr + (i as u64 * step) as u32,
-                len: new_len,
-            })
-            .collect())
-    }
-
-    /// The immediate supernet (one bit shorter). `None` for /0.
-    pub fn supernet(self) -> Option<Ipv4Net> {
-        if self.len == 0 {
-            return None;
-        }
-        let len = self.len - 1;
-        Some(Ipv4Net {
-            addr: self.addr & Self::netmask_u32(len),
-            len,
-        })
     }
 
     /// The `i`-th bit of the network address, MSB-first (bit 0 is the top
@@ -237,7 +193,6 @@ mod tests {
         assert_eq!(d.size(), 1u64 << 32);
         assert!(d.contains(Ipv4Addr::new(200, 44, 32, 12)));
         assert!(d.covers(net("186.24.0.0/17")));
-        assert_eq!(d.supernet(), None);
     }
 
     #[test]
@@ -254,36 +209,12 @@ mod tests {
     }
 
     #[test]
-    fn halves_and_supernet() {
+    fn halves_split_one_bit_longer() {
         let n = net("200.35.64.0/18");
         let (lo, hi) = n.halves().unwrap();
         assert_eq!(lo.to_string(), "200.35.64.0/19");
         assert_eq!(hi.to_string(), "200.35.96.0/19");
-        assert_eq!(lo.supernet().unwrap(), n);
-        assert_eq!(hi.supernet().unwrap(), n);
         assert!(net("1.2.3.4/32").halves().is_none());
-    }
-
-    #[test]
-    fn subnet_enumeration() {
-        let n = net("186.24.0.0/22");
-        let subs = n.subnets(24).unwrap();
-        assert_eq!(subs.len(), 4);
-        assert_eq!(subs[0].to_string(), "186.24.0.0/24");
-        assert_eq!(subs[3].to_string(), "186.24.3.0/24");
-        assert!(n.subnets(21).is_err());
-        assert!(
-            net("0.0.0.0/0").subnets(32).is_err(),
-            "guard against huge fanout"
-        );
-        assert_eq!(n.subnets(22).unwrap(), vec![n]);
-    }
-
-    #[test]
-    fn broadcast_and_netmask() {
-        let n = net("186.24.128.0/17");
-        assert_eq!(n.netmask(), Ipv4Addr::new(255, 255, 128, 0));
-        assert_eq!(n.broadcast(), Ipv4Addr::new(186, 24, 255, 255));
     }
 
     #[test]
@@ -325,13 +256,6 @@ mod tests {
             if n.contains(ip) {
                 prop_assert!(lo.contains(ip) ^ hi.contains(ip));
             }
-        }
-
-        #[test]
-        fn broadcast_minus_network_is_size(addr in any::<u32>(), len in 1u8..=32) {
-            let n = Ipv4Net::truncating(Ipv4Addr::from(addr), len);
-            let span = u32::from(n.broadcast()) as u64 - n.network_u32() as u64 + 1;
-            prop_assert_eq!(span, n.size());
         }
     }
 }

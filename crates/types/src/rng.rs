@@ -175,33 +175,6 @@ impl Rng {
             }
         }
     }
-
-    /// Pick a uniformly random element of `slice`. Panics on empty input.
-    pub fn choice<'a, T>(&mut self, slice: &'a [T]) -> &'a T {
-        &slice[self.below(slice.len() as u64) as usize]
-    }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            slice.swap(i, j);
-        }
-    }
-
-    /// Sample `k` distinct indices from `0..n` (reservoir-free; Floyd's
-    /// algorithm). Panics if `k > n`. Result order is unspecified.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        assert!(k <= n, "sample larger than population");
-        let mut chosen = std::collections::BTreeSet::new();
-        for j in (n - k)..n {
-            let t = self.below(j as u64 + 1) as usize;
-            if !chosen.insert(t) {
-                chosen.insert(j);
-            }
-        }
-        chosen.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
@@ -330,28 +303,6 @@ mod tests {
             );
         }
         assert_eq!(rng.poisson(0.0), 0);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Rng::seeded(3);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn sample_indices_distinct_and_in_range() {
-        let mut rng = Rng::seeded(8);
-        let s = rng.sample_indices(50, 20);
-        assert_eq!(s.len(), 20);
-        let set: std::collections::BTreeSet<_> = s.iter().collect();
-        assert_eq!(set.len(), 20);
-        assert!(s.iter().all(|&i| i < 50));
-        assert_eq!(rng.sample_indices(5, 5).len(), 5);
-        assert!(rng.sample_indices(5, 0).is_empty());
     }
 
     proptest! {

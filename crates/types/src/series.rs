@@ -37,12 +37,6 @@ impl TimeSeries {
         self.points.get(&month).copied()
     }
 
-    /// The most recent value at or before `month` (step interpolation) —
-    /// how snapshot-style datasets (facility counts, cable counts) are read.
-    pub fn at_or_before(&self, month: MonthStamp) -> Option<f64> {
-        self.points.range(..=month).next_back().map(|(_, &v)| v)
-    }
-
     /// Number of points.
     pub fn len(&self) -> usize {
         self.points.len()
@@ -135,17 +129,6 @@ impl TimeSeries {
         Some(self.points.values().sum::<f64>() / self.points.len() as f64)
     }
 
-    /// Percentage change from the peak to the final value — the "-81.49%"
-    /// style annotations of Fig. 1. Negative means decline.
-    pub fn peak_to_latest_change_pct(&self) -> Option<f64> {
-        let peak = self.max_value()?;
-        let (_, last) = self.last()?;
-        if peak == 0.0 {
-            return None;
-        }
-        Some((last - peak) / peak * 100.0)
-    }
-
     /// Trailing mean over the final `months` points — e.g. the paper's
     /// "last 6 months of our analysis" comparisons (§7.2).
     pub fn trailing_mean(&self, months: usize) -> Option<f64> {
@@ -209,18 +192,6 @@ pub fn mean_of(series: &[&TimeSeries]) -> TimeSeries {
     }
 }
 
-/// Pointwise sum of several series over the union of months — used for the
-/// region-total panels (facilities, cables, root replicas).
-pub fn sum_of(series: &[&TimeSeries]) -> TimeSeries {
-    let mut sums: BTreeMap<MonthStamp, f64> = BTreeMap::new();
-    for s in series {
-        for (m, v) in s.iter() {
-            *sums.entry(m).or_insert(0.0) += v;
-        }
-    }
-    TimeSeries { points: sums }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,23 +216,12 @@ mod tests {
     }
 
     #[test]
-    fn at_or_before_steps() {
-        let ts = s(&[(2013, 1, 1.0), (2015, 1, 3.0)]);
-        assert_eq!(ts.at_or_before(m(2012, 12)), None);
-        assert_eq!(ts.at_or_before(m(2013, 1)), Some(1.0));
-        assert_eq!(ts.at_or_before(m(2014, 6)), Some(1.0));
-        assert_eq!(ts.at_or_before(m(2020, 1)), Some(3.0));
-    }
-
-    #[test]
-    fn normalisation_and_peak_change() {
+    fn normalisation_to_peak() {
         // Shaped like Venezuela's oil curve: peak then collapse.
         let ts = s(&[(2008, 1, 80.0), (2013, 1, 100.0), (2020, 1, 19.0)]);
         let norm = ts.normalized_to_max();
         assert_eq!(norm.get(m(2013, 1)), Some(1.0));
         assert_eq!(norm.get(m(2020, 1)), Some(0.19));
-        let change = ts.peak_to_latest_change_pct().unwrap();
-        assert!((change - -81.0).abs() < 1e-9);
     }
 
     #[test]
@@ -305,14 +265,12 @@ mod tests {
     }
 
     #[test]
-    fn mean_and_sum_over_union() {
+    fn mean_over_union() {
         let a = s(&[(2013, 1, 10.0), (2014, 1, 20.0)]);
         let b = s(&[(2014, 1, 40.0)]);
         let mean = mean_of(&[&a, &b]);
         assert_eq!(mean.get(m(2013, 1)), Some(10.0));
         assert_eq!(mean.get(m(2014, 1)), Some(30.0));
-        let sum = sum_of(&[&a, &b]);
-        assert_eq!(sum.get(m(2014, 1)), Some(60.0));
         assert!(mean_of(&[]).is_empty());
     }
 
@@ -383,32 +341,10 @@ mod tests {
             }
 
             #[test]
-            fn sum_of_singletons_is_identity(s in series_strategy()) {
-                let total = crate::series::sum_of(&[&s]);
-                prop_assert_eq!(total, s.clone());
+            fn mean_of_a_series_with_itself_is_identity(s in series_strategy()) {
                 let mean = crate::series::mean_of(&[&s, &s]);
                 for (m, v) in s.iter() {
                     prop_assert!((mean.get(m).unwrap() - v).abs() < 1e-9);
-                }
-            }
-
-            #[test]
-            fn at_or_before_is_step_function(s in series_strategy(), probe in 0i32..600) {
-                let m = MonthStamp::new(2000, 1).plus(probe);
-                match s.at_or_before(m) {
-                    None => {
-                        // No point at or before m.
-                        prop_assert!(s.iter().all(|(mm, _)| mm > m));
-                    }
-                    Some(v) => {
-                        let (mm, vv) = s
-                            .iter()
-                            .filter(|&(mm, _)| mm <= m)
-                            .last()
-                            .expect("some point at or before");
-                        prop_assert_eq!(v, vv);
-                        prop_assert!(mm <= m);
-                    }
                 }
             }
         }

@@ -165,69 +165,6 @@ impl P2Quantile {
     }
 }
 
-/// Streaming mean/variance via Welford's algorithm.
-#[derive(Debug, Clone, Default)]
-pub struct RunningStats {
-    n: usize,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Create an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Feed one observation.
-    pub fn observe(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> usize {
-        self.n
-    }
-
-    /// Mean, if any observations.
-    pub fn mean(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.mean)
-    }
-
-    /// Population variance.
-    pub fn variance(&self) -> Option<f64> {
-        (self.n > 0).then(|| self.m2 / self.n as f64)
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> Option<f64> {
-        self.variance().map(f64::sqrt)
-    }
-
-    /// Minimum observation.
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Maximum observation.
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,20 +270,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn running_stats_moments() {
-        let mut rs = RunningStats::new();
-        assert_eq!(rs.mean(), None);
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            rs.observe(x);
-        }
-        assert_eq!(rs.count(), 8);
-        assert_eq!(rs.mean(), Some(5.0));
-        assert_eq!(rs.std_dev(), Some(2.0));
-        assert_eq!(rs.min(), Some(2.0));
-        assert_eq!(rs.max(), Some(9.0));
-    }
-
     proptest! {
         #[test]
         fn quantile_is_within_range(mut v in proptest::collection::vec(-1e6f64..1e6, 1..200),
@@ -399,19 +322,6 @@ mod tests {
                 (est - exact).abs() <= span * 0.25 + 1e-9,
                 "estimate {} vs exact median {} (span {})", est, exact, span
             );
-        }
-
-        #[test]
-        fn welford_matches_naive(xs in proptest::collection::vec(-1e3f64..1e3, 1..200)) {
-            let mut rs = RunningStats::new();
-            for &x in &xs {
-                rs.observe(x);
-            }
-            let n = xs.len() as f64;
-            let mean = xs.iter().sum::<f64>() / n;
-            let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-            prop_assert!((rs.mean().unwrap() - mean).abs() < 1e-6);
-            prop_assert!((rs.variance().unwrap() - var).abs() < 1e-4);
         }
     }
 }

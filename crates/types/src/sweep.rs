@@ -137,29 +137,6 @@ where
         .collect()
 }
 
-/// Run independent closures concurrently on scoped threads, returning
-/// their results in declaration order — the shape of a parallel
-/// multi-dataset build.
-pub fn join_all<O: Send>(tasks: Vec<Box<dyn FnOnce() -> O + Send + '_>>) -> Vec<O> {
-    if detected_parallelism() == 1 {
-        return tasks.into_iter().map(|task| task()).collect();
-    }
-    let n = tasks.len();
-    let mut slots: Vec<Option<O>> = Vec::with_capacity(n);
-    slots.resize_with(n, || None);
-    std::thread::scope(|scope| {
-        for (slot, task) in slots.iter_mut().zip(tasks) {
-            scope.spawn(move || {
-                *slot = Some(task());
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every task writes its slot"))
-        .collect()
-}
-
 /// Run two independent closures concurrently and return both results.
 pub fn join2<A, B, FA, FB>(fa: FA, fb: FB) -> (A, B)
 where
@@ -290,15 +267,6 @@ mod tests {
             start.through(end).map(|m| (m, m.index() * 3)).collect();
         assert_eq!(month_range(start, end, |m| m.index() * 3), serial);
         assert!(month_range(end, start, |m| m.index()).is_empty());
-    }
-
-    #[test]
-    fn join_all_keeps_declaration_order() {
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..16usize)
-            .map(|i| Box::new(move || i * 10) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let out = join_all(tasks);
-        assert_eq!(out, (0..16).map(|i| i * 10).collect::<Vec<_>>());
     }
 
     #[test]

@@ -12,10 +12,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod resources;
 pub mod scrape;
 pub mod thirdparty;
 
-pub use resources::{DependencyReport, PageResources, Resource, ResourceKind};
 pub use scrape::{CountryTopSites, SiteObservation};
 pub use thirdparty::{AdoptionReport, ServiceKind};

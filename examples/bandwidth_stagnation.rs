@@ -1,8 +1,9 @@
-//! The Fig. 11 pipeline, piece by piece: generate crowdsourced NDT rows,
-//! serialise them in the archive row format, parse them back, and reduce
-//! them to month-country medians with the streaming P² estimator —
-//! demonstrating that the analysis half only ever sees rows, never the
-//! generator's targets.
+//! The Fig. 11 pipeline, piece by piece, on the archive's own path:
+//! generate crowdsourced NDT rows, encode them as `.ndtc` blocks,
+//! assemble the blocks into one container, scan it back block by block,
+//! and reduce every block to month-country medians with the streaming P²
+//! estimator — demonstrating that the analysis half only ever sees rows,
+//! never the generator's targets.
 //!
 //! ```text
 //! cargo run --example bandwidth_stagnation --release
@@ -11,7 +12,7 @@
 use lacnet::crisis::bandwidth;
 use lacnet::crisis::operators::Operators;
 use lacnet::mlab::aggregate::{Mode, MonthlyAggregator};
-use lacnet::mlab::ndt;
+use lacnet::mlab::{columnar, BlockRun, ColumnReader, ColumnSelection, DecodeScratch};
 use lacnet::types::rng::Rng;
 use lacnet::types::{country, MonthStamp};
 
@@ -20,30 +21,37 @@ fn main() {
     let root = Rng::seeded(42);
     let countries = [country::VE, country::UY, country::BR, country::CL];
 
-    // 1. Generate one July of tests per year per country and serialise to
-    //    the tab-separated archive format.
-    let mut archive_text = String::new();
+    // 1. Generate one July of tests per year per country, each encoded
+    //    as its own run of `.ndtc` blocks, and assemble the runs into one
+    //    container.
+    let mut runs = Vec::new();
     for year in (2009..=2023).step_by(2) {
         for cc in countries {
             let mut rng = root.fork(&format!("demo/{cc}/{year}"));
             let tests =
                 bandwidth::generate_month(&ops, cc, MonthStamp::new(year, 7), 2.0, &mut rng);
-            for t in &tests {
-                archive_text.push_str(&t.to_row());
-                archive_text.push('\n');
-            }
+            runs.push(BlockRun::encode(&tests));
         }
     }
-    let rows = ndt::parse_rows(&archive_text).expect("generated rows parse");
-    println!(
-        "parsed {} NDT rows ({} bytes of archive text)\n",
-        rows.len(),
-        archive_text.len()
-    );
+    let container = columnar::assemble(&runs);
 
-    // 2. Stream them through the month-country aggregator.
+    // 2. Scan the container block by block, feeding each borrowed block
+    //    into the month-country aggregator.
+    let reader = ColumnReader::open(&container).expect("assembled container opens");
+    let selection = ColumnSelection::columns(MonthlyAggregator::REQUIRED_COLUMNS);
     let mut agg = MonthlyAggregator::new(Mode::Streaming);
-    agg.observe_all(&rows);
+    reader
+        .scan_counted(&selection, &mut DecodeScratch::new(), |block| {
+            agg.observe_block(block);
+            Ok(())
+        })
+        .expect("assembled container scans");
+    println!(
+        "scanned {} NDT rows ({} bytes of .ndtc container, {} blocks)\n",
+        reader.rows(),
+        container.len(),
+        reader.blocks().len()
+    );
 
     // 3. Print the medians: Venezuela's stagnation against its peers.
     println!("median download speed (Mbps), July of each year:");

@@ -17,11 +17,6 @@ use lacnet::crisis::{World, WorldConfig};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-fn world() -> &'static World {
-    static WORLD: OnceLock<World> = OnceLock::new();
-    WORLD.get_or_init(|| World::generate(WorldConfig::test()))
-}
-
 fn tree_path() -> PathBuf {
     std::env::temp_dir().join(format!("lacnet-roundtrip-{}", std::process::id()))
 }
@@ -37,21 +32,37 @@ extern "C" fn remove_roundtrip_dir() {
     let _ = std::fs::remove_dir_all(tree_path());
 }
 
-/// Dump the test world once and keep the archive-backed source for every
-/// test in the binary, so the suite parses the tree a single time. The
-/// first call registers an exit hook that removes the tree when the test
-/// binary ends.
-fn archive_source() -> &'static DataSource {
-    static SOURCE: OnceLock<DataSource> = OnceLock::new();
-    SOURCE.get_or_init(|| {
+/// The test world behind both backends: the archive-backed source and,
+/// beside it, the in-memory source the same world moved into.
+struct Sources {
+    archive: DataSource,
+    in_memory: DataSource,
+}
+
+/// Generate the test world once, dump it, then move it into the
+/// in-memory source; every test in the binary shares both, so the suite
+/// generates the world and parses the tree a single time. The first call
+/// registers an exit hook that removes the tree when the test binary
+/// ends.
+fn sources() -> &'static Sources {
+    static SOURCES: OnceLock<Sources> = OnceLock::new();
+    SOURCES.get_or_init(|| {
         // SAFETY: `atexit` takes any valid function pointer and only
         // records it; the callback uses nothing but `std::fs` and
         // `std::env`, which stay usable while the process exits.
         unsafe { atexit(remove_roundtrip_dir) };
+        let world = World::generate(WorldConfig::test());
         let dir = tree_path();
-        datasets::dump(world(), &dir).expect("dump succeeds");
-        DataSource::from_archive(&dir).expect("archive loads")
+        datasets::dump(&world, &dir).expect("dump succeeds");
+        Sources {
+            archive: DataSource::from_archive(&dir).expect("archive loads"),
+            in_memory: DataSource::from(world),
+        }
     })
+}
+
+fn archive_source() -> &'static DataSource {
+    &sources().archive
 }
 
 fn fixture_dir() -> PathBuf {
@@ -68,9 +79,9 @@ fn archive_results() -> Vec<lacnet::core::ExperimentResult> {
 
 #[test]
 fn archive_battery_matches_in_memory_byte_for_byte() {
-    let in_memory = DataSource::from(World::generate(WorldConfig::test()));
-    let mut reference = experiments::all(&in_memory);
-    reference.extend(extensions::all(&in_memory));
+    let in_memory = &sources().in_memory;
+    let mut reference = experiments::all(in_memory);
+    reference.extend(extensions::all(in_memory));
     let reloaded = archive_results();
     assert_eq!(reference.len(), reloaded.len());
     for (mem, arch) in reference.iter().zip(&reloaded) {
@@ -263,5 +274,5 @@ fn range_query_equals_the_merge_of_its_single_month_queries() {
 #[test]
 fn archive_backend_reports_itself() {
     assert_eq!(archive_source().backend(), "archive");
-    assert_eq!(archive_source().config, world().config);
+    assert_eq!(archive_source().config, sources().in_memory.config);
 }

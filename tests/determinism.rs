@@ -31,42 +31,56 @@ fn same_seed_same_artifacts() {
 
 #[test]
 fn same_seed_same_ndt_archive_bytes() {
-    use lacnet::crisis::bandwidth;
-    use lacnet::types::MonthStamp;
+    use lacnet::core::datasets;
+    use lacnet::crisis::{bandwidth, config::windows};
+    use lacnet::mlab::{columnar, BlockRun, ColumnReader};
+    use lacnet::types::{country, MonthStamp};
     let config = WorldConfig {
         mlab_volume_scale: 0.05,
         ..WorldConfig::default()
     };
     let world = World::generate(config);
-    let (start, end) = (MonthStamp::new(2022, 1), MonthStamp::new(2022, 4));
-    // Two fresh builds from the same seed, across different worker
-    // counts, must produce the same TSV bytes down to the last row.
-    let reference =
-        bandwidth::build_archive_serial(&world.operators, config.seed, 0.05, start, end);
-    assert!(!reference.is_empty());
+    let countries = [country::VE, country::BR];
+    // Fresh encodes from the same seed, across different worker counts,
+    // must produce the same `.ndtc` bytes down to the last block.
+    let reference = datasets::encode_ndt_containers(&world, &countries, 1);
+    assert_eq!(reference.len(), countries.len());
     for workers in [1, 2, 7] {
         assert_eq!(
-            bandwidth::build_archive_with_workers(
-                workers,
-                &world.operators,
-                config.seed,
-                0.05,
-                start,
-                end
-            ),
-            reference
+            datasets::encode_ndt_containers(&world, &countries, workers),
+            reference,
+            "container bytes must not depend on worker count ({workers})"
         );
     }
-    // And a shard regenerated in isolation matches its slice of the plan:
-    // shard RNG streams depend only on (seed, country, month).
-    let shard = (lacnet::types::country::VE, MonthStamp::new(2022, 3));
-    let solo = bandwidth::generate_shard(&world.operators, config.seed, 0.05, shard);
-    let again = bandwidth::generate_shard(&world.operators, config.seed, 0.05, shard);
-    assert_eq!(solo, again);
-    let rendered: String = solo.iter().map(|t| t.to_row() + "\n").collect();
-    assert!(
-        reference.contains(&rendered),
-        "a standalone shard must reproduce its exact span of the archive"
+    // And a month encoded in isolation is its exact span of the country's
+    // container: shard RNG streams depend only on (seed, country, month).
+    let month = MonthStamp::new(2022, 3);
+    let shard = (country::VE, month);
+    let solo = BlockRun::encode(&bandwidth::generate_shard(
+        &world.operators,
+        &world.config,
+        &world.scenario,
+        shard,
+    ));
+    assert!(solo.rows() > 0);
+    let solo_container = columnar::assemble([&solo]);
+    let solo_blocks = ColumnReader::open(&solo_container)
+        .expect("standalone month opens")
+        .into_blocks();
+    let (first, last) = (&solo_blocks[0], &solo_blocks[solo_blocks.len() - 1]);
+    let span = &solo_container[first.offset()..last.offset() + last.byte_len()];
+    let ve = &reference[0];
+    let index = windows::mlab_start()
+        .through(world.config.end)
+        .position(|m| m == month)
+        .expect("month inside the window");
+    let blocks_before: u64 = ve.months[..index].iter().map(|m| m.1).sum();
+    let reader = ColumnReader::open(&ve.bytes).expect("container opens");
+    let at = reader.blocks()[blocks_before as usize].offset();
+    assert_eq!(
+        &ve.bytes[at..at + span.len()],
+        span,
+        "a standalone month must reproduce its exact span of the container"
     );
 }
 

@@ -2,8 +2,10 @@
 //! serial reference implementations, and each pfx2as month derived at
 //! most once per process no matter how many sweeps race for it.
 
-use lacnet::core::{experiments, extensions, render, DataSource};
-use lacnet::crisis::{World, WorldConfig};
+use lacnet::core::{experiments, extensions, registry, render, DataSource};
+use lacnet::crisis::operators::Operators;
+use lacnet::crisis::{bandwidth, Scenario, World, WorldConfig};
+use lacnet::mlab::aggregate::{Mode, MonthlyAggregator};
 use lacnet::types::MonthStamp;
 use std::sync::OnceLock;
 
@@ -25,7 +27,12 @@ fn source() -> &'static DataSource {
 fn parallel_battery_matches_serial_byte_for_byte() {
     let src = source();
     let parallel = experiments::all(src);
-    let serial = experiments::all_serial(src);
+    // The serial reference: every registry entry in paper order on the
+    // calling thread.
+    let serial: Vec<_> = registry::paper_battery()
+        .into_iter()
+        .map(|run| run(src))
+        .collect();
     assert_eq!(parallel.len(), serial.len());
     // Structured equality first (better failure messages) …
     for (p, s) in parallel.iter().zip(&serial) {
@@ -51,52 +58,62 @@ fn parallel_extensions_match_serial() {
     assert_eq!(parallel, serial);
 }
 
+/// The serial reference the sharded NDT aggregate is checked against:
+/// one thread, shards reduced in plan order.
+fn build_aggregate_serial(
+    ops: &Operators,
+    config: &WorldConfig,
+    scenario: &Scenario,
+    start: MonthStamp,
+    end: MonthStamp,
+) -> MonthlyAggregator {
+    let mut agg = MonthlyAggregator::new(Mode::Streaming);
+    for &shard in &bandwidth::shard_plan(start, end) {
+        agg.observe_all(&bandwidth::generate_shard(ops, config, scenario, shard));
+    }
+    agg
+}
+
+/// Every group's full estimator state: `Debug` spells out each P²
+/// marker with shortest-roundtrip floats, so equal strings are
+/// bit-identical aggregates.
+fn state(agg: &MonthlyAggregator) -> String {
+    format!("{agg:?}")
+}
+
 #[test]
 fn sharded_ndt_build_is_worker_count_invariant() {
-    use lacnet::crisis::bandwidth;
+    use lacnet::types::country;
     let world = world();
-    let (ops, seed) = (&world.operators, world.config.seed);
+    let ops = &world.operators;
     let (start, end) = (MonthStamp::new(2019, 1), MonthStamp::new(2019, 6));
-    // The raw archive bytes …
-    let archive = bandwidth::build_archive_serial(ops, seed, 0.5, start, end);
-    assert!(!archive.is_empty());
-    // … and the monthly medians the analysis reads off them, rendered to
-    // the byte strings the comparison is really about.
-    let medians = |agg: &lacnet::mlab::aggregate::MonthlyAggregator| -> String {
-        let mut out = String::new();
-        for cc in agg.countries() {
-            for (m, v) in agg.median_series(cc).iter() {
-                out.push_str(&format!("{cc}\t{m}\t{v}\n"));
-            }
-        }
-        out
+    // A raw volume scale under the default scenario, and a per-country
+    // boost under a scenario whose `[[mlab]]` factors are not 1 (the
+    // boosted country is one the scenario rescales too).
+    let plain = WorldConfig {
+        mlab_volume_scale: 0.5,
+        ..world.config
     };
-    let serial_medians = medians(&bandwidth::build_aggregate_serial(
-        ops, seed, 0.5, start, end,
-    ));
-    for workers in [1, 2, 7] {
-        assert_eq!(
-            bandwidth::build_archive_with_workers(workers, ops, seed, 0.5, start, end),
-            archive,
-            "archive bytes must not depend on worker count ({workers})"
-        );
-        assert_eq!(
-            medians(&bandwidth::build_aggregate_with_workers(
-                workers, ops, seed, 0.5, start, end
-            )),
-            serial_medians,
-            "monthly medians must not depend on worker count ({workers})"
-        );
+    let boosted = WorldConfig {
+        mlab_country_boost: Some((country::VE, 2.5)),
+        ..plain
+    };
+    let displaced = Scenario::builtin("sudden-displacement").expect("built-in scenario");
+    assert_ne!(displaced.mlab_factor(country::VE, start), 1.0);
+    for (config, scenario) in [(&plain, &Scenario::venezuela()), (&boosted, &displaced)] {
+        let serial = build_aggregate_serial(ops, config, scenario, start, end);
+        assert!(serial.group_count() > 0);
+        for workers in [1, 2, 7] {
+            assert_eq!(
+                state(&bandwidth::build_aggregate(
+                    workers, ops, config, scenario, start, end
+                )),
+                state(&serial),
+                "aggregate must not depend on worker count ({workers}, {})",
+                scenario.name
+            );
+        }
     }
-    // The default entry points are the same plan, merged in plan order.
-    assert_eq!(
-        bandwidth::build_archive(ops, seed, 0.5, start, end),
-        archive
-    );
-    assert_eq!(
-        medians(&bandwidth::build_aggregate(ops, seed, 0.5, start, end)),
-        serial_medians
-    );
 }
 
 #[test]
@@ -122,7 +139,7 @@ fn ndt_container_bytes_are_worker_count_invariant() {
         let reader = ColumnReader::open(&container.bytes).expect("container opens");
         let census_blocks: u64 = container.months.iter().map(|m| m.1).sum();
         let census_rows: u64 = container.months.iter().map(|m| m.0).sum();
-        assert_eq!(reader.block_count() as u64, census_blocks);
+        assert_eq!(reader.blocks().len() as u64, census_blocks);
         assert_eq!(reader.rows() as u64, census_rows);
         let spans: Vec<(i64, i64)> = reader.blocks().iter().map(|b| b.day_span()).collect();
         assert!(spans.windows(2).all(|w| w[0].1 <= w[1].0), "months ascend");
@@ -131,25 +148,18 @@ fn ndt_container_bytes_are_worker_count_invariant() {
 
 #[test]
 fn world_mlab_stream_is_the_sharded_build() {
-    use lacnet::crisis::{bandwidth, config::windows};
+    use lacnet::crisis::config::windows;
     let world = world();
     // `World::generate` must aggregate exactly the shard stream any
-    // worker count produces — rebuild it serially and compare medians.
-    let rebuilt = bandwidth::build_aggregate_serial(
+    // worker count produces — rebuild it serially and compare states.
+    let rebuilt = build_aggregate_serial(
         &world.operators,
-        world.config.seed,
-        world.config.mlab_volume_scale,
+        &world.config,
+        &world.scenario,
         windows::mlab_start(),
         world.config.end,
     );
-    assert_eq!(world.mlab.group_count(), rebuilt.group_count());
-    for cc in world.mlab.countries() {
-        assert_eq!(
-            world.mlab.median_series(cc),
-            rebuilt.median_series(cc),
-            "median series diverged for {cc}"
-        );
-    }
+    assert_eq!(state(&world.mlab), state(&rebuilt));
 }
 
 #[test]

@@ -57,8 +57,9 @@ fn announced_space_never_exceeds_allocated() {
         MonthStamp::new(2023, 12),
     ] {
         let table = w.pfx2as_at(m);
-        for op in w.operators.in_country(country::VE) {
-            let announced = table.address_space_of(op.asn);
+        let ops = w.operators.in_country(country::VE);
+        let asns: Vec<Asn> = ops.iter().map(|op| op.asn).collect();
+        for (op, announced) in ops.iter().zip(table.address_space_by_origin(&asns)) {
             let allocated = w.addressing.ledger().space_of_holder(op.asn, m.last_day());
             assert!(
                 announced <= allocated,
@@ -155,14 +156,12 @@ fn the_state_never_loses_the_lead() {
         MonthStamp::new(2023, 12),
     ] {
         let table = w.pfx2as_at(m);
-        let cantv = table.address_space_of(Asn(8048));
-        for op in w.operators.eyeballs(country::VE) {
+        let cantv = table.address_space_by_origin(&[Asn(8048)])[0];
+        let eyeballs = w.operators.eyeballs(country::VE);
+        let asns: Vec<Asn> = eyeballs.iter().map(|op| op.asn).collect();
+        for (op, space) in eyeballs.iter().zip(table.address_space_by_origin(&asns)) {
             if op.asn != Asn(8048) {
-                assert!(
-                    table.address_space_of(op.asn) <= cantv,
-                    "AS{} outgrew CANTV at {m}",
-                    op.asn.raw()
-                );
+                assert!(space <= cantv, "AS{} outgrew CANTV at {m}", op.asn.raw());
             }
         }
     }
