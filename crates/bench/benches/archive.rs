@@ -9,6 +9,7 @@
 
 use criterion::{criterion_group, Criterion};
 use lacnet_bench::bench_world;
+use lacnet_core::archive::{Dataset, Key};
 use lacnet_core::{datasets, DataSource};
 use lacnet_crisis::World;
 use lacnet_types::{country, CountryCode, MonthStamp};
@@ -90,7 +91,7 @@ fn aggregate_whole_archive(ndtc_dir: &std::path::Path) -> lacnet_mlab::MonthlyAg
     let mut agg =
         lacnet_mlab::aggregate::MonthlyAggregator::new(lacnet_mlab::aggregate::Mode::Streaming);
     for cc in countries() {
-        let rel = datasets::mlab_container_path(cc);
+        let rel = Dataset::NdtContainer.path(Key::Country(cc));
         let bytes = std::fs::read(ndtc_dir.join(rel)).expect("columnar container");
         let batch = lacnet_mlab::columnar::decode(&bytes).expect("columnar container decodes");
         agg.observe_columns(&batch);
@@ -117,7 +118,7 @@ fn bench_cold_load(c: &mut Criterion) {
             lacnet_types::sweep::worker_count(countries.len()),
             &countries,
             |&cc| {
-                let rel = datasets::mlab_container_path(cc);
+                let rel = Dataset::NdtContainer.path(Key::Country(cc));
                 let bytes = std::fs::read(ndtc_dir.join(rel)).expect("columnar container");
                 let reader = lacnet_mlab::ColumnReader::open(&bytes).expect("container opens");
                 let mut part = lacnet_mlab::aggregate::MonthlyAggregator::new(
@@ -150,7 +151,7 @@ fn bench_cold_load(c: &mut Criterion) {
     let containers: Vec<Vec<u8>> = countries
         .iter()
         .map(|&cc| {
-            std::fs::read(ndtc_dir.join(datasets::mlab_container_path(cc)))
+            std::fs::read(ndtc_dir.join(Dataset::NdtContainer.path(Key::Country(cc))))
                 .expect("columnar container")
         })
         .collect();

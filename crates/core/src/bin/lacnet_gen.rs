@@ -14,11 +14,10 @@
 //! fingerprint into every `mlab/manifest.tsv` container record and write
 //! a `world/scenario.toml` sidecar the loader reapplies.
 //!
-//! NDT data lands in one footer-indexed `.ndtc` container per country,
-//! `mlab/{CC}.ndtc`, holding every month of the window in order.
-//! `--shard-format columnar` is still accepted, because `benchmark/`
-//! passes it; any other value is an error, since columnar is the only
-//! format.
+//! The tree's layout is the `lacnet_core::archive` table; NDT data lands
+//! in one `.ndtc` container per country. `--shard-format columnar` is
+//! still accepted, because `benchmark/` passes it; any other value is an
+//! error.
 //!
 //! `--test-world` dumps the reduced fixed-seed world the test suites
 //! run on — a mini archive that generates and parses in seconds (the CI
@@ -28,9 +27,7 @@
 //! Re-running over an existing tree refreshes incrementally: NDT
 //! containers whose inputs (seed, per-country volume scale, scenario,
 //! month window) are unchanged per `mlab/manifest.tsv` are left
-//! untouched unless `--force` is given. `mlab/index.tsv` records each
-//! `(country, month)`'s container, row/block census and min/max day
-//! span.
+//! untouched unless `--force` is given.
 
 use lacnet_core::datasets::{self, DumpOptions};
 use lacnet_crisis::{Scenario, World, WorldConfig};

@@ -7,30 +7,8 @@
 //! and the round-trip suite proves the reloaded battery byte-identical to
 //! the in-memory one.
 //!
-//! ```text
-//! <out>/
-//!   world/config.tsv                     the generating configuration
-//!   serial1/19980101.as-rel.txt …        CAIDA serial-1, monthly
-//!   pfx2as/routeviews-rv2-20080101.pfx2as …  RouteViews pfx2as, monthly
-//!   delegations/delegated-lacnic-20080101 …  NRO delegation files, yearly
-//!                                        plus one full-history snapshot
-//!   peeringdb/peeringdb_2_dump_2018_04_01.json …  schema-v2 dumps, monthly
-//!   cables/cable-map.json                Telegeography-style export
-//!   offnets/scan-2013.json …             yearly TLS scans
-//!   topsites/VE.json …                   per-country scrapes
-//!   mlab/VE.ndtc …                       one NDT container per country,
-//!                                        every month of the window in
-//!                                        plan order
-//!   mlab/manifest.tsv                    per-container (country,
-//!                                        fingerprint, content hash,
-//!                                        path) — incremental refresh
-//!                                        skips unchanged countries
-//!   mlab/index.tsv                       per-(country, month) census:
-//!                                        container path, rows, blocks,
-//!                                        day span
-//!   atlas/reachability-VE-2019.tsv …     daily connected probes, per country
-//!   MANIFEST.txt
-//! ```
+//! [`crate::archive::Dataset`] is the table of the tree: one row per
+//! dataset, with its path pattern and its parse.
 //!
 //! NDT rows are the bulk of the tree, so they get three optimisations:
 //! one container per country instead of one file per (country, month),
@@ -41,14 +19,14 @@
 //! in `mlab/manifest.tsv`, and a re-dump over the same tree regenerates
 //! only the countries whose fingerprints changed.
 
-use crate::source::{read_error, read_text};
+use crate::archive::{Dataset, Key, Part};
+use crate::source::DataSource;
 use lacnet_crisis::config::windows;
 use lacnet_crisis::{bandwidth, blackouts, World, WorldConfig};
-use lacnet_mlab::aggregate::{Mode, MonthlyAggregator};
-use lacnet_mlab::columnar::{self, ColumnReader, ColumnSelection, DecodeScratch, ShardFormat};
+use lacnet_mlab::columnar::{self, ColumnSelection, ShardFormat};
 use lacnet_mlab::BlockRun;
 use lacnet_types::rng::Rng;
-use lacnet_types::{codec, country, sweep, CountryCode, Date, MonthStamp, Result};
+use lacnet_types::{codec, country, sweep, CountryCode, Date, Error, MonthStamp, Result};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -82,12 +60,7 @@ pub struct DumpOptions {
     pub force: bool,
 }
 
-fn write_bytes(
-    root: &Path,
-    rel: &str,
-    contents: &[u8],
-    summary: &mut DumpSummary,
-) -> io::Result<()> {
+fn write(root: &Path, rel: &str, contents: &str, summary: &mut DumpSummary) -> io::Result<()> {
     let path = root.join(rel);
     if let Some(parent) = path.parent() {
         fs::create_dir_all(parent)?;
@@ -98,30 +71,17 @@ fn write_bytes(
     Ok(())
 }
 
-fn write(root: &Path, rel: &str, contents: &str, summary: &mut DumpSummary) -> io::Result<()> {
-    write_bytes(root, rel, contents.as_bytes(), summary)
-}
-
-/// The archive-relative path of one country's NDT container.
-pub fn mlab_container_path(cc: CountryCode) -> String {
-    format!("mlab/{cc}.ndtc")
-}
-
 /// The archive-relative path of the container holding one NDT shard's
 /// rows — every month of a country shares one file. Benchmark-only: the
 /// format argument stays only because `benchmark/` still passes it.
 pub fn mlab_shard_path_with(shard: bandwidth::NdtShard, _format: ShardFormat) -> String {
-    mlab_container_path(shard.0)
+    Dataset::NdtContainer.path(Key::Country(shard.0))
 }
 
-/// The archive-relative path of the NDT container manifest.
+/// The path of the NDT container manifest ([`Dataset::NdtManifest`]).
 pub const MLAB_MANIFEST: &str = "mlab/manifest.tsv";
 
-/// The archive-relative path of the NDT shard index: one record per
-/// `(country, month)` with its container path, row count, block count
-/// and day span, written at dump time. It is a census for tools and
-/// incremental refresh; the archive loader derives the same table from
-/// the containers themselves.
+/// The path of the NDT shard index ([`Dataset::NdtIndex`]).
 pub const MLAB_INDEX: &str = "mlab/index.tsv";
 
 /// One `mlab/index.tsv` record.
@@ -142,39 +102,42 @@ pub struct ShardIndexRecord {
 /// A missing index, or a malformed record, yields no entry — the index
 /// is a census derived from the tree, never a source of truth.
 pub fn read_shard_index(root: &Path) -> BTreeMap<String, ShardIndexRecord> {
-    let mut map = BTreeMap::new();
-    let Ok(text) = fs::read_to_string(root.join(MLAB_INDEX)) else {
-        return map;
-    };
-    for line in text.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let cols: Vec<&str> = line.split('\t').collect();
-        let [label, path, rows, blocks, min, max] = cols[..] else {
-            continue;
-        };
-        let (Ok(rows), Ok(blocks)) = (rows.parse(), blocks.parse()) else {
-            continue;
+    fs::read_to_string(root.join(MLAB_INDEX))
+        .map_or_else(|_| BTreeMap::new(), |t| parse_shard_index(&t))
+}
+
+/// The records of an `mlab/` TSV text keyed by their first column; a
+/// record `parse` rejects yields no entry.
+fn tsv_records<T>(text: &str, parse: impl Fn(&[&str]) -> Option<T>) -> BTreeMap<String, T> {
+    text.lines()
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .filter_map(|line| {
+            let cols: Vec<&str> = line.split('\t').collect();
+            Some((cols[0].to_owned(), parse(&cols[1..])?))
+        })
+        .collect()
+}
+
+/// The records of an `mlab/index.tsv` text.
+pub(crate) fn parse_shard_index(text: &str) -> BTreeMap<String, ShardIndexRecord> {
+    tsv_records(text, |cols| {
+        let &[path, rows, blocks, min, max] = cols else {
+            return None;
         };
         let days = match (min, max) {
             ("-", "-") => None,
-            _ => match (min.parse(), max.parse()) {
-                (Ok(min), Ok(max)) if min <= max => Some((min, max)),
-                _ => continue,
-            },
+            _ => {
+                let (min, max): (i64, i64) = (min.parse().ok()?, max.parse().ok()?);
+                Some((min <= max).then_some((min, max))?)
+            }
         };
-        map.insert(
-            label.to_owned(),
-            ShardIndexRecord {
-                path: path.to_owned(),
-                rows,
-                blocks,
-                days,
-            },
-        );
-    }
-    map
+        Some(ShardIndexRecord {
+            path: path.to_owned(),
+            rows: rows.parse().ok()?,
+            blocks: blocks.parse().ok()?,
+            days,
+        })
+    })
 }
 
 /// Version tag folded into every container fingerprint. Bump it whenever
@@ -208,45 +171,24 @@ fn container_fingerprint(
 }
 
 /// One `mlab/manifest.tsv` record.
-struct ContainerRecord {
+pub(crate) struct ContainerRecord {
     fingerprint: u64,
     content_hash: u64,
-    path: String,
+    pub(crate) path: String,
 }
 
-/// Parse a container manifest written by a previous dump, keyed by
-/// country code. Unreadable or malformed manifests yield an empty map —
-/// the dump then rewrites everything, which is always safe.
-fn read_container_manifest(root: &Path) -> BTreeMap<String, ContainerRecord> {
-    let mut map = BTreeMap::new();
-    let Ok(text) = fs::read_to_string(root.join(MLAB_MANIFEST)) else {
-        return map;
-    };
-    for line in text.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut cols = line.split('\t');
-        let (Some(cc), Some(fp), Some(hash), Some(path)) =
-            (cols.next(), cols.next(), cols.next(), cols.next())
-        else {
-            continue;
+/// The records of an `mlab/manifest.tsv` text.
+pub(crate) fn parse_container_manifest(text: &str) -> BTreeMap<String, ContainerRecord> {
+    tsv_records(text, |cols| {
+        let &[fingerprint, hash, path, ..] = cols else {
+            return None;
         };
-        let (Ok(fingerprint), Ok(content_hash)) =
-            (u64::from_str_radix(fp, 16), u64::from_str_radix(hash, 16))
-        else {
-            continue;
-        };
-        map.insert(
-            cc.to_owned(),
-            ContainerRecord {
-                fingerprint,
-                content_hash,
-                path: path.to_owned(),
-            },
-        );
-    }
-    map
+        Some(ContainerRecord {
+            fingerprint: u64::from_str_radix(fingerprint, 16).ok()?,
+            content_hash: u64::from_str_radix(hash, 16).ok()?,
+            path: path.to_owned(),
+        })
+    })
 }
 
 /// One month's index census: rows, blocks, and day span (`None` without
@@ -340,8 +282,6 @@ pub fn dump_with(world: &World, root: &Path, options: DumpOptions) -> io::Result
     let built = built.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
     ndt.finish(world, root, built, &mut summary)?;
 
-    // A traceroute archive sample: every Venezuelan probe's path to
-    // GPDNS at the final month (the raw form of MSM 1591146).
     {
         use lacnet_atlas::anycast::{AnycastFleet, AnycastSite, SiteScope};
         use lacnet_atlas::gpdns::LatencyModel;
@@ -377,10 +317,10 @@ pub fn dump_with(world: &World, root: &Path, options: DumpOptions) -> io::Result
                 text.push_str(&tr.to_text());
             }
         }
-        write(root, "atlas/traceroutes-ve.txt", &text, &mut summary)?;
+        let rel = Dataset::Traceroutes.path(Key::None);
+        write(root, &rel, &text, &mut summary)?;
     }
 
-    // Daily reachability for the blackout year, one file per country.
     let reach = blackouts::daily_reachability_with(
         &world.dns,
         Date::ymd(2019, 1, 1),
@@ -388,16 +328,11 @@ pub fn dump_with(world: &World, root: &Path, options: DumpOptions) -> io::Result
         world.config.seed,
         &world.scenario,
     );
-    for (cc, series) in &reach {
-        write(
-            root,
-            &format!("atlas/reachability-{cc}-2019.tsv"),
-            &series.to_tsv(),
-            &mut summary,
-        )?;
+    for (&cc, series) in &reach {
+        let rel = Dataset::Reachability.path(Key::Country(cc));
+        write(root, &rel, &series.to_tsv(), &mut summary)?;
     }
 
-    // Manifest.
     let mut manifest = String::new();
     let _ = writeln!(
         manifest,
@@ -408,8 +343,9 @@ pub fn dump_with(world: &World, root: &Path, options: DumpOptions) -> io::Result
         let _ = writeln!(manifest, "{f}");
     }
     // The manifest lists itself so `verify` covers the whole tree.
-    let _ = writeln!(manifest, "MANIFEST.txt");
-    write(root, "MANIFEST.txt", &manifest, &mut summary)?;
+    let rel = Dataset::Manifest.path(Key::None);
+    let _ = writeln!(manifest, "{rel}");
+    write(root, &rel, &manifest, &mut summary)?;
     Ok(summary)
 }
 
@@ -419,123 +355,56 @@ pub fn dump_with(world: &World, root: &Path, options: DumpOptions) -> io::Result
 fn write_leading_datasets(world: &World, root: &Path, summary: &mut DumpSummary) -> io::Result<()> {
     let end = world.config.end;
 
-    // The config sidecar: the loader regenerates the model roots
-    // (economy, operators, DNS world) from exactly this configuration.
-    write(root, "world/config.tsv", &world.config.to_text(), summary)?;
+    let rel = Dataset::Config.path(Key::None);
+    write(root, &rel, &world.config.to_text(), summary)?;
 
-    // The scenario sidecar — written only for non-default scenarios, so
-    // default trees keep their historical file set byte for byte. The
-    // loader applies the sidecar's overlays when regenerating; a missing
-    // sidecar means the default (Venezuela) scenario. A stale sidecar
-    // from a previous non-default dump is removed.
+    // Default trees keep their historical file set byte for byte, so a
+    // stale sidecar from a previous non-default dump is removed.
+    let rel = Dataset::Scenario.path(Key::None);
     if world.scenario.is_default() {
-        let _ = fs::remove_file(root.join("world/scenario.toml"));
+        let _ = fs::remove_file(root.join(rel));
     } else {
-        write(
-            root,
-            "world/scenario.toml",
-            &world.scenario.to_toml(),
-            summary,
-        )?;
+        write(root, &rel, &world.scenario.to_toml(), summary)?;
     }
 
     // Derive the monthly pfx2as tables across workers before the
     // sequential write loop below reads them one by one.
     world.prewarm(windows::pfx2as_start(), end);
 
-    // serial-1, one file per month of the archive.
     for (m, graph) in world.topology.iter() {
-        let rel = format!("serial1/{}{:02}01.as-rel.txt", m.year(), m.month());
+        let rel = Dataset::Serial1.path(Key::Month(m));
         let text = lacnet_bgp::serial1::to_text(&graph.edges(), &format!("lacnet world {m}"));
         write(root, &rel, &text, summary)?;
     }
 
-    // pfx2as, one file per month since 2008.
     for m in windows::pfx2as_start().through(end) {
-        let table = world.pfx2as_at(m);
-        write(
-            root,
-            &format!(
-                "pfx2as/routeviews-rv2-{}{:02}01.pfx2as",
-                m.year(),
-                m.month()
-            ),
-            &table.to_text(),
-            summary,
-        )?;
+        let rel = Dataset::Pfx2as.path(Key::Month(m));
+        write(root, &rel, &world.pfx2as_at(m).to_text(), summary)?;
     }
 
-    // Delegations: yearly snapshots as the registry publishes them, plus
-    // one full-history file at the archive's end date — the snapshot the
-    // loader rebuilds the allocation ledger from (it reads the *last*
-    // delegations entry in the manifest).
-    for year in 2008..=end.year() {
-        let m = MonthStamp::new(year, 1);
-        if m > end {
-            break;
-        }
-        let file = world.addressing.delegation_file(Date::ymd(year, 1, 1));
-        write(
-            root,
-            &format!("delegations/delegated-lacnic-{year}0101"),
-            &file.to_text(Date::ymd(year, 1, 1)),
-            summary,
-        )?;
+    let yearly = (2008..=end.year()).map(|year| Date::ymd(year, 1, 1));
+    for day in yearly.chain([end.last_day()]) {
+        let file = world.addressing.delegation_file(day);
+        let rel = Dataset::Delegations.path(Key::Day(day));
+        write(root, &rel, &file.to_text(day), summary)?;
     }
-    let last_day = end.last_day();
-    let file = world.addressing.delegation_file(last_day);
-    write(
-        root,
-        &format!(
-            "delegations/delegated-lacnic-{:04}{:02}{:02}",
-            last_day.year(),
-            last_day.month(),
-            last_day.day()
-        ),
-        &file.to_text(last_day),
-        summary,
-    )?;
 
-    // PeeringDB dumps, one per month of the schema-v2 era.
     for (m, snap) in world.peeringdb.iter() {
-        write(
-            root,
-            &format!(
-                "peeringdb/peeringdb_2_dump_{}_{:02}_01.json",
-                m.year(),
-                m.month()
-            ),
-            &snap.to_json(),
-            summary,
-        )?;
+        let rel = Dataset::PeeringDb.path(Key::Month(m));
+        write(root, &rel, &snap.to_json(), summary)?;
     }
 
-    // Cable map.
-    write(
-        root,
-        "cables/cable-map.json",
-        &world.cables.to_json(),
-        summary,
-    )?;
+    let rel = Dataset::Cables.path(Key::None);
+    write(root, &rel, &world.cables.to_json(), summary)?;
 
-    // Off-net scans.
     for scan in &world.cert_scans {
-        write(
-            root,
-            &format!("offnets/scan-{}.json", scan.month.year()),
-            &scan.to_json(),
-            summary,
-        )?;
+        let rel = Dataset::OffNets.path(Key::Year(scan.month.year()));
+        write(root, &rel, &scan.to_json(), summary)?;
     }
 
-    // Top sites.
     for list in &world.top_sites {
-        write(
-            root,
-            &format!("topsites/{}.json", list.country),
-            &list.to_json(),
-            summary,
-        )?;
+        let rel = Dataset::TopSites.path(Key::Country(list.country));
+        write(root, &rel, &list.to_json(), summary)?;
     }
     Ok(())
 }
@@ -578,14 +447,19 @@ impl NdtRefresh {
         let window = (windows::mlab_start(), world.config.end);
         let plan = bandwidth::shard_plan(window.0, window.1);
         let months = window.0.months_until(window.1) as usize + 1;
-        let previous = read_container_manifest(root);
+        // An unreadable manifest is empty: the dump then rewrites
+        // everything, which is always safe.
+        let previous = match Dataset::NdtManifest.parse(root, Key::None) {
+            Ok(Part::NdtManifest(records)) => records,
+            _ => BTreeMap::new(),
+        };
         let previous_index = read_shard_index(root);
         let countries: Vec<CountryCode> = country::lacnic_codes().collect();
         let rebuild = countries
             .iter()
             .zip(plan.chunks(months))
             .map(|(&cc, shards)| {
-                let rel = mlab_container_path(cc);
+                let rel = Dataset::NdtContainer.path(Key::Country(cc));
                 let fingerprint = container_fingerprint(&world.config, &world.scenario, cc, window);
                 let fresh = !options.force
                     && previous.get(cc.as_str()).is_some_and(|rec| {
@@ -640,7 +514,10 @@ impl NdtRefresh {
             .iter()
             .zip(containers)
             .map(|(&cc, container)| {
-                fs::write(root.join(mlab_container_path(cc)), &container.bytes)?;
+                fs::write(
+                    root.join(Dataset::NdtContainer.path(Key::Country(cc))),
+                    &container.bytes,
+                )?;
                 Ok(BuiltContainer {
                     len: container.bytes.len() as u64,
                     content_hash: codec::fnv1a64(&container.bytes),
@@ -673,7 +550,7 @@ impl NdtRefresh {
             .zip(self.plan.chunks(self.months))
             .zip(&self.rebuild);
         for ((&cc, shards), &rebuild) in per_country {
-            let rel = mlab_container_path(cc);
+            let rel = Dataset::NdtContainer.path(Key::Country(cc));
             summary.files.push(rel.clone());
             let (content_hash, census) = if rebuild {
                 let container = built.next().expect("one container per rebuilt country");
@@ -708,91 +585,53 @@ impl NdtRefresh {
                 );
             }
         }
-        write(root, MLAB_MANIFEST, &container_manifest, summary)?;
-        write(root, MLAB_INDEX, &shard_index, summary)
+        let rel = Dataset::NdtManifest.path(Key::None);
+        write(root, &rel, &container_manifest, summary)?;
+        let rel = Dataset::NdtIndex.path(Key::None);
+        write(root, &rel, &shard_index, summary)
     }
 }
 
 /// Re-parse every exported file, proving the tree is consumable by the
-/// substrate parsers alone (no access to the in-memory world).
+/// substrate parsers alone (no access to the in-memory world), and return
+/// how many files the manifest lists.
 ///
-/// Each `.ndtc` container is read whole and scanned block by block into
-/// an aggregator, as the archive loader decodes it, but with every column
-/// decoded and range-checked. The container manifest and the shard index
-/// are verified structurally: every container they name must exist. A
-/// listed file that is not there is [`lacnet_types::Error::Missing`]; one
-/// that is there but cannot be read is a parse error naming it.
+/// This is the archive loader with every `.ndtc` column decoded and
+/// range-checked, followed by the parse of each file the loader does not
+/// hold: every pfx2as table, the older delegation files, the traceroutes,
+/// and the container manifest and shard index, every container of which
+/// must exist. A manifest entry that no [`Dataset`] row claims is an
+/// error. A listed file that is not there is [`Error::Missing`]; one that
+/// is there but cannot be read is a parse error naming it.
 pub fn verify(root: &Path) -> Result<usize> {
-    let mut checked = 0usize;
-    let manifest = read_text(root, "MANIFEST.txt")?;
-    let mut agg = MonthlyAggregator::new(Mode::Streaming);
-    let selection = ColumnSelection::all();
-    let mut scratch = DecodeScratch::new();
-    for rel in manifest.lines().filter(|l| !l.starts_with('#')) {
-        if rel == MLAB_MANIFEST || rel == MLAB_INDEX {
-            let paths: Vec<(String, String)> = if rel == MLAB_MANIFEST {
-                read_container_manifest(root)
-                    .into_iter()
-                    .map(|(cc, rec)| (cc, rec.path))
-                    .collect()
-            } else {
-                read_shard_index(root)
-                    .into_iter()
-                    .map(|(label, rec)| (label, rec.path))
-                    .collect()
-            };
-            for (key, path) in paths {
-                if !root.join(&path).exists() {
-                    return Err(lacnet_types::Error::missing("NDT container", key));
-                }
-            }
-            checked += 1;
+    DataSource::load_columns(root, ColumnSelection::all())?;
+    let Part::Manifest(entries) = Dataset::Manifest.parse(root, Key::None)? else {
+        unreachable!("the manifest row parses into entries")
+    };
+    let claimed = entries
+        .iter()
+        .map(|rel| Dataset::of(rel).ok_or_else(|| Error::parse("path of an archive dataset", rel)))
+        .collect::<Result<Vec<_>>>()?;
+    let newest_delegations = claimed.iter().rposition(|c| c.0 == Dataset::Delegations);
+    for (i, &(row, key)) in claimed.iter().enumerate() {
+        // The loader above parsed every other file.
+        let unheld = matches!(
+            row,
+            Dataset::Pfx2as | Dataset::Traceroutes | Dataset::NdtManifest | Dataset::NdtIndex
+        ) || (row == Dataset::Delegations && Some(i) != newest_delegations);
+        if !unheld {
             continue;
         }
-        if rel.starts_with("mlab/") {
-            let bytes = fs::read(root.join(rel)).map_err(|e| {
-                read_error(
-                    e,
-                    "NDT archive container",
-                    format!("{}/{rel}", root.display()),
-                )
-            })?;
-            ColumnReader::open(&bytes)?.scan_counted(&selection, &mut scratch, |view| {
-                agg.observe_block(view);
-                Ok(())
-            })?;
-            checked += 1;
-            continue;
+        let paths: Vec<String> = match row.parse(root, key)? {
+            Part::NdtManifest(records) => records.into_values().map(|r| r.path).collect(),
+            Part::NdtIndex(records) => records.into_values().map(|r| r.path).collect(),
+            _ => continue,
+        };
+        if let Some(path) = paths.into_iter().find(|path| !root.join(path).exists()) {
+            return Err(Error::missing("NDT container", path));
         }
-        let text = read_text(root, rel)?;
-        if rel.starts_with("serial1/") {
-            lacnet_bgp::serial1::parse(&text)?;
-        } else if rel.starts_with("pfx2as/") {
-            lacnet_bgp::PfxToAs::parse(&text)?;
-        } else if rel.starts_with("delegations/") {
-            lacnet_registry::DelegationFile::parse(&text)?;
-        } else if rel.starts_with("peeringdb/") {
-            lacnet_peeringdb::Snapshot::from_json(&text)?.validate()?;
-        } else if rel.starts_with("cables/") {
-            lacnet_telegeo::CableMap::from_json(&text)?;
-        } else if rel.starts_with("offnets/") {
-            lacnet_offnets::CertScan::from_json(&text)?;
-        } else if rel.starts_with("topsites/") {
-            lacnet_webmeas::CountryTopSites::from_json(&text)?;
-        } else if rel.starts_with("atlas/traceroutes") {
-            lacnet_atlas::traceroute::parse_traceroutes(&text)?;
-        } else if rel.starts_with("atlas/reachability") {
-            lacnet_atlas::outages::ReachabilitySeries::parse_tsv(&text)?;
-        } else if rel == "world/scenario.toml" {
-            lacnet_crisis::Scenario::parse(&text).map_err(lacnet_types::Error::from)?;
-        } else if rel.starts_with("world/") {
-            lacnet_crisis::WorldConfig::parse(&text)?;
-        } else if rel.starts_with("atlas/") || rel == "MANIFEST.txt" {
-            // Plain TSV / manifest: nothing structured to validate.
-        }
-        checked += 1;
     }
-    Ok(checked)
+    Ok(entries.len())
 }
 
 #[cfg(test)]
@@ -823,7 +662,7 @@ mod tests {
         assert!(index["VE/2023-07"].rows > 10);
         let ve = std::fs::read(dir.join("mlab/VE.ndtc")).unwrap();
         assert_eq!(ve[4], columnar::VERSION);
-        let reader = ColumnReader::open(&ve).unwrap();
+        let reader = columnar::ColumnReader::open(&ve).unwrap();
         let ve_records: Vec<&ShardIndexRecord> = index
             .iter()
             .filter(|(label, _)| label.starts_with("VE/"))
@@ -915,6 +754,29 @@ mod tests {
         std::fs::write(dir.join(pfx2as), good).unwrap();
 
         verify(&dir).expect("the restored tree verifies");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn verify_rejects_a_listed_file_no_dataset_claims() {
+        let world = crate::experiments::testworld::world();
+        let dir = std::env::temp_dir().join(format!("lacnet-unclaimed-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let summary = dump(world, &dir).expect("dump succeeds");
+        // A readable text file the manifest lists, but no row writes.
+        let stray = "notes/readme.txt";
+        std::fs::create_dir_all(dir.join("notes")).unwrap();
+        std::fs::write(dir.join(stray), "hand-written notes\n").unwrap();
+        let manifest = std::fs::read_to_string(dir.join("MANIFEST.txt")).unwrap();
+        std::fs::write(dir.join("MANIFEST.txt"), format!("{manifest}{stray}\n")).unwrap();
+        assert_eq!(
+            verify(&dir),
+            Err(Error::parse("path of an archive dataset", stray))
+        );
+        // The loader still ignores it.
+        crate::DataSource::from_archive(&dir).expect("the tree loads");
+        std::fs::write(dir.join("MANIFEST.txt"), manifest).unwrap();
+        assert_eq!(verify(&dir), Ok(summary.files.len()));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

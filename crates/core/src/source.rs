@@ -5,12 +5,9 @@
 //!   pfx2as and cone caches included — the fast path every unit test
 //!   and the default `vzla-report` run use.
 //! * [`DataSource::from_archive`] reloads a [`crate::datasets::dump`]
-//!   tree: every dataset is rebuilt by parsing the dumped native-format
-//!   files (serial-1 relationship files, RouteViews pfx2as, NRO
-//!   delegations, PeeringDB v2 JSON dumps, the Telegeography cable map,
-//!   yearly TLS scans, top-site scrapes, per-country M-Lab NDT
-//!   containers, Atlas reachability TSVs), exactly as the pipeline would
-//!   parse the real archives.
+//!   tree: every dataset is rebuilt by parsing its native-format files,
+//!   each by its row of the [`crate::archive`] table, exactly as the
+//!   pipeline would parse the real archives.
 //!
 //! Both origins fill the same fields and share one pfx2as
 //! `SnapshotCache` and one `ConeCache`. The origin is consulted only
@@ -19,8 +16,9 @@
 //! naming the backend. The round-trip suite (`tests/archive_roundtrip.rs`)
 //! proves the full battery renders byte-identically from both.
 
+use crate::archive::{read_error, Dataset, Key, Part};
 use lacnet_atlas::outages::ReachabilitySeries;
-use lacnet_bgp::{AsGraph, ConeCache, PfxToAs, TopologyArchive};
+use lacnet_bgp::{ConeCache, PfxToAs, TopologyArchive};
 use lacnet_crisis::addressing::Addressing;
 use lacnet_crisis::config::windows;
 use lacnet_crisis::dns::{self, DnsWorld};
@@ -32,15 +30,15 @@ use lacnet_mlab::columnar::{
     BlockEntry, ColumnReader, ColumnSelection, ColumnSet, DecodeScratch, ReadStats,
 };
 use lacnet_offnets::certs::CertScan;
-use lacnet_peeringdb::{Snapshot, SnapshotArchive};
-use lacnet_registry::{AllocationLedger, DelegationFile};
+use lacnet_peeringdb::SnapshotArchive;
+use lacnet_registry::AllocationLedger;
 use lacnet_telegeo::CableMap;
 use lacnet_types::stats::P2Quantile;
 use lacnet_types::{country, sweep, Asn, CountryCode, Date, Error, MonthStamp, Result, TimeSeries};
 use lacnet_webmeas::CountryTopSites;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
-use std::io::{ErrorKind, Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
@@ -247,20 +245,6 @@ impl NdtRangeStats {
     }
 }
 
-fn month_from_name(name: &str, prefix: &str, suffix: &str) -> Option<MonthStamp> {
-    let stamp = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
-    // `YYYYMMDD` (day ignored) or `YYYY_MM_DD` with either separator.
-    let digits: String = stamp.chars().filter(|c| c.is_ascii_digit()).collect();
-    if digits.len() < 6 {
-        return None;
-    }
-    let year: i32 = digits[0..4].parse().ok()?;
-    let month: u8 = digits[4..6].parse().ok()?;
-    (1..=12)
-        .contains(&month)
-        .then(|| MonthStamp::new(year, month))
-}
-
 /// Decode one country's `.ndtc` container: its resident month table, its
 /// footer entries and the partial aggregate of its rows, in file order.
 /// A typed error unless the container holds only `cc`'s rows, only
@@ -349,66 +333,6 @@ fn load_container(
     Ok((spans, blocks, agg))
 }
 
-/// One manifest entry parsed into the dataset it holds, ready to fold
-/// into a [`DataSource`].
-enum Parsed {
-    Topology(MonthStamp, AsGraph),
-    PeeringDb(MonthStamp, Snapshot),
-    Cables(CableMap),
-    CertScan(CertScan),
-    TopSites(CountryTopSites),
-    Reachability(CountryCode, ReachabilitySeries),
-}
-
-/// Parse the manifest entry `rel` under `root`. `Ok(None)` for the
-/// entries the loader reads elsewhere or not at all: pfx2as tables
-/// (parsed lazily), delegations (only the newest file), NDT containers
-/// (decoded in plan order), traceroute samples and the manifest itself.
-fn parse_entry(root: &Path, rel: &str) -> Result<Option<Parsed>> {
-    let part = if let Some(name) = rel.strip_prefix("serial1/") {
-        let m = month_from_name(name, "", ".as-rel.txt")
-            .ok_or_else(|| Error::parse("serial-1 file month", rel))?;
-        let edges = lacnet_bgp::serial1::parse(&read_text(root, rel)?)?;
-        Parsed::Topology(m, AsGraph::from_edges(edges))
-    } else if let Some(name) = rel.strip_prefix("peeringdb/") {
-        let m = month_from_name(name, "peeringdb_2_dump_", ".json")
-            .ok_or_else(|| Error::parse("peeringdb dump month", rel))?;
-        Parsed::PeeringDb(m, Snapshot::from_json(&read_text(root, rel)?)?)
-    } else if rel.starts_with("cables/") {
-        Parsed::Cables(CableMap::from_json(&read_text(root, rel)?)?)
-    } else if rel.starts_with("offnets/") {
-        Parsed::CertScan(CertScan::from_json(&read_text(root, rel)?)?)
-    } else if rel.starts_with("topsites/") {
-        Parsed::TopSites(CountryTopSites::from_json(&read_text(root, rel)?)?)
-    } else if let Some(name) = rel.strip_prefix("atlas/reachability-") {
-        let code = name.split('-').next().unwrap_or_default();
-        let cc =
-            CountryCode::new(code).map_err(|_| Error::parse("reachability file country", rel))?;
-        Parsed::Reachability(cc, ReachabilitySeries::parse_tsv(&read_text(root, rel)?)?)
-    } else {
-        return Ok(None);
-    };
-    Ok(Some(part))
-}
-
-/// Read the archive file `rel` under `root` as UTF-8 text.
-pub(crate) fn read_text(root: &Path, rel: &str) -> Result<String> {
-    fs::read_to_string(root.join(rel))
-        .map_err(|e| read_error(e, "archive file", format!("{}/{rel}", root.display())))
-}
-
-/// The typed error for a failed read of the archive file `file`: only a
-/// file that is not there is [`Error::Missing`] (`what`); one that is
-/// there but cannot be read — a directory, no permission, not UTF-8 —
-/// is a parse error naming the file.
-pub(crate) fn read_error(e: std::io::Error, what: &'static str, file: String) -> Error {
-    if e.kind() == ErrorKind::NotFound {
-        Error::missing(what, file)
-    } else {
-        Error::parse("readable archive file", &format!("{file}: {e}"))
-    }
-}
-
 impl DataSource {
     /// [`DataSource::from_archive`], kept only for `benchmark/`, which
     /// still calls it as `ArchiveWorld::load`.
@@ -419,9 +343,9 @@ impl DataSource {
     /// Load an archive dumped by [`crate::datasets::dump_with`] from
     /// `root`, parsing every dataset from its native format.
     ///
-    /// The manifest's serial-1, PeeringDB, cable, off-net, top-site and
-    /// reachability files parse in one sweep, each on whichever worker
-    /// claims it, and fold in manifest order; a load that fails returns
+    /// The manifest's serial-1, PeeringDB (validated), cable, off-net,
+    /// top-site and reachability files parse by their archive rows in one
+    /// sweep, and fold in manifest order; a load that fails returns
     /// the first failing file in manifest order, then the first failing
     /// NDT container in plan order. Each country's `mlab/{CC}.ndtc`
     /// container must be listed in the manifest; it is read once and its
@@ -431,14 +355,23 @@ impl DataSource {
     /// observation sequence the in-memory aggregator saw, so the
     /// order-sensitive P² estimators land in identical state.
     pub fn from_archive(root: &Path) -> Result<DataSource> {
-        let config = WorldConfig::parse(&read_text(root, "world/config.tsv")?)?;
-        let scenario = match fs::read_to_string(root.join("world/scenario.toml")) {
-            Ok(text) => Scenario::parse(&text).map_err(Error::from)?,
-            Err(e) if e.kind() == ErrorKind::NotFound => Scenario::venezuela(),
-            Err(e) => {
-                let file = format!("{}/world/scenario.toml", root.display());
-                return Err(read_error(e, "archive file", file));
-            }
+        // Decode only the columns some registered consumer declared a
+        // need for — today exactly the aggregate's three columns, so a
+        // columnar load skips over half the container bytes.
+        let selection = ColumnSelection::columns(crate::registry::ndt_column_union());
+        DataSource::load_columns(root, selection)
+    }
+
+    /// [`DataSource::from_archive`], decoding `selection`'s NDT columns.
+    pub(crate) fn load_columns(root: &Path, selection: ColumnSelection) -> Result<DataSource> {
+        let Part::Config(config) = Dataset::Config.parse(root, Key::None)? else {
+            unreachable!("the config row parses into a config")
+        };
+        let scenario = match Dataset::Scenario.parse(root, Key::None) {
+            Ok(Part::Scenario(scenario)) => scenario,
+            Err(Error::Missing { .. }) => Scenario::venezuela(),
+            Err(e) => return Err(e),
+            Ok(_) => unreachable!("the scenario row parses into a scenario"),
         };
 
         // The model roots are pure functions of the config and scenario;
@@ -454,84 +387,84 @@ impl DataSource {
             },
         );
 
-        let manifest = read_text(root, "MANIFEST.txt")?;
-        let entries: Vec<&str> = manifest
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.is_empty())
-            .collect();
+        let Part::Manifest(entries) = Dataset::Manifest.parse(root, Key::None)? else {
+            unreachable!("the manifest row parses into entries")
+        };
+        let claimed: Vec<_> = entries.iter().map(|rel| Dataset::of(rel)).collect();
 
         // The parts fold in manifest order on this thread, so the archive,
         // its scan and scrape order, and the error returned are the
         // serial loop's.
-        let parsed = sweep::parallel_map(&entries, |rel| parse_entry(root, rel));
+        let parsed = sweep::parallel_map(&claimed, |claim| match *claim {
+            Some((
+                row @ (Dataset::Serial1
+                | Dataset::PeeringDb
+                | Dataset::Cables
+                | Dataset::OffNets
+                | Dataset::TopSites
+                | Dataset::Reachability),
+                key,
+            )) => row.parse(root, key).map(Some),
+            _ => Ok(None),
+        });
         let mut topology = TopologyArchive::new();
         let mut peeringdb = SnapshotArchive::new();
         let mut cables: Option<CableMap> = None;
         let mut cert_scans = Vec::new();
         let mut top_sites = Vec::new();
         let mut reachability = BTreeMap::new();
-        let mut last_delegations: Option<&str> = None;
-        for (&rel, part) in entries.iter().zip(parsed) {
-            match part? {
-                Some(Parsed::Topology(m, graph)) => topology.insert(m, graph),
-                Some(Parsed::PeeringDb(m, snapshot)) => peeringdb.insert(m, snapshot),
-                Some(Parsed::Cables(map)) => cables = Some(map),
-                Some(Parsed::CertScan(scan)) => cert_scans.push(scan),
-                Some(Parsed::TopSites(sites)) => top_sites.push(sites),
-                Some(Parsed::Reachability(cc, series)) => {
+        let mut last_delegations = None;
+        for (&claim, part) in claimed.iter().zip(parsed) {
+            // Unclaimed entries parse to nothing: the loader skips them.
+            let (Some((row, key)), part) = (claim, part?) else {
+                continue;
+            };
+            match (key, part) {
+                (Key::Month(m), Some(Part::Topology(graph))) => topology.insert(m, graph),
+                (Key::Month(m), Some(Part::PeeringDb(snapshot))) => peeringdb.insert(m, snapshot),
+                (_, Some(Part::Cables(map))) => cables = Some(map),
+                (_, Some(Part::CertScan(scan))) => cert_scans.push(scan),
+                (_, Some(Part::TopSites(sites))) => top_sites.push(sites),
+                (Key::Country(cc), Some(Part::Reachability(series))) => {
                     reachability.insert(cc, series);
                 }
-                None if rel.starts_with("delegations/") => last_delegations = Some(rel),
-                None => {}
+                _ if row == Dataset::Delegations => last_delegations = Some(key),
+                _ => {}
             }
         }
 
         let last_delegations =
             last_delegations.ok_or_else(|| Error::missing("archive dataset", "delegations/"))?;
-        let ledger = AllocationLedger::from_delegation_file(&DelegationFile::parse(&read_text(
-            root,
-            last_delegations,
-        )?)?)?;
+        let Part::Delegations(file) = Dataset::Delegations.parse(root, last_delegations)? else {
+            unreachable!("the delegations row parses into a delegation file")
+        };
+        let ledger = AllocationLedger::from_delegation_file(&file)?;
 
-        // One `mlab/{CC}.ndtc` container per planned country, named in the
-        // manifest — nothing is probed on disk, and a tree that lists
-        // anything else for a country is missing its container. Each is
-        // read once and decoded on a sweep worker into its resident month
-        // table and a partial aggregate; the partials merge in plan order.
-        // Decoding checks that a container holds only its own country's
-        // planned months, so its groups are exactly its own and every
-        // group's P² estimator sees the observation sequence the
-        // in-memory aggregator saw.
-        let listed: BTreeSet<&str> = entries.iter().copied().collect();
-        let containers = country::lacnic_codes()
-            .map(|cc| {
-                let rel = crate::datasets::mlab_container_path(cc);
-                if listed.contains(rel.as_str()) {
-                    Ok((cc, rel))
-                } else {
-                    Err(Error::missing("NDT archive container", rel))
-                }
-            })
-            .collect::<Result<Vec<_>>>()?;
+        // Nothing is probed on disk: a tree that lists anything else for a
+        // country is missing its container. Decoding checks that a
+        // container holds only its own country's planned months, so its
+        // groups are exactly its own; the partials merge in plan order.
+        let containers: Vec<CountryCode> = country::lacnic_codes().collect();
+        let listed =
+            |&cc: &CountryCode| claimed.contains(&Some((Dataset::NdtContainer, Key::Country(cc))));
+        if let Some(cc) = containers.iter().find(|cc| !listed(cc)) {
+            let rel = Dataset::NdtContainer.path(Key::Country(*cc));
+            return Err(Error::missing("NDT archive container", rel));
+        }
         let months: Vec<MonthStamp> = windows::mlab_start().through(config.end).collect();
-        // Decode only the columns some registered consumer declared a
-        // need for — today exactly the aggregate's three columns, so a
-        // columnar load skips over half the container bytes.
-        let selection = ColumnSelection::columns(crate::registry::ndt_column_union());
-        let loaded = sweep::parallel_map_with(
-            sweep::worker_count(containers.len()),
-            &containers,
-            |(cc, rel)| {
-                let bytes = fs::read(root.join(rel))
-                    .map_err(|e| read_error(e, "NDT archive container", rel.clone()))?;
-                load_container(*cc, &bytes, &months, &selection)
-            },
-        );
+        let loaded =
+            sweep::parallel_map_with(sweep::worker_count(containers.len()), &containers, |&cc| {
+                let Part::Ndt(bytes) = Dataset::NdtContainer.parse(root, Key::Country(cc))? else {
+                    unreachable!("the container row parses into bytes")
+                };
+                load_container(cc, &bytes, &months, &selection)
+            });
         let mut mlab = MonthlyAggregator::new(Mode::Streaming);
         let mut ndt = BTreeMap::new();
-        for ((cc, rel), loaded) in containers.into_iter().zip(loaded) {
+        for (cc, loaded) in containers.into_iter().zip(loaded) {
             let (months, blocks, part) = loaded?;
             mlab.merge(part)?;
+            let rel = Dataset::NdtContainer.path(Key::Country(cc));
             ndt.insert(
                 cc,
                 NdtContainer {
@@ -786,17 +719,16 @@ impl From<World> for DataSource {
 /// one, starts in 2008); a file that is there but cannot be read or
 /// parsed panics naming it.
 fn parse_pfx2as(root: &Path, month: MonthStamp) -> PfxToAs {
-    let rel = format!(
-        "pfx2as/routeviews-rv2-{}{:02}01.pfx2as",
-        month.year(),
-        month.month()
-    );
-    let text = match fs::read_to_string(root.join(&rel)) {
-        Ok(text) => text,
-        Err(e) if e.kind() == ErrorKind::NotFound => return PfxToAs::new(),
-        Err(e) => panic!("archive pfx2as {rel} cannot be read: {e}"),
-    };
-    PfxToAs::parse(&text).unwrap_or_else(|e| panic!("archive pfx2as {rel} does not parse: {e}"))
+    let key = Key::Month(month);
+    match Dataset::Pfx2as.parse(root, key) {
+        Ok(Part::Pfx2as(table)) => table,
+        Err(Error::Missing { .. }) => PfxToAs::new(),
+        Err(e) => panic!(
+            "archive pfx2as {} cannot be loaded: {e}",
+            Dataset::Pfx2as.path(key)
+        ),
+        Ok(_) => unreachable!("the pfx2as row parses into a table"),
+    }
 }
 
 /// Read and decode the planned months of one resident container under

@@ -15,6 +15,7 @@
 //!    battery to byte-identical output with a from-scratch dump of the
 //!    same configuration.
 
+use lacnet::core::archive::{Dataset, Key};
 use lacnet::core::render::canonical_tsv;
 use lacnet::core::{datasets, experiments, extensions, DataSource};
 use lacnet::crisis::{Scenario, World, WorldConfig};
@@ -28,7 +29,7 @@ use std::time::SystemTime;
 fn container_mtimes(root: &Path) -> BTreeMap<String, SystemTime> {
     country::lacnic_codes()
         .map(|cc| {
-            let rel = datasets::mlab_container_path(cc);
+            let rel = Dataset::NdtContainer.path(Key::Country(cc));
             let mtime = std::fs::metadata(root.join(&rel))
                 .and_then(|m| m.modified())
                 .expect("container exists with a readable mtime");

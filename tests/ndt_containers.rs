@@ -10,6 +10,7 @@
 //!   each fail [`DataSource::from_archive`] with a typed error;
 //! * a tree from before the text encoding was retired, whose manifest
 //!   lists `mlab/{CC}.tsv`, fails the load as a missing `.ndtc`;
+//! * a PeeringDB dump whose `netfac` names a missing net fails the load;
 //! * a container corrupted after boot turns its queries into uncached
 //!   500s while the worker keeps serving everything else;
 //! * a request whose computation panics answers a 500 and leaves its
@@ -468,6 +469,18 @@ fn unreadable_archive_files_are_parse_errors_naming_the_file() {
         other => panic!("expected a missing-file error, got {other:?}"),
     }
     DataSource::from_archive(&root).expect("restored tree loads");
+}
+
+#[test]
+fn a_peeringdb_dump_naming_a_missing_net_fails_the_load() {
+    let root = locked_tree();
+    let dump = manifest_entries(&root, "peeringdb/").pop().expect("a dump");
+    let text = std::fs::read_to_string(root.join(&dump)).expect("dump");
+    let mut snapshot = lacnet::peeringdb::Snapshot::from_json(&text).expect("dump parses");
+    let unknown = snapshot.net.iter().map(|n| n.id).max().expect("a net") + 1;
+    snapshot.netfac.first_mut().expect("a netfac").net_id = unknown;
+    let e = load_with_files(&root, &[(&dump, snapshot.to_json().as_bytes())]);
+    assert_eq!(e, Error::invalid("netfac references missing net"));
 }
 
 #[test]
